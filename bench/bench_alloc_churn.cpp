@@ -1,15 +1,16 @@
 // Allocation-churn benchmark: quantifies what the storage pool buys on the
 // two hot paths — a full SSTBAN training step (forward + backward + Adam)
-// and a serving-style no-grad forward. For each mode (pool on / pool off)
-// it reports heap allocations per step, pool hit rate, and steady-state
-// latency, and asserts the transparency guarantee: one fresh training step
-// is bitwise identical in loss and every parameter gradient either way.
+// and the serving forward (training::RunBatchedInference). For each mode
+// (pool on / pool off) it reports heap allocations per step, pool hit rate,
+// and steady-state latency, and asserts the transparency guarantee: one
+// fresh training step is bitwise identical in loss and every parameter
+// gradient either way.
 //
 // Emits a single JSON object on stdout (tables land in
 // bench/BENCH_alloc_churn.json for the perf trajectory); pass a path as
 // argv[1] to also write the JSON there. Exits nonzero if the bitwise check
-// fails or the pool saves less than 10x on heap allocations per training
-// step.
+// fails, the pool saves less than 10x on heap allocations per training
+// step, or a warm pooled serving forward allocates from the heap at all.
 
 #include <algorithm>
 #include <chrono>
@@ -25,10 +26,12 @@
 #include "core/rng.h"
 #include "core/storage_pool.h"
 #include "data/dataset.h"
+#include "data/normalizer.h"
 #include "optim/optimizer.h"
 #include "sstban/config.h"
 #include "sstban/model.h"
 #include "tensor/tensor.h"
+#include "training/forecast_service.h"
 
 namespace {
 
@@ -133,18 +136,19 @@ ModeResult RunMode(bool pool_enabled, int warmup_steps, int measure_steps) {
       static_cast<double>(tracker.pool_recycled_bytes() - recycled0) / 1e6 /
       measure_steps;
 
-  // Serving-style forward: inference only, no autograd graph retained.
-  model.SetTraining(false);
-  {
-    ag::NoGradGuard no_grad;
-    for (int i = 0; i < warmup_steps; ++i) model.Predict(batch.x, batch);
-    heap0 = tracker.heap_allocs();
-    start = NowSeconds();
-    for (int i = 0; i < measure_steps; ++i) model.Predict(batch.x, batch);
-    result.forward_ms = (NowSeconds() - start) * 1e3 / measure_steps;
-    result.heap_allocs_per_forward =
-        static_cast<double>(tracker.heap_allocs() - heap0) / measure_steps;
-  }
+  // The serving forward: normalize, no-grad tape forward, denormalize.
+  sstban::data::Normalizer normalizer =
+      sstban::data::Normalizer::Fit(batch.x);
+  auto forward = [&] {
+    sstban::training::RunBatchedInference(&model, normalizer, batch);
+  };
+  for (int i = 0; i < warmup_steps; ++i) forward();
+  heap0 = tracker.heap_allocs();
+  start = NowSeconds();
+  for (int i = 0; i < measure_steps; ++i) forward();
+  result.forward_ms = (NowSeconds() - start) * 1e3 / measure_steps;
+  result.heap_allocs_per_forward =
+      static_cast<double>(tracker.heap_allocs() - heap0) / measure_steps;
   result.pool_peak_resident_bytes = tracker.pool_peak_resident_bytes();
   return result;
 }
@@ -268,6 +272,13 @@ int main(int argc, char** argv) {
                  "FAIL: pool saves only %.1fx heap allocations per training "
                  "step (need >= 10x)\n",
                  alloc_reduction);
+    return 1;
+  }
+  if (pool_on.heap_allocs_per_forward != 0.0) {
+    std::fprintf(stderr,
+                 "FAIL: warm pooled serving forward made %.1f heap "
+                 "allocations (need 0)\n",
+                 pool_on.heap_allocs_per_forward);
     return 1;
   }
   return 0;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "autograd/trace.h"
 #include "core/check.h"
 #include "tensor/fused_attention.h"
 #include "tensor/matmul.h"
@@ -17,14 +16,10 @@ namespace t = ::sstban::tensor;
 namespace {
 
 // Records an op node when grads are enabled and any input requires them;
-// otherwise returns a detached result. When a TraceScope is active on this
-// thread (executor tracing, see trace.h), the op is also reported there;
-// `attrs` carries parameters not recoverable from the result tensor and is
-// only non-null while tracing.
+// otherwise returns a detached result.
 Variable MakeOp(const char* name, t::Tensor value,
                 std::vector<Variable> inputs,
-                std::function<void(Node&)> backward,
-                const TraceAttrs* attrs = nullptr) {
+                std::function<void(Node&)> backward) {
   bool needs_grad = false;
   if (NoGradGuard::GradEnabled()) {
     for (const Variable& v : inputs) needs_grad = needs_grad || v.requires_grad();
@@ -35,7 +30,6 @@ Variable MakeOp(const char* name, t::Tensor value,
     for (Variable& v : inputs) node->parents.push_back(v.node());
     node->backward_fn = std::move(backward);
   }
-  if (TraceScope::Active()) TraceOp(name, node, inputs, attrs);
   return Variable(std::move(node));
 }
 
@@ -87,27 +81,14 @@ Variable Div(const Variable& a, const Variable& b) {
 
 Variable AddScalar(const Variable& a, float s) {
   NodePtr na = a.node();
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.scalar = s;
-    pattrs = &attrs;
-  }
   return MakeOp("add_scalar", t::AddScalar(a.value(), s), {a},
-                [na](Node& n) { Accumulate(na, n.grad); }, pattrs);
+                [na](Node& n) { Accumulate(na, n.grad); });
 }
 
 Variable MulScalar(const Variable& a, float s) {
   NodePtr na = a.node();
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.scalar = s;
-    pattrs = &attrs;
-  }
   return MakeOp("mul_scalar", t::MulScalar(a.value(), s), {a},
-                [na, s](Node& n) { Accumulate(na, t::MulScalar(n.grad, s)); },
-                pattrs);
+                [na, s](Node& n) { Accumulate(na, t::MulScalar(n.grad, s)); });
 }
 
 Variable Neg(const Variable& a) {
@@ -198,13 +179,6 @@ Variable Matmul(const Variable& a, const Variable& b) {
 Variable Bmm(const Variable& a, const Variable& b, bool transpose_a,
              bool transpose_b) {
   NodePtr na = a.node(), nb = b.node();
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.transpose_a = transpose_a;
-    attrs.transpose_b = transpose_b;
-    pattrs = &attrs;
-  }
   return MakeOp("bmm", t::Bmm(a.value(), b.value(), transpose_a, transpose_b),
                 {a, b}, [na, nb, transpose_a, transpose_b](Node& n) {
     const t::Tensor& g = n.grad;
@@ -223,7 +197,7 @@ Variable Bmm(const Variable& a, const Variable& b, bool transpose_a,
     }
     Accumulate(na, ga);
     Accumulate(nb, gb);
-  }, pattrs);
+  });
 }
 
 Variable Reshape(const Variable& a, t::Shape new_shape) {
@@ -239,16 +213,10 @@ Variable Permute(const Variable& a, const std::vector<int>& perm) {
   NodePtr na = a.node();
   std::vector<int> inverse(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) inverse[perm[i]] = static_cast<int>(i);
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.perm = perm;  // vector copy: trace-only, never on the hot path
-    pattrs = &attrs;
-  }
   return MakeOp("permute", t::Permute(a.value(), perm), {a},
                 [na, inverse](Node& n) {
     Accumulate(na, t::Permute(n.grad, inverse));
-  }, pattrs);
+  });
 }
 
 Variable Concat(const std::vector<Variable>& parts, int axis) {
@@ -259,12 +227,6 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
   int canonical = parts[0].shape().CanonicalAxis(axis);
   std::vector<NodePtr> nodes;
   for (const Variable& p : parts) nodes.push_back(p.node());
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.axis = canonical;
-    pattrs = &attrs;
-  }
   return MakeOp("concat", t::Concat(values, axis), parts,
                 [nodes, canonical](Node& n) {
     int64_t offset = 0;
@@ -273,20 +235,12 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
       Accumulate(p, t::Slice(n.grad, canonical, offset, length));
       offset += length;
     }
-  }, pattrs);
+  });
 }
 
 Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
   NodePtr na = a.node();
   int canonical = a.shape().CanonicalAxis(axis);
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.axis = canonical;
-    attrs.start = start;
-    attrs.length = length;
-    pattrs = &attrs;
-  }
   return MakeOp("slice", t::Slice(a.value(), axis, start, length), {a},
                 [na, canonical, start, length](Node& n) {
     // Scatter the gradient back into a zero tensor of the input shape.
@@ -303,7 +257,7 @@ Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
                   static_cast<size_t>(length * inner) * sizeof(float));
     }
     Accumulate(na, full);
-  }, pattrs);
+  });
 }
 
 Variable Sum(const Variable& a, int axis, bool keepdim) {
@@ -340,46 +294,30 @@ Variable MeanAll(const Variable& a) {
 
 namespace {
 
-Variable SoftmaxImpl(const Variable& a, const t::Tensor& value,
-                     const t::Tensor* additive_mask) {
+Variable SoftmaxImpl(const Variable& a, t::Tensor value) {
   NodePtr na = a.node();
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active() && additive_mask != nullptr) {
-    attrs.softmax_mask = *additive_mask;  // the mask is not an op input
-    pattrs = &attrs;
-  }
-  return MakeOp("softmax", value, {a}, [na](Node& n) {
+  return MakeOp("softmax", std::move(value), {a}, [na](Node& n) {
     // dX = Y * (G - sum(G * Y, last, keepdim))
     t::Tensor gy = t::Mul(n.grad, n.value);
     t::Tensor s = t::Sum(gy, -1, /*keepdim=*/true);
     Accumulate(na, t::Mul(n.value, t::Sub(n.grad, s)));
-  }, pattrs);
+  });
 }
 
 }  // namespace
 
 Variable Softmax(const Variable& a) {
-  return SoftmaxImpl(a, t::Softmax(a.value()), nullptr);
+  return SoftmaxImpl(a, t::Softmax(a.value()));
 }
 
 Variable SoftmaxWithMask(const Variable& a, const t::Tensor& additive_mask) {
-  return SoftmaxImpl(a, t::SoftmaxWithMask(a.value(), additive_mask),
-                     &additive_mask);
+  return SoftmaxImpl(a, t::SoftmaxWithMask(a.value(), additive_mask));
 }
 
 Variable FusedAttention(const Variable& q, const Variable& k,
                         const Variable& v, const t::Tensor* key_mask,
                         int64_t mask_heads, float scale) {
   NodePtr nq = q.node(), nk = k.node(), nv = v.node();
-  TraceAttrs attrs;
-  const TraceAttrs* pattrs = nullptr;
-  if (TraceScope::Active()) {
-    attrs.scalar = scale;
-    attrs.attn_heads = mask_heads;
-    if (key_mask != nullptr) attrs.softmax_mask = *key_mask;
-    pattrs = &attrs;
-  }
   // Copy the mask so the backward closure does not dangle if the caller's
   // tensor goes away before Backward runs.
   t::Tensor mask_copy = key_mask != nullptr ? *key_mask : t::Tensor();
@@ -403,7 +341,7 @@ Variable FusedAttention(const Variable& q, const Variable& k,
     Accumulate(nq, gq);
     Accumulate(nk, gk);
     Accumulate(nv, gv);
-  }, pattrs);
+  });
 }
 
 Variable Dropout(const Variable& a, float p, core::Rng& rng, bool training) {

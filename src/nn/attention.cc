@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/trace.h"
 #include "core/check.h"
 #include "tensor/fused_attention.h"
 #include "tensor/ops.h"
@@ -57,12 +56,12 @@ ag::Variable MultiHeadAttention::Forward(const ag::Variable& q,
 
   float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
-  // Inference fast path: stream scores through the fused kernel instead of
-  // materializing the [B*h, Lq, Lk] tensor. Kept off the training path so
-  // gradient numerics are unchanged (the fused op's recompute backward
-  // reorders accumulations), and off when the caller wants the probabilities.
-  if (t::FusedAttentionEnabled() && attention_probs == nullptr &&
-      !ag::NoGradGuard::GradEnabled()) {
+  // Inference path: stream scores through the fused kernel instead of
+  // materializing the [B*h, Lq, Lk] tensor. Up to kFusedAttentionExactMaxKeys
+  // keys it is bitwise identical to the unfused chain below, which stays the
+  // path for training (the fused op's recompute backward reorders gradient
+  // accumulations) and for callers that want the probabilities.
+  if (attention_probs == nullptr && !ag::NoGradGuard::GradEnabled()) {
     if (key_mask != nullptr) {
       SSTBAN_CHECK_EQ(key_mask->rank(), 2);
       SSTBAN_CHECK_EQ(key_mask->dim(0), batch);
@@ -99,16 +98,6 @@ ag::Variable MultiHeadAttention::Forward(const ag::Variable& q,
         }
       }
     }, /*grain=*/256);
-    if (ag::TraceScope::Active()) {
-      ag::DynamicNote note;
-      note.kind = ag::DynamicKind::kAdditiveKeyMask;
-      note.tensor = additive;
-      note.mask_src = key_mask->data();
-      note.heads = num_heads_;
-      note.lq = lq;
-      note.lk = lk;
-      ag::TraceDynamicInput(std::move(note));
-    }
     attn = ag::SoftmaxWithMask(scores, additive);
   } else {
     attn = ag::Softmax(scores);

@@ -182,21 +182,16 @@ bool Batcher::RunPrimary(const ModelRegistry::Served& served,
   bool ok = injected.ok();
   if (ok) {
     try {
-      // No-op when unchanged; on a hot-swap the fresh model picks the
-      // configured mode up here before its first compiled program.
-      served.model->set_inference_precision(options_.precision);
       if (keep_pos.defined()) {
         core::StatusOr<tensor::Tensor> masked =
             training::RunBatchedInferenceMasked(served.model.get(),
                                                 served.normalizer, model_batch,
-                                                keep_pos,
-                                                options_.executor_mode);
+                                                keep_pos);
         ok = masked.ok();
         if (ok) *denorm = std::move(masked).value();
       } else {
         *denorm = training::RunBatchedInference(served.model.get(),
-                                                served.normalizer, model_batch,
-                                                options_.executor_mode);
+                                                served.normalizer, model_batch);
       }
       ok = ok && !tensor::HasNonFinite(*denorm);
     } catch (const std::exception&) {

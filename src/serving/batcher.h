@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/precision.h"
-
 #include "serving/fallback.h"
 #include "serving/health.h"
 #include "serving/model_registry.h"
@@ -16,7 +14,6 @@
 #include "serving/request.h"
 #include "serving/request_queue.h"
 #include "serving/server_stats.h"
-#include "training/forecast_service.h"
 
 namespace sstban::serving {
 
@@ -30,16 +27,6 @@ struct BatcherOptions {
   int64_t input_len = 24;
   int64_t output_len = 24;
   int64_t steps_per_day = 96;
-  // Which forward implementation the primary model pass uses (kAuto defers
-  // to the SSTBAN_EXECUTOR environment variable). The static executor is a
-  // fast path only: any executor failure falls back to the tape inside
-  // RunBatchedInference, so the breaker/fallback semantics are unchanged.
-  training::ExecutorMode executor_mode = training::ExecutorMode::kAuto;
-  // Numeric mode for the static executor's compiled programs (defaults to
-  // what SSTBAN_PRECISION resolves to). Applied to the served model before
-  // each primary pass, so hot-swapped models inherit it. Reduced-precision
-  // modes only affect the executor fast path; the tape fallback stays fp32.
-  exec::PrecisionMode precision = exec::ResolvePrecisionMode();
 };
 
 // The micro-batching worker: drains the request queue, coalesces up to

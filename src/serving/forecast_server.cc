@@ -16,8 +16,6 @@ BatcherOptions MakeBatcherOptions(const ServerOptions& options) {
   batcher.input_len = options.input_len;
   batcher.output_len = options.output_len;
   batcher.steps_per_day = options.steps_per_day;
-  batcher.executor_mode = options.executor_mode;
-  batcher.precision = options.precision;
   return batcher;
 }
 

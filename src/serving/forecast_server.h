@@ -41,12 +41,6 @@ struct ServerOptions {
   // A batch in flight longer than this means the worker is wedged: the
   // readiness probe goes false and Submit fails fast with Unavailable.
   std::chrono::milliseconds stall_budget{2000};
-  // Which forward the batcher's primary pass uses: the autograd tape or the
-  // shape-specialized static executor (kAuto reads SSTBAN_EXECUTOR once).
-  training::ExecutorMode executor_mode = training::ExecutorMode::kAuto;
-  // Numeric mode for the executor fast path (defaults to SSTBAN_PRECISION);
-  // see BatcherOptions::precision.
-  exec::PrecisionMode precision = exec::ResolvePrecisionMode();
   // Overload control: adaptive admission, deadline propagation, and the
   // memory-pressure brownout ladder (defaults read SSTBAN_ADMISSION /
   // SSTBAN_BROWNOUT_WATERMARKS once).

@@ -51,11 +51,6 @@ class SstbanModel : public training::TrafficModel {
 
   const SstbanConfig& config() const { return config_; }
 
-  // The serving forward's only request-dependent inputs are x_norm, the keep
-  // mask, and the calendar vectors — all annotated for tracing — so the
-  // static executor may bake everything else as constants.
-  bool SupportsStaticExecutor() const override { return true; }
-
   // Runtime adjustments for self-supervision scheduling experiments
   // (multi-task vs pre-train-then-fine-tune; see bench_ablation_ssl_modes).
   // lambda = 1 trains the reconstruction objective alone; lambda = 0 (or

@@ -1,7 +1,6 @@
 #include "sstban/stba_block.h"
 
 #include "autograd/ops.h"
-#include "autograd/trace.h"
 #include "core/check.h"
 #include "tensor/ops.h"
 
@@ -55,18 +54,6 @@ ag::Variable StbaBlock::Forward(const ag::Variable& h, const ag::Variable& e,
     SSTBAN_CHECK(keep_mask->shape() == (t::Shape{batch, time, nodes}));
     mask_t = t::Permute(*keep_mask, {0, 2, 1})
                  .Reshape(t::Shape{batch * nodes, time});
-    if (ag::TraceScope::Active()) {
-      // mask_t is a materialized copy (unlike mask_s below, which aliases the
-      // keep mask's storage), so the executor needs its provenance recorded.
-      ag::DynamicNote note;
-      note.kind = ag::DynamicKind::kKeepMaskView;
-      note.tensor = mask_t;
-      note.view_src = keep_mask->data();
-      note.view_batch = batch;
-      note.view_time = time;
-      note.view_nodes = nodes;
-      ag::TraceDynamicInput(std::move(note));
-    }
   }
   ag::Variable temporal =
       ApplyTemporal(zt, keep_mask ? &mask_t : nullptr);  // [B*N, T, d]

@@ -1,7 +1,6 @@
 #include "sstban/ste.h"
 
 #include "autograd/ops.h"
-#include "autograd/trace.h"
 #include "core/check.h"
 
 namespace sstban::sstban {
@@ -35,17 +34,6 @@ ag::Variable SpatialTemporalEmbedding::Forward(const std::vector<int64_t>& tod,
     SSTBAN_CHECK(dow[r] >= 0 && dow[r] < 7);
     po[r * onehot_dim + tod[r]] = 1.0f;
     po[r * onehot_dim + steps_per_day_ + dow[r]] = 1.0f;
-  }
-  if (ag::TraceScope::Active()) {
-    // The vector addresses let the executor tell the input-window calendar
-    // stream from the output-window one even when both have the same length.
-    ag::DynamicNote note;
-    note.kind = ag::DynamicKind::kCalendarOnehot;
-    note.tensor = onehot;
-    note.tod = &tod;
-    note.dow = &dow;
-    note.steps_per_day = steps_per_day_;
-    ag::TraceDynamicInput(std::move(note));
   }
   // Temporal part: [B*len, d] -> [B, len, 1, d].
   ag::Variable temporal = temporal_mlp_->Forward(ag::Variable(onehot));

@@ -9,6 +9,7 @@
 #include "core/check.h"
 #include "core/failpoint.h"
 #include "tensor/ops.h"
+#include "training/forecast_service.h"
 #include "training/metrics.h"
 
 namespace sstban::streaming {
@@ -38,8 +39,7 @@ core::StatusOr<double> ShadowEvaluator::Score(
     data::Batch batch = windows.MakeBatch(chunk);
     t::Tensor denorm;
     try {
-      denorm = training::RunBatchedInference(model, normalizer, batch,
-                                             options_.executor_mode);
+      denorm = training::RunBatchedInference(model, normalizer, batch);
     } catch (const std::exception& e) {
       return core::Status::Internal(std::string("shadow forward threw: ") +
                                     e.what());
@@ -145,22 +145,6 @@ core::StatusOr<PromotionDecision> PromotionGate::TryPromote(
     ++refusals_;
     last_decision_ = decision;
     return decision;
-  }
-
-  // Pay the static-executor retrace before install, off the serving path.
-  // (Shadow scoring under kStatic already compiled the shadow batch shapes;
-  // this warms the single-request shape the server most commonly runs.)
-  if (options_.prewarm_executor && candidate->SupportsStaticExecutor() &&
-      training::ResolveExecutorMode(evaluator.options().executor_mode) ==
-          training::ExecutorMode::kStatic &&
-      !shadow_indices.empty()) {
-    try {
-      data::Batch one = shadow_windows.MakeBatch({shadow_indices.front()});
-      (void)training::RunBatchedInference(candidate.get(), normalizer, one,
-                                          training::ExecutorMode::kStatic);
-    } catch (const std::exception&) {
-      // Prewarm is an optimization; the serving path retraces lazily anyway.
-    }
   }
 
   // Snapshot the incumbent's weights for post-promotion rollback.

@@ -10,7 +10,6 @@
 #include "data/dataset.h"
 #include "data/normalizer.h"
 #include "serving/model_registry.h"
-#include "training/forecast_service.h"
 #include "training/model.h"
 
 namespace sstban::streaming {
@@ -20,9 +19,6 @@ struct ShadowEvaluatorOptions {
   // Score only this feature channel (-1 = all), matching the serving
   // deployment's headline metric.
   int target_feature = -1;
-  // Forward implementation; kStatic doubles as the candidate's executor
-  // prewarm — scoring traces and compiles the serving shape before install.
-  training::ExecutorMode executor_mode = training::ExecutorMode::kAuto;
 };
 
 // Scores a model on matured live windows (windows whose ground-truth horizon
@@ -66,10 +62,6 @@ struct PromotionGateOptions {
   double rollback_factor = 1.5;
   double rollback_floor = 1e-6;
   int64_t rollback_after = 3;
-  // Prewarm the candidate's static executor for the serving shape before
-  // install, so the hot-swap retrace cost is paid off-path (verified via
-  // exec::InferenceEngine::cached_programs in tests).
-  bool prewarm_executor = true;
 };
 
 struct PromotionDecision {

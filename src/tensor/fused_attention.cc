@@ -1,13 +1,9 @@
 #include "tensor/fused_attention.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "core/check.h"
@@ -19,19 +15,7 @@ namespace sstban::tensor {
 
 namespace {
 
-// -1 = unresolved, 0 = off, 1 = on.
-std::atomic<int> g_fused_enabled{-1};
-
-int ResolveFusedFromEnv() {
-  const char* env = std::getenv("SSTBAN_FUSED_ATTENTION");
-  if (env == nullptr) return 1;
-  std::string v(env);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  if (v == "off" || v == "0" || v == "false") return 0;
-  return 1;
-}
-
-// The additive expansion the tape path writes into its materialized mask:
+// The additive expansion the unfused path writes into its materialized mask:
 // keeping a key adds exactly 0.0f, excluding it adds -1e9f. Always perform
 // the add (never skip the keep case) so the arithmetic matches the unfused
 // Add(scores, additive) element for element.
@@ -122,20 +106,6 @@ void OnlineBlock(const float* q, const float* k, const float* v,
 }
 
 }  // namespace
-
-bool FusedAttentionEnabled() {
-  int v = g_fused_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = ResolveFusedFromEnv();
-    g_fused_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetFusedAttentionEnabledForTesting(int enabled) {
-  g_fused_enabled.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                        std::memory_order_relaxed);
-}
 
 void FusedAttentionInto(const float* q, const float* k, const float* v,
                         const float* key_mask, int64_t mask_heads, float* out,

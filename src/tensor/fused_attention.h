@@ -27,17 +27,10 @@ namespace sstban::tensor {
 //
 // `key_mask` is optional: when non-null it holds [batch / mask_heads, lk]
 // keep rows (> 0.5f keeps a key) and the kernel applies the same
-// `keep ? 0.0f : -1e9f` additive expansion the tape path builds explicitly.
+// `keep ? 0.0f : -1e9f` additive expansion the unfused path builds explicitly.
 // Pass mask_heads = 1 when the mask batch matches the attention batch.
 
 inline constexpr int64_t kFusedAttentionExactMaxKeys = 512;
-
-// Process-wide enable flag for the fused attention path (the MHA forward and
-// the static executor's peephole both consult it). Reads SSTBAN_FUSED_ATTENTION
-// once: "off" / "0" / "false" disable, anything else (or unset) enables.
-bool FusedAttentionEnabled();
-// Testing override: 0 = off, 1 = on, -1 = back to the environment setting.
-void SetFusedAttentionEnabledForTesting(int enabled);
 
 void FusedAttentionInto(const float* q, const float* k, const float* v,
                         const float* key_mask, int64_t mask_heads, float* out,

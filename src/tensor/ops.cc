@@ -453,21 +453,19 @@ Tensor RepeatAxis(const Tensor& a, int axis, int64_t repeats) {
   return out;
 }
 
-void SoftmaxRows(const float* in, float* out, int64_t rows, int64_t cols) {
-  const simd::SoftmaxRowFn fn = simd::Kernels().softmax_row;
-  ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      fn(in + r * cols, out + r * cols, cols);
-    }
-  }, /*min_chunk=*/64);
-}
-
 Tensor Softmax(const Tensor& a) {
   SSTBAN_CHECK_GE(a.rank(), 1);
   int64_t cols = a.shape().dims()[a.rank() - 1];
   int64_t rows = a.size() / cols;
   Tensor out = Tensor::Empty(a.shape());
-  SoftmaxRows(a.data(), out.data(), rows, cols);
+  const float* in = a.data();
+  float* po = out.data();
+  const simd::SoftmaxRowFn fn = simd::Kernels().softmax_row;
+  ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      fn(in + r * cols, po + r * cols, cols);
+    }
+  }, /*min_chunk=*/64);
   return out;
 }
 

@@ -67,11 +67,6 @@ Tensor RepeatAxis(const Tensor& a, int axis, int64_t repeats);
 // -- Softmax --------------------------------------------------------------
 // Numerically stable softmax along the last axis.
 Tensor Softmax(const Tensor& a);
-// Raw-pointer entry point for the same kernel: `rows` rows of `cols`
-// contiguous floats each. `in == out` is allowed (each row reads before it
-// overwrites). Softmax() delegates here, so the static executor and the tape
-// produce bitwise-identical results by construction.
-void SoftmaxRows(const float* in, float* out, int64_t rows, int64_t cols);
 // Softmax of (a + additive_mask): use large negative mask entries (e.g.
 // -1e9) to exclude keys. The mask must broadcast to a's shape. Rows whose
 // entries are all excluded degrade to a uniform distribution (no NaNs).

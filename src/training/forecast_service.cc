@@ -1,48 +1,11 @@
 #include "training/forecast_service.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "autograd/variable.h"
 #include "core/check.h"
 #include "core/string_util.h"
-#include "exec/engine.h"
 #include "tensor/ops.h"
 
 namespace sstban::training {
-
-ExecutorMode ResolveExecutorMode(ExecutorMode mode) {
-  if (mode != ExecutorMode::kAuto) return mode;
-  static const ExecutorMode from_env = [] {
-    const char* env = std::getenv("SSTBAN_EXECUTOR");
-    if (env != nullptr && std::strcmp(env, "static") == 0) {
-      return ExecutorMode::kStatic;
-    }
-    return ExecutorMode::kTape;
-  }();
-  return from_env;
-}
-
-namespace {
-
-// Attempts the static-executor fast path. Returns true and fills `out` (still
-// normalized) on success; false means "use the tape" — either the model never
-// opted in or the executor failed (trace failpoint, unsupported op, poisoned
-// shape), in which case the caller's tape forward is the answer.
-bool TryStaticExecutor(TrafficModel* model, const tensor::Tensor& x_norm,
-                       const tensor::Tensor* keep_pos, const data::Batch& batch,
-                       ExecutorMode mode, tensor::Tensor* out) {
-  if (ResolveExecutorMode(mode) != ExecutorMode::kStatic) return false;
-  if (!model->SupportsStaticExecutor()) return false;
-  exec::InferenceEngine* engine = model->inference_engine();
-  if (engine == nullptr) return false;
-  core::Status status =
-      keep_pos != nullptr ? engine->RunMasked(x_norm, *keep_pos, batch, out)
-                          : engine->Run(x_norm, batch, out);
-  return status.ok();
-}
-
-}  // namespace
 
 void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
                             int64_t output_len, int64_t steps_per_day,
@@ -63,24 +26,18 @@ void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
 
 tensor::Tensor RunBatchedInference(TrafficModel* model,
                                    const data::Normalizer& normalizer,
-                                   const data::Batch& batch,
-                                   ExecutorMode mode) {
+                                   const data::Batch& batch) {
   SSTBAN_CHECK(model != nullptr);
   model->SetTraining(false);
   autograd::NoGradGuard no_grad;
   tensor::Tensor x_norm = normalizer.Transform(batch.x);
-  tensor::Tensor fast;
-  if (TryStaticExecutor(model, x_norm, nullptr, batch, mode, &fast)) {
-    return normalizer.InverseTransform(fast);
-  }
   autograd::Variable pred = model->Predict(x_norm, batch);
   return normalizer.InverseTransform(pred.value());
 }
 
 core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
     TrafficModel* model, const data::Normalizer& normalizer,
-    const data::Batch& batch, const tensor::Tensor& keep_pos,
-    ExecutorMode mode) {
+    const data::Batch& batch, const tensor::Tensor& keep_pos) {
   SSTBAN_CHECK(model != nullptr);
   if (batch.x.rank() != 4) {
     return core::Status::InvalidArgument(core::StrFormat(
@@ -88,7 +45,7 @@ core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
         batch.x.shape().ToString().c_str()));
   }
   // Validate the keep mask against the batch geometry *before* handing it to
-  // the model: a mask traced against a different (P, N) would otherwise be
+  // the model: a mask built for a different (P, N) would otherwise be
   // read out of range (or crash) deep inside PredictMasked.
   tensor::Shape want{batch.x.dim(0), batch.x.dim(1), batch.x.dim(2)};
   if (!(keep_pos.shape() == want)) {
@@ -99,10 +56,6 @@ core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
   model->SetTraining(false);
   autograd::NoGradGuard no_grad;
   tensor::Tensor x_norm = normalizer.Transform(batch.x);
-  tensor::Tensor fast;
-  if (TryStaticExecutor(model, x_norm, &keep_pos, batch, mode, &fast)) {
-    return normalizer.InverseTransform(fast);
-  }
   autograd::Variable pred = model->PredictMasked(x_norm, keep_pos, batch);
   return normalizer.InverseTransform(pred.value());
 }

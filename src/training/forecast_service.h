@@ -24,31 +24,13 @@ void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
                             int64_t output_len, int64_t steps_per_day,
                             data::Batch* batch);
 
-// Which forward implementation the batched-inference helpers use.
-//   kAuto   — resolve once from the SSTBAN_EXECUTOR environment variable
-//             ("static" selects the static executor, anything else the tape).
-//   kTape   — always run the autograd tape forward.
-//   kStatic — prefer the shape-specialized static executor (src/exec) when
-//             the model supports it; any executor failure falls back to the
-//             tape, so kStatic is a fast path, never a correctness risk.
-enum class ExecutorMode {
-  kAuto = 0,
-  kTape,
-  kStatic,
-};
-
-// Resolves kAuto against SSTBAN_EXECUTOR (read once per process); returns
-// kTape/kStatic unchanged.
-ExecutorMode ResolveExecutorMode(ExecutorMode mode);
-
 // Runs one inference pass over a fully assembled batch (batch.x is
 // [B, P, N, C] raw signals with calendar features filled in): switches the
 // model to eval, disables autograd, normalizes, predicts, denormalizes.
 // Returns the raw-scale [B, Q, N, C] forecast.
 tensor::Tensor RunBatchedInference(TrafficModel* model,
                                    const data::Normalizer& normalizer,
-                                   const data::Batch& batch,
-                                   ExecutorMode mode = ExecutorMode::kAuto);
+                                   const data::Batch& batch);
 
 // Mask-aware variant: `keep_pos` is [B, P, N] with 1 where the position was
 // observed; masked positions are routed through the model's degraded-mode
@@ -58,8 +40,7 @@ tensor::Tensor RunBatchedInference(TrafficModel* model,
 // geometry instead of reading out of range inside the model.
 core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
     TrafficModel* model, const data::Normalizer& normalizer,
-    const data::Batch& batch, const tensor::Tensor& keep_pos,
-    ExecutorMode mode = ExecutorMode::kAuto);
+    const data::Batch& batch, const tensor::Tensor& keep_pos);
 
 // Deployment-facing wrapper around a trained TrafficModel: accepts a raw
 // (denormalized) recent window plus the absolute time index of its first

@@ -1,53 +1,9 @@
 #include "training/model.h"
 
-#include <utility>
-
 #include "autograd/ops.h"
 #include "core/check.h"
-#include "exec/engine.h"
 
 namespace sstban::training {
-
-TrafficModel::TrafficModel() = default;
-TrafficModel::~TrafficModel() = default;
-
-exec::InferenceEngine* TrafficModel::inference_engine() {
-  if (!SupportsStaticExecutor()) return nullptr;
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  if (engine_ == nullptr) {
-    exec::EngineConfig config;
-    config.forward = [this](const tensor::Tensor& x_norm,
-                            const data::Batch& batch) {
-      return Predict(x_norm, batch);
-    };
-    config.masked_forward = [this](const tensor::Tensor& x_norm,
-                                   const tensor::Tensor& keep_pos,
-                                   const data::Batch& batch) {
-      return PredictMasked(x_norm, keep_pos, batch);
-    };
-    for (const autograd::Variable& p : Parameters()) {
-      config.parameters.push_back(p.value());
-    }
-    config.precision = precision_;
-    engine_ = std::make_unique<exec::InferenceEngine>(std::move(config));
-  }
-  return engine_.get();
-}
-
-void TrafficModel::set_inference_precision(exec::PrecisionMode mode) {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  if (mode != precision_) {
-    precision_ = mode;
-    // Drop any engine built with the old mode; the next inference_engine()
-    // call rebuilds with an empty cache and the new precision.
-    engine_.reset();
-  }
-}
-
-exec::PrecisionMode TrafficModel::inference_precision() const {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  return precision_;
-}
 
 autograd::Variable TrafficModel::PredictMasked(const tensor::Tensor& x_norm,
                                                const tensor::Tensor& keep_pos,

@@ -1,19 +1,11 @@
 #ifndef SSTBAN_TRAINING_MODEL_H_
 #define SSTBAN_TRAINING_MODEL_H_
 
-#include <memory>
-#include <mutex>
-
 #include "autograd/variable.h"
 #include "core/rng.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
-#include "exec/precision.h"
 #include "nn/module.h"
-
-namespace sstban::exec {
-class InferenceEngine;
-}  // namespace sstban::exec
 
 namespace sstban::training {
 
@@ -24,12 +16,6 @@ namespace sstban::training {
 // predictions back to the actual values").
 class TrafficModel : public nn::Module {
  public:
-  // Out-of-line: the header only forward-declares exec::InferenceEngine, so
-  // the unique_ptr member can only be constructed/destroyed where the full
-  // type is visible (model.cc).
-  TrafficModel();
-  ~TrafficModel() override;
-
   // Normalized input [B, P, N, C] (+ calendar features from `batch`) ->
   // normalized prediction [B, Q, N, C].
   virtual autograd::Variable Predict(const tensor::Tensor& x_norm,
@@ -79,31 +65,6 @@ class TrafficModel : public nn::Module {
 
   // Short display name for result tables.
   virtual std::string name() const = 0;
-
-  // Whether the shape-specialized static executor (src/exec) may trace and
-  // replay this model's serving forward. Models opt in explicitly: the
-  // executor bakes every non-annotated leaf tensor as a constant, which is
-  // only correct when the forward's request-dependent inputs are exactly the
-  // annotated ones (x_norm, keep mask, calendar features).
-  virtual bool SupportsStaticExecutor() const { return false; }
-
-  // Lazily built per-model inference engine, or nullptr when the model does
-  // not support the static executor. The engine — and every compiled
-  // program's baked weight pointers — is owned by the model and dies with
-  // it, so a registry hot-swap can never serve a torn or stale program: the
-  // new model starts with an empty cache and retraces on first use.
-  exec::InferenceEngine* inference_engine();
-
-  // Numeric mode for the engine's compiled programs (default: what
-  // SSTBAN_PRECISION resolves to). Takes effect on the next engine build —
-  // call before the first inference_engine() use, or after a hot-swap.
-  void set_inference_precision(exec::PrecisionMode mode);
-  exec::PrecisionMode inference_precision() const;
-
- private:
-  mutable std::mutex engine_mu_;
-  std::unique_ptr<exec::InferenceEngine> engine_;
-  exec::PrecisionMode precision_ = exec::ResolvePrecisionMode();
 };
 
 }  // namespace sstban::training

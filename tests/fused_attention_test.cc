@@ -1,15 +1,14 @@
 // Differential tests for the fused attention kernel (tensor/fused_attention.h)
 // and its integrations: the raw kernel vs the unfused
 // Bmm -> MulScalar -> (+mask) -> Softmax -> Bmm chain, the autograd op's
-// recompute backward vs the unfused tape gradients, and the static executor's
-// kFusedAttention peephole vs an unfused compile of the same model.
+// recompute backward vs the unfused tape gradients, and a whole model's
+// forecast with grads off (fused kernel) vs grads on (unfused chain).
 //
 // Tolerance policy (DESIGN.md §14): with lk <= kFusedAttentionExactMaxKeys
 // the fused kernel runs the exact two-pass mode and must match the unfused
 // chain BIT FOR BIT; above that it switches to the flash-style online softmax,
 // which reorders the denominator sum and is held to a relative tolerance
 // instead — but each mode is bitwise deterministic across thread counts.
-// Registered under the `exec_diff` ctest label alongside executor_diff_test.
 
 #include <cmath>
 #include <cstring>
@@ -23,7 +22,6 @@
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/dataset.h"
-#include "exec/engine.h"
 #include "sstban/config.h"
 #include "sstban/model.h"
 #include "tensor/fused_attention.h"
@@ -228,11 +226,11 @@ TEST(FusedAttentionTest, BackwardIsBitwiseDeterministicOneVsEightThreads) {
   }
 }
 
-// -- Executor peephole: fused OpKind vs an unfused compile -------------------
+// -- Model level: grads off (fused kernel) vs grads on (unfused chain) ------
 
-model_ns::SstbanConfig PeepholeConfig() {
+model_ns::SstbanConfig ModelConfig(int64_t nodes, bool use_bottleneck) {
   model_ns::SstbanConfig config;
-  config.num_nodes = 4;
+  config.num_nodes = nodes;
   config.input_len = 4;
   config.output_len = 4;
   config.num_features = 1;
@@ -244,13 +242,14 @@ model_ns::SstbanConfig PeepholeConfig() {
   config.temporal_refs = 2;
   config.spatial_refs = 2;
   config.patch_len = 2;
+  config.use_bottleneck = use_bottleneck;
   config.self_supervised = false;
   config.seed = 19;
   return config;
 }
 
-data::Batch PeepholeBatch(int64_t b, const model_ns::SstbanConfig& c,
-                          uint64_t seed) {
+data::Batch ModelBatch(int64_t b, const model_ns::SstbanConfig& c,
+                       uint64_t seed) {
   core::Rng rng(seed);
   data::Batch batch;
   batch.x = t::Tensor::RandomUniform(
@@ -263,45 +262,46 @@ data::Batch PeepholeBatch(int64_t b, const model_ns::SstbanConfig& c,
   return batch;
 }
 
-// The fused-attention grid row: two identically-seeded models, one compiled
-// with the peephole live and one with fused attention disabled (unfused
-// Bmm/MulScalar/Softmax/Bmm instruction chain). At serving shapes the fused
-// instruction runs the exact two-pass mode, so BOTH programs must agree with
-// each other and with their tapes bit for bit — masked and unmasked, 1 and 8
-// threads.
-TEST(FusedAttentionExecDiffTest, FusedOpKindMatchesUnfusedProgramBitwise) {
-  model_ns::SstbanConfig config = PeepholeConfig();
-  for (int cap : {1, 8}) {
-    core::SetParallelismCapForTesting(cap);
-    for (bool masked : {false, true}) {
-      SCOPED_TRACE(std::string(masked ? "masked" : "clean") + " cap=" +
-                   std::to_string(cap));
-      data::Batch batch = PeepholeBatch(2, config, /*seed=*/77);
-      t::Tensor keep = t::Tensor::Ones(t::Shape{2, 4, 4});
-      for (int64_t i = 0; i < keep.size(); i += 3) keep.data()[i] = 0.0f;
-      keep.data()[0] = 1.0f;
-
-      auto run_one = [&](int fused_enabled) {
-        t::SetFusedAttentionEnabledForTesting(fused_enabled);
-        model_ns::SstbanModel model(config);
-        model.SetTraining(false);
-        exec::InferenceEngine* engine = model.inference_engine();
-        EXPECT_NE(engine, nullptr);
-        t::Tensor out;
-        core::Status status =
-            masked ? engine->RunMasked(batch.x, keep, batch, &out)
-                   : engine->Run(batch.x, batch, &out);
-        EXPECT_TRUE(status.ok()) << status.ToString();
-        // Compile-time self-check already enforced program == tape bitwise.
-        exec::InferenceEngine::Stats stats = engine->stats();
-        EXPECT_EQ(stats.poisoned, 0);
-        EXPECT_EQ(stats.compiles, 1);
-        return out;
-      };
-      t::Tensor fused_out = run_one(1);
-      t::Tensor unfused_out = run_one(0);
-      t::SetFusedAttentionEnabledForTesting(-1);
-      ExpectBitwise(fused_out, unfused_out, "fused vs unfused program");
+// MultiHeadAttention runs the fused kernel when grads are off and no
+// probabilities are requested, and the unfused chain otherwise. At these
+// key counts the fused kernel is in its exact mode, so a forecast must not
+// depend on whether the caller holds a NoGradGuard: Predict and
+// PredictMasked with grads on must equal the same calls under NoGradGuard
+// bit for bit, masked and clean, at 1 and 8 threads. N = 100 puts the
+// spatial query rows across a 64-row block boundary; the full-attention
+// variant makes lq = lk = N.
+TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
+  struct Case {
+    int64_t nodes;
+    bool use_bottleneck;
+  };
+  for (const Case& c : {Case{4, true}, Case{100, true}, Case{100, false}}) {
+    model_ns::SstbanConfig config = ModelConfig(c.nodes, c.use_bottleneck);
+    model_ns::SstbanModel model(config);
+    model.SetTraining(false);
+    data::Batch batch = ModelBatch(2, config, /*seed=*/77);
+    t::Tensor keep = t::Tensor::Ones(t::Shape{2, config.input_len, c.nodes});
+    for (int64_t i = 0; i < keep.size(); i += 3) keep.data()[i] = 0.0f;
+    keep.data()[0] = 1.0f;
+    for (int cap : {1, 8}) {
+      core::SetParallelismCapForTesting(cap);
+      for (bool masked : {false, true}) {
+        SCOPED_TRACE("N=" + std::to_string(c.nodes) +
+                     (c.use_bottleneck ? " stba" : " full") +
+                     (masked ? " masked" : " clean") +
+                     " cap=" + std::to_string(cap));
+        auto forward = [&] {
+          return masked ? model.PredictMasked(batch.x, keep, batch).value()
+                        : model.Predict(batch.x, batch).value();
+        };
+        t::Tensor unfused = forward();
+        t::Tensor fused;
+        {
+          ag::NoGradGuard no_grad;
+          fused = forward();
+        }
+        ExpectBitwise(fused, unfused, "grads off vs grads on");
+      }
     }
   }
   core::SetParallelismCapForTesting(0);

@@ -16,8 +16,7 @@
 #include "core/storage_pool.h"
 #include "core/thread_pool.h"
 #include "data/dataset.h"
-#include "exec/engine.h"
-#include "exec/precision.h"
+#include "data/normalizer.h"
 #include "sstban/config.h"
 #include "sstban/masking.h"
 #include "sstban/model.h"
@@ -314,20 +313,14 @@ TEST(DeterminismProperty, TrainingStepIsBitwiseIdenticalAcrossThreadCounts) {
   ExpectBitwiseIdentical(parallel, parallel_again, "8 threads run-to-run");
 }
 
-// The storage pool must be transparent: recycled (uninitialized) buffers
-// are always fully overwritten before use, so a training step produces
-// bit-identical losses and gradients with the pool on or off — including a
-// warm pool whose buffers carry stale values from the previous run — and
-// independently of the thread count.
-// -- Serving-forward determinism per numeric mode ----------------------------
+// -- Serving-forward determinism per SIMD tier --------------------------------
 
-// ISSUE 8 acceptance: the bitwise 1-vs-N-thread property must hold
-// *independently* in every numeric mode of the serving forward — fp32 on the
-// scalar kernel tier, fp32 on the active SIMD tier, bf16, and int8. Modes
-// produce different numbers from each other; within a mode, thread count
-// must not change a single bit.
-t::Tensor RunServingForward(exec::PrecisionMode precision,
-                            core::SimdLevel level, int parallelism_cap) {
+// The bitwise 1-vs-N-thread property must hold *independently* on every
+// kernel tier the serving forward (training::RunBatchedInference) can run
+// on: the scalar tier, and AVX2 when the CPU has it. Tiers produce different
+// numbers from each other; within a tier, thread count must not change a
+// single bit.
+t::Tensor RunServingForward(core::SimdLevel level, int parallelism_cap) {
   core::SimdLevel prior = core::ActiveSimdLevel();
   core::SetSimdLevelForTesting(level);
   core::SetParallelismCapForTesting(parallelism_cap);
@@ -347,8 +340,6 @@ t::Tensor RunServingForward(exec::PrecisionMode precision,
   c.self_supervised = false;
   c.seed = 77;
   sstban::SstbanModel model(c);
-  model.SetTraining(false);
-  model.set_inference_precision(precision);
   core::Rng rng(99);
   data::Batch batch;
   batch.x = t::Tensor::RandomUniform(
@@ -358,45 +349,39 @@ t::Tensor RunServingForward(exec::PrecisionMode precision,
     training::AppendCalendarFeatures(/*first_step=*/4 + 3 * i, c.input_len,
                                      c.output_len, c.steps_per_day, &batch);
   }
-  exec::InferenceEngine* engine = model.inference_engine();
-  EXPECT_NE(engine, nullptr);
-  t::Tensor out;
-  core::Status status = engine->Run(batch.x, batch, &out);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  data::Normalizer normalizer = data::Normalizer::Fit(batch.x);
+  t::Tensor out = training::RunBatchedInference(&model, normalizer, batch);
   core::SetParallelismCapForTesting(0);
   core::SetSimdLevelForTesting(prior);
   return out;
 }
 
-TEST(DeterminismProperty, ServingForwardIsBitwiseIdenticalPerNumericMode) {
-  struct Mode {
+TEST(DeterminismProperty, ServingForwardIsBitwiseIdenticalPerSimdTier) {
+  struct Tier {
     std::string name;
-    exec::PrecisionMode precision;
     core::SimdLevel level;
   };
-  std::vector<Mode> modes = {
-      {"fp32-scalar", exec::PrecisionMode::kFp32, core::SimdLevel::kScalar},
-      {"bf16", exec::PrecisionMode::kBf16, core::ActiveSimdLevel()},
-      {"int8", exec::PrecisionMode::kInt8, core::ActiveSimdLevel()},
-  };
+  std::vector<Tier> tiers = {{"scalar", core::SimdLevel::kScalar}};
   const core::CpuFeatures& f = core::DetectCpuFeatures();
-  if (f.avx2 && f.fma) {
-    modes.push_back(
-        {"fp32-simd", exec::PrecisionMode::kFp32, core::SimdLevel::kAvx2});
-  }
-  for (const Mode& mode : modes) {
-    SCOPED_TRACE(mode.name);
-    t::Tensor seq = RunServingForward(mode.precision, mode.level, 1);
-    t::Tensor par = RunServingForward(mode.precision, mode.level, 8);
+  if (f.avx2 && f.fma) tiers.push_back({"avx2", core::SimdLevel::kAvx2});
+  for (const Tier& tier : tiers) {
+    SCOPED_TRACE(tier.name);
+    t::Tensor seq = RunServingForward(tier.level, 1);
+    t::Tensor par = RunServingForward(tier.level, 8);
     ASSERT_EQ(seq.shape(), par.shape());
     EXPECT_FALSE(t::HasNonFinite(seq));
     for (int64_t i = 0; i < seq.size(); ++i) {
       ASSERT_EQ(seq.data()[i], par.data()[i])
-          << mode.name << " element " << i;
+          << tier.name << " element " << i;
     }
   }
 }
 
+// The storage pool must be transparent: recycled (uninitialized) buffers
+// are always fully overwritten before use, so a training step produces
+// bit-identical losses and gradients with the pool on or off — including a
+// warm pool whose buffers carry stale values from the previous run — and
+// independently of the thread count.
 TEST(DeterminismProperty, TrainingStepIsBitwiseIdenticalPoolOnVsOff) {
   core::StoragePool& pool = core::StoragePool::Global();
   pool.SetEnabledForTesting(true);

@@ -8,6 +8,9 @@
 #include "core/rng.h"
 #include "data/synthetic_world.h"
 #include "nn/linear.h"
+#include "sstban/config.h"
+#include "sstban/model.h"
+#include "training/forecast_service.h"
 #include "training/metrics.h"
 #include "training/trainer.h"
 
@@ -16,6 +19,7 @@ namespace {
 
 namespace ag = ::sstban::autograd;
 namespace t = ::sstban::tensor;
+namespace model_ns = ::sstban::sstban;
 
 TEST(MetricsTest, KnownValues) {
   MetricsAccumulator acc;
@@ -156,6 +160,65 @@ TEST(EvaluateTest, MetricsAreDenormalized) {
   EvalResult result = Evaluate(&ha, windows, split.test, norm, 8);
   // The raw flow scale is in the hundreds; normalized errors would be ~1.
   EXPECT_GT(result.overall.mae, 5.0);
+}
+
+// -- RunBatchedInferenceMasked keep-mask validation ---------------------------
+
+constexpr int64_t kStepsPerDay = 8;
+
+model_ns::SstbanConfig SmallSstbanConfig(int64_t p, int64_t n) {
+  model_ns::SstbanConfig config;
+  config.num_nodes = n;
+  config.input_len = p;
+  config.output_len = p;
+  config.num_features = 1;
+  config.steps_per_day = kStepsPerDay;
+  config.hidden_dim = 8;
+  config.num_heads = 2;
+  config.encoder_blocks = 1;
+  config.decoder_blocks = 1;
+  config.temporal_refs = 2;
+  config.spatial_refs = 2;
+  config.patch_len = 2;
+  config.self_supervised = false;
+  config.seed = 11;
+  return config;
+}
+
+// A [B, P, N, 1] batch of pseudo-random signals with per-window calendar
+// features, assembled as serving does.
+data::Batch MakeBatch(int64_t b, int64_t p, int64_t n, uint64_t seed) {
+  core::Rng rng(seed);
+  data::Batch batch;
+  batch.x = t::Tensor::RandomUniform(t::Shape{b, p, n, 1}, rng, -1.5f, 1.5f);
+  batch.y = t::Tensor::Zeros(t::Shape{b, p, n, 1});
+  for (int64_t i = 0; i < b; ++i) {
+    AppendCalendarFeatures(/*first_step=*/3 + 5 * i, p, p, kStepsPerDay,
+                           &batch);
+  }
+  return batch;
+}
+
+TEST(MaskedInferenceValidationTest, MismatchedKeepDimsAreRejected) {
+  model_ns::SstbanConfig config = SmallSstbanConfig(4, 3);
+  model_ns::SstbanModel model(config);
+  data::Batch batch = MakeBatch(2, 4, 3, /*seed=*/1);
+  data::Normalizer norm = data::Normalizer::Fit(batch.x);
+
+  // Wrong in every dimension that matters: batch, window length, node count.
+  for (const t::Shape& bad :
+       {t::Shape{1, 4, 3}, t::Shape{2, 5, 3}, t::Shape{2, 4, 4},
+        t::Shape{2, 4}}) {
+    auto result = RunBatchedInferenceMasked(&model, norm, batch,
+                                            t::Tensor::Ones(bad));
+    EXPECT_EQ(result.status().code(), core::StatusCode::kInvalidArgument)
+        << bad.ToString() << ": " << result.status().ToString();
+  }
+
+  // The matching mask still goes through.
+  auto ok_result = RunBatchedInferenceMasked(
+      &model, norm, batch, t::Tensor::Ones(t::Shape{2, 4, 3}));
+  EXPECT_TRUE(ok_result.ok()) << ok_result.status().ToString();
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //                [--clients 4] [--requests 32] [--deadline-ms 0]
 //                [--max-batch 8] [--max-wait-us 2000] [--queue-cap 256]
 //                [--swap 1] [--json 0] [--degrade-pct 0] [--fallback 1]
-//                [--var-lag 3] [--stall-ms 2000] [--executor auto]
+//                [--var-lag 3] [--stall-ms 2000]
 //                [--shards 0] [--replicas 1] [--halo-hops 0] [--rate-rps 50]
 //                [--cache-age -1] [--ingest 0] [--drift recalibrate]
 //                [--adapt-steps 24] [--admission ""] [--brownout-mb ""]
@@ -32,11 +32,6 @@
 // as SSTBAN_BROWNOUT_WATERMARKS: `off` or e.g. `512,768,1024`). Both
 // default to the environment / built-in defaults when omitted. See
 // DESIGN.md section 16 for the full overload-control story.
-//
-// `--executor static|tape|auto` picks the forward implementation for the
-// primary model pass: the shape-specialized static executor (src/exec), the
-// autograd tape, or deference to the SSTBAN_EXECUTOR environment variable
-// (the default).
 //
 // `--cache-age N` bounds last-known-good cache staleness to N slices
 // (-1 = unbounded, the pre-staleness behavior); stale hits fall through to
@@ -237,7 +232,6 @@ int main(int argc, char** argv) {
   bool fallback_enabled = flags.GetInt("fallback", 1) != 0;
   int64_t var_lag = flags.GetInt("var-lag", 3);
   int64_t stall_ms = flags.GetInt("stall-ms", 2000);
-  std::string executor = flags.GetString("executor", "auto");
   int64_t shards = flags.GetInt("shards", 0);
   int64_t replicas = flags.GetInt("replicas", 1);
   int64_t halo_hops = flags.GetInt("halo-hops", 0);
@@ -394,15 +388,6 @@ int main(int argc, char** argv) {
   options.fallback.enabled = fallback_enabled;
   options.fallback.max_cache_age_steps = cache_age;
   options.stall_budget = std::chrono::milliseconds(stall_ms);
-  if (executor == "static") {
-    options.executor_mode = training::ExecutorMode::kStatic;
-  } else if (executor == "tape") {
-    options.executor_mode = training::ExecutorMode::kTape;
-  } else if (executor != "auto") {
-    std::fprintf(stderr, "unknown --executor '%s' (use static|tape|auto)\n",
-                 executor.c_str());
-    return 2;
-  }
 
   if (shards > 0) {
     namespace sharding = ::sstban::sharding;
