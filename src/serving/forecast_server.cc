@@ -141,9 +141,9 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
   // -- Overload control, cheapest verdicts first -----------------------------
   const Criticality criticality = request.criticality;
   // Brownout ladder: under memory pressure low-criticality traffic first
-  // moves to the fallback tiers, then sheds outright. Interactive traffic is
-  // untouched below kShedLow, and even there it keeps full service — memory
-  // relief comes from the classes that can wait.
+  // moves to the fallback tiers, then sheds outright. Interactive traffic
+  // keeps full service at every level — memory relief comes from the
+  // classes that can wait.
   bool force_fallback = false;
   const BrownoutLevel brownout = overload_.brownout().Update();
   if (criticality != Criticality::kInteractive &&

@@ -11,8 +11,6 @@ const char* BrownoutLevelName(BrownoutLevel level) {
   switch (level) {
     case BrownoutLevel::kNormal:
       return "normal";
-    case BrownoutLevel::kNoHedge:
-      return "no-hedge";
     case BrownoutLevel::kFallbackLow:
       return "fallback-low";
     case BrownoutLevel::kShedLow:
@@ -43,7 +41,7 @@ BrownoutLevel BrownoutController::Update() {
   std::unique_lock<std::mutex> lock(mutex_);
   const int level = level_.load(std::memory_order_relaxed);
   int target = 0;
-  for (int l = 3; l >= 1; --l) {
+  for (int l = static_cast<int>(options_.enter_bytes.size()); l >= 1; --l) {
     if (bytes >= options_.enter_bytes[static_cast<size_t>(l - 1)]) {
       target = l;
       break;

@@ -12,30 +12,27 @@
 
 namespace sstban::serving {
 
-// Memory-pressure degrade ladder, worst first:
+// Memory-pressure degrade ladder, mildest first:
 //   kNormal      - full service.
-//   kNoHedge     - the shard router stops hedging/failing over (retries are
-//                  pure extra load when memory is the bottleneck).
 //   kFallbackLow - low-criticality (batch / what-if) requests skip the
 //                  primary model and serve from the VAR/cache fallback tiers.
 //   kShedLow     - low-criticality requests are shed outright.
-// Interactive traffic keeps full service at every level below kShedLow.
+// Interactive traffic keeps full service at every level.
 enum class BrownoutLevel : int {
   kNormal = 0,
-  kNoHedge = 1,
-  kFallbackLow = 2,
-  kShedLow = 3,
+  kFallbackLow = 1,
+  kShedLow = 2,
 };
 
 const char* BrownoutLevelName(BrownoutLevel level);
 
 struct BrownoutOptions {
   bool enabled = true;
-  // Enter watermarks (bytes of tracked resident footprint) for levels 1..3.
-  // Defaults are far above anything the tests or benches allocate, so
-  // brownout is inert until configured (SSTBAN_BROWNOUT_WATERMARKS).
-  std::array<int64_t, 3> enter_bytes = {
-      int64_t{6} << 30, int64_t{7} << 30, int64_t{8} << 30};
+  // Enter watermarks (bytes of tracked resident footprint) for kFallbackLow
+  // and kShedLow. Defaults are far above anything the tests or benches
+  // allocate, so brownout is inert until configured
+  // (SSTBAN_BROWNOUT_WATERMARKS).
+  std::array<int64_t, 2> enter_bytes = {int64_t{7} << 30, int64_t{8} << 30};
   // A level exits only once the footprint drops below
   // exit_fraction * enter_bytes[level]: the gap between enter and exit is
   // the hysteresis band that stops flapping across a watermark.

@@ -1,5 +1,6 @@
 #include "serving/overload/overload.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -20,17 +21,21 @@ std::vector<std::string> SplitCommas(const std::string& text) {
   return parts;
 }
 
+// Non-finite values (inf, nan) are malformed: no knob means them.
 bool ParseDouble(const std::string& text, double* out) {
   char* end = nullptr;
   double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return false;
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }
 
 // "off" | "on" | comma list of key=value overrides. Unknown keys and
 // malformed values are ignored — a typo'd knob must never take the server
-// down, it just keeps the default.
+// down, it just keeps the default. A min above the max is malformed too:
+// both keep their defaults.
 void ApplyAdmissionEnv(const char* env, AdmissionOptions* admission) {
   std::string spec(env);
   if (spec == "off" || spec == "0" || spec == "false") {
@@ -38,6 +43,8 @@ void ApplyAdmissionEnv(const char* env, AdmissionOptions* admission) {
     return;
   }
   if (spec == "on" || spec == "1" || spec == "true" || spec.empty()) return;
+  const double default_min = admission->min_limit;
+  const double default_max = admission->max_limit;
   for (const std::string& part : SplitCommas(spec)) {
     size_t eq = part.find('=');
     if (eq == std::string::npos) continue;
@@ -58,11 +65,16 @@ void ApplyAdmissionEnv(const char* env, AdmissionOptions* admission) {
       admission->decrease = value;
     }
   }
+  if (admission->min_limit > admission->max_limit) {
+    admission->min_limit = default_min;
+    admission->max_limit = default_max;
+  }
 }
 
-// "off" | "<mb1>,<mb2>,<mb3>" — enter watermarks in MB for levels 1..3.
-// Fewer than three values extend the last one (a single number browns the
-// whole ladder out at once).
+// "off" | "<fallback_mb>[,<shed_mb>]" — enter watermarks in MB for
+// kFallbackLow and kShedLow. One value sets both (the whole ladder browns
+// out at once); values past the second are ignored, and so is a value whose
+// byte count does not fit in int64.
 void ApplyBrownoutEnv(const char* env, BrownoutOptions* brownout) {
   std::string spec(env);
   if (spec == "off" || spec == "0" || spec == "false") {
@@ -72,12 +84,12 @@ void ApplyBrownoutEnv(const char* env, BrownoutOptions* brownout) {
   std::vector<int64_t> mbs;
   for (const std::string& part : SplitCommas(spec)) {
     double value = 0.0;
-    if (ParseDouble(part, &value) && value > 0.0) {
+    if (ParseDouble(part, &value) && value > 0.0 && value * 1e6 < 0x1p63) {
       mbs.push_back(static_cast<int64_t>(value * 1e6));
     }
   }
   if (mbs.empty()) return;
-  for (size_t l = 0; l < 3; ++l) {
+  for (size_t l = 0; l < brownout->enter_bytes.size(); ++l) {
     brownout->enter_bytes[l] = mbs[l < mbs.size() ? l : mbs.size() - 1];
   }
 }

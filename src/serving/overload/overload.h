@@ -5,7 +5,6 @@
 
 #include "serving/overload/admission.h"
 #include "serving/overload/brownout.h"
-#include "serving/overload/budget.h"
 #include "serving/overload/estimator.h"
 
 namespace sstban::serving {
@@ -28,8 +27,8 @@ struct DeadlineOptions {
 //   SSTBAN_ADMISSION            off | on | key=value list
 //                               (limit, min, max, tolerance, increase,
 //                                decrease) e.g. "limit=32,tolerance=1.5"
-//   SSTBAN_BROWNOUT_WATERMARKS  off | "<mb1>,<mb2>,<mb3>" enter watermarks
-//                               in MB for levels 1..3
+//   SSTBAN_BROWNOUT_WATERMARKS  off | "<fallback_mb>[,<shed_mb>]" enter
+//                               watermarks in MB (one value sets both)
 struct OverloadOptions {
   AdmissionOptions admission;
   DeadlineOptions deadline;

@@ -33,8 +33,7 @@ struct SstbanConfig {
   // false drops the spatial branch of every STBA block entirely (blocks
   // compute T + residual): each node's forecast then depends only on its own
   // history, i.e. the spatial receptive field is node-local. This is the
-  // temporal-only ablation and the configuration under which horizontally
-  // sharded serving (src/sharding) is bitwise-exact per shard.
+  // temporal-only ablation, not the paper's model; no served path sets it.
   bool spatial_mixing = true;
 
   // -- Self-supervised branch (Table III, "Self-supervised Task") ------------

@@ -1,11 +1,11 @@
 // Tests for the overload-control subsystem: the adaptive admission
 // controller (AIMD limit steering + criticality-ordered shedding), the
-// retry/hedge token budget, the windowed service-time estimator behind
-// cooperative deadline propagation, the memory brownout ladder (hysteretic
-// and reversible), the SSTBAN_ADMISSION / SSTBAN_BROWNOUT_WATERMARKS knobs,
-// and the integrated server behavior: eager expired-deadline rejection,
-// admission shedding with exact in-flight accounting, and brownout routing
-// low-criticality traffic to the fallback tiers and back.
+// windowed service-time estimator behind cooperative deadline propagation,
+// the memory brownout ladder (hysteretic and reversible), the
+// SSTBAN_ADMISSION / SSTBAN_BROWNOUT_WATERMARKS knobs (malformed values keep
+// the defaults), and the integrated server behavior: eager expired-deadline
+// rejection, admission shedding with exact in-flight accounting, and
+// brownout routing low-criticality traffic to the fallback tiers and back.
 
 #include <atomic>
 #include <chrono>
@@ -28,7 +28,6 @@
 #include "serving/model_registry.h"
 #include "serving/overload/admission.h"
 #include "serving/overload/brownout.h"
-#include "serving/overload/budget.h"
 #include "serving/overload/estimator.h"
 #include "serving/overload/overload.h"
 #include "serving/request_queue.h"
@@ -140,44 +139,6 @@ TEST(AdmissionControllerTest, DisabledAdmitsEverythingAndNeverSteers) {
   EXPECT_FALSE(admission.TakeSnapshot().enabled);
 }
 
-// -- RetryBudget -------------------------------------------------------------
-
-TEST(RetryBudgetTest, ColdStartBurstThenDenies) {
-  RetryBudgetOptions options;
-  options.ratio = 0.0;
-  options.burst = 2.0;
-  RetryBudget budget(options);
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_FALSE(budget.TryAcquire());  // bucket dry, no primaries to refill it
-  const auto snap = budget.TakeSnapshot();
-  EXPECT_EQ(snap.acquired, 2);
-  EXPECT_EQ(snap.denied, 1);
-}
-
-TEST(RetryBudgetTest, PrimaryTrafficEarnsTokensUpToBurst) {
-  RetryBudgetOptions options;
-  options.ratio = 0.5;
-  options.burst = 2.0;
-  RetryBudget budget(options);
-  while (budget.TryAcquire()) {
-  }
-  budget.OnPrimary();  // +0.5
-  EXPECT_FALSE(budget.TryAcquire());
-  budget.OnPrimary();  // +0.5 => 1 token
-  EXPECT_TRUE(budget.TryAcquire());
-  for (int i = 0; i < 100; ++i) budget.OnPrimary();  // capped at burst
-  EXPECT_LE(budget.TakeSnapshot().tokens, 2.0);
-}
-
-TEST(RetryBudgetTest, DisabledAlwaysGrants) {
-  RetryBudgetOptions options;
-  options.enabled = false;
-  options.burst = 0.0;
-  RetryBudget budget(options);
-  for (int i = 0; i < 50; ++i) EXPECT_TRUE(budget.TryAcquire());
-}
-
 // -- ServiceTimeEstimator ----------------------------------------------------
 
 TEST(ServiceTimeEstimatorTest, SilentUntilMinSamples) {
@@ -205,7 +166,7 @@ struct FakeEnvironment {
 
   BrownoutOptions Options() {
     BrownoutOptions options;
-    options.enter_bytes = {1000, 2000, 3000};
+    options.enter_bytes = {1000, 2000};
     options.exit_fraction = 0.8;
     options.min_dwell = std::chrono::milliseconds(100);
     options.probe = [this] { return bytes.load(); };
@@ -219,17 +180,18 @@ TEST(BrownoutControllerTest, EscalatesImmediatelyAndRecoversOneLevelPerDwell) {
   BrownoutController brownout(env.Options());
   EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);
 
-  env.bytes = 2500;  // straight past two watermarks
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
+  env.bytes = 2500;  // straight past both watermarks
+  EXPECT_EQ(brownout.Update(), BrownoutLevel::kShedLow);
   EXPECT_EQ(brownout.TakeSnapshot().steps_up, 2);
 
   // Recovery: footprint fully back down, but de-escalation is gradual —
   // one level per dwell, and never before the dwell elapses.
   env.bytes = 0;
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);  // dwell not met
+  EXPECT_EQ(brownout.Update(), BrownoutLevel::kShedLow);  // dwell not met
   env.now += std::chrono::milliseconds(150);
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNoHedge);
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNoHedge);  // next dwell pending
+  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
+  // The next dwell is still pending.
+  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
   env.now += std::chrono::milliseconds(150);
   EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);  // fully reversible
   const auto snap = brownout.TakeSnapshot();
@@ -241,12 +203,12 @@ TEST(BrownoutControllerTest, HysteresisBandHoldsTheLevelAcrossTheWatermark) {
   FakeEnvironment env;
   BrownoutController brownout(env.Options());
   env.bytes = 1100;
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNoHedge);
+  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
   // Dip just below the enter watermark but above exit (0.8 * 1000 = 800):
   // without hysteresis this would flap on every sawtooth allocation.
   env.bytes = 950;
   env.now += std::chrono::milliseconds(500);
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNoHedge);
+  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
   env.bytes = 700;  // below the exit watermark: now it may step down
   EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);
 }
@@ -290,20 +252,82 @@ TEST(OverloadEnvTest, BrownoutWatermarksInMegabytesExtendTheLastValue) {
   {
     ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "100,200,300");
     OverloadOptions options = ResolveOverloadOptions();
-    EXPECT_EQ(options.brownout.enter_bytes[0], 100000000);
-    EXPECT_EQ(options.brownout.enter_bytes[1], 200000000);
-    EXPECT_EQ(options.brownout.enter_bytes[2], 300000000);
+    EXPECT_EQ(options.brownout.enter_bytes[0], 100000000);  // fallback-low
+    EXPECT_EQ(options.brownout.enter_bytes[1], 200000000);  // shed-low
   }
   {
     ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "512");
     OverloadOptions options = ResolveOverloadOptions();
     EXPECT_EQ(options.brownout.enter_bytes[0], 512000000);
-    EXPECT_EQ(options.brownout.enter_bytes[2], 512000000);
+    EXPECT_EQ(options.brownout.enter_bytes[1], 512000000);
   }
   {
     ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "off");
     EXPECT_FALSE(ResolveOverloadOptions().brownout.enabled);
   }
+}
+
+// inf and nan parse as numbers but mean nothing: each keeps its default, so
+// the limit still caps admissions.
+TEST(OverloadEnvTest, NonFiniteValuesKeepTheDefaults) {
+  {
+    ScopedEnv env("SSTBAN_ADMISSION", "limit=nan,tolerance=inf,max=-inf");
+    OverloadOptions options = ResolveOverloadOptions();
+    const AdmissionOptions defaults;
+    EXPECT_EQ(options.admission.initial_limit, defaults.initial_limit);
+    EXPECT_EQ(options.admission.tolerance, defaults.tolerance);
+    EXPECT_EQ(options.admission.max_limit, defaults.max_limit);
+    AdmissionController admission(options.admission);
+    int admitted = 0;
+    for (int i = 0; i < 1000; ++i) {
+      if (admission.Admit(Criticality::kInteractive)) ++admitted;
+    }
+    EXPECT_EQ(admitted, static_cast<int>(defaults.initial_limit));
+  }
+  for (const char* spec : {"inf", "nan", "-inf,inf"}) {
+    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", spec);
+    EXPECT_EQ(ResolveOverloadOptions().brownout.enter_bytes,
+              BrownoutOptions{}.enter_bytes)
+        << spec;
+  }
+}
+
+// 1e13 MB is past INT64_MAX bytes; converting it would be undefined, and the
+// wrapped watermark would hold the ladder at shed-low at any footprint.
+TEST(OverloadEnvTest, WatermarksPastInt64BytesKeepTheDefaults) {
+  for (const char* spec : {"1e13", "1e13,1e13", "9.3e12"}) {
+    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", spec);
+    OverloadOptions options = ResolveOverloadOptions();
+    EXPECT_EQ(options.brownout.enter_bytes, BrownoutOptions{}.enter_bytes)
+        << spec;
+    options.brownout.probe = [] { return int64_t{0}; };
+    BrownoutController brownout(options.brownout);
+    EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal) << spec;
+  }
+  ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "9e12");  // fits: kept
+  EXPECT_EQ(ResolveOverloadOptions().brownout.enter_bytes[0],
+            int64_t{9000000000000000000});
+}
+
+// A floor above the ceiling leaves the limit no valid value (std::clamp's
+// precondition); both bounds keep their defaults instead.
+TEST(OverloadEnvTest, MinAboveMaxKeepsTheDefaultBounds) {
+  const AdmissionOptions defaults;
+  for (const char* spec : {"min=5000", "max=4", "min=20,max=10"}) {
+    ScopedEnv env("SSTBAN_ADMISSION", spec);
+    OverloadOptions options = ResolveOverloadOptions();
+    EXPECT_EQ(options.admission.min_limit, defaults.min_limit) << spec;
+    EXPECT_EQ(options.admission.max_limit, defaults.max_limit) << spec;
+    AdmissionController admission(options.admission);
+    admission.OnBatchLatency(0.010);
+    admission.OnBatchLatency(0.500);  // one congested batch backs off
+    EXPECT_GE(admission.limit(), defaults.min_limit) << spec;
+    EXPECT_LE(admission.limit(), defaults.max_limit) << spec;
+  }
+  ScopedEnv env("SSTBAN_ADMISSION", "min=16,max=16");  // equal bounds are valid
+  OverloadOptions options = ResolveOverloadOptions();
+  EXPECT_EQ(options.admission.min_limit, 16.0);
+  EXPECT_EQ(options.admission.max_limit, 16.0);
 }
 
 // -- RequestQueue rejection causes -------------------------------------------
@@ -507,7 +531,7 @@ TEST(ServerOverloadTest, BrownoutRoutesLowCriticalityToFallbackThenShedsThenReco
   ServerOptions options = TinyServerOptions();
   options.max_batch = 1;
   options.max_wait = std::chrono::microseconds(0);
-  options.overload.brownout.enter_bytes = {1000, 2000, 3000};
+  options.overload.brownout.enter_bytes = {1000, 2000};
   options.overload.brownout.min_dwell = std::chrono::milliseconds(0);
   options.overload.brownout.probe = [pressure] { return pressure->load(); };
   ForecastServer server(options, &registry);
@@ -529,7 +553,7 @@ TEST(ServerOverloadTest, BrownoutRoutesLowCriticalityToFallbackThenShedsThenReco
 
   // kFallbackLow: batch skips the primary and serves from the VAR tier;
   // interactive keeps the model.
-  pressure->store(2500);
+  pressure->store(1500);
   ForecastResult browned = serve(Criticality::kBatch);
   ASSERT_TRUE(browned.ok());
   EXPECT_EQ(browned.value().served_by, ServedBy::kVarBaseline);
@@ -537,8 +561,9 @@ TEST(ServerOverloadTest, BrownoutRoutesLowCriticalityToFallbackThenShedsThenReco
   ASSERT_TRUE(vip.ok());
   EXPECT_EQ(vip.value().served_by, ServedBy::kModel);
 
-  // kShedLow: batch is refused outright, interactive still served.
-  pressure->store(3500);
+  // kShedLow: low-criticality traffic is refused outright, interactive still
+  // served.
+  pressure->store(2500);
   ForecastResult shed = serve(Criticality::kWhatIf);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), core::StatusCode::kUnavailable);
@@ -565,7 +590,7 @@ TEST(ServerOverloadTest, BrownoutRoutesLowCriticalityToFallbackThenShedsThenReco
   EXPECT_GE(snap.forced_fallback, 1);
   EXPECT_GE(snap.shed_brownout, 1);
   EXPECT_GE(snap.overload.brownout_steps_up, 2);
-  EXPECT_GE(snap.overload.brownout_steps_down, 3);
+  EXPECT_GE(snap.overload.brownout_steps_down, 2);
   EXPECT_EQ(snap.overload.brownout_level, "normal");
   server.Shutdown();
   EXPECT_EQ(server.overload().admission().in_flight(), 0);

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -342,6 +343,47 @@ TEST(SstbanModelTest, PredictShape) {
   EXPECT_EQ(pred.shape(),
             t::Shape({3, c.output_len, c.num_nodes, c.num_features}));
   EXPECT_FALSE(t::HasNonFinite(pred.value()));
+}
+
+// The temporal-only ablation (spatial_mixing = false) keeps every forecast a
+// function of its own node's history: changing one node's input window
+// leaves every other node's forecast bit for bit. In the paper's model (the
+// default) the spatial reference points carry that change to other nodes.
+TEST(SstbanModelTest, SpatialMixingOffKeepsEveryForecastNodeLocal) {
+  constexpr int64_t kChangedNode = 2;
+  for (bool spatial_mixing : {false, true}) {
+    SstbanConfig c = TinyConfig();
+    c.spatial_mixing = spatial_mixing;
+    SstbanModel model(c);
+    model.SetTraining(false);
+    const data::Batch batch = TinyBatch(c, 2);
+    const t::Tensor before = model.Predict(batch.x, batch).value().Clone();
+
+    data::Batch changed = batch;
+    changed.x = batch.x.Clone();
+    float* x = changed.x.data();
+    for (int64_t bp = 0; bp < c.input_len * changed.x.dim(0); ++bp) {
+      for (int64_t f = 0; f < c.num_features; ++f) {
+        x[(bp * c.num_nodes + kChangedNode) * c.num_features + f] += 1.5f;
+      }
+    }
+    const t::Tensor after = model.Predict(changed.x, changed).value();
+
+    int64_t own_changed = 0, others_changed = 0;
+    for (int64_t i = 0; i < after.size(); ++i) {
+      const bool same =
+          std::memcmp(before.data() + i, after.data() + i, sizeof(float)) == 0;
+      if (same) continue;
+      const int64_t node = (i / c.num_features) % c.num_nodes;
+      ++(node == kChangedNode ? own_changed : others_changed);
+    }
+    EXPECT_GT(own_changed, 0) << "spatial_mixing=" << spatial_mixing;
+    if (spatial_mixing) {
+      EXPECT_GT(others_changed, 0);
+    } else {
+      EXPECT_EQ(others_changed, 0);
+    }
+  }
 }
 
 TEST(SstbanModelTest, TwoBranchLossesAreFiniteAndCombined) {

@@ -9,7 +9,6 @@
 //                [--max-batch 8] [--max-wait-us 2000] [--queue-cap 256]
 //                [--swap 1] [--json 0] [--degrade-pct 0] [--fallback 1]
 //                [--var-lag 3] [--stall-ms 2000]
-//                [--shards 0] [--replicas 1] [--halo-hops 0] [--rate-rps 50]
 //                [--cache-age -1] [--ingest 0] [--drift recalibrate]
 //                [--adapt-steps 24] [--admission ""] [--brownout-mb ""]
 //
@@ -29,9 +28,9 @@
 // controller (same grammar as SSTBAN_ADMISSION: `off`, `on`, or a
 // key=value list such as `limit=32,tolerance=1.5`); `--brownout-mb <list>`
 // sets the memory-pressure brownout enter watermarks in MB (same grammar
-// as SSTBAN_BROWNOUT_WATERMARKS: `off` or e.g. `512,768,1024`). Both
-// default to the environment / built-in defaults when omitted. See
-// DESIGN.md section 16 for the full overload-control story.
+// as SSTBAN_BROWNOUT_WATERMARKS: `off` or `<fallback_mb>[,<shed_mb>]`, e.g.
+// `768,1024`). Both default to the environment / built-in defaults when
+// omitted. See DESIGN.md section 16 for the full overload-control story.
 //
 // `--cache-age N` bounds last-known-good cache staleness to N slices
 // (-1 = unbounded, the pre-staleness behavior); stale hits fall through to
@@ -45,14 +44,6 @@
 // recalibration), `seasonal` (ramped demand shift), `grow` (new sensors
 // attached — adaptation must refuse the geometry change), or `none`.
 // `--adapt-steps` is the fine-tuning budget per adaptation round.
-//
-// `--shards K` (K >= 1) serves the checkpoint as a horizontally sharded
-// fleet instead: the sensor graph is partitioned corridor-aware into K
-// balanced shards, each (shard, replica) runs its own full ForecastServer
-// over a sliced model, and the scatter/gather router is driven by an
-// open-loop Poisson load generator at `--rate-rps` for a total of
-// clients x requests arrivals. Prints the load report and the fleet-level
-// health/stats rollup (`--json 1` emits the machine-readable form).
 
 #include <atomic>
 #include <cstdio>
@@ -76,9 +67,6 @@
 #include "nn/serialization.h"
 #include "serving/forecast_server.h"
 #include "serving/model_registry.h"
-#include "sharding/fleet.h"
-#include "sharding/loadgen.h"
-#include "sharding/shard_model.h"
 #include "sstban/config.h"
 #include "sstban/model.h"
 #include "streaming/adaptation_controller.h"
@@ -232,10 +220,6 @@ int main(int argc, char** argv) {
   bool fallback_enabled = flags.GetInt("fallback", 1) != 0;
   int64_t var_lag = flags.GetInt("var-lag", 3);
   int64_t stall_ms = flags.GetInt("stall-ms", 2000);
-  int64_t shards = flags.GetInt("shards", 0);
-  int64_t replicas = flags.GetInt("replicas", 1);
-  int64_t halo_hops = flags.GetInt("halo-hops", 0);
-  int64_t rate_rps = flags.GetInt("rate-rps", 50);
   int64_t cache_age = flags.GetInt("cache-age", -1);
   int64_t ingest_slices = flags.GetInt("ingest", 0);
   std::string drift = flags.GetString("drift", "recalibrate");
@@ -388,83 +372,6 @@ int main(int argc, char** argv) {
   options.fallback.enabled = fallback_enabled;
   options.fallback.max_cache_age_steps = cache_age;
   options.stall_budget = std::chrono::milliseconds(stall_ms);
-
-  if (shards > 0) {
-    namespace sharding = ::sstban::sharding;
-    model_ns::SstbanModel full_model(config);
-    auto load_status = nn::LoadParameters(&full_model, ckpt);
-    if (!load_status.ok()) {
-      std::fprintf(stderr, "%s\n", load_status.ToString().c_str());
-      return 1;
-    }
-    sharding::FleetOptions fleet_options;
-    fleet_options.partition.num_shards = shards;
-    fleet_options.partition.halo_hops = halo_hops;
-    fleet_options.server = options;
-    fleet_options.replicas_per_shard = replicas;
-    auto fleet_or = sharding::ShardedFleet::Create(*dataset->graph, full_model,
-                                                   normalizer, fleet_options);
-    if (!fleet_or.ok()) {
-      std::fprintf(stderr, "%s\n", fleet_or.status().ToString().c_str());
-      return 1;
-    }
-    std::unique_ptr<sharding::ShardedFleet>& fleet = fleet_or.value();
-    std::printf("%s\n", fleet->plan().Summary().c_str());
-    if (fallback_enabled && var_lag > 0) {
-      // Each replica gets a VAR baseline fitted on its own view's series.
-      tensor::Tensor normalized = normalizer.Transform(dataset->signals);
-      for (int64_t s = 0; s < shards; ++s) {
-        tensor::Tensor view_series = sharding::GatherNodes(
-            normalized, fleet->plan().shards[s].view);
-        for (int64_t r = 0; r < replicas; ++r) {
-          auto var = std::make_unique<sstban::baselines::VarModel>(
-              static_cast<int>(var_lag));
-          var->FitSeries(view_series);
-          fleet->worker(s, r).SetVarBaseline(std::move(var));
-        }
-      }
-    }
-    auto start_status = fleet->Start();
-    if (!start_status.ok()) {
-      std::fprintf(stderr, "%s\n", start_status.ToString().c_str());
-      return 1;
-    }
-    std::printf(
-        "serving %s sharded: K=%lld replicas=%lld halo=%lld, open-loop "
-        "%lld rps x %lld requests\n",
-        ckpt.c_str(), static_cast<long long>(shards),
-        static_cast<long long>(replicas), static_cast<long long>(halo_hops),
-        static_cast<long long>(rate_rps),
-        static_cast<long long>(clients * requests_per_client));
-
-    sharding::LoadGenOptions load;
-    load.rate_rps = static_cast<double>(rate_rps);
-    load.requests = clients * requests_per_client;
-    load.deadline = std::chrono::milliseconds(deadline_ms);
-    tensor::Tensor window =
-        tensor::Slice(dataset->signals, 0, 0, steps).Clone();
-    sharding::LoadGenReport report =
-        sharding::RunOpenLoopLoad(&fleet->router(), window, 0, load);
-    std::printf(
-        "\nopen-loop load: offered=%.1frps achieved=%.1frps ok=%lld "
-        "partial=%lld rejected=%lld deadline=%lld unavailable=%lld "
-        "invalid=%lld\n  p50=%.2fms p99=%.2fms p999=%.2fms max=%.2fms\n\n",
-        report.offered_rps, report.achieved_rps,
-        static_cast<long long>(report.ok),
-        static_cast<long long>(report.partial),
-        static_cast<long long>(report.rejected),
-        static_cast<long long>(report.deadline_exceeded),
-        static_cast<long long>(report.unavailable),
-        static_cast<long long>(report.invalid), report.p50 * 1e3,
-        report.p99 * 1e3, report.p999 * 1e3, report.max * 1e3);
-    std::printf("%s", fleet->router().FleetTable().c_str());
-    if (emit_json) {
-      std::printf("\n%s\n%s", report.ToJson().c_str(),
-                  fleet->router().FleetJson().c_str());
-    }
-    fleet->Shutdown();
-    return report.invalid == 0 ? 0 : 1;
-  }
 
   serving::ForecastServer server(options, &registry);
   if (fallback_enabled && var_lag > 0) {
