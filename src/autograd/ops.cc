@@ -316,29 +316,29 @@ Variable SoftmaxWithMask(const Variable& a, const t::Tensor& additive_mask) {
 
 Variable FusedAttention(const Variable& q, const Variable& k,
                         const Variable& v, const t::Tensor* key_mask,
-                        int64_t mask_heads, float scale) {
+                        int64_t heads, float scale) {
+  t::AttentionDims dims =
+      t::FusedAttentionDims(q.value(), k.value(), v.value(), key_mask, heads);
+  t::Tensor value = t::Tensor::Empty(t::Shape{dims.batch, dims.lq, k.dim(2)});
+  t::FusedAttentionInto(q.value().data(), k.value().data(), v.value().data(),
+                        key_mask != nullptr ? key_mask->data() : nullptr,
+                        value.data(), dims, scale);
   NodePtr nq = q.node(), nk = k.node(), nv = v.node();
   // Copy the mask so the backward closure does not dangle if the caller's
   // tensor goes away before Backward runs.
   t::Tensor mask_copy = key_mask != nullptr ? *key_mask : t::Tensor();
-  t::Tensor value =
-      t::FusedAttention(q.value(), k.value(), v.value(), key_mask, mask_heads,
-                        scale);
   return MakeOp("fused_attention", std::move(value), {q, k, v},
-                [nq, nk, nv, mask_copy, mask_heads, scale](Node& n) {
-    const t::Tensor& qv = nq->value;
+                [nq, nk, nv, mask_copy, dims, scale](Node& n) {
     const t::Tensor& kv = nk->value;
-    const t::Tensor& vv = nv->value;
-    int64_t batch = qv.dim(0), lq = qv.dim(1), dk = qv.dim(2), lk = kv.dim(1);
-    t::Tensor gq = t::Tensor::Empty(qv.shape());
+    // dQ per batch item; a shared query set sums it over the batch.
+    t::Tensor gq = t::Tensor::Empty(n.value.shape());
     t::Tensor gk = t::Tensor::Empty(kv.shape());
-    t::Tensor gv = t::Tensor::Empty(vv.shape());
+    t::Tensor gv = t::Tensor::Empty(kv.shape());
     t::FusedAttentionBackward(
-        qv.data(), kv.data(), vv.data(),
-        mask_copy.defined() ? mask_copy.data() : nullptr, mask_heads,
-        n.grad.data(), gq.data(), gk.data(), gv.data(), batch, lq, lk, dk,
-        scale);
-    Accumulate(nq, gq);
+        nq->value.data(), kv.data(), nv->value.data(),
+        mask_copy.defined() ? mask_copy.data() : nullptr, n.grad.data(),
+        gq.data(), gk.data(), gv.data(), dims, scale);
+    Accumulate(nq, dims.shared_q ? t::Sum(gq, 0, /*keepdim=*/true) : gq);
     Accumulate(nk, gk);
     Accumulate(nv, gv);
   });

@@ -69,15 +69,17 @@ Variable Softmax(const Variable& a);
 Variable SoftmaxWithMask(const Variable& a, const tensor::Tensor& additive_mask);
 
 // -- Fused attention ------------------------------------------------------
-// softmax(scale * q k^T + mask) v in one streaming pass over [B, L, dk]
-// head-batched operands; the [B, Lq, Lk] score tensor is never materialized
-// (tensor/fused_attention.h; bitwise-identical to the unfused chain when
-// Lk <= kFusedAttentionExactMaxKeys). `key_mask` is an optional
-// [B / mask_heads, Lk] keep mask constant (no grad flows into it); backward
-// recomputes the probabilities per row block.
+// Multi-head softmax(scale * q k^T + mask) v in one streaming pass, on the
+// projections' own layout: q [B or 1, Lq, heads*dk] (a batch-1 q is shared by
+// every batch item), k/v [B, Lk, heads*dk] -> [B, Lq, heads*dk], head j in
+// columns [j*dk, (j+1)*dk). No score tensor and no head split/merge copy is
+// made (tensor/fused_attention.h; bitwise-identical to the unfused chain on
+// the head-split operands when Lk <= kFusedAttentionExactMaxKeys).
+// `key_mask` is an optional [B, Lk] keep mask constant (no grad flows into
+// it); backward recomputes the probabilities per (item, head, row block).
 Variable FusedAttention(const Variable& q, const Variable& k,
                         const Variable& v, const tensor::Tensor* key_mask,
-                        int64_t mask_heads, float scale);
+                        int64_t heads, float scale);
 
 // -- Regularization -------------------------------------------------------
 // Inverted dropout: keeps elements with probability 1-p and rescales by

@@ -38,10 +38,41 @@ ag::Variable MultiHeadAttention::Forward(const ag::Variable& q,
   SSTBAN_CHECK_EQ(q.rank(), 3);
   SSTBAN_CHECK_EQ(k.rank(), 3);
   SSTBAN_CHECK_EQ(v.rank(), 3);
-  int64_t batch = q.dim(0), lq = q.dim(1), lk = k.dim(1);
-  SSTBAN_CHECK_EQ(k.dim(0), batch);
+  int64_t batch = k.dim(0), lq = q.dim(1), lk = k.dim(1);
+  SSTBAN_CHECK(q.dim(0) == batch || q.dim(0) == 1)
+      << "query batch" << q.dim(0) << "vs key batch" << batch;
   SSTBAN_CHECK_EQ(v.dim(0), batch);
   SSTBAN_CHECK_EQ(v.dim(1), lk);
+  if (key_mask != nullptr) {
+    SSTBAN_CHECK_EQ(key_mask->rank(), 2);
+    SSTBAN_CHECK_EQ(key_mask->dim(0), batch);
+    SSTBAN_CHECK_EQ(key_mask->dim(1), lk);
+  }
+  const int64_t hidden = num_heads_ * head_dim_;
+
+  // A batch-1 query is projected once for the whole batch.
+  ag::Variable qp = wq_->Forward(q);  // [B or 1, Lq, h*dk]
+  ag::Variable kp = wk_->Forward(k);  // [B, Lk, h*dk]
+  ag::Variable vp = wv_->Forward(v);
+
+  float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+
+  // Inference path: the fused kernel reads the projections in place (head j
+  // in columns [j*dk, (j+1)*dk)) and streams the scores instead of
+  // materializing the [B*h, Lq, Lk] tensor. Up to kFusedAttentionExactMaxKeys
+  // keys it is bitwise identical to the unfused chain below, which stays the
+  // path for training (the fused op's recompute backward reorders gradient
+  // accumulations) and for callers that want the probabilities.
+  if (attention_probs == nullptr && !ag::NoGradGuard::GradEnabled()) {
+    return wo_->Forward(
+        ag::FusedAttention(qp, kp, vp, key_mask, num_heads_, scale));
+  }
+
+  // Broadcast shared projected queries over the batch; Add's backward sums
+  // their gradient back.
+  if (qp.dim(0) != batch) {
+    qp = ag::Add(qp, ag::Variable(t::Tensor::Zeros(t::Shape{batch, lq, hidden})));
+  }
 
   // Splits [B, L, h*dk] into per-head batches [B*h, L, dk].
   auto split_heads = [&](const ag::Variable& x, int64_t len) {
@@ -49,40 +80,16 @@ ag::Variable MultiHeadAttention::Forward(const ag::Variable& q,
     r = ag::Permute(r, {0, 2, 1, 3});  // [B, h, L, dk]
     return ag::Reshape(r, t::Shape{batch * num_heads_, len, head_dim_});
   };
+  ag::Variable qh = split_heads(qp, lq);
+  ag::Variable kh = split_heads(kp, lk);
+  ag::Variable vh = split_heads(vp, lk);
 
-  ag::Variable qh = split_heads(wq_->Forward(q), lq);
-  ag::Variable kh = split_heads(wk_->Forward(k), lk);
-  ag::Variable vh = split_heads(wv_->Forward(v), lk);
-
-  float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  // Inference path: stream scores through the fused kernel instead of
-  // materializing the [B*h, Lq, Lk] tensor. Up to kFusedAttentionExactMaxKeys
-  // keys it is bitwise identical to the unfused chain below, which stays the
-  // path for training (the fused op's recompute backward reorders gradient
-  // accumulations) and for callers that want the probabilities.
-  if (attention_probs == nullptr && !ag::NoGradGuard::GradEnabled()) {
-    if (key_mask != nullptr) {
-      SSTBAN_CHECK_EQ(key_mask->rank(), 2);
-      SSTBAN_CHECK_EQ(key_mask->dim(0), batch);
-      SSTBAN_CHECK_EQ(key_mask->dim(1), lk);
-    }
-    ag::Variable context =
-        ag::FusedAttention(qh, kh, vh, key_mask, num_heads_, scale);
-    context = ag::Reshape(context, t::Shape{batch, num_heads_, lq, head_dim_});
-    context = ag::Permute(context, {0, 2, 1, 3});  // [B, Lq, h, dk]
-    context = ag::Reshape(context, t::Shape{batch, lq, num_heads_ * head_dim_});
-    return wo_->Forward(context);
-  }
   ag::Variable scores =
       ag::MulScalar(ag::Bmm(qh, kh, /*transpose_a=*/false, /*transpose_b=*/true),
                     scale);  // [B*h, Lq, Lk]
 
   ag::Variable attn;
   if (key_mask != nullptr) {
-    SSTBAN_CHECK_EQ(key_mask->rank(), 2);
-    SSTBAN_CHECK_EQ(key_mask->dim(0), batch);
-    SSTBAN_CHECK_EQ(key_mask->dim(1), lk);
     // Expand [B, Lk] -> additive [B*h, Lq, Lk]: excluded keys get -1e9.
     t::Tensor additive =
         t::Tensor::Empty(t::Shape{batch * num_heads_, lq, lk});
@@ -113,7 +120,7 @@ ag::Variable MultiHeadAttention::Forward(const ag::Variable& q,
   ag::Variable context = ag::Bmm(attn, vh);  // [B*h, Lq, dk]
   context = ag::Reshape(context, t::Shape{batch, num_heads_, lq, head_dim_});
   context = ag::Permute(context, {0, 2, 1, 3});  // [B, Lq, h, dk]
-  context = ag::Reshape(context, t::Shape{batch, lq, num_heads_ * head_dim_});
+  context = ag::Reshape(context, t::Shape{batch, lq, hidden});
   return wo_->Forward(context);
 }
 

@@ -22,7 +22,9 @@ class MultiHeadAttention : public Module {
   MultiHeadAttention(int64_t query_dim, int64_t kv_dim, int64_t out_dim,
                      int64_t num_heads, core::Rng& rng, int64_t head_dim = 0);
 
-  // q: [B, Lq, query_dim], k/v: [B, Lk, kv_dim] -> [B, Lq, out_dim].
+  // q: [B, Lq, query_dim], k/v: [B, Lk, kv_dim] -> [B, Lq, out_dim]. A
+  // batch-1 q ([1, Lq, query_dim]) is one query set shared by every batch
+  // item; it is projected once.
   // `key_mask`, when given, is [B, Lk] with 1 = attend, 0 = exclude; excluded
   // keys receive -1e9 before the softmax (the paper's -inf masking). A fully
   // masked row degrades to uniform attention rather than NaN.

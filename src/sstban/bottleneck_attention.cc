@@ -30,13 +30,10 @@ ag::Variable BottleneckAttention::Forward(const ag::Variable& x,
                                           t::Tensor* assignment_probs) const {
   SSTBAN_CHECK_EQ(x.rank(), 3);
   SSTBAN_CHECK_EQ(x.dim(2), in_dim_);
-  int64_t batch = x.dim(0);
-  // Broadcast the shared reference points across the batch; the
-  // broadcasting-add keeps gradient flow into the single parameter.
+  // The reference points are one query set shared by every sequence, so
+  // absorb projects them once for the whole batch.
   ag::Variable refs = ag::Reshape(refs_, t::Shape{1, num_refs_, in_dim_});
-  ag::Variable zeros(t::Tensor::Zeros(t::Shape{batch, num_refs_, in_dim_}));
-  ag::Variable refs_batched = ag::Add(refs, zeros);
-  ag::Variable updated = absorb_->Forward(refs_batched, x, x, key_mask);
+  ag::Variable updated = absorb_->Forward(refs, x, x, key_mask);
   return broadcast_->Forward(x, updated, updated, /*key_mask=*/nullptr,
                              assignment_probs);
 }

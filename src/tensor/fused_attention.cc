@@ -8,12 +8,56 @@
 
 #include "core/check.h"
 #include "tensor/matmul.h"
+#include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::tensor {
 
 namespace {
+
+// Shapes the tier's attention forms (simd::AttentionItem) take. At
+// dk <= kFormMaxHeadDim both GEMMs of the unfused chain run the tier's
+// small-shape kernels (matmul.cc UseTiledPath), whose FMA chains the forms
+// reproduce; any other shape takes the row-block path.
+constexpr int64_t kFormMaxHeadDim = 8;
+// Few queries, e.g. R reference points absorbing L elements: absorb.
+constexpr int64_t kAbsorbMaxQueries = 8;
+// Short key rows, e.g. L elements reading R reference points, or the P-step
+// temporal and transform attentions: broadcast.
+constexpr int64_t kBroadcastMaxKeys = 16;
+
+// Null when the shape (or the tier) has no form.
+simd::AttentionFormFn ChooseForm(const simd::SimdKernels& ks,
+                                 const AttentionDims& d) {
+  if (d.dk > kFormMaxHeadDim || d.lk > kFusedAttentionExactMaxKeys) {
+    return nullptr;
+  }
+  if (d.lq <= kAbsorbMaxQueries) return ks.attention_absorb;
+  if (d.lk <= kBroadcastMaxKeys) return ks.attention_broadcast;
+  return nullptr;
+}
+
+// `rows` rows of one head (dk floats each, `ld` apart) as a contiguous
+// [rows, dk] block: the source itself when it already is one (one head),
+// else a copy in `scratch`.
+const float* HeadRows(const float* src, int64_t ld, int64_t rows, int64_t dk,
+                      float* scratch) {
+  if (ld == dk) return src;
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(scratch + r * dk, src + r * ld,
+                static_cast<size_t>(dk) * sizeof(float));
+  }
+  return scratch;
+}
+
+void ScatterHeadRows(const float* src, int64_t rows, int64_t dk, float* dst,
+                     int64_t ld) {
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(dst + r * ld, src + r * dk,
+                static_cast<size_t>(dk) * sizeof(float));
+  }
+}
 
 // The additive expansion the unfused path writes into its materialized mask:
 // keeping a key adds exactly 0.0f, excluding it adds -1e9f. Always perform
@@ -25,23 +69,20 @@ inline void AddMaskRow(float* srow, const float* mrow, int64_t lk) {
   }
 }
 
-// Exact two-pass body for query rows [i0, i1) of batch item bi. Reproduces
-// the unfused chain bitwise: the two GEMMs go through GemmRowRangeAccumulate
-// with the full problem shape (identical kernel routing and identical 64-row
-// partition boundaries as Bmm), and scale/mask/softmax use the same simd
-// kernel entry points the tensor ops use.
-void ExactBlock(const float* q, const float* k, const float* v,
-                const float* mrow, float* out, int64_t lq, int64_t lk,
-                int64_t dk, float scale, int64_t bi, int64_t i0, int64_t i1,
+// Exact two-pass body for query rows [i0, i1) of one contiguous head:
+// `qblk`/`oblk` hold those rows ([i1 - i0, dk]), `kb`/`vb` the head's
+// [lk, dk] keys and values. Reproduces the unfused chain bitwise: the two
+// GEMMs go through GemmRowRangeAccumulate with the full problem shape
+// (identical kernel routing and identical 64-row partition boundaries as
+// Bmm), and scale/mask/softmax use the same simd kernel entry points the
+// tensor ops use.
+void ExactBlock(const float* qblk, const float* kb, const float* vb,
+                const float* mrow, float* oblk, int64_t lq, int64_t lk,
+                int64_t dk, float scale, int64_t i0, int64_t i1,
                 float* scores, const simd::SimdKernels& ks) {
   int64_t rows = i1 - i0;
-  const float* qb = q + bi * lq * dk;
-  const float* kb = k + bi * lk * dk;
-  const float* vb = v + bi * lk * dk;
-  float* ob = out + bi * lq * dk + i0 * dk;
-
   std::memset(scores, 0, static_cast<size_t>(rows * lk) * sizeof(float));
-  GemmRowRangeAccumulate(qb + i0 * dk, kb, scores, lq, dk, lk,
+  GemmRowRangeAccumulate(qblk, kb, scores, lq, dk, lk,
                          /*ta=*/false, /*tb=*/true, i0, i1);
   ks.mul_scalar(scores, scale, scores, rows * lk);
   for (int64_t r = 0; r < rows; ++r) {
@@ -49,27 +90,20 @@ void ExactBlock(const float* q, const float* k, const float* v,
     if (mrow != nullptr) AddMaskRow(srow, mrow, lk);
     ks.softmax_row(srow, srow, lk);
   }
-  std::memset(ob, 0, static_cast<size_t>(rows * dk) * sizeof(float));
-  GemmRowRangeAccumulate(scores, vb, ob, lq, lk, dk,
+  std::memset(oblk, 0, static_cast<size_t>(rows * dk) * sizeof(float));
+  GemmRowRangeAccumulate(scores, vb, oblk, lq, lk, dk,
                          /*ta=*/false, /*tb=*/false, i0, i1);
 }
 
-// Flash-style online-softmax body: streams key blocks of at most
-// kFusedAttentionExactMaxKeys through the same scratch, carrying a running
-// (row max, denominator, output accumulator) triple. Sequential over key
-// blocks within one (batch, row-block) item, so deterministic; not bitwise
-// against the unfused chain (different summation order).
-void OnlineBlock(const float* q, const float* k, const float* v,
-                 const float* mrow, float* out, int64_t lq, int64_t lk,
-                 int64_t dk, float scale, int64_t bi, int64_t i0, int64_t i1,
-                 float* scores, float* acc, float* run_max, double* run_sum,
-                 const simd::SimdKernels& ks) {
-  int64_t rows = i1 - i0;
-  const float* qb = q + bi * lq * dk + i0 * dk;
-  const float* kb = k + bi * lk * dk;
-  const float* vb = v + bi * lk * dk;
-  float* ob = out + bi * lq * dk + i0 * dk;
-
+// Flash-style online-softmax body for the same operands: streams key blocks
+// of at most kFusedAttentionExactMaxKeys through the same scratch, carrying a
+// running (row max, denominator, output accumulator) triple. Sequential over
+// key blocks within one item, so deterministic; not bitwise against the
+// unfused chain (different summation order).
+void OnlineBlock(const float* qblk, const float* kb, const float* vb,
+                 const float* mrow, float* oblk, int64_t lk, int64_t dk,
+                 float scale, int64_t rows, float* scores, float* acc,
+                 float* run_max, double* run_sum, const simd::SimdKernels& ks) {
   std::memset(acc, 0, static_cast<size_t>(rows * dk) * sizeof(float));
   for (int64_t r = 0; r < rows; ++r) {
     run_max[r] = -std::numeric_limits<float>::infinity();
@@ -79,7 +113,7 @@ void OnlineBlock(const float* q, const float* k, const float* v,
   for (int64_t j0 = 0; j0 < lk; j0 += kFusedAttentionExactMaxKeys) {
     int64_t j1 = std::min(lk, j0 + kFusedAttentionExactMaxKeys);
     int64_t jb = j1 - j0;
-    GemmBatchedInto(qb, kb + j0 * dk, scores, /*batch=*/1, rows, dk, jb,
+    GemmBatchedInto(qblk, kb + j0 * dk, scores, /*batch=*/1, rows, dk, jb,
                     /*ta=*/false, /*tb=*/true, 0, 0);
     ks.mul_scalar(scores, scale, scores, rows * jb);
     for (int64_t r = 0; r < rows; ++r) {
@@ -101,151 +135,242 @@ void OnlineBlock(const float* q, const float* k, const float* v,
   }
   for (int64_t r = 0; r < rows; ++r) {
     float inv = static_cast<float>(1.0 / run_sum[r]);
-    ks.mul_scalar(acc + r * dk, inv, ob + r * dk, dk);
+    ks.mul_scalar(acc + r * dk, inv, oblk + r * dk, dk);
   }
 }
 
-}  // namespace
-
-void FusedAttentionInto(const float* q, const float* k, const float* v,
-                        const float* key_mask, int64_t mask_heads, float* out,
-                        int64_t batch, int64_t lq, int64_t lk, int64_t dk,
-                        float scale) {
-  SSTBAN_CHECK_GT(batch, 0);
-  SSTBAN_CHECK_GT(lq, 0);
-  SSTBAN_CHECK_GT(lk, 0);
-  SSTBAN_CHECK_GT(dk, 0);
-  if (key_mask != nullptr) {
-    SSTBAN_CHECK_GT(mask_heads, 0);
-    SSTBAN_CHECK_EQ(batch % mask_heads, 0);
-  }
-  const simd::SimdKernels& ks = simd::Kernels();
-  bool exact = lk <= kFusedAttentionExactMaxKeys;
-  int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
-  int64_t block_rows = std::min(lq, kGemmRowBlock);
-  int64_t score_cols = exact ? lk : kFusedAttentionExactMaxKeys;
+// Every shape without a form: one work item per (batch item, head, 64-row
+// block), the head's slices gathered into contiguous scratch when there is
+// more than one head.
+void RowBlockAttention(const float* q, const float* k, const float* v,
+                       const float* key_mask, float* out,
+                       const AttentionDims& d, float scale,
+                       const simd::SimdKernels& ks) {
+  const int64_t ld = d.heads * d.dk, dk = d.dk, lq = d.lq, lk = d.lk;
+  const int64_t q_stride = d.shared_q ? 0 : lq * ld;
+  const bool exact = lk <= kFusedAttentionExactMaxKeys;
+  const int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
+  const int64_t block_rows = std::min(lq, kGemmRowBlock);
+  const int64_t score_cols = exact ? lk : kFusedAttentionExactMaxKeys;
   // Work per item drives the same inline-vs-pooled decision BatchedGemm
   // makes; the grid itself is independent of thread count.
-  int64_t madds = block_rows * dk * lk;
-  int64_t min_chunk = std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
-  ParallelFor(0, batch * row_blocks, [&](int64_t lo, int64_t hi) {
+  const int64_t madds = block_rows * dk * lk;
+  const int64_t min_chunk =
+      std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
+  ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
     thread_local std::vector<float> scores;
     thread_local std::vector<float> acc;
     thread_local std::vector<float> run_max;
     thread_local std::vector<double> run_sum;
+    thread_local std::vector<float> slices;
     scores.resize(static_cast<size_t>(block_rows * score_cols));
     if (!exact) {
       acc.resize(static_cast<size_t>(block_rows * dk));
       run_max.resize(static_cast<size_t>(block_rows));
       run_sum.resize(static_cast<size_t>(block_rows));
     }
+    slices.resize(static_cast<size_t>(2 * (block_rows + lk) * dk));
+    float* q_slice = slices.data();
+    float* o_slice = q_slice + block_rows * dk;
+    float* k_slice = o_slice + block_rows * dk;
+    float* v_slice = k_slice + lk * dk;
     for (int64_t idx = lo; idx < hi; ++idx) {
-      int64_t bi = idx / row_blocks;
-      int64_t i0 = (idx % row_blocks) * kGemmRowBlock;
-      int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
-      const float* mrow =
-          key_mask != nullptr ? key_mask + (bi / mask_heads) * lk : nullptr;
+      const int64_t b = idx / (d.heads * row_blocks);
+      const int64_t j = idx / row_blocks % d.heads;
+      const int64_t i0 = idx % row_blocks * kGemmRowBlock;
+      const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+      const int64_t rows = i1 - i0;
+      const float* qblk =
+          HeadRows(q + b * q_stride + i0 * ld + j * dk, ld, rows, dk, q_slice);
+      const float* kb = HeadRows(k + b * lk * ld + j * dk, ld, lk, dk, k_slice);
+      const float* vb = HeadRows(v + b * lk * ld + j * dk, ld, lk, dk, v_slice);
+      float* odst = out + (b * lq + i0) * ld + j * dk;
+      float* oblk = ld == dk ? odst : o_slice;
+      const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
       if (exact) {
-        ExactBlock(q, k, v, mrow, out, lq, lk, dk, scale, bi, i0, i1,
+        ExactBlock(qblk, kb, vb, mrow, oblk, lq, lk, dk, scale, i0, i1,
                    scores.data(), ks);
       } else {
-        OnlineBlock(q, k, v, mrow, out, lq, lk, dk, scale, bi, i0, i1,
+        OnlineBlock(qblk, kb, vb, mrow, oblk, lk, dk, scale, rows,
                     scores.data(), acc.data(), run_max.data(), run_sum.data(),
                     ks);
       }
+      if (oblk != odst) ScatterHeadRows(oblk, rows, dk, odst, ld);
     }
   }, min_chunk);
+}
+
+// Backward of one contiguous head: dq/dk/dv overwritten.
+void BackwardHead(const float* qb, const float* kb, const float* vb,
+                  const float* mrow, const float* dob, float* dqb, float* dkb,
+                  float* dvb, int64_t lq, int64_t lk, int64_t dk, float scale,
+                  float* p, float* ds, const simd::SimdKernels& ks) {
+  std::memset(dkb, 0, static_cast<size_t>(lk * dk) * sizeof(float));
+  std::memset(dvb, 0, static_cast<size_t>(lk * dk) * sizeof(float));
+  for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
+    int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+    int64_t rows = i1 - i0;
+    // Recompute P for this block (exact softmax regardless of lk).
+    std::memset(p, 0, static_cast<size_t>(rows * lk) * sizeof(float));
+    GemmRowRangeAccumulate(qb + i0 * dk, kb, p, lq, dk, lk,
+                           /*ta=*/false, /*tb=*/true, i0, i1);
+    ks.mul_scalar(p, scale, p, rows * lk);
+    for (int64_t r = 0; r < rows; ++r) {
+      float* prow = p + r * lk;
+      if (mrow != nullptr) AddMaskRow(prow, mrow, lk);
+      ks.softmax_row(prow, prow, lk);
+    }
+    // dV += P^T dOut_block.
+    GemmRowRangeAccumulate(p, dob + i0 * dk, dvb, lk, rows, dk,
+                           /*ta=*/true, /*tb=*/false, 0, lk);
+    // dP = dOut_block V^T.
+    GemmBatchedInto(dob + i0 * dk, vb, ds, /*batch=*/1, rows, dk, lk,
+                    /*ta=*/false, /*tb=*/true, 0, 0);
+    // dS = P o (dP - rowsum(dP o P)) * scale, written over dP.
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* prow = p + r * lk;
+      float* dsrow = ds + r * lk;
+      double dot = 0.0;
+      for (int64_t j = 0; j < lk; ++j) dot += static_cast<double>(dsrow[j]) * prow[j];
+      float fdot = static_cast<float>(dot);
+      for (int64_t j = 0; j < lk; ++j) {
+        dsrow[j] = prow[j] * (dsrow[j] - fdot) * scale;
+      }
+    }
+    // dQ_block = dS K.
+    GemmBatchedInto(ds, kb, dqb + i0 * dk, /*batch=*/1, rows, lk, dk,
+                    /*ta=*/false, /*tb=*/false, 0, 0);
+    // dK += dS^T Q_block.
+    GemmRowRangeAccumulate(ds, qb + i0 * dk, dkb, lk, rows, dk,
+                           /*ta=*/true, /*tb=*/false, 0, lk);
+  }
+}
+
+}  // namespace
+
+void FusedAttentionInto(const float* q, const float* k, const float* v,
+                        const float* key_mask, float* out,
+                        const AttentionDims& dims, float scale) {
+  SSTBAN_CHECK_GT(dims.batch, 0);
+  SSTBAN_CHECK_GT(dims.heads, 0);
+  SSTBAN_CHECK_GT(dims.lq, 0);
+  SSTBAN_CHECK_GT(dims.lk, 0);
+  SSTBAN_CHECK_GT(dims.dk, 0);
+  const simd::SimdKernels& ks = simd::Kernels();
+  const simd::AttentionFormFn form = ChooseForm(ks, dims);
+  if (form == nullptr) {
+    RowBlockAttention(q, k, v, key_mask, out, dims, scale, ks);
+    return;
+  }
+  // One work item per batch item, all heads.
+  const int64_t ld = dims.heads * dims.dk;
+  const int64_t q_stride = dims.shared_q ? 0 : dims.lq * ld;
+  const int64_t madds = dims.heads * dims.lq * dims.lk * dims.dk;
+  const int64_t min_chunk = std::max<int64_t>(1, (1 << 16) / madds);
+  ParallelFor(0, dims.batch, [&](int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) {
+      form(simd::AttentionItem{
+          q + b * q_stride, k + b * dims.lk * ld, v + b * dims.lk * ld,
+          key_mask != nullptr ? key_mask + b * dims.lk : nullptr,
+          out + b * dims.lq * ld, dims.heads, dims.lq, dims.lk, dims.dk,
+          scale});
+    }
+  }, min_chunk);
+}
+
+AttentionDims FusedAttentionDims(const Tensor& q, const Tensor& k,
+                                 const Tensor& v, const Tensor* key_mask,
+                                 int64_t heads) {
+  SSTBAN_CHECK_EQ(q.rank(), 3);
+  SSTBAN_CHECK_EQ(k.rank(), 3);
+  SSTBAN_CHECK(v.shape() == k.shape())
+      << "V" << v.shape().ToString() << "vs K" << k.shape().ToString();
+  SSTBAN_CHECK_GT(heads, 0);
+  AttentionDims dims;
+  dims.batch = k.dim(0);
+  dims.heads = heads;
+  dims.lq = q.dim(1);
+  dims.lk = k.dim(1);
+  SSTBAN_CHECK_EQ(k.dim(2) % heads, 0);
+  dims.dk = k.dim(2) / heads;
+  SSTBAN_CHECK_EQ(q.dim(2), k.dim(2));
+  SSTBAN_CHECK(q.dim(0) == dims.batch || q.dim(0) == 1)
+      << "Q batch" << q.dim(0) << "vs K batch" << dims.batch;
+  dims.shared_q = q.dim(0) != dims.batch;
+  if (key_mask != nullptr) {
+    SSTBAN_CHECK_EQ(key_mask->rank(), 2);
+    SSTBAN_CHECK_EQ(key_mask->dim(0), dims.batch);
+    SSTBAN_CHECK_EQ(key_mask->dim(1), dims.lk);
+  }
+  return dims;
 }
 
 Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       const Tensor* key_mask, int64_t mask_heads, float scale) {
   SSTBAN_CHECK_EQ(q.rank(), 3);
   SSTBAN_CHECK_EQ(k.rank(), 3);
-  SSTBAN_CHECK_EQ(v.rank(), 3);
-  int64_t batch = q.dim(0), lq = q.dim(1), dk = q.dim(2), lk = k.dim(1);
-  SSTBAN_CHECK_EQ(k.dim(0), batch);
-  SSTBAN_CHECK_EQ(k.dim(2), dk);
-  SSTBAN_CHECK_EQ(v.dim(0), batch);
-  SSTBAN_CHECK_EQ(v.dim(1), lk);
-  SSTBAN_CHECK_EQ(v.dim(2), dk);
-  if (key_mask != nullptr) {
+  SSTBAN_CHECK_EQ(q.dim(0), k.dim(0));
+  Tensor keep_rows;
+  if (key_mask != nullptr && mask_heads != 1) {
     SSTBAN_CHECK_EQ(key_mask->rank(), 2);
-    SSTBAN_CHECK_EQ(key_mask->dim(0) * mask_heads, batch);
-    SSTBAN_CHECK_EQ(key_mask->dim(1), lk);
+    int64_t rows = key_mask->dim(0), lk = key_mask->dim(1);
+    SSTBAN_CHECK_EQ(rows * mask_heads, q.dim(0));
+    keep_rows = RepeatAxis(key_mask->Reshape(Shape{rows, 1, lk}), 1, mask_heads)
+                    .Reshape(Shape{rows * mask_heads, lk});
+    key_mask = &keep_rows;
   }
-  Tensor out = Tensor::Empty(Shape{batch, lq, dk});
+  AttentionDims dims = FusedAttentionDims(q, k, v, key_mask, /*heads=*/1);
+  Tensor out = Tensor::Empty(Shape{dims.batch, dims.lq, dims.dk});
   FusedAttentionInto(q.data(), k.data(), v.data(),
                      key_mask != nullptr ? key_mask->data() : nullptr,
-                     mask_heads, out.data(), batch, lq, lk, dk, scale);
+                     out.data(), dims, scale);
   return out;
 }
 
 void FusedAttentionBackward(const float* q, const float* k, const float* v,
-                            const float* key_mask, int64_t mask_heads,
-                            const float* dout, float* dq, float* dkk,
-                            float* dv, int64_t batch, int64_t lq, int64_t lk,
-                            int64_t dk, float scale) {
+                            const float* key_mask, const float* dout,
+                            float* dq, float* dkk, float* dv,
+                            const AttentionDims& dims, float scale) {
   const simd::SimdKernels& ks = simd::Kernels();
-  int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
-  int64_t block_rows = std::min(lq, kGemmRowBlock);
-  // Parallel over batch only: dK / dV accumulate across row blocks, and a
-  // fixed sequential block order keeps the gradients bitwise deterministic.
-  ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
+  const int64_t ld = dims.heads * dims.dk, dk = dims.dk;
+  const int64_t lq = dims.lq, lk = dims.lk;
+  const int64_t q_stride = dims.shared_q ? 0 : lq * ld;
+  const int64_t block_rows = std::min(lq, kGemmRowBlock);
+  const bool gather = ld != dk;
+  // Parallel over (batch item, head): each item's dK / dV accumulate across
+  // its row blocks in a fixed sequential order.
+  ParallelFor(0, dims.batch * dims.heads, [&](int64_t lo, int64_t hi) {
     thread_local std::vector<float> probs;
     thread_local std::vector<float> dscores;
+    thread_local std::vector<float> slices;
     probs.resize(static_cast<size_t>(block_rows * lk));
     dscores.resize(static_cast<size_t>(block_rows * lk));
-    for (int64_t bi = lo; bi < hi; ++bi) {
-      const float* qb = q + bi * lq * dk;
-      const float* kb = k + bi * lk * dk;
-      const float* vb = v + bi * lk * dk;
-      const float* dob = dout + bi * lq * dk;
-      float* dqb = dq + bi * lq * dk;
-      float* dkb = dkk + bi * lk * dk;
-      float* dvb = dv + bi * lk * dk;
-      const float* mrow =
-          key_mask != nullptr ? key_mask + (bi / mask_heads) * lk : nullptr;
-      std::memset(dkb, 0, static_cast<size_t>(lk * dk) * sizeof(float));
-      std::memset(dvb, 0, static_cast<size_t>(lk * dk) * sizeof(float));
-      for (int64_t blk = 0; blk < row_blocks; ++blk) {
-        int64_t i0 = blk * kGemmRowBlock;
-        int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
-        int64_t rows = i1 - i0;
-        float* p = probs.data();
-        float* ds = dscores.data();
-        // Recompute P for this block (exact softmax regardless of lk).
-        std::memset(p, 0, static_cast<size_t>(rows * lk) * sizeof(float));
-        GemmRowRangeAccumulate(qb + i0 * dk, kb, p, lq, dk, lk,
-                               /*ta=*/false, /*tb=*/true, i0, i1);
-        ks.mul_scalar(p, scale, p, rows * lk);
-        for (int64_t r = 0; r < rows; ++r) {
-          float* prow = p + r * lk;
-          if (mrow != nullptr) AddMaskRow(prow, mrow, lk);
-          ks.softmax_row(prow, prow, lk);
-        }
-        // dV += P^T dOut_block.
-        GemmRowRangeAccumulate(p, dob + i0 * dk, dvb, lk, rows, dk,
-                               /*ta=*/true, /*tb=*/false, 0, lk);
-        // dP = dOut_block V^T.
-        GemmBatchedInto(dob + i0 * dk, vb, ds, /*batch=*/1, rows, dk, lk,
-                        /*ta=*/false, /*tb=*/true, 0, 0);
-        // dS = P o (dP - rowsum(dP o P)) * scale, written over dP.
-        for (int64_t r = 0; r < rows; ++r) {
-          const float* prow = p + r * lk;
-          float* dsrow = ds + r * lk;
-          double dot = 0.0;
-          for (int64_t j = 0; j < lk; ++j) dot += static_cast<double>(dsrow[j]) * prow[j];
-          float fdot = static_cast<float>(dot);
-          for (int64_t j = 0; j < lk; ++j) {
-            dsrow[j] = prow[j] * (dsrow[j] - fdot) * scale;
-          }
-        }
-        // dQ_block = dS K.
-        GemmBatchedInto(ds, kb, dqb + i0 * dk, /*batch=*/1, rows, lk, dk,
-                        /*ta=*/false, /*tb=*/false, 0, 0);
-        // dK += dS^T Q_block.
-        GemmRowRangeAccumulate(ds, qb + i0 * dk, dkb, lk, rows, dk,
-                               /*ta=*/true, /*tb=*/false, 0, lk);
+    if (gather) slices.resize(static_cast<size_t>((3 * lq + 4 * lk) * dk));
+    float* q_slice = slices.data();
+    float* do_slice = q_slice + lq * dk;
+    float* dq_slice = do_slice + lq * dk;
+    float* k_slice = dq_slice + lq * dk;
+    float* v_slice = k_slice + lk * dk;
+    float* dk_slice = v_slice + lk * dk;
+    float* dv_slice = dk_slice + lk * dk;
+    for (int64_t idx = lo; idx < hi; ++idx) {
+      const int64_t b = idx / dims.heads, j = idx % dims.heads;
+      const int64_t q_off = (b * lq) * ld + j * dk;
+      const int64_t kv_off = (b * lk) * ld + j * dk;
+      const float* qb = HeadRows(q + b * q_stride + j * dk, ld, lq, dk, q_slice);
+      const float* dob = HeadRows(dout + q_off, ld, lq, dk, do_slice);
+      const float* kb = HeadRows(k + kv_off, ld, lk, dk, k_slice);
+      const float* vb = HeadRows(v + kv_off, ld, lk, dk, v_slice);
+      float* dqb = gather ? dq_slice : dq + q_off;
+      float* dkb = gather ? dk_slice : dkk + kv_off;
+      float* dvb = gather ? dv_slice : dv + kv_off;
+      const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
+      BackwardHead(qb, kb, vb, mrow, dob, dqb, dkb, dvb, lq, lk, dk, scale,
+                   probs.data(), dscores.data(), ks);
+      if (gather) {
+        ScatterHeadRows(dqb, lq, dk, dq + q_off, ld);
+        ScatterHeadRows(dkb, lk, dk, dkk + kv_off, ld);
+        ScatterHeadRows(dvb, lk, dk, dv + kv_off, ld);
       }
     }
   }, /*min_chunk=*/1);

@@ -5,55 +5,78 @@
 
 namespace sstban::tensor {
 
-// Single-pass scaled-dot-product attention:
-//   out = softmax(scale * Q K^T + mask) V
-// with Q [batch, lq, dk], K/V [batch, lk, dk], out [batch, lq, dk]. The
-// [batch, lq, lk] score tensor is never materialized; scores stream through
-// a per-thread row-block scratch instead.
+// Single-pass multi-head scaled-dot-product attention:
+//   out_j = softmax(scale * Q_j K_j^T + mask) V_j   for every head j
+// read and written in the layout the Q/K/V projections produce:
+//   Q [q_batch, lq, heads*dk] (q_batch is `batch`, or 1 when `shared_q`: one
+//     query set, read at batch stride 0, serves every batch item),
+//   K, V [batch, lk, heads*dk], out [batch, lq, heads*dk],
+// with head j in columns [j*dk, (j+1)*dk). No head split or merge copy is
+// made and the [lq, lk] score matrix is never materialized.
 //
 // Two regimes, switched on lk:
-//   - lk <= kFusedAttentionExactMaxKeys: exact two-pass mode. Each 64-row
-//     block runs scores -> scale -> mask-add -> softmax -> xV with the same
-//     kernels, the same row-block boundaries (tensor/matmul.h kGemmRowBlock),
-//     and the same per-element arithmetic as the unfused
-//     Bmm/MulScalar/SoftmaxWithMask/Bmm chain, so the result is bitwise
-//     identical to it.
+//   - lk <= kFusedAttentionExactMaxKeys: exact mode. The result is bitwise
+//     identical to the unfused Bmm/MulScalar/SoftmaxWithMask/Bmm chain of the
+//     active SIMD tier on the head-split operands. At dk <= 8 the tier's
+//     attention forms run (few queries: absorb; short key rows: broadcast;
+//     fused_attention.cc holds the thresholds); every other shape streams
+//     64-row blocks through the same kernel entry points as the chain, with
+//     the same row-block boundaries (tensor/matmul.h kGemmRowBlock).
 //   - lk > kFusedAttentionExactMaxKeys: flash-style online softmax over key
-//     blocks with a running (max, denom, accumulator) triple. Results agree
-//     with the unfused chain only to rounding (see DESIGN.md §14 for the
-//     tolerance policy) but each call is still bitwise deterministic at any
-//     thread count: work items are independent (batch x row-block) and every
-//     reduction is sequential within one item.
+//     blocks with a running (max, denominator, accumulator) triple. Results
+//     agree with the unfused chain only to rounding (see DESIGN.md §14 for
+//     the tolerance policy) but each call is still bitwise deterministic at
+//     any thread count: work items are independent and every reduction is
+//     sequential within one item.
 //
-// `key_mask` is optional: when non-null it holds [batch / mask_heads, lk]
-// keep rows (> 0.5f keeps a key) and the kernel applies the same
-// `keep ? 0.0f : -1e9f` additive expansion the unfused path builds explicitly.
-// Pass mask_heads = 1 when the mask batch matches the attention batch.
+// `key_mask` is optional: when non-null it holds [batch, lk] keep rows
+// (> 0.5f keeps a key), shared by the heads of a batch item, and the kernel
+// applies the same `keep ? 0.0f : -1e9f` additive expansion the unfused path
+// builds explicitly.
 
 inline constexpr int64_t kFusedAttentionExactMaxKeys = 512;
 
-void FusedAttentionInto(const float* q, const float* k, const float* v,
-                        const float* key_mask, int64_t mask_heads, float* out,
-                        int64_t batch, int64_t lq, int64_t lk, int64_t dk,
-                        float scale);
+struct AttentionDims {
+  int64_t batch = 1;
+  int64_t heads = 1;
+  int64_t lq = 1;
+  int64_t lk = 1;
+  int64_t dk = 1;
+  bool shared_q = false;
+};
 
-// Tensor wrapper; `key_mask` may be null.
+void FusedAttentionInto(const float* q, const float* k, const float* v,
+                        const float* key_mask, float* out,
+                        const AttentionDims& dims, float scale);
+
+// Validates q [batch or 1, lq, heads*dk], k/v [batch, lk, heads*dk] and the
+// optional key_mask [batch, lk], and returns the call's dims.
+AttentionDims FusedAttentionDims(const Tensor& q, const Tensor& k,
+                                 const Tensor& v, const Tensor* key_mask,
+                                 int64_t heads);
+
+// Tensor wrapper for contiguous single-head operands: Q [batch, lq, dk],
+// K/V [batch, lk, dk] (the heads == 1 case of FusedAttentionInto). When
+// non-null, `key_mask` is [batch / mask_heads, lk]: each keep row serves
+// mask_heads consecutive batch items.
 Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       const Tensor* key_mask, int64_t mask_heads, float scale);
 
-// Gradient by recomputation: probabilities are rebuilt per row block (exact
-// softmax regardless of lk), then
+// Gradient by recomputation, in the same layout: per (batch item, head) the
+// head's slices are gathered into contiguous scratch, probabilities are
+// rebuilt per row block (exact softmax regardless of lk), then
 //   dV += P^T dOut, dP = dOut V^T,
 //   dS = P o (dP - rowsum(dP o P)) * scale,
-//   dQ = dS K, dK += dS^T Q.
-// Parallel over batch only, so the per-matrix accumulation order is fixed and
-// the gradients are bitwise deterministic at any thread count. dq/dkk/dv are
-// fully overwritten.
+//   dQ = dS K, dK += dS^T Q,
+// and the head's gradients are scattered back. Items are independent and
+// each accumulates in a fixed order, so the gradients are bitwise
+// deterministic at any thread count. dq is [batch, lq, heads*dk] even when
+// dims.shared_q (the caller sums it over the batch); dq/dkk/dv are fully
+// overwritten.
 void FusedAttentionBackward(const float* q, const float* k, const float* v,
-                            const float* key_mask, int64_t mask_heads,
-                            const float* dout, float* dq, float* dkk,
-                            float* dv, int64_t batch, int64_t lq, int64_t lk,
-                            int64_t dk, float scale);
+                            const float* key_mask, const float* dout,
+                            float* dq, float* dkk, float* dv,
+                            const AttentionDims& dims, float scale);
 
 }  // namespace sstban::tensor
 

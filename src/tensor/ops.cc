@@ -28,6 +28,30 @@ Tensor SameShapeBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
   return out;
 }
 
+// `b`'s dims equal the trailing dims of `a`'s (e.g. a Linear bias [n] onto
+// [M, n]): every row of a meets all of b. The tier's kernel per row gives
+// the same per-element result as the odometer loop.
+bool IsTrailingSuffix(const Shape& b, const Shape& a) {
+  if (b.rank() > a.rank()) return false;
+  int offset = a.rank() - b.rank();
+  for (int i = 0; i < b.rank(); ++i) {
+    if (b.dims()[i] != a.dims()[offset + i]) return false;
+  }
+  return true;
+}
+
+Tensor RowBroadcastBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
+  Tensor out = Tensor::Empty(a.shape());
+  const int64_t n = b.size();
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  ParallelFor(0, a.size() / n, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) fn(pa + r * n, pb, po + r * n, n);
+  }, std::max<int64_t>(1, 1024 / n));
+  return out;
+}
+
 Tensor ScalarMap(const Tensor& a, float s, simd::ScalarMapFn fn) {
   Tensor out = Tensor::Empty(a.shape());
   const float* pa = a.data();
@@ -152,6 +176,9 @@ Shape ReducedShape(const Shape& shape, int axis, bool keepdim) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   if (a.shape() == b.shape()) return SameShapeBinary(a, b, simd::Kernels().add);
+  if (b.size() > 1 && IsTrailingSuffix(b.shape(), a.shape())) {
+    return RowBroadcastBinary(a, b, simd::Kernels().add);
+  }
   return BinaryOp(a, b, [](float x, float y) { return x + y; });
 }
 Tensor Sub(const Tensor& a, const Tensor& b) {

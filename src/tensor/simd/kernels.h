@@ -47,6 +47,24 @@ using ExpSumFn = double (*)(const float* a, float m, float* o, int64_t n);
 // Full numerically-stable softmax of one row; in == out allowed.
 using SoftmaxRowFn = void (*)(const float* in, float* out, int64_t n);
 
+// One batch item of multi-head attention in the projections' own layout:
+// q [lq, heads*dk], k and v [lk, heads*dk] and out [lq, heads*dk], row-major,
+// with head j in columns [j*dk, (j+1)*dk). `keep` is null or the item's lk
+// key-mask values (> 0.5f keeps a key).
+struct AttentionItem {
+  const float* q;
+  const float* k;
+  const float* v;
+  const float* keep;
+  float* out;
+  int64_t heads, lq, lk, dk;
+  float scale;
+};
+// A shape-specialized attention form (tensor/fused_attention.cc chooses
+// which one runs). It must reproduce the tier's unfused
+// Bmm -> MulScalar -> Add(mask) -> Softmax -> Bmm chain element for element.
+using AttentionFormFn = void (*)(const AttentionItem& item);
+
 struct SimdKernels {
   const char* name;
   int64_t gemm_mr;  // full micro-tile height the packed path uses
@@ -62,6 +80,10 @@ struct SimdKernels {
   ReduceMaxFn reduce_max;
   ExpSumFn exp_sum;
   SoftmaxRowFn softmax_row;
+  // Attention forms for head_dim <= 8 and at most 512 keys; null in a tier
+  // without them, which then runs the row-block path for every shape.
+  AttentionFormFn attention_absorb;     // few queries (lq <= 8)
+  AttentionFormFn attention_broadcast;  // short key rows (lk <= 16)
 };
 
 // Table for the process-wide active level (resolved once, then cached by

@@ -1,5 +1,6 @@
 // AVX2 + FMA kernel tier. This translation unit is compiled with
-// -mavx2 -mfma regardless of the global flags (see tensor/CMakeLists.txt);
+// -mavx2 -mfma -ffp-contract=off regardless of the global flags (see
+// tensor/CMakeLists.txt), so the only fused multiply-adds are explicit ones;
 // nothing here executes unless the runtime dispatcher (core/cpu_features.h)
 // confirmed hardware support, so the binary stays safe on plain-SSE x86.
 //
@@ -18,6 +19,8 @@
 #include <algorithm>
 #include <cmath>
 #include <vector>
+
+#include "core/check.h"
 
 namespace sstban::tensor::simd {
 
@@ -221,6 +224,12 @@ void ReluAvx2(const float* a, float* o, int64_t n) {
 // Softmax row primitives.
 // ---------------------------------------------------------------------------
 
+// Lanes [0, n) set, n in [0, 8].
+inline __m256i LaneMask(int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 float ReduceMaxAvx2(const float* a, int64_t n) {
   if (n < 8) {
     float m = a[0];
@@ -297,13 +306,17 @@ double ExpSumAvx2(const float* a, float m, float* o, int64_t n) {
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, vsum);
   double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    // Scalar tail uses the same polynomial (single active lane) so a given
-    // element's value does not depend on the row length's alignment.
-    __m256 e = Exp256(_mm256_set1_ps(a[i] - m));
-    float ef = _mm256_cvtss_f32(e);
-    o[i] = ef;
-    sum += ef;
+  if (i < n) {
+    // The tail's exps come from one masked vector (Exp256 is lane-wise, so
+    // an element's value does not depend on the row length's alignment) and
+    // are summed one by one.
+    alignas(32) float tail[8];
+    _mm256_store_ps(tail, Exp256(_mm256_sub_ps(
+                              _mm256_maskload_ps(a + i, LaneMask(n - i)), vm)));
+    for (int64_t t = 0; i < n; ++i, ++t) {
+      o[i] = tail[t];
+      sum += tail[t];
+    }
   }
   return sum;
 }
@@ -313,6 +326,302 @@ void SoftmaxRowAvx2(const float* in, float* out, int64_t n) {
   double denom = ExpSumAvx2(in, m, out, n);
   float inv = static_cast<float>(1.0 / denom);
   MulConstAvx2(out, inv, out, n);
+}
+
+// ---------------------------------------------------------------------------
+// Attention forms (AttentionItem in kernels.h; tensor/fused_attention.cc
+// picks one by shape). At head_dim <= 8 both GEMMs of the unfused chain run
+// BroadcastFmaRows, so each form computes, element for element:
+//   score  = FMA chain over c = 0..dk-1 from +0 of q[c] * k[c],
+//            then * scale, then + (keep ? 0 : -1e9) when masked (separate
+//            roundings: this file is built with -ffp-contract=off);
+//   e      = Exp256(score - row max);
+//   denom  = the row's exps summed in double in ExpSumAvx2's order;
+//   p      = e * float(1 / denom);
+//   out[c] = FMA chain over keys x = 0..lk-1 from +0 of p[x] * v[x][c].
+// Only which lane holds which element changes, and every step is lane-wise.
+// ---------------------------------------------------------------------------
+
+// In-register transpose of an 8x8 block held as eight row vectors.
+inline void Transpose8x8(__m256 r[8]) {
+  __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// dst[c * ldd + x] = src[x * ld + c] for x < rows, c < cols.
+void Transpose(const float* src, int64_t ld, int64_t rows, int64_t cols,
+               float* dst, int64_t ldd) {
+  const __m256i row_offsets = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+      _mm256_set1_epi32(static_cast<int>(ld)));
+  int64_t x = 0;
+  for (; x + 8 <= rows; x += 8) {
+    int64_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      __m256 r[8];
+      for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + (x + i) * ld + c);
+      Transpose8x8(r);
+      for (int i = 0; i < 8; ++i) _mm256_storeu_ps(dst + (c + i) * ldd + x, r[i]);
+    }
+    if (c + 4 <= cols) {
+      // 8x4: rows i and i + 4 share a register, then a 4x4 transpose per
+      // 128-bit lane leaves column c + k of all eight rows in register k.
+      __m256 r[4];
+      for (int i = 0; i < 4; ++i) {
+        r[i] = _mm256_insertf128_ps(
+            _mm256_castps128_ps256(_mm_loadu_ps(src + (x + i) * ld + c)),
+            _mm_loadu_ps(src + (x + i + 4) * ld + c), 1);
+      }
+      __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+      __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+      __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+      __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+      _mm256_storeu_ps(dst + c * ldd + x,
+                       _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)));
+      _mm256_storeu_ps(dst + (c + 1) * ldd + x,
+                       _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)));
+      _mm256_storeu_ps(dst + (c + 2) * ldd + x,
+                       _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)));
+      _mm256_storeu_ps(dst + (c + 3) * ldd + x,
+                       _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2)));
+      c += 4;
+    }
+    // One vector store per column, so a vector load of it can forward.
+    for (; c < cols; ++c) {
+      _mm256_storeu_ps(dst + c * ldd + x,
+                       _mm256_i32gather_ps(src + x * ld + c, row_offsets, 4));
+    }
+  }
+  for (; x < rows; ++x) {
+    for (int64_t c = 0; c < cols; ++c) dst[c * ldd + x] = src[x * ld + c];
+  }
+}
+
+inline __m256d LowLanes(__m256 v) {
+  return _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+}
+inline __m256d HighLanes(__m256 v) {
+  return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+
+// float(1 / denom) per lane, where lane l's row has its key x in lane l of
+// e[x], summed in double exactly as ExpSumAvx2 sums one row of n keys: keys
+// 8b + i (i < 4) into lo[i] and 8b + 4 + i into hi[i] over ascending b, then
+// ((lo+hi)[0] + (lo+hi)[1]) + ((lo+hi)[2] + (lo+hi)[3]), then the tail keys
+// one by one.
+__m256 InvDenomLanes(const __m256* e, int64_t n) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d sum_a = zero, sum_b = zero;  // lanes 0-3 and 4-7
+  const int64_t blocks = n / 8;
+  if (blocks > 0) {
+    __m256d va[4], vb[4];
+    for (int i = 0; i < 4; ++i) {
+      __m256d lo_a = zero, lo_b = zero, hi_a = zero, hi_b = zero;
+      for (int64_t b = 0; b < blocks; ++b) {
+        lo_a = _mm256_add_pd(lo_a, LowLanes(e[8 * b + i]));
+        lo_b = _mm256_add_pd(lo_b, HighLanes(e[8 * b + i]));
+        hi_a = _mm256_add_pd(hi_a, LowLanes(e[8 * b + 4 + i]));
+        hi_b = _mm256_add_pd(hi_b, HighLanes(e[8 * b + 4 + i]));
+      }
+      va[i] = _mm256_add_pd(lo_a, hi_a);
+      vb[i] = _mm256_add_pd(lo_b, hi_b);
+    }
+    sum_a = _mm256_add_pd(_mm256_add_pd(va[0], va[1]),
+                          _mm256_add_pd(va[2], va[3]));
+    sum_b = _mm256_add_pd(_mm256_add_pd(vb[0], vb[1]),
+                          _mm256_add_pd(vb[2], vb[3]));
+  }
+  for (int64_t x = blocks * 8; x < n; ++x) {
+    sum_a = _mm256_add_pd(sum_a, LowLanes(e[x]));
+    sum_b = _mm256_add_pd(sum_b, HighLanes(e[x]));
+  }
+  const __m256d one = _mm256_set1_pd(1.0);
+  return _mm256_set_m128(_mm256_cvtpd_ps(_mm256_div_pd(one, sum_b)),
+                         _mm256_cvtpd_ps(_mm256_div_pd(one, sum_a)));
+}
+
+constexpr int64_t kBroadcastFormMaxKeys = 16;
+
+// Broadcast form: lanes are eight query rows of one head, so a whole row's
+// scores, softmax and context stay in registers and no score row is stored.
+void AttentionBroadcastAvx2(const AttentionItem& it) {
+  const int64_t dk = it.dk, lk = it.lk, hd = it.heads * it.dk, ld = hd;
+  SSTBAN_CHECK_LE(lk, kBroadcastFormMaxKeys);
+  thread_local std::vector<float> buf;
+  if (buf.size() < static_cast<size_t>(16 * hd)) {
+    buf.resize(static_cast<size_t>(16 * hd));
+  }
+  float* qt = buf.data();    // [hd][8]: the group's query rows as lanes
+  float* ot = qt + 8 * hd;   // [hd][8]: its output rows as lanes
+  __m256 mask_add[kBroadcastFormMaxKeys];
+  if (it.keep != nullptr) {
+    for (int64_t x = 0; x < lk; ++x) {
+      mask_add[x] = _mm256_set1_ps(it.keep[x] > 0.5f ? 0.0f : -1e9f);
+    }
+  }
+  const __m256 vscale = _mm256_set1_ps(it.scale);
+  __m256 e[kBroadcastFormMaxKeys];
+  for (int64_t i0 = 0; i0 < it.lq; i0 += 8) {
+    const int64_t rows = std::min<int64_t>(8, it.lq - i0);
+    if (rows == 8) {
+      Transpose(it.q + i0 * ld, ld, rows, hd, qt, 8);
+    } else {
+      // A short group repeats its last row in the spare lanes.
+      const __m256i row_offsets = _mm256_mullo_epi32(
+          _mm256_min_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(static_cast<int>(rows - 1))),
+          _mm256_set1_epi32(static_cast<int>(ld)));
+      for (int64_t c = 0; c < hd; ++c) {
+        _mm256_storeu_ps(qt + c * 8, _mm256_i32gather_ps(it.q + i0 * ld + c,
+                                                          row_offsets, 4));
+      }
+    }
+    for (int64_t j = 0; j < it.heads; ++j) {
+      const float* kj = it.k + j * dk;
+      const float* vj = it.v + j * dk;
+      const float* qj = qt + j * dk * 8;
+      for (int64_t x = 0; x < lk; ++x) {
+        __m256 s = _mm256_setzero_ps();
+        for (int64_t c = 0; c < dk; ++c) {
+          s = _mm256_fmadd_ps(_mm256_loadu_ps(qj + c * 8),
+                              _mm256_broadcast_ss(kj + x * ld + c), s);
+        }
+        s = _mm256_mul_ps(s, vscale);
+        if (it.keep != nullptr) s = _mm256_add_ps(s, mask_add[x]);
+        e[x] = s;
+      }
+      __m256 m = e[0];
+      for (int64_t x = 1; x < lk; ++x) m = _mm256_max_ps(m, e[x]);
+      for (int64_t x = 0; x < lk; ++x) e[x] = Exp256(_mm256_sub_ps(e[x], m));
+      const __m256 inv = InvDenomLanes(e, lk);
+      for (int64_t x = 0; x < lk; ++x) e[x] = _mm256_mul_ps(e[x], inv);
+      for (int64_t c = 0; c < dk; ++c) {
+        __m256 acc = _mm256_setzero_ps();
+        for (int64_t x = 0; x < lk; ++x) {
+          acc = _mm256_fmadd_ps(e[x], _mm256_broadcast_ss(vj + x * ld + c), acc);
+        }
+        _mm256_storeu_ps(ot + (j * dk + c) * 8, acc);
+      }
+    }
+    Transpose(ot, 8, hd, rows, it.out + i0 * ld, ld);
+  }
+}
+
+// Context chains of the absorb form: chain t is one (head, query row) pair,
+// out[c] = sum over x of p[x] * v[x][c] with lanes c < dk. Holding N chains
+// in registers interleaves their FMAs instead of running one latency-bound
+// chain at a time.
+template <int N>
+void AbsorbContext(const float* probs, int64_t lkp, const float* v,
+                   float* out, int64_t ld, int64_t lq, int64_t lk, int64_t dk,
+                   int64_t chain0, __m256i cmask) {
+  int64_t v_off[N], o_off[N];
+  __m256 acc[N];
+#pragma GCC unroll 8
+  for (int t = 0; t < N; ++t) {
+    const int64_t j = (chain0 + t) / lq, r = (chain0 + t) % lq;
+    v_off[t] = j * dk;
+    o_off[t] = r * ld + j * dk;
+    acc[t] = _mm256_setzero_ps();
+  }
+  const float* p = probs + chain0 * lkp;
+  for (int64_t x = 0; x < lk; ++x, v += ld) {
+#pragma GCC unroll 8
+    for (int t = 0; t < N; ++t) {
+      acc[t] = _mm256_fmadd_ps(_mm256_broadcast_ss(p + t * lkp + x),
+                               _mm256_maskload_ps(v + v_off[t], cmask), acc[t]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int t = 0; t < N; ++t) _mm256_maskstore_ps(out + o_off[t], cmask, acc[t]);
+}
+
+// Absorb form: lanes are keys. All heads * lq score rows of the item are
+// scored eight keys at a time against an L1-resident transposed K block and
+// run through the tier's softmax row; the context then interleaves every
+// head's chains.
+void AttentionAbsorbAvx2(const AttentionItem& it) {
+  const int64_t dk = it.dk, lk = it.lk, lq = it.lq;
+  const int64_t hd = it.heads * dk, ld = hd;
+  const int64_t lkp = (lk + 7) / 8 * 8;
+  const int64_t rows = it.heads * lq;
+  thread_local std::vector<float> buf;
+  const size_t need = static_cast<size_t>(rows * lkp + 8 * hd);
+  if (buf.size() < need) buf.resize(need);
+  float* probs = buf.data();        // [rows][lkp] score rows
+  float* kt = probs + rows * lkp;   // [hd][8]: one key block of K^T
+  const __m256 vscale = _mm256_set1_ps(it.scale);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 excluded = _mm256_set1_ps(-1e9f);
+  for (int64_t x0 = 0; x0 < lk; x0 += 8) {
+    const int64_t keys = std::min<int64_t>(8, lk - x0);
+    Transpose(it.k + x0 * ld, ld, keys, hd, kt, 8);
+    if (keys < 8) {
+      for (int64_t c = 0; c < hd; ++c) {
+        std::fill(kt + c * 8 + keys, kt + c * 8 + 8, 0.0f);
+      }
+    }
+    __m256 mask_add = _mm256_setzero_ps();
+    if (it.keep != nullptr) {
+      const __m256 keep = _mm256_maskload_ps(it.keep + x0, LaneMask(keys));
+      mask_add = _mm256_andnot_ps(_mm256_cmp_ps(keep, half, _CMP_GT_OQ), excluded);
+    }
+    for (int64_t j = 0; j < it.heads; ++j) {
+      const float* ktj = kt + j * dk * 8;
+      for (int64_t r = 0; r < lq; ++r) {
+        const float* qr = it.q + r * ld + j * dk;
+        __m256 s = _mm256_setzero_ps();
+        for (int64_t c = 0; c < dk; ++c) {
+          s = _mm256_fmadd_ps(_mm256_broadcast_ss(qr + c),
+                              _mm256_loadu_ps(ktj + c * 8), s);
+        }
+        s = _mm256_mul_ps(s, vscale);
+        if (it.keep != nullptr) s = _mm256_add_ps(s, mask_add);
+        _mm256_storeu_ps(probs + (j * lq + r) * lkp + x0, s);
+      }
+    }
+  }
+  for (int64_t row = 0; row < rows; ++row) {
+    SoftmaxRowAvx2(probs + row * lkp, probs + row * lkp, lk);
+  }
+  const __m256i cmask = LaneMask(dk);
+  for (int64_t c0 = 0; c0 < rows; c0 += 8) {
+    switch (std::min<int64_t>(8, rows - c0)) {
+#define SSTBAN_ABSORB_CONTEXT(n)                                           \
+  AbsorbContext<n>(probs, lkp, it.v, it.out, ld, lq, lk, dk, c0, cmask); \
+  break
+      case 8: SSTBAN_ABSORB_CONTEXT(8);
+      case 7: SSTBAN_ABSORB_CONTEXT(7);
+      case 6: SSTBAN_ABSORB_CONTEXT(6);
+      case 5: SSTBAN_ABSORB_CONTEXT(5);
+      case 4: SSTBAN_ABSORB_CONTEXT(4);
+      case 3: SSTBAN_ABSORB_CONTEXT(3);
+      case 2: SSTBAN_ABSORB_CONTEXT(2);
+      default: SSTBAN_ABSORB_CONTEXT(1);
+    }
+  }
 }
 
 }  // namespace
@@ -335,6 +644,8 @@ const SimdKernels* Avx2Kernels() {
       /*reduce_max=*/ReduceMaxAvx2,
       /*exp_sum=*/ExpSumAvx2,
       /*softmax_row=*/SoftmaxRowAvx2,
+      /*attention_absorb=*/AttentionAbsorbAvx2,
+      /*attention_broadcast=*/AttentionBroadcastAvx2,
   };
   return &table;
 }

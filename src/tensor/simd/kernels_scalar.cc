@@ -199,6 +199,9 @@ const SimdKernels& ScalarKernels() {
       /*reduce_max=*/ReduceMax,
       /*exp_sum=*/ExpSum,
       /*softmax_row=*/SoftmaxRow,
+      // The scalar tier keeps calling the entries above per attention item.
+      /*attention_absorb=*/nullptr,
+      /*attention_broadcast=*/nullptr,
   };
   return table;
 }

@@ -1,8 +1,11 @@
 // Differential tests for the fused attention kernel (tensor/fused_attention.h)
 // and its integrations: the raw kernel vs the unfused
-// Bmm -> MulScalar -> (+mask) -> Softmax -> Bmm chain, the autograd op's
-// recompute backward vs the unfused tape gradients, and a whole model's
-// forecast with grads off (fused kernel) vs grads on (unfused chain).
+// Bmm -> MulScalar -> (+mask) -> Softmax -> Bmm chain, on contiguous
+// single-head operands and on the projections' [B, L, h*dk] layout (every
+// attention form and the row-block path, on every SIMD tier the host has),
+// the autograd op's recompute backward vs the unfused tape gradients, and a
+// whole model's forecast with grads off (fused kernel) vs grads on (unfused
+// chain).
 //
 // Tolerance policy (DESIGN.md §14): with lk <= kFusedAttentionExactMaxKeys
 // the fused kernel runs the exact two-pass mode and must match the unfused
@@ -19,6 +22,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "core/cpu_features.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/dataset.h"
@@ -28,6 +32,7 @@
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
+#include "tensor/simd/kernels.h"
 #include "tensor/tensor.h"
 #include "training/forecast_service.h"
 
@@ -85,6 +90,83 @@ void ExpectBitwise(const t::Tensor& a, const t::Tensor& b,
       << what;
 }
 
+std::vector<core::SimdLevel> AvailableLevels() {
+  std::vector<core::SimdLevel> levels = {core::SimdLevel::kScalar};
+  if (t::simd::internal::Avx2Kernels() != nullptr &&
+      core::DetectCpuFeatures().avx2 && core::DetectCpuFeatures().fma) {
+    levels.push_back(core::SimdLevel::kAvx2);
+  }
+  return levels;
+}
+
+// RAII tier override so a failing assertion cannot leak a forced level.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(core::SimdLevel level)
+      : previous_(core::ActiveSimdLevel()) {
+    core::SetSimdLevelForTesting(level);
+  }
+  ~ScopedSimdLevel() { core::SetSimdLevelForTesting(previous_); }
+
+ private:
+  core::SimdLevel previous_;
+};
+
+std::string TierName() { return t::simd::Kernels().name; }
+
+// [b, L, h*dk] -> [b*h, L, dk], the unfused path's head split, and back.
+t::Tensor SplitHeads(const t::Tensor& x, int64_t heads) {
+  int64_t b = x.dim(0), len = x.dim(1), dk = x.dim(2) / heads;
+  return t::Permute(x.Reshape(t::Shape{b, len, heads, dk}), {0, 2, 1, 3})
+      .Reshape(t::Shape{b * heads, len, dk});
+}
+t::Tensor MergeHeads(const t::Tensor& x, int64_t heads) {
+  int64_t b = x.dim(0) / heads, len = x.dim(1), dk = x.dim(2);
+  return t::Permute(x.Reshape(t::Shape{b, heads, len, dk}), {0, 2, 1, 3})
+      .Reshape(t::Shape{b, len, heads * dk});
+}
+
+// The unfused chain on the head-split copies of [B, L, h*dk] operands, with a
+// batch-1 q first copied to every batch item.
+t::Tensor UnfusedHeads(const t::Tensor& q, const t::Tensor& k,
+                       const t::Tensor& v, const t::Tensor* keep,
+                       int64_t heads, float scale) {
+  t::Tensor qb = q.dim(0) == k.dim(0) ? q : t::RepeatAxis(q, 0, k.dim(0));
+  return MergeHeads(UnfusedAttention(SplitHeads(qb, heads),
+                                     SplitHeads(k, heads),
+                                     SplitHeads(v, heads), keep, heads, scale),
+                    heads);
+}
+
+t::Tensor FusedHeads(const t::Tensor& q, const t::Tensor& k,
+                     const t::Tensor& v, const t::Tensor* keep, int64_t heads,
+                     float scale) {
+  t::AttentionDims dims = t::FusedAttentionDims(q, k, v, keep, heads);
+  t::Tensor out = t::Tensor::Empty(t::Shape{dims.batch, dims.lq, k.dim(2)});
+  t::FusedAttentionInto(q.data(), k.data(), v.data(),
+                        keep != nullptr ? keep->data() : nullptr, out.data(),
+                        dims, scale);
+  return out;
+}
+
+// One head-layout attention problem: K/V of `batch` items, Q of `batch` or
+// (shared) 1 item, and a key mask whose last item excludes every key.
+struct HeadProblem {
+  t::Tensor q, k, v, keep;
+};
+HeadProblem MakeHeadProblem(int64_t batch, int64_t heads, int64_t lq,
+                            int64_t lk, int64_t dk, bool shared_q,
+                            core::Rng& rng) {
+  const int64_t hd = heads * dk;
+  HeadProblem p;
+  p.q = t::Tensor::RandomNormal(t::Shape{shared_q ? 1 : batch, lq, hd}, rng);
+  p.k = t::Tensor::RandomNormal(t::Shape{batch, lk, hd}, rng);
+  p.v = t::Tensor::RandomNormal(t::Shape{batch, lk, hd}, rng);
+  p.keep = MakeKeep(batch, lk, 3 + lq + lk);
+  for (int64_t j = 0; j < lk; ++j) p.keep.data()[(batch - 1) * lk + j] = 0.0f;
+  return p;
+}
+
 // -- Exact mode: bitwise vs the unfused chain --------------------------------
 
 TEST(FusedAttentionTest, ExactModeMatchesUnfusedChainBitwise) {
@@ -93,25 +175,73 @@ TEST(FusedAttentionTest, ExactModeMatchesUnfusedChainBitwise) {
       {1, 1, 1, 1, 1, false},   {2, 5, 7, 3, 1, false},
       {4, 16, 16, 8, 2, true},  {6, 64, 33, 4, 3, true},
       {2, 130, 65, 8, 2, true}, {1, 48, 512, 8, 1, false},
-      {2, 3, 512, 4, 2, true},
+      {2, 3, 512, 4, 2, true},  {16, 3, 307, 4, 8, true},
+      {16, 307, 3, 2, 8, true}, {24, 12, 3, 2, 8, false},
+      {24, 12, 12, 2, 8, true},
   };
-  core::Rng rng(3);
-  for (const Case& c : cases) {
-    SCOPED_TRACE("b=" + std::to_string(c.batch) + " lq=" +
-                 std::to_string(c.lq) + " lk=" + std::to_string(c.lk) +
-                 " dk=" + std::to_string(c.dk) +
-                 (c.masked ? " masked" : ""));
-    ASSERT_LE(c.lk, t::kFusedAttentionExactMaxKeys);
-    t::Tensor q = t::Tensor::RandomNormal(t::Shape{c.batch, c.lq, c.dk}, rng);
-    t::Tensor k = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, c.dk}, rng);
-    t::Tensor v = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, c.dk}, rng);
-    t::Tensor keep;
-    if (c.masked) keep = MakeKeep(c.batch / c.heads, c.lk, 7 + c.batch);
-    const t::Tensor* keep_ptr = c.masked ? &keep : nullptr;
-    float scale = 1.0f / std::sqrt(static_cast<float>(c.dk));
-    t::Tensor fused = t::FusedAttention(q, k, v, keep_ptr, c.heads, scale);
-    t::Tensor unfused = UnfusedAttention(q, k, v, keep_ptr, c.heads, scale);
-    ExpectBitwise(fused, unfused, "fused vs unfused");
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(3);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(TierName() + " b=" + std::to_string(c.batch) + " lq=" +
+                   std::to_string(c.lq) + " lk=" + std::to_string(c.lk) +
+                   " dk=" + std::to_string(c.dk) +
+                   (c.masked ? " masked" : ""));
+      ASSERT_LE(c.lk, t::kFusedAttentionExactMaxKeys);
+      t::Tensor q = t::Tensor::RandomNormal(t::Shape{c.batch, c.lq, c.dk}, rng);
+      t::Tensor k = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, c.dk}, rng);
+      t::Tensor v = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, c.dk}, rng);
+      t::Tensor keep;
+      if (c.masked) keep = MakeKeep(c.batch / c.heads, c.lk, 7 + c.batch);
+      const t::Tensor* keep_ptr = c.masked ? &keep : nullptr;
+      float scale = 1.0f / std::sqrt(static_cast<float>(c.dk));
+      t::Tensor fused = t::FusedAttention(q, k, v, keep_ptr, c.heads, scale);
+      t::Tensor unfused = UnfusedAttention(q, k, v, keep_ptr, c.heads, scale);
+      ExpectBitwise(fused, unfused, "fused vs unfused");
+    }
+  }
+}
+
+// The projections' layout: every attention form and the row-block path,
+// against the unfused chain on head-split copies, on every tier. lk straddles
+// the broadcast form's 16-key limit, lq the absorb form's 8-query limit; each
+// shape also runs with a batch-1 (shared) Q and with a key mask that excludes
+// every key of one batch item. dk = 9 and 16 leave the forms' head_dim range.
+TEST(FusedAttentionTest, HeadLayoutMatchesUnfusedChainBitwise) {
+  struct Shape { int64_t heads, lq, lk, dk; };
+  std::vector<Shape> shapes;
+  for (int64_t heads : {1, 8}) {
+    for (int64_t dk : {2, 4}) {
+      for (int64_t lq : {1, 3, 8, 9, 307}) {
+        for (int64_t lk : {1, 3, 8, 12, 16, 17}) {
+          shapes.push_back({heads, lq, lk, dk});
+        }
+      }
+    }
+  }
+  shapes.push_back({2, 3, 12, 9});
+  shapes.push_back({2, 20, 3, 16});
+  shapes.push_back({8, 3, 512, 4});
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(17);
+    for (const Shape& c : shapes) {
+      const float scale = 1.0f / std::sqrt(static_cast<float>(c.dk));
+      for (int variant = 0; variant < 3; ++variant) {
+        const bool shared_q = variant == 2, masked = variant >= 1;
+        SCOPED_TRACE(TierName() + " h=" + std::to_string(c.heads) +
+                     " lq=" + std::to_string(c.lq) +
+                     " lk=" + std::to_string(c.lk) +
+                     " dk=" + std::to_string(c.dk) +
+                     (masked ? " masked" : "") + (shared_q ? " shared-q" : ""));
+        HeadProblem p =
+            MakeHeadProblem(2, c.heads, c.lq, c.lk, c.dk, shared_q, rng);
+        const t::Tensor* keep = masked ? &p.keep : nullptr;
+        ExpectBitwise(FusedHeads(p.q, p.k, p.v, keep, c.heads, scale),
+                      UnfusedHeads(p.q, p.k, p.v, keep, c.heads, scale),
+                      "fused vs unfused");
+      }
+    }
   }
 }
 
@@ -138,6 +268,57 @@ TEST(FusedAttentionTest, OnlineModeMatchesUnfusedWithinTolerance) {
     // ...but never bitwise-random: the same call twice is identical.
     ExpectBitwise(fused, t::FusedAttention(q, k, v, keep_ptr, 1, scale),
                   "run-to-run");
+  }
+}
+
+TEST(FusedAttentionTest, HeadLayoutOnlineModeMatchesUnfusedWithinTolerance) {
+  core::Rng rng(10);
+  const int64_t heads = 8, lq = 20, lk = 700, dk = 4;
+  HeadProblem p = MakeHeadProblem(2, heads, lq, lk, dk, /*shared_q=*/true, rng);
+  t::Tensor fused = FusedHeads(p.q, p.k, p.v, &p.keep, heads, 0.5f);
+  t::Tensor unfused = UnfusedHeads(p.q, p.k, p.v, &p.keep, heads, 0.5f);
+  EXPECT_TRUE(t::AllClose(fused, unfused, /*atol=*/1e-5f, /*rtol=*/1e-4f));
+}
+
+// Forms, row blocks and online blocks in the head layout, forward and
+// backward, at 1 and 8 threads.
+TEST(FusedAttentionTest, HeadLayoutIsBitwiseDeterministicOneVsEightThreads) {
+  struct Shape { int64_t heads, lq, lk, dk; };
+  const std::vector<Shape> shapes = {
+      {8, 3, 307, 4}, {8, 307, 3, 2}, {8, 12, 12, 2}, {4, 70, 65, 4},
+      {2, 9, 600, 4},
+  };
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(23);
+    for (const Shape& c : shapes) {
+      SCOPED_TRACE(TierName() + " h=" + std::to_string(c.heads) +
+                   " lq=" + std::to_string(c.lq) +
+                   " lk=" + std::to_string(c.lk));
+      HeadProblem p = MakeHeadProblem(16, c.heads, c.lq, c.lk, c.dk,
+                                      /*shared_q=*/c.lq <= 8, rng);
+      t::AttentionDims dims =
+          t::FusedAttentionDims(p.q, p.k, p.v, &p.keep, c.heads);
+      t::Tensor dout = t::Tensor::RandomNormal(
+          t::Shape{dims.batch, c.lq, c.heads * c.dk}, rng);
+      auto run = [&](int cap) {
+        core::SetParallelismCapForTesting(cap);
+        std::vector<t::Tensor> r = {
+            FusedHeads(p.q, p.k, p.v, &p.keep, c.heads, 0.5f),
+            t::Tensor::Empty(dout.shape()), t::Tensor::Empty(p.k.shape()),
+            t::Tensor::Empty(p.v.shape())};
+        t::FusedAttentionBackward(p.q.data(), p.k.data(), p.v.data(),
+                                  p.keep.data(), dout.data(), r[1].data(),
+                                  r[2].data(), r[3].data(), dims, 0.5f);
+        core::SetParallelismCapForTesting(0);
+        return r;
+      };
+      std::vector<t::Tensor> seq = run(1);
+      std::vector<t::Tensor> par = run(8);
+      for (size_t i = 0; i < seq.size(); ++i) {
+        ExpectBitwise(seq[i], par[i], "result " + std::to_string(i));
+      }
+    }
   }
 }
 
@@ -201,6 +382,60 @@ TEST(FusedAttentionTest, BackwardMatchesUnfusedChainGradients) {
   }
 }
 
+// The layout-aware backward: gradients of [B, L, h*dk] operands (and of a
+// shared batch-1 Q, summed over the batch) against the unfused tape chain on
+// head-split copies.
+TEST(FusedAttentionTest, HeadLayoutBackwardMatchesUnfusedChainGradients) {
+  core::Rng rng(34);
+  const int64_t heads = 3, lq = 5, lk = 9, dk = 2, batch = 2;
+  const float scale = 0.7f;
+  for (bool shared_q : {false, true}) {
+    for (bool masked : {false, true}) {
+      SCOPED_TRACE(std::string(shared_q ? "shared-q" : "batched-q") +
+                   (masked ? " masked" : ""));
+      HeadProblem p = MakeHeadProblem(batch, heads, lq, lk, dk, shared_q, rng);
+      p.keep.data()[lk] = 1.0f;  // item 1 keeps one key
+      const t::Tensor* keep = masked ? &p.keep : nullptr;
+
+      ag::Variable q1(p.q.Clone(), true), k1(p.k.Clone(), true),
+          v1(p.v.Clone(), true);
+      ag::Variable out1 = ag::FusedAttention(q1, k1, v1, keep, heads, scale);
+      ag::MeanAll(ag::Square(out1)).Backward();
+
+      ag::Variable q2(p.q.Clone(), true), k2(p.k.Clone(), true),
+          v2(p.v.Clone(), true);
+      ag::Variable qb = q2;
+      if (shared_q) {
+        qb = ag::Add(q2, ag::Variable(t::Tensor::Zeros(
+                             t::Shape{batch, lq, heads * dk})));
+      }
+      auto split = [&](const ag::Variable& x, int64_t len) {
+        return ag::Reshape(
+            ag::Permute(ag::Reshape(x, t::Shape{batch, len, heads, dk}),
+                        {0, 2, 1, 3}),
+            t::Shape{batch * heads, len, dk});
+      };
+      ag::Variable scores = ag::MulScalar(
+          ag::Bmm(split(qb, lq), split(k2, lk), false, true), scale);
+      ag::Variable probs =
+          masked ? ag::SoftmaxWithMask(
+                       scores, AdditiveMask(p.keep, batch * heads, heads, lq, lk))
+                 : ag::Softmax(scores);
+      ag::Variable ctx = ag::Bmm(probs, split(v2, lk));
+      ag::Variable out2 = ag::Reshape(
+          ag::Permute(ag::Reshape(ctx, t::Shape{batch, heads, lq, dk}),
+                      {0, 2, 1, 3}),
+          t::Shape{batch, lq, heads * dk});
+      ag::MeanAll(ag::Square(out2)).Backward();
+
+      ExpectBitwise(out1.value(), out2.value(), "forward");
+      EXPECT_TRUE(t::AllClose(q1.grad(), q2.grad(), 1e-5f, 1e-4f));
+      EXPECT_TRUE(t::AllClose(k1.grad(), k2.grad(), 1e-5f, 1e-4f));
+      EXPECT_TRUE(t::AllClose(v1.grad(), v2.grad(), 1e-5f, 1e-4f));
+    }
+  }
+}
+
 TEST(FusedAttentionTest, BackwardIsBitwiseDeterministicOneVsEightThreads) {
   core::Rng rng(41);
   const int64_t batch = 4, lq = 70, lk = 65, dk = 4;
@@ -213,9 +448,10 @@ TEST(FusedAttentionTest, BackwardIsBitwiseDeterministicOneVsEightThreads) {
     t::Tensor dq = t::Tensor::Empty(t::Shape{batch, lq, dk});
     t::Tensor dk_ = t::Tensor::Empty(t::Shape{batch, lk, dk});
     t::Tensor dv = t::Tensor::Empty(t::Shape{batch, lk, dk});
-    t::FusedAttentionBackward(q.data(), k.data(), v.data(), nullptr, 1,
+    t::AttentionDims dims = t::FusedAttentionDims(q, k, v, nullptr, 1);
+    t::FusedAttentionBackward(q.data(), k.data(), v.data(), nullptr,
                               dout.data(), dq.data(), dk_.data(), dv.data(),
-                              batch, lq, lk, dk, 0.5f);
+                              dims, 0.5f);
     core::SetParallelismCapForTesting(0);
     return std::vector<t::Tensor>{dq, dk_, dv};
   };
@@ -274,9 +510,22 @@ TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
   struct Case {
     int64_t nodes;
     bool use_bottleneck;
+    bool table_iii;  // PEMS04 widths: d = 16, h = 8, T' = N' = 3, P = Q = 12
   };
-  for (const Case& c : {Case{4, true}, Case{100, true}, Case{100, false}}) {
+  for (const Case& c : {Case{4, true, false}, Case{100, true, false},
+                        Case{100, false, false}, Case{37, true, true}}) {
     model_ns::SstbanConfig config = ModelConfig(c.nodes, c.use_bottleneck);
+    if (c.table_iii) {
+      // dk = 2d/h = 4 in absorb, d/h = 2 in broadcast and transform; N = 37
+      // leaves lane and row tails in every form.
+      config = model_ns::TableIiiConfig("pems04-24");
+      config.input_len = config.output_len = 12;
+      config.num_nodes = c.nodes;
+      config.num_features = 1;
+      config.steps_per_day = 8;
+      config.self_supervised = false;
+      config.seed = 19;
+    }
     model_ns::SstbanModel model(config);
     model.SetTraining(false);
     data::Batch batch = ModelBatch(2, config, /*seed=*/77);
@@ -287,6 +536,7 @@ TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
       core::SetParallelismCapForTesting(cap);
       for (bool masked : {false, true}) {
         SCOPED_TRACE("N=" + std::to_string(c.nodes) +
+                     (c.table_iii ? " pems04-24" : "") +
                      (c.use_bottleneck ? " stba" : " full") +
                      (masked ? " masked" : " clean") +
                      " cap=" + std::to_string(cap));

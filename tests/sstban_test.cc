@@ -243,16 +243,26 @@ TEST(StbaBlockTest, GradientsFlowToAllParameters) {
 // End-to-end gradcheck through the attention primitive every SSTBAN block is
 // built from: softmax + batched matmuls + head reshuffles, with asymmetric
 // query/kv/output dims so every projection is exercised at a distinct size.
+// The second input set is a batch-1 query shared by three key/value items
+// (how bottleneck attention passes its reference points): its projection is
+// broadcast over the batch and its gradient summed back.
 TEST(MultiHeadAttentionTest, InputGradientsMatchFiniteDifferences) {
   core::Rng rng(31);
   nn::MultiHeadAttention mha(/*query_dim=*/3, /*kv_dim=*/3, /*out_dim=*/4,
                              /*num_heads=*/2, rng);
-  ::sstban::testing::ExpectGradientsMatch(
-      [&](std::vector<ag::Variable>& leaves) {
-        return ag::SumAll(
-            ag::Square(mha.Forward(leaves[0], leaves[1], leaves[2])));
-      },
-      {Rand({1, 2, 3}, 32), Rand({1, 3, 3}, 33), Rand({1, 3, 3}, 34)});
+  const std::vector<std::vector<t::Tensor>> input_sets = {
+      {Rand({1, 2, 3}, 32), Rand({1, 3, 3}, 33), Rand({1, 3, 3}, 34)},
+      {Rand({1, 2, 3}, 35), Rand({3, 3, 3}, 36), Rand({3, 3, 3}, 37)},
+  };
+  for (const std::vector<t::Tensor>& inputs : input_sets) {
+    SCOPED_TRACE("k/v batch " + std::to_string(inputs[1].dim(0)));
+    ::sstban::testing::ExpectGradientsMatch(
+        [&](std::vector<ag::Variable>& leaves) {
+          return ag::SumAll(
+              ag::Square(mha.Forward(leaves[0], leaves[1], leaves[2])));
+        },
+        inputs);
+  }
 }
 
 TEST(MultiHeadAttentionTest, ParameterGradientsMatchFiniteDifferences) {

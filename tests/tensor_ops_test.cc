@@ -1,9 +1,11 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -51,6 +53,40 @@ TEST(ElementwiseTest, Broadcast4D) {
   Tensor c = Add(a, b);
   EXPECT_EQ(c.shape(), Shape({2, 3, 5, 4}));
   for (float v : c.ToVector()) EXPECT_EQ(v, 3.0f);
+}
+
+// Add's row-broadcast path (b's shape a trailing suffix of a's, e.g. a
+// Linear bias [n] onto [M, n]) runs the tier's add per row across the pool;
+// it must equal the plain elementwise loop bit for bit at any thread count.
+TEST(ElementwiseTest, TrailingSuffixAddMatchesNaiveLoop) {
+  core::Rng rng(12);
+  struct Case { Shape a, b; };
+  const std::vector<Case> cases = {
+      {Shape{2000, 13}, Shape{13}},        // n not a multiple of 8
+      {Shape{300, 37}, Shape{37}},
+      {Shape{6, 50, 3, 5}, Shape{3, 5}},   // multi-axis suffix
+      {Shape{4, 29472 / 4, 16}, Shape{16}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.a.ToString() + " + " + c.b.ToString());
+    Tensor a = Tensor::RandomNormal(c.a, rng);
+    Tensor b = Tensor::RandomNormal(c.b, rng);
+    Tensor want = Tensor::Empty(c.a);
+    const int64_t n = b.size();
+    for (int64_t i = 0; i < a.size(); ++i) {
+      want.data()[i] = a.data()[i] + b.data()[i % n];
+    }
+    for (int cap : {1, 8}) {
+      core::SetParallelismCapForTesting(cap);
+      Tensor got = Add(a, b);
+      core::SetParallelismCapForTesting(0);
+      ASSERT_EQ(got.shape(), c.a);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<size_t>(want.size()) * sizeof(float)),
+                0)
+          << "cap=" << cap;
+    }
+  }
 }
 
 TEST(ElementwiseTest, UnaryFunctions) {
