@@ -24,13 +24,13 @@ Variable MakeOp(const char* name, t::Tensor value,
   if (NoGradGuard::GradEnabled()) {
     for (const Variable& v : inputs) needs_grad = needs_grad || v.requires_grad();
   }
-  auto node = std::make_shared<Node>(std::move(value), needs_grad, name);
+  auto node = std::make_shared<Node>(value.shape(), needs_grad, name);
   if (needs_grad) {
     node->parents.reserve(inputs.size());
     for (Variable& v : inputs) node->parents.push_back(v.node());
     node->backward_fn = std::move(backward);
   }
-  return Variable(std::move(node));
+  return Variable(std::move(value), std::move(node));
 }
 
 void Accumulate(const NodePtr& parent, const t::Tensor& grad) {
@@ -48,34 +48,36 @@ t::Tensor ExpandTo(const t::Tensor& grad, const t::Shape& shape) {
 Variable Add(const Variable& a, const Variable& b) {
   NodePtr na = a.node(), nb = b.node();
   return MakeOp("add", t::Add(a.value(), b.value()), {a, b}, [na, nb](Node& n) {
-    Accumulate(na, t::ReduceToShape(n.grad, na->value.shape()));
-    Accumulate(nb, t::ReduceToShape(n.grad, nb->value.shape()));
+    Accumulate(na, t::ReduceToShape(n.grad, na->shape));
+    Accumulate(nb, t::ReduceToShape(n.grad, nb->shape));
   });
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
   NodePtr na = a.node(), nb = b.node();
   return MakeOp("sub", t::Sub(a.value(), b.value()), {a, b}, [na, nb](Node& n) {
-    Accumulate(na, t::ReduceToShape(n.grad, na->value.shape()));
-    Accumulate(nb, t::ReduceToShape(t::Neg(n.grad), nb->value.shape()));
+    Accumulate(na, t::ReduceToShape(n.grad, na->shape));
+    Accumulate(nb, t::ReduceToShape(t::Neg(n.grad), nb->shape));
   });
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   NodePtr na = a.node(), nb = b.node();
-  return MakeOp("mul", t::Mul(a.value(), b.value()), {a, b}, [na, nb](Node& n) {
-    Accumulate(na, t::ReduceToShape(t::Mul(n.grad, nb->value), na->value.shape()));
-    Accumulate(nb, t::ReduceToShape(t::Mul(n.grad, na->value), nb->value.shape()));
+  t::Tensor av = a.value(), bv = b.value();
+  return MakeOp("mul", t::Mul(av, bv), {a, b}, [na, nb, av, bv](Node& n) {
+    Accumulate(na, t::ReduceToShape(t::Mul(n.grad, bv), na->shape));
+    Accumulate(nb, t::ReduceToShape(t::Mul(n.grad, av), nb->shape));
   });
 }
 
 Variable Div(const Variable& a, const Variable& b) {
   NodePtr na = a.node(), nb = b.node();
-  return MakeOp("div", t::Div(a.value(), b.value()), {a, b}, [na, nb](Node& n) {
-    Accumulate(na, t::ReduceToShape(t::Div(n.grad, nb->value), na->value.shape()));
+  t::Tensor av = a.value(), bv = b.value();
+  return MakeOp("div", t::Div(av, bv), {a, b}, [na, nb, av, bv](Node& n) {
+    Accumulate(na, t::ReduceToShape(t::Div(n.grad, bv), na->shape));
     // d/db (a/b) = -a / b^2
-    t::Tensor gb = t::Neg(t::Div(t::Mul(n.grad, na->value), t::Square(nb->value)));
-    Accumulate(nb, t::ReduceToShape(gb, nb->value.shape()));
+    t::Tensor gb = t::Neg(t::Div(t::Mul(n.grad, av), t::Square(bv)));
+    Accumulate(nb, t::ReduceToShape(gb, nb->shape));
   });
 }
 
@@ -100,45 +102,50 @@ Variable Neg(const Variable& a) {
 Variable Exp(const Variable& a) {
   NodePtr na = a.node();
   t::Tensor y = t::Exp(a.value());
-  return MakeOp("exp", y, {a}, [na](Node& n) {
-    Accumulate(na, t::Mul(n.grad, n.value));
+  return MakeOp("exp", y, {a}, [na, y](Node& n) {
+    Accumulate(na, t::Mul(n.grad, y));
   });
 }
 
 Variable Log(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("log", t::Log(a.value()), {a}, [na](Node& n) {
-    Accumulate(na, t::Div(n.grad, na->value));
+  t::Tensor x = a.value();
+  return MakeOp("log", t::Log(x), {a}, [na, x](Node& n) {
+    Accumulate(na, t::Div(n.grad, x));
   });
 }
 
 Variable Sqrt(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("sqrt", t::Sqrt(a.value()), {a}, [na](Node& n) {
+  t::Tensor y = t::Sqrt(a.value());
+  return MakeOp("sqrt", y, {a}, [na, y](Node& n) {
     // d sqrt(x) = 0.5 / sqrt(x)
-    Accumulate(na, t::Div(t::MulScalar(n.grad, 0.5f), n.value));
+    Accumulate(na, t::Div(t::MulScalar(n.grad, 0.5f), y));
   });
 }
 
 Variable Abs(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("abs", t::Abs(a.value()), {a}, [na](Node& n) {
-    Accumulate(na, t::Mul(n.grad, t::Sign(na->value)));
+  t::Tensor x = a.value();
+  return MakeOp("abs", t::Abs(x), {a}, [na, x](Node& n) {
+    Accumulate(na, t::Mul(n.grad, t::Sign(x)));
   });
 }
 
 Variable Square(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("square", t::Square(a.value()), {a}, [na](Node& n) {
-    Accumulate(na, t::Mul(n.grad, t::MulScalar(na->value, 2.0f)));
+  t::Tensor x = a.value();
+  return MakeOp("square", t::Square(x), {a}, [na, x](Node& n) {
+    Accumulate(na, t::Mul(n.grad, t::MulScalar(x, 2.0f)));
   });
 }
 
 Variable Relu(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("relu", t::Relu(a.value()), {a}, [na](Node& n) {
-    t::Tensor gate = t::Tensor::Empty(na->value.shape());
-    const float* px = na->value.data();
+  t::Tensor x = a.value();
+  return MakeOp("relu", t::Relu(x), {a}, [na, x](Node& n) {
+    t::Tensor gate = t::Tensor::Empty(x.shape());
+    const float* px = x.data();
     float* pg = gate.data();
     for (int64_t i = 0; i < gate.size(); ++i) pg[i] = px[i] > 0 ? 1.0f : 0.0f;
     Accumulate(na, t::Mul(n.grad, gate));
@@ -147,30 +154,32 @@ Variable Relu(const Variable& a) {
 
 Variable Sigmoid(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("sigmoid", t::Sigmoid(a.value()), {a}, [na](Node& n) {
+  t::Tensor y = t::Sigmoid(a.value());
+  return MakeOp("sigmoid", y, {a}, [na, y](Node& n) {
     // y * (1 - y)
-    t::Tensor dy = t::Mul(n.value, t::AddScalar(t::Neg(n.value), 1.0f));
+    t::Tensor dy = t::Mul(y, t::AddScalar(t::Neg(y), 1.0f));
     Accumulate(na, t::Mul(n.grad, dy));
   });
 }
 
 Variable Tanh(const Variable& a) {
   NodePtr na = a.node();
-  return MakeOp("tanh", t::Tanh(a.value()), {a}, [na](Node& n) {
+  t::Tensor y = t::Tanh(a.value());
+  return MakeOp("tanh", y, {a}, [na, y](Node& n) {
     // 1 - y^2
-    t::Tensor dy = t::AddScalar(t::Neg(t::Square(n.value)), 1.0f);
+    t::Tensor dy = t::AddScalar(t::Neg(t::Square(y)), 1.0f);
     Accumulate(na, t::Mul(n.grad, dy));
   });
 }
 
 Variable Matmul(const Variable& a, const Variable& b) {
   NodePtr na = a.node(), nb = b.node();
-  return MakeOp("matmul", t::Matmul(a.value(), b.value()), {a, b},
-                [na, nb](Node& n) {
-    int64_t m = na->value.dim(0), k = na->value.dim(1), p = nb->value.dim(1);
+  t::Tensor av = a.value(), bv = b.value();
+  return MakeOp("matmul", t::Matmul(av, bv), {a, b}, [na, nb, av, bv](Node& n) {
+    int64_t m = av.dim(0), k = av.dim(1), p = bv.dim(1);
     t::Tensor g3 = n.grad.Reshape(t::Shape{1, m, p});
-    t::Tensor a3 = na->value.Reshape(t::Shape{1, m, k});
-    t::Tensor b3 = nb->value.Reshape(t::Shape{1, k, p});
+    t::Tensor a3 = av.Reshape(t::Shape{1, m, k});
+    t::Tensor b3 = bv.Reshape(t::Shape{1, k, p});
     Accumulate(na, t::Bmm(g3, b3, false, true).Reshape(t::Shape{m, k}));
     Accumulate(nb, t::Bmm(a3, g3, true, false).Reshape(t::Shape{k, p}));
   });
@@ -179,11 +188,10 @@ Variable Matmul(const Variable& a, const Variable& b) {
 Variable Bmm(const Variable& a, const Variable& b, bool transpose_a,
              bool transpose_b) {
   NodePtr na = a.node(), nb = b.node();
-  return MakeOp("bmm", t::Bmm(a.value(), b.value(), transpose_a, transpose_b),
-                {a, b}, [na, nb, transpose_a, transpose_b](Node& n) {
+  t::Tensor av = a.value(), bv = b.value();
+  return MakeOp("bmm", t::Bmm(av, bv, transpose_a, transpose_b), {a, b},
+                [na, nb, av, bv, transpose_a, transpose_b](Node& n) {
     const t::Tensor& g = n.grad;
-    const t::Tensor& av = na->value;
-    const t::Tensor& bv = nb->value;
     t::Tensor ga, gb;
     if (!transpose_a) {
       ga = transpose_b ? t::Bmm(g, bv, false, false) : t::Bmm(g, bv, false, true);
@@ -202,11 +210,8 @@ Variable Bmm(const Variable& a, const Variable& b, bool transpose_a,
 
 Variable Reshape(const Variable& a, t::Shape new_shape) {
   NodePtr na = a.node();
-  t::Shape old_shape = a.shape();
   return MakeOp("reshape", a.value().Reshape(std::move(new_shape)), {a},
-                [na, old_shape](Node& n) {
-    Accumulate(na, n.grad.Reshape(old_shape));
-  });
+                [na](Node& n) { Accumulate(na, n.grad.Reshape(na->shape)); });
 }
 
 Variable Permute(const Variable& a, const std::vector<int>& perm) {
@@ -231,7 +236,7 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
                 [nodes, canonical](Node& n) {
     int64_t offset = 0;
     for (const NodePtr& p : nodes) {
-      int64_t length = p->value.shape().dims()[canonical];
+      int64_t length = p->shape.dims()[canonical];
       Accumulate(p, t::Slice(n.grad, canonical, offset, length));
       offset += length;
     }
@@ -244,9 +249,9 @@ Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
   return MakeOp("slice", t::Slice(a.value(), axis, start, length), {a},
                 [na, canonical, start, length](Node& n) {
     // Scatter the gradient back into a zero tensor of the input shape.
-    t::Tensor full = t::Tensor::Zeros(na->value.shape());
+    t::Tensor full = t::Tensor::Zeros(na->shape);
     int64_t outer = 1, inner = 1;
-    const auto& dims = na->value.shape().dims();
+    const auto& dims = na->shape.dims();
     for (int i = 0; i < canonical; ++i) outer *= dims[i];
     for (size_t i = canonical + 1; i < dims.size(); ++i) inner *= dims[i];
     int64_t mid = dims[canonical];
@@ -267,11 +272,11 @@ Variable Sum(const Variable& a, int axis, bool keepdim) {
                 [na, canonical, keepdim](Node& n) {
     t::Tensor g = n.grad;
     if (!keepdim) {
-      std::vector<int64_t> dims = na->value.shape().dims();
+      std::vector<int64_t> dims = na->shape.dims();
       dims[canonical] = 1;
       g = g.Reshape(t::Shape(dims));
     }
-    Accumulate(na, ExpandTo(g, na->value.shape()));
+    Accumulate(na, ExpandTo(g, na->shape));
   });
 }
 
@@ -284,7 +289,7 @@ Variable Mean(const Variable& a, int axis, bool keepdim) {
 Variable SumAll(const Variable& a) {
   NodePtr na = a.node();
   return MakeOp("sum_all", t::SumAll(a.value()), {a}, [na](Node& n) {
-    Accumulate(na, t::Tensor::Full(na->value.shape(), n.grad.item()));
+    Accumulate(na, t::Tensor::Full(na->shape, n.grad.item()));
   });
 }
 
@@ -294,13 +299,13 @@ Variable MeanAll(const Variable& a) {
 
 namespace {
 
-Variable SoftmaxImpl(const Variable& a, t::Tensor value) {
+Variable SoftmaxImpl(const Variable& a, t::Tensor y) {
   NodePtr na = a.node();
-  return MakeOp("softmax", std::move(value), {a}, [na](Node& n) {
+  return MakeOp("softmax", y, {a}, [na, y](Node& n) {
     // dX = Y * (G - sum(G * Y, last, keepdim))
-    t::Tensor gy = t::Mul(n.grad, n.value);
+    t::Tensor gy = t::Mul(n.grad, y);
     t::Tensor s = t::Sum(gy, -1, /*keepdim=*/true);
-    Accumulate(na, t::Mul(n.value, t::Sub(n.grad, s)));
+    Accumulate(na, t::Mul(y, t::Sub(n.grad, s)));
   });
 }
 
@@ -324,18 +329,18 @@ Variable FusedAttention(const Variable& q, const Variable& k,
                         key_mask != nullptr ? key_mask->data() : nullptr,
                         value.data(), dims, scale);
   NodePtr nq = q.node(), nk = k.node(), nv = v.node();
+  t::Tensor qv = q.value(), kv = k.value(), vv = v.value();
   // Copy the mask so the backward closure does not dangle if the caller's
   // tensor goes away before Backward runs.
   t::Tensor mask_copy = key_mask != nullptr ? *key_mask : t::Tensor();
   return MakeOp("fused_attention", std::move(value), {q, k, v},
-                [nq, nk, nv, mask_copy, dims, scale](Node& n) {
-    const t::Tensor& kv = nk->value;
+                [nq, nk, nv, qv, kv, vv, mask_copy, dims, scale](Node& n) {
     // dQ per batch item; a shared query set sums it over the batch.
-    t::Tensor gq = t::Tensor::Empty(n.value.shape());
+    t::Tensor gq = t::Tensor::Empty(n.shape);
     t::Tensor gk = t::Tensor::Empty(kv.shape());
     t::Tensor gv = t::Tensor::Empty(kv.shape());
     t::FusedAttentionBackward(
-        nq->value.data(), kv.data(), nv->value.data(),
+        qv.data(), kv.data(), vv.data(),
         mask_copy.defined() ? mask_copy.data() : nullptr, n.grad.data(),
         gq.data(), gk.data(), gv.data(), dims, scale);
     Accumulate(nq, dims.shared_q ? t::Sum(gq, 0, /*keepdim=*/true) : gq);
@@ -376,7 +381,7 @@ Variable EmbeddingLookup(const Variable& weight,
   }
   NodePtr nw = weight.node();
   return MakeOp("embedding", out, {weight}, [nw, indices, dim](Node& n) {
-    t::Tensor gw = t::Tensor::Zeros(nw->value.shape());
+    t::Tensor gw = t::Tensor::Zeros(nw->shape);
     const float* pg = n.grad.data();
     float* pgw = gw.data();
     for (size_t i = 0; i < indices.size(); ++i) {
@@ -430,16 +435,17 @@ Variable Conv1dTime(const Variable& input, const Variable& weight,
   }
   NodePtr nx = input.node(), nw = weight.node();
   NodePtr nb = bias.defined() ? bias.node() : nullptr;
+  t::Tensor xv = input.value(), wv = weight.value();
   std::vector<Variable> inputs = {input, weight};
   if (bias.defined()) inputs.push_back(bias);
   return MakeOp("conv1d_time", out, inputs,
-                [nx, nw, nb, batch, time, cin, kernel, cout, t_out,
+                [nx, nw, nb, xv, wv, batch, time, cin, kernel, cout, t_out,
                  dilation](Node& n) {
     const float* pg = n.grad.data();
-    const float* px = nx->value.data();
-    const float* pw = nw->value.data();
-    t::Tensor gx = t::Tensor::Zeros(nx->value.shape());
-    t::Tensor gw = t::Tensor::Zeros(nw->value.shape());
+    const float* px = xv.data();
+    const float* pw = wv.data();
+    t::Tensor gx = t::Tensor::Zeros(xv.shape());
+    t::Tensor gw = t::Tensor::Zeros(wv.shape());
     float* pgx = gx.data();
     float* pgw = gw.data();
     for (int64_t b = 0; b < batch; ++b) {
@@ -468,7 +474,7 @@ Variable Conv1dTime(const Variable& input, const Variable& weight,
     Accumulate(nx, gx);
     Accumulate(nw, gw);
     if (nb) {
-      t::Tensor gb = t::Tensor::Zeros(nb->value.shape());
+      t::Tensor gb = t::Tensor::Zeros(nb->shape);
       float* pgb = gb.data();
       for (int64_t b = 0; b < batch; ++b) {
         for (int64_t ti = 0; ti < t_out; ++ti) {
@@ -483,18 +489,19 @@ Variable Conv1dTime(const Variable& input, const Variable& weight,
 
 Variable Softplus(const Variable& a) {
   NodePtr na = a.node();
-  t::Tensor y = t::Tensor::Empty(a.shape());
-  const float* px = a.value().data();
+  t::Tensor x = a.value();
+  t::Tensor y = t::Tensor::Empty(x.shape());
+  const float* px = x.data();
   float* py = y.data();
   int64_t n = y.size();
   for (int64_t i = 0; i < n; ++i) {
     // max(x, 0) + log1p(exp(-|x|)) avoids overflow either way.
-    float x = px[i];
-    py[i] = std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
+    float v = px[i];
+    py[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
   }
-  return MakeOp("softplus", y, {a}, [na](Node& node) {
+  return MakeOp("softplus", y, {a}, [na, x](Node& node) {
     // d softplus = sigmoid(x)
-    Accumulate(na, t::Mul(node.grad, t::Sigmoid(na->value)));
+    Accumulate(na, t::Mul(node.grad, t::Sigmoid(x)));
   });
 }
 

@@ -11,7 +11,8 @@ namespace sstban::autograd {
 
 // Differentiable counterparts of the tensor layer. Each op computes its
 // forward value eagerly and, when gradients are enabled and any input
-// requires them, records a backward closure on the graph. Elementwise binary
+// requires them, records a backward closure on the graph. The closure keeps
+// only the tensors its formula reads (DESIGN.md §9.4). Elementwise binary
 // ops broadcast under NumPy rules (their backward reduces gradients back to
 // the operand shapes).
 

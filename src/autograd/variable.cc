@@ -3,6 +3,9 @@
 #include <unordered_set>
 
 #include "core/check.h"
+#include "tensor/ops.h"
+#include "tensor/parallel.h"
+#include "tensor/simd/kernels.h"
 
 namespace sstban::autograd {
 
@@ -11,32 +14,47 @@ thread_local bool g_grad_enabled = true;
 }  // namespace
 
 void Node::AccumulateGrad(const tensor::Tensor& g) {
-  SSTBAN_CHECK(g.shape() == value.shape())
+  SSTBAN_CHECK(g.shape() == shape)
       << "gradient shape" << g.shape().ToString() << "does not match value shape"
-      << value.shape().ToString() << "for op" << op;
+      << shape.ToString() << "for op" << op;
   if (!grad.defined()) {
-    grad = g.Clone();
+    // Leaves own their gradient so optimizer writes stay private; an
+    // interior node borrows the incoming tensor.
+    grad = backward_fn ? g : g.Clone();
+    return;
+  }
+  if (grad.shares_storage()) {
+    grad = tensor::Add(grad, g);
     return;
   }
   float* pg = grad.data();
   const float* pn = g.data();
-  int64_t n = grad.size();
-  for (int64_t i = 0; i < n; ++i) pg[i] += pn[i];
+  const tensor::simd::BinaryFn add = tensor::simd::Kernels().add;
+  tensor::ParallelFor(0, grad.size(), [&](int64_t lo, int64_t hi) {
+    add(pg + lo, pn + lo, pg + lo, hi - lo);
+  });
 }
 
 const tensor::Tensor& Variable::value() const {
   SSTBAN_CHECK(defined());
-  return node_->value;
+  return value_;
 }
 
 tensor::Tensor& Variable::mutable_value() {
   SSTBAN_CHECK(defined());
-  return node_->value;
+  return value_;
 }
 
 const tensor::Tensor& Variable::grad() const {
   SSTBAN_CHECK(defined());
   SSTBAN_CHECK(node_->grad.defined()) << "no gradient accumulated for" << node_->op;
+  return node_->grad;
+}
+
+tensor::Tensor& Variable::mutable_grad() {
+  grad();  // CHECKs that there is one
+  SSTBAN_CHECK(!node_->grad.shares_storage())
+      << "gradient of" << node_->op << "shares its storage";
   return node_->grad;
 }
 
@@ -46,7 +64,7 @@ bool Variable::requires_grad() const { return defined() && node_->requires_grad;
 
 Variable Variable::Detach() const {
   SSTBAN_CHECK(defined());
-  return Variable(node_->value, /*requires_grad=*/false);
+  return Variable(value_, /*requires_grad=*/false);
 }
 
 void Variable::ZeroGrad() {
@@ -79,11 +97,12 @@ void Variable::Backward() {
   }
   node_->AccumulateGrad(tensor::Tensor::Ones(value().shape()));
   // Reverse topological order: every node sees its full gradient before
-  // propagating to parents.
+  // propagating to parents, and nothing reads it afterwards.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
     if (node->backward_fn && node->grad.defined()) {
       node->backward_fn(*node);
+      if (node != node_.get()) node->grad = tensor::Tensor();
     }
   }
 }

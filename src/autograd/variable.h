@@ -13,29 +13,37 @@ namespace sstban::autograd {
 class Node;
 using NodePtr = std::shared_ptr<Node>;
 
-// A node of the dynamic computation graph: the forward value, the
+// A node of the dynamic computation graph: the value's shape, the
 // accumulated gradient, the parent nodes the value was computed from, and a
-// closure that propagates this node's gradient into the parents.
+// closure that propagates this node's gradient into the parents. The node
+// does not hold the forward value: Variable handles do, and each backward
+// closure captures exactly the tensors its formula reads (DESIGN.md §9.4),
+// so a value nothing reads is freed as soon as the forward drops it.
 class Node {
  public:
-  Node(tensor::Tensor value, bool requires_grad, std::string op)
-      : value(std::move(value)), requires_grad(requires_grad), op(std::move(op)) {}
+  Node(tensor::Shape shape, bool requires_grad, std::string op)
+      : shape(std::move(shape)), requires_grad(requires_grad), op(std::move(op)) {}
 
-  tensor::Tensor value;
-  tensor::Tensor grad;  // allocated lazily on first accumulation
+  tensor::Shape shape;
+  // Set on first accumulation. A leaf (no backward_fn) owns a private copy;
+  // an interior node keeps the incoming tensor, which may share storage with
+  // a sibling's gradient, and drops it once its closure has run.
+  tensor::Tensor grad;
   bool requires_grad;
   std::string op;
   std::vector<NodePtr> parents;
   // Propagates `grad` into the parents. Null for leaves.
   std::function<void(Node&)> backward_fn;
 
-  // grad += g, allocating a zero grad on first use.
+  // grad += g: adds in place while `grad` is unshared and out of place while
+  // another tensor holds its storage. Bitwise equal to a scalar `+=` loop.
   void AccumulateGrad(const tensor::Tensor& g);
 };
 
-// Handle to a graph node. Variables are cheap to copy (shared_ptr
-// semantics). Operations on Variables (see autograd/ops.h) record the graph
-// when gradients are enabled and any input requires them.
+// Handle to a graph value: the forward tensor plus its graph node. Variables
+// are cheap to copy; copies share the tensor's storage and the node.
+// Operations on Variables (see autograd/ops.h) record the graph when
+// gradients are enabled and any input requires them.
 class Variable {
  public:
   // An undefined variable; defined() is false.
@@ -43,15 +51,25 @@ class Variable {
 
   // Wraps a tensor as a graph leaf.
   explicit Variable(tensor::Tensor value, bool requires_grad = false)
-      : node_(std::make_shared<Node>(std::move(value), requires_grad, "leaf")) {}
+      : value_(std::move(value)),
+        node_(std::make_shared<Node>(value_.shape(), requires_grad, "leaf")) {}
 
-  // Internal: wraps an existing node.
-  explicit Variable(NodePtr node) : node_(std::move(node)) {}
+  // Internal: pairs an op's result with the node that recorded it.
+  Variable(tensor::Tensor value, NodePtr node)
+      : value_(std::move(value)), node_(std::move(node)) {}
 
   bool defined() const { return node_ != nullptr; }
   const tensor::Tensor& value() const;
+  // This handle's tensor. Writing through it (data(), CopyFrom) reaches every
+  // copy of the handle and every closure that saved the value, since they
+  // share its storage; assigning a different tensor to it changes this
+  // handle only.
   tensor::Tensor& mutable_value();
   const tensor::Tensor& grad() const;
+  // The accumulated gradient for in-place updates such as clipping.
+  // CHECK-fails when another tensor shares its storage, so a write can never
+  // reach a second gradient.
+  tensor::Tensor& mutable_grad();
   bool has_grad() const;
   bool requires_grad() const;
 
@@ -69,11 +87,14 @@ class Variable {
 
   // Reverse-mode sweep from this (scalar) variable: seeds d(this)/d(this)=1
   // and accumulates gradients into every reachable node that requires them.
+  // Afterwards only the leaves and this variable hold gradients; each
+  // interior node's gradient is dropped once its closure has run.
   void Backward();
 
   NodePtr node() const { return node_; }
 
  private:
+  tensor::Tensor value_;
   NodePtr node_;
 };
 

@@ -30,15 +30,6 @@ bool EnvFlagSet(const char* name) {
   return value != nullptr && value[0] != '\0' && std::strcmp(value, "0") != 0;
 }
 
-int64_t EnvMaxResidentBytes() {
-  const char* value = std::getenv("SSTBAN_POOL_MAX_MB");
-  if (value == nullptr || value[0] == '\0') return kDefaultMaxResidentBytes;
-  char* end = nullptr;
-  long long mb = std::strtoll(value, &end, 10);
-  if (end == value || mb < 0) return kDefaultMaxResidentBytes;
-  return static_cast<int64_t>(mb) << 20;
-}
-
 int64_t CapacityBytes(int64_t capacity) {
   return capacity * static_cast<int64_t>(sizeof(float));
 }
@@ -69,7 +60,7 @@ StoragePool& StoragePool::Global() {
 StoragePool::StoragePool()
     : enabled_(!EnvFlagSet("SSTBAN_DISABLE_POOL")),
       poison_(EnvFlagSet("SSTBAN_POOL_POISON")),
-      max_resident_bytes_(EnvMaxResidentBytes()) {}
+      max_resident_bytes_(kDefaultMaxResidentBytes) {}
 
 int64_t StoragePool::RoundUpCapacity(int64_t n) {
   if (n <= kMinClassElements) return kMinClassElements;

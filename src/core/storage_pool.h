@@ -35,8 +35,8 @@ namespace sstban::core {
 //     migrated to the global list when the thread exits.
 //
 // The global list is LRU-bounded: when cached-but-free bytes exceed the
-// budget (SSTBAN_POOL_MAX_MB, default 256 MiB) the least recently released
-// buffers are returned to the heap.
+// 256 MiB budget the least recently released buffers are returned to the
+// heap.
 //
 // The pool is transparent: buffer contents never depend on where a buffer
 // came from (zeroed allocations are zeroed either way; uninitialized

@@ -109,10 +109,9 @@ float ClipGradNorm(const std::vector<autograd::Variable>& params, float max_norm
   float norm = static_cast<float>(std::sqrt(total_sq));
   if (norm > max_norm && norm > 0.0f) {
     float scale = max_norm / norm;
-    for (const auto& p : params) {
+    for (autograd::Variable p : params) {
       if (!p.has_grad()) continue;
-      // Grad storage is shared with the node; scaling in place is intended.
-      float* g = const_cast<float*>(p.grad().data());
+      float* g = p.mutable_grad().data();
       for (int64_t j = 0; j < p.size(); ++j) g[j] *= scale;
     }
   }

@@ -83,6 +83,10 @@ class Tensor {
   float* data();
   const float* data() const;
 
+  // True while another Tensor (a copy or a Reshape view) holds this
+  // tensor's storage, i.e. an in-place write would be seen through it.
+  bool shares_storage() const { return storage_.use_count() > 1; }
+
   // Element access by multi-dimensional index (rank must match).
   float& at(std::initializer_list<int64_t> index);
   float at(std::initializer_list<int64_t> index) const;

@@ -5,6 +5,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "core/memory_tracker.h"
 #include "core/rng.h"
 #include "gradcheck.h"
 #include "tensor/ops.h"
@@ -229,6 +230,33 @@ TEST(GradCheckTest, Losses) {
       {pred, target});
 }
 
+TEST(GradCheckTest, FanOutSharesGradients) {
+  // x feeds three ops and Mul reads it twice, so four gradients meet at the
+  // leaf: the first is copied, the rest are added in place.
+  ExpectGradientsMatch(
+      [](std::vector<Variable>& v) {
+        const Variable& x = v[0];
+        Variable moved = Permute(Reshape(x, t::Shape{2, 2, 3}), {2, 0, 1});
+        Variable probs = Softmax(x);
+        return Add(Add(SumAll(Mul(Mul(x, x), v[1])), SumAll(Mul(moved, v[2]))),
+                   SumAll(Mul(probs, v[1])));
+      },
+      {Rand({2, 6}, 29), Rand({2, 6}, 30), Rand({3, 2, 2}, 31)});
+}
+
+TEST(GradCheckTest, SiblingsShareOneGradient) {
+  // Add hands one tensor to both operands. `a` then receives a second
+  // gradient from Mul(a, b) while `b` still holds that tensor, so the sum
+  // must be made out of place or b's gradient changes under it.
+  ExpectGradientsMatch(
+      [](std::vector<Variable>& v) {
+        Variable a = Tanh(v[0]);
+        Variable b = Sigmoid(v[0]);
+        return Add(SumAll(Mul(a, b)), SumAll(Mul(Add(a, b), v[1])));
+      },
+      {Rand({2, 3}, 32), Rand({2, 3}, 33)});
+}
+
 TEST(OpsTest, Conv1dTimeShapeAndValues) {
   // Kernel [1, 1] summing two adjacent steps of a single channel.
   Variable x(t::Tensor::FromVector(t::Shape{1, 4, 1}, {1, 2, 3, 4}));
@@ -269,6 +297,61 @@ TEST(OpsTest, DropoutBackwardUsesSameMask) {
     float g = x.grad().data()[i];
     EXPECT_TRUE(g == 0.0f || std::fabs(g - 1.0f / 0.7f) < 1e-5) << g;
   }
+}
+
+// -- What the graph keeps alive -------------------------------------------
+
+constexpr int64_t kMiB = int64_t{1} << 20;
+
+// A 1 MiB leaf.
+Variable MiBLeaf(float value) {
+  return Variable(t::Tensor::Full(t::Shape{kMiB / 4}, value), true);
+}
+
+int64_t LiveBytes() { return core::MemoryTracker::Global().live_bytes(); }
+
+TEST(GraphMemoryTest, NonSavingChainKeepsOnlyItsResult) {
+  Variable x = MiBLeaf(1.0f);
+  const int64_t before = LiveBytes();
+  Variable y = x;
+  for (int i = 0; i < 8; ++i) {
+    y = i % 2 == 0 ? AddScalar(y, 1.0f) : MulScalar(y, 0.5f);
+  }
+  EXPECT_LE(LiveBytes() - before, kMiB);
+
+  Variable loss = SumAll(y);
+  loss.Backward();
+  EXPECT_TRUE(x.has_grad());
+  EXPECT_TRUE(loss.has_grad());
+  EXPECT_FALSE(y.has_grad());
+  // y's value and x's gradient; every interior gradient has been dropped.
+  EXPECT_LE(LiveBytes() - before, 2 * kMiB + 4096);
+}
+
+TEST(GraphMemoryTest, MulKeepsItsInputsAndAddKeepsNone) {
+  Variable a = MiBLeaf(1.0f);
+  Variable b = MiBLeaf(2.0f);
+  const int64_t before = LiveBytes();
+  Variable product = Mul(AddScalar(a, 1.0f), AddScalar(b, 1.0f));
+  // The product plus the two factors its backward reads.
+  EXPECT_EQ(LiveBytes() - before, 3 * kMiB);
+  Variable sum = Add(AddScalar(a, 1.0f), AddScalar(b, 1.0f));
+  EXPECT_EQ(LiveBytes() - before, 4 * kMiB);
+}
+
+TEST(GraphMemoryTest, BackwardLeavesGradientsOnLeavesOnly) {
+  Variable a = MiBLeaf(1.0f);
+  Variable b = MiBLeaf(2.0f);
+  Variable shifted = AddScalar(a, 1.0f);
+  Variable product = Mul(shifted, b);
+  Variable loss = SumAll(Add(product, shifted));
+  loss.Backward();
+  EXPECT_FALSE(shifted.has_grad());
+  EXPECT_FALSE(product.has_grad());
+  ASSERT_TRUE(a.has_grad());
+  ASSERT_TRUE(b.has_grad());
+  EXPECT_FLOAT_EQ(a.grad().data()[0], 3.0f);  // b + 1
+  EXPECT_FLOAT_EQ(b.grad().data()[0], 2.0f);  // a + 1
 }
 
 }  // namespace

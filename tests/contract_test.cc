@@ -78,6 +78,13 @@ TEST(ContractDeathTest, GradAccessWithoutBackward) {
   EXPECT_DEATH(x.grad(), "no gradient");
 }
 
+TEST(ContractDeathTest, SharedGradientRefusesInPlaceWrite) {
+  ag::Variable x(t::Tensor::Ones(t::Shape{3}), true);
+  ag::SumAll(ag::Square(x)).Backward();
+  t::Tensor alias = x.grad();
+  EXPECT_DEATH(x.mutable_grad(), "shares its storage");
+}
+
 TEST(ContractDeathTest, EmbeddingIndexOutOfRange) {
   ag::Variable weight(t::Tensor::Zeros(t::Shape{3, 2}), true);
   EXPECT_DEATH(ag::EmbeddingLookup(weight, {5}), "out of range");

@@ -88,6 +88,26 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   EXPECT_FLOAT_EQ(x.grad().data()[0], before);
 }
 
+TEST(ClipGradNormTest, SiblingLeavesAreScaledOnceEach) {
+  // Add hands both operands the same incoming tensor; each leaf keeps a
+  // private copy, so clipping cannot scale one buffer twice.
+  ag::Variable a(t::Tensor::Full(t::Shape{4}, 1.0f), true);
+  ag::Variable b(t::Tensor::Full(t::Shape{4}, 2.0f), true);
+  ag::MulScalar(ag::SumAll(ag::Add(a, b)), 3.0f).Backward();  // grad 3 each
+  ASSERT_NE(a.grad().data(), b.grad().data());
+  float norm = ClipGradNorm({a, b}, 1.0f);
+  EXPECT_NEAR(norm, std::sqrt(72.0f), 1e-4f);
+  const float expected = 3.0f * (1.0f / norm);
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_FLOAT_EQ(a.grad().data()[i], expected);
+    EXPECT_FLOAT_EQ(b.grad().data()[i], expected);
+  }
+  a.ZeroGrad();
+  EXPECT_FALSE(a.has_grad());
+  ASSERT_TRUE(b.has_grad());
+  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(b.grad().data()[i], expected);
+}
+
 TEST(EarlyStoppingTest, StopsAfterPatienceEpochs) {
   EarlyStopping early(3);
   EXPECT_FALSE(early.Update(1.0f));  // improvement
