@@ -98,8 +98,10 @@ void BM_FullAttentionTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_FullAttentionTrainStep)->RangeMultiplier(2)->Range(32, 256)->Complexity();
 
-// Peak live tensor memory of one forward pass, reported as a counter — the
-// "w/o STBA runs out of memory" half of the Table VI story.
+// Peak live tensor memory of one forward pass with the tape recording,
+// reported as a counter. The fused attention keeps no L x L tensor on either
+// path, so both grow linearly in L; the paper's "w/o STBA runs out of
+// memory" came from materialized attention.
 void BM_BottleneckPeakMemory(benchmark::State& state) {
   int64_t len = state.range(0);
   sstban::core::Rng rng(3);

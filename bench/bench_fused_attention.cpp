@@ -7,14 +7,14 @@
 //   broadcast — spatial stage two: N queries over R keys, dk = d/h = 2;
 //   temporal  — temporal stage two: P queries over R keys, dk = 2.
 // These run on the projections' own [batch, L, h*dk] layout; the unfused
-// chain gets the head-split copies the training path makes, and its time
-// includes the split and merge. The fused kernel's end-to-end cost is
-// measured by the serving forward that uses it (perfbench's pems_burst).
+// chain gets head-split copies, and its time includes the split and merge.
+// The fused kernel's end-to-end cost is measured by the serving forward
+// that uses it (perfbench's pems_burst).
 //
 // Emits JSON on stdout (snapshot: bench/BENCH_fused_attention.json); pass a
 // path as argv[1] to also write it. Exits nonzero when the two paths
-// disagree on any bit: at these key counts the fused kernel runs its exact
-// mode, which must match the unfused chain of the active SIMD tier.
+// disagree on any bit: the fused kernel must match the unfused chain of the
+// active SIMD tier at every shape.
 
 #include <cmath>
 #include <cstdio>

@@ -3,8 +3,9 @@
 // then OOMs on an RTX A4000, so they shrink to L = L' = 1 and report that
 // SSTBAN with STBA beats the degraded variant on Seattle-36 and PEMS08-36.
 // Here we run the same protocol and additionally report the peak training
-// memory measured by the tensor allocator, which reproduces the memory
-// blow-up that caused the paper's OOM.
+// memory measured by the tensor allocator. The fused attention stores no
+// L x L probabilities, so the memory blow-up that caused the paper's OOM
+// does not appear here.
 
 #include <cstdio>
 #include <vector>
@@ -44,11 +45,13 @@ int main() {
     std::fflush(stdout);
   }
   std::printf(
-      "\n>> expectation: per block, full attention needs far more memory than "
-      "the bottleneck\n   (compare SSTBAN vs the depth-matched "
-      "SSTBAN-noSTBA-deep row; the paper's variant\n   is capped at L = L' = 1 "
-      "precisely because the deep one OOMed). At this scaled-down\n   world "
-      "the quadratic blow-up is milder than at the paper's N >= 170, P = 36 "
-      "- see\n   bench_attention_scaling for the asymptotics.\n");
+      "\n>> expectation: accuracy of SSTBAN and the w/o-STBA variants is "
+      "within noise at this\n   budget (the paper reports SSTBAN ahead). "
+      "Memory does not reproduce the paper's OOM,\n   which capped its "
+      "variant at L = L' = 1: fused attention stores no L x L\n   "
+      "probabilities on either path, so the depth-matched SSTBAN-noSTBA-deep "
+      "row needs less\n   memory than SSTBAN, whose blocks each run two "
+      "attention stages. Full attention stays\n   quadratic in time - see "
+      "bench_attention_scaling.\n");
   return 0;
 }

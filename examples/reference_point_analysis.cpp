@@ -57,11 +57,7 @@ int main() {
   }
 
   // Read the soft assignments: second-stage attention [1, N, R].
-  t::Tensor assignments;
-  {
-    ag::NoGradGuard no_grad;
-    attn.Forward(input, nullptr, &assignments);
-  }
+  t::Tensor assignments = attn.Assignments(input);
 
   std::printf("\nnode | true group | attention over reference points | argmax\n");
   // votes[r][g] = nodes of true group g whose argmax is reference point r.

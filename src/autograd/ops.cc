@@ -297,9 +297,8 @@ Variable MeanAll(const Variable& a) {
   return MulScalar(SumAll(a), 1.0f / static_cast<float>(a.size()));
 }
 
-namespace {
-
-Variable SoftmaxImpl(const Variable& a, t::Tensor y) {
+Variable Softmax(const Variable& a) {
+  t::Tensor y = t::Softmax(a.value());
   NodePtr na = a.node();
   return MakeOp("softmax", y, {a}, [na, y](Node& n) {
     // dX = Y * (G - sum(G * Y, last, keepdim))
@@ -307,16 +306,6 @@ Variable SoftmaxImpl(const Variable& a, t::Tensor y) {
     t::Tensor s = t::Sum(gy, -1, /*keepdim=*/true);
     Accumulate(na, t::Mul(y, t::Sub(n.grad, s)));
   });
-}
-
-}  // namespace
-
-Variable Softmax(const Variable& a) {
-  return SoftmaxImpl(a, t::Softmax(a.value()));
-}
-
-Variable SoftmaxWithMask(const Variable& a, const t::Tensor& additive_mask) {
-  return SoftmaxImpl(a, t::SoftmaxWithMask(a.value(), additive_mask));
 }
 
 Variable FusedAttention(const Variable& q, const Variable& k,

@@ -62,12 +62,9 @@ Variable SumAll(const Variable& a);
 Variable MeanAll(const Variable& a);
 
 // -- Softmax --------------------------------------------------------------
-// Numerically stable softmax along the last axis.
+// Numerically stable softmax along the last axis. To exclude keys, add large
+// negative entries (e.g. -1e9) first: Softmax(Add(scores, additive_mask)).
 Variable Softmax(const Variable& a);
-// Softmax of (a + additive_mask); the mask is a constant (no grad flows into
-// it). Use large negative entries (e.g. -1e9) to exclude keys, matching the
-// paper's "set masked values to -inf in the softmax input".
-Variable SoftmaxWithMask(const Variable& a, const tensor::Tensor& additive_mask);
 
 // -- Fused attention ------------------------------------------------------
 // Multi-head softmax(scale * q k^T + mask) v in one streaming pass, on the
@@ -75,7 +72,8 @@ Variable SoftmaxWithMask(const Variable& a, const tensor::Tensor& additive_mask)
 // every batch item), k/v [B, Lk, heads*dk] -> [B, Lq, heads*dk], head j in
 // columns [j*dk, (j+1)*dk). No score tensor and no head split/merge copy is
 // made (tensor/fused_attention.h; bitwise-identical to the unfused chain on
-// the head-split operands when Lk <= kFusedAttentionExactMaxKeys).
+// the head-split operands). The only attention MultiHeadAttention records,
+// for training and serving alike.
 // `key_mask` is an optional [B, Lk] keep mask constant (no grad flows into
 // it); backward recomputes the probabilities per (item, head, row block).
 Variable FusedAttention(const Variable& q, const Variable& k,

@@ -28,14 +28,19 @@ class MultiHeadAttention : public Module {
   // `key_mask`, when given, is [B, Lk] with 1 = attend, 0 = exclude; excluded
   // keys receive -1e9 before the softmax (the paper's -inf masking). A fully
   // masked row degrades to uniform attention rather than NaN.
-  // When `attention_probs` is non-null it receives a detached copy of the
-  // post-softmax attention averaged over heads ([B, Lq, Lk]) — used by the
-  // reference-point interpretability analysis.
+  // One path with grads on or off: ag::FusedAttention between the
+  // projections, whose recompute backward is the training backward.
   autograd::Variable Forward(const autograd::Variable& q,
                              const autograd::Variable& k,
                              const autograd::Variable& v,
-                             const tensor::Tensor* key_mask = nullptr,
-                             tensor::Tensor* attention_probs = nullptr) const;
+                             const tensor::Tensor* key_mask = nullptr) const;
+
+  // The post-softmax attention of Forward(q, k, k, key_mask) averaged over
+  // heads, [B, Lq, Lk], computed with grads off — used by the
+  // reference-point interpretability analysis.
+  tensor::Tensor AttentionProbs(const autograd::Variable& q,
+                                const autograd::Variable& k,
+                                const tensor::Tensor* key_mask = nullptr) const;
 
   int64_t num_heads() const { return num_heads_; }
   int64_t head_dim() const { return head_dim_; }
@@ -43,7 +48,7 @@ class MultiHeadAttention : public Module {
  private:
   int64_t num_heads_;
   int64_t head_dim_;
-  int64_t out_dim_;
+  float scale_;  // 1 / sqrt(head_dim)
   std::unique_ptr<Linear> wq_;
   std::unique_ptr<Linear> wk_;
   std::unique_ptr<Linear> wv_;

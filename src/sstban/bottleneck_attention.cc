@@ -25,17 +25,25 @@ BottleneckAttention::BottleneckAttention(int64_t in_dim, int64_t out_dim,
   RegisterModule("broadcast", broadcast_.get());
 }
 
-ag::Variable BottleneckAttention::Forward(const ag::Variable& x,
-                                          const t::Tensor* key_mask,
-                                          t::Tensor* assignment_probs) const {
+ag::Variable BottleneckAttention::Absorb(const ag::Variable& x,
+                                         const t::Tensor* key_mask) const {
   SSTBAN_CHECK_EQ(x.rank(), 3);
   SSTBAN_CHECK_EQ(x.dim(2), in_dim_);
   // The reference points are one query set shared by every sequence, so
   // absorb projects them once for the whole batch.
   ag::Variable refs = ag::Reshape(refs_, t::Shape{1, num_refs_, in_dim_});
-  ag::Variable updated = absorb_->Forward(refs, x, x, key_mask);
-  return broadcast_->Forward(x, updated, updated, /*key_mask=*/nullptr,
-                             assignment_probs);
+  return absorb_->Forward(refs, x, x, key_mask);
+}
+
+ag::Variable BottleneckAttention::Forward(const ag::Variable& x,
+                                          const t::Tensor* key_mask) const {
+  ag::Variable updated = Absorb(x, key_mask);
+  return broadcast_->Forward(x, updated, updated);
+}
+
+t::Tensor BottleneckAttention::Assignments(const ag::Variable& x) const {
+  ag::NoGradGuard no_grad;
+  return broadcast_->AttentionProbs(x, Absorb(x, /*key_mask=*/nullptr));
 }
 
 FullSelfAttention::FullSelfAttention(int64_t in_dim, int64_t out_dim,

@@ -27,16 +27,21 @@ class BottleneckAttention : public nn::Module {
   // x: [B', L, in_dim] -> [B', L, out_dim]. `key_mask` ([B', L], 1 = visible)
   // excludes masked elements from the first stage so reference points only
   // aggregate observed signals (the MAE branch's -inf masking).
-  // `assignment_probs`, when non-null, receives the second-stage attention
-  // [B', L, R]: how strongly each element reads each reference point — the
-  // soft "cluster membership" of §IV-B's cluster-center interpretation.
   autograd::Variable Forward(const autograd::Variable& x,
-                             const tensor::Tensor* key_mask = nullptr,
-                             tensor::Tensor* assignment_probs = nullptr) const;
+                             const tensor::Tensor* key_mask = nullptr) const;
+
+  // The second-stage attention of Forward(x), [B', L, R], computed with
+  // grads off: how strongly each element reads each reference point — the
+  // soft "cluster membership" of §IV-B's cluster-center interpretation.
+  tensor::Tensor Assignments(const autograd::Variable& x) const;
 
   int64_t num_refs() const { return num_refs_; }
 
  private:
+  // Stage one: the reference points after absorbing x, [B', R, in_dim].
+  autograd::Variable Absorb(const autograd::Variable& x,
+                            const tensor::Tensor* key_mask) const;
+
   int64_t in_dim_;
   int64_t num_refs_;
   autograd::Variable refs_;  // [R, in_dim] learnable reference points

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "core/check.h"
@@ -26,13 +25,13 @@ constexpr int64_t kAbsorbMaxQueries = 8;
 // Short key rows, e.g. L elements reading R reference points, or the P-step
 // temporal and transform attentions: broadcast.
 constexpr int64_t kBroadcastMaxKeys = 16;
+// Neither form takes longer key rows.
+constexpr int64_t kFormMaxKeys = 512;
 
 // Null when the shape (or the tier) has no form.
 simd::AttentionFormFn ChooseForm(const simd::SimdKernels& ks,
                                  const AttentionDims& d) {
-  if (d.dk > kFormMaxHeadDim || d.lk > kFusedAttentionExactMaxKeys) {
-    return nullptr;
-  }
+  if (d.dk > kFormMaxHeadDim || d.lk > kFormMaxKeys) return nullptr;
   if (d.lq <= kAbsorbMaxQueries) return ks.attention_absorb;
   if (d.lk <= kBroadcastMaxKeys) return ks.attention_broadcast;
   return nullptr;
@@ -69,89 +68,39 @@ inline void AddMaskRow(float* srow, const float* mrow, int64_t lk) {
   }
 }
 
-// Exact two-pass body for query rows [i0, i1) of one contiguous head:
-// `qblk`/`oblk` hold those rows ([i1 - i0, dk]), `kb`/`vb` the head's
-// [lk, dk] keys and values. Reproduces the unfused chain bitwise: the two
-// GEMMs go through GemmRowRangeAccumulate with the full problem shape
-// (identical kernel routing and identical 64-row partition boundaries as
-// Bmm), and scale/mask/softmax use the same simd kernel entry points the
-// tensor ops use.
-void ExactBlock(const float* qblk, const float* kb, const float* vb,
-                const float* mrow, float* oblk, int64_t lq, int64_t lk,
-                int64_t dk, float scale, int64_t i0, int64_t i1,
-                float* scores, const simd::SimdKernels& ks) {
-  int64_t rows = i1 - i0;
-  std::memset(scores, 0, static_cast<size_t>(rows * lk) * sizeof(float));
-  GemmRowRangeAccumulate(qblk, kb, scores, lq, dk, lk,
+// Probabilities of query rows [i0, i1) of one contiguous head into `p`
+// ([i1 - i0, lk]): `qblk` holds those rows ([i1 - i0, dk]), `kb` the head's
+// [lk, dk] keys. The unfused chain's probabilities bit for bit: the score
+// GEMM goes through GemmRowRangeAccumulate with the full problem shape (Bmm's
+// kernel routing and 64-row partition boundaries), and scale, mask and
+// softmax use the kernel entry points the tensor ops use.
+void RowBlockProbs(const float* qblk, const float* kb, const float* mrow,
+                   float* p, int64_t lq, int64_t lk, int64_t dk, float scale,
+                   int64_t i0, int64_t i1, const simd::SimdKernels& ks) {
+  const int64_t rows = i1 - i0;
+  std::memset(p, 0, static_cast<size_t>(rows * lk) * sizeof(float));
+  GemmRowRangeAccumulate(qblk, kb, p, lq, dk, lk,
                          /*ta=*/false, /*tb=*/true, i0, i1);
-  ks.mul_scalar(scores, scale, scores, rows * lk);
+  ks.mul_scalar(p, scale, p, rows * lk);
   for (int64_t r = 0; r < rows; ++r) {
-    float* srow = scores + r * lk;
-    if (mrow != nullptr) AddMaskRow(srow, mrow, lk);
-    ks.softmax_row(srow, srow, lk);
-  }
-  std::memset(oblk, 0, static_cast<size_t>(rows * dk) * sizeof(float));
-  GemmRowRangeAccumulate(scores, vb, oblk, lq, lk, dk,
-                         /*ta=*/false, /*tb=*/false, i0, i1);
-}
-
-// Flash-style online-softmax body for the same operands: streams key blocks
-// of at most kFusedAttentionExactMaxKeys through the same scratch, carrying a
-// running (row max, denominator, output accumulator) triple. Sequential over
-// key blocks within one item, so deterministic; not bitwise against the
-// unfused chain (different summation order).
-void OnlineBlock(const float* qblk, const float* kb, const float* vb,
-                 const float* mrow, float* oblk, int64_t lk, int64_t dk,
-                 float scale, int64_t rows, float* scores, float* acc,
-                 float* run_max, double* run_sum, const simd::SimdKernels& ks) {
-  std::memset(acc, 0, static_cast<size_t>(rows * dk) * sizeof(float));
-  for (int64_t r = 0; r < rows; ++r) {
-    run_max[r] = -std::numeric_limits<float>::infinity();
-    run_sum[r] = 0.0;
-  }
-
-  for (int64_t j0 = 0; j0 < lk; j0 += kFusedAttentionExactMaxKeys) {
-    int64_t j1 = std::min(lk, j0 + kFusedAttentionExactMaxKeys);
-    int64_t jb = j1 - j0;
-    GemmBatchedInto(qblk, kb + j0 * dk, scores, /*batch=*/1, rows, dk, jb,
-                    /*ta=*/false, /*tb=*/true, 0, 0);
-    ks.mul_scalar(scores, scale, scores, rows * jb);
-    for (int64_t r = 0; r < rows; ++r) {
-      float* srow = scores + r * jb;
-      if (mrow != nullptr) AddMaskRow(srow, mrow + j0, jb);
-      float block_max = ks.reduce_max(srow, jb);
-      float new_max = std::max(run_max[r], block_max);
-      if (run_sum[r] > 0.0 && new_max != run_max[r]) {
-        float corr = std::exp(run_max[r] - new_max);
-        run_sum[r] *= corr;
-        ks.mul_scalar(acc + r * dk, corr, acc + r * dk, dk);
-      }
-      run_max[r] = new_max;
-      // In-place exponentiation: scores become the unnormalized probs.
-      run_sum[r] += ks.exp_sum(srow, new_max, srow, jb);
-    }
-    GemmRowRangeAccumulate(scores, vb + j0 * dk, acc, rows, jb, dk,
-                           /*ta=*/false, /*tb=*/false, 0, rows);
-  }
-  for (int64_t r = 0; r < rows; ++r) {
-    float inv = static_cast<float>(1.0 / run_sum[r]);
-    ks.mul_scalar(acc + r * dk, inv, oblk + r * dk, dk);
+    float* prow = p + r * lk;
+    if (mrow != nullptr) AddMaskRow(prow, mrow, lk);
+    ks.softmax_row(prow, prow, lk);
   }
 }
 
 // Every shape without a form: one work item per (batch item, head, 64-row
 // block), the head's slices gathered into contiguous scratch when there is
-// more than one head.
+// more than one head. The context GEMM, like the score GEMM, runs at the
+// full problem shape.
 void RowBlockAttention(const float* q, const float* k, const float* v,
                        const float* key_mask, float* out,
                        const AttentionDims& d, float scale,
                        const simd::SimdKernels& ks) {
   const int64_t ld = d.heads * d.dk, dk = d.dk, lq = d.lq, lk = d.lk;
   const int64_t q_stride = d.shared_q ? 0 : lq * ld;
-  const bool exact = lk <= kFusedAttentionExactMaxKeys;
   const int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
   const int64_t block_rows = std::min(lq, kGemmRowBlock);
-  const int64_t score_cols = exact ? lk : kFusedAttentionExactMaxKeys;
   // Work per item drives the same inline-vs-pooled decision BatchedGemm
   // makes; the grid itself is independent of thread count.
   const int64_t madds = block_rows * dk * lk;
@@ -159,16 +108,8 @@ void RowBlockAttention(const float* q, const float* k, const float* v,
       std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
   ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
     thread_local std::vector<float> scores;
-    thread_local std::vector<float> acc;
-    thread_local std::vector<float> run_max;
-    thread_local std::vector<double> run_sum;
     thread_local std::vector<float> slices;
-    scores.resize(static_cast<size_t>(block_rows * score_cols));
-    if (!exact) {
-      acc.resize(static_cast<size_t>(block_rows * dk));
-      run_max.resize(static_cast<size_t>(block_rows));
-      run_sum.resize(static_cast<size_t>(block_rows));
-    }
+    scores.resize(static_cast<size_t>(block_rows * lk));
     slices.resize(static_cast<size_t>(2 * (block_rows + lk) * dk));
     float* q_slice = slices.data();
     float* o_slice = q_slice + block_rows * dk;
@@ -187,14 +128,11 @@ void RowBlockAttention(const float* q, const float* k, const float* v,
       float* odst = out + (b * lq + i0) * ld + j * dk;
       float* oblk = ld == dk ? odst : o_slice;
       const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
-      if (exact) {
-        ExactBlock(qblk, kb, vb, mrow, oblk, lq, lk, dk, scale, i0, i1,
-                   scores.data(), ks);
-      } else {
-        OnlineBlock(qblk, kb, vb, mrow, oblk, lk, dk, scale, rows,
-                    scores.data(), acc.data(), run_max.data(), run_sum.data(),
+      RowBlockProbs(qblk, kb, mrow, scores.data(), lq, lk, dk, scale, i0, i1,
                     ks);
-      }
+      std::memset(oblk, 0, static_cast<size_t>(rows * dk) * sizeof(float));
+      GemmRowRangeAccumulate(scores.data(), vb, oblk, lq, lk, dk,
+                             /*ta=*/false, /*tb=*/false, i0, i1);
       if (oblk != odst) ScatterHeadRows(oblk, rows, dk, odst, ld);
     }
   }, min_chunk);
@@ -207,19 +145,16 @@ void BackwardHead(const float* qb, const float* kb, const float* vb,
                   float* p, float* ds, const simd::SimdKernels& ks) {
   std::memset(dkb, 0, static_cast<size_t>(lk * dk) * sizeof(float));
   std::memset(dvb, 0, static_cast<size_t>(lk * dk) * sizeof(float));
+  // When every key is excluded, each masked score rounds to -1e9 and the
+  // rows are uniform whatever Q and K are: no gradient reaches them.
+  const bool fully_masked =
+      mrow != nullptr &&
+      std::none_of(mrow, mrow + lk, [](float m) { return m > 0.5f; });
   for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
     int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
     int64_t rows = i1 - i0;
-    // Recompute P for this block (exact softmax regardless of lk).
-    std::memset(p, 0, static_cast<size_t>(rows * lk) * sizeof(float));
-    GemmRowRangeAccumulate(qb + i0 * dk, kb, p, lq, dk, lk,
-                           /*ta=*/false, /*tb=*/true, i0, i1);
-    ks.mul_scalar(p, scale, p, rows * lk);
-    for (int64_t r = 0; r < rows; ++r) {
-      float* prow = p + r * lk;
-      if (mrow != nullptr) AddMaskRow(prow, mrow, lk);
-      ks.softmax_row(prow, prow, lk);
-    }
+    // Recompute P for this block: the forward's probabilities.
+    RowBlockProbs(qb + i0 * dk, kb, mrow, p, lq, lk, dk, scale, i0, i1, ks);
     // dV += P^T dOut_block.
     GemmRowRangeAccumulate(p, dob + i0 * dk, dvb, lk, rows, dk,
                            /*ta=*/true, /*tb=*/false, 0, lk);
@@ -230,6 +165,10 @@ void BackwardHead(const float* qb, const float* kb, const float* vb,
     for (int64_t r = 0; r < rows; ++r) {
       const float* prow = p + r * lk;
       float* dsrow = ds + r * lk;
+      if (fully_masked) {
+        std::fill(dsrow, dsrow + lk, 0.0f);
+        continue;
+      }
       double dot = 0.0;
       for (int64_t j = 0; j < lk; ++j) dot += static_cast<double>(dsrow[j]) * prow[j];
       float fdot = static_cast<float>(dot);
@@ -325,6 +264,37 @@ Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                      key_mask != nullptr ? key_mask->data() : nullptr,
                      out.data(), dims, scale);
   return out;
+}
+
+Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
+                      int64_t heads, float scale) {
+  // No V is read; K stands in for it in the shape check.
+  const AttentionDims d = FusedAttentionDims(q, k, k, key_mask, heads);
+  const simd::SimdKernels& ks = simd::Kernels();
+  const int64_t ld = d.heads * d.dk, dk = d.dk, lq = d.lq, lk = d.lk;
+  const int64_t q_stride = d.shared_q ? 0 : lq * ld;
+  const int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
+  // Per-head probabilities, then the chain's head average.
+  Tensor probs = Tensor::Empty(Shape{d.batch, d.heads, lq, lk});
+  ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
+    thread_local std::vector<float> slices;
+    slices.resize(static_cast<size_t>((kGemmRowBlock + lk) * dk));
+    for (int64_t idx = lo; idx < hi; ++idx) {
+      const int64_t item = idx / row_blocks;  // b * heads + j
+      const int64_t b = item / d.heads, j = item % d.heads;
+      const int64_t i0 = idx % row_blocks * kGemmRowBlock;
+      const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+      const float* qblk = HeadRows(q.data() + b * q_stride + i0 * ld + j * dk,
+                                   ld, i1 - i0, dk, slices.data());
+      const float* kb = HeadRows(k.data() + b * lk * ld + j * dk, ld, lk, dk,
+                                 slices.data() + kGemmRowBlock * dk);
+      RowBlockProbs(qblk, kb,
+                    key_mask != nullptr ? key_mask->data() + b * lk : nullptr,
+                    probs.data() + (item * lq + i0) * lk, lq, lk, dk, scale,
+                    i0, i1, ks);
+    }
+  }, /*min_chunk=*/1);
+  return Mean(probs, 1);
 }
 
 void FusedAttentionBackward(const float* q, const float* k, const float* v,

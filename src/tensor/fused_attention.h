@@ -14,27 +14,19 @@ namespace sstban::tensor {
 // with head j in columns [j*dk, (j+1)*dk). No head split or merge copy is
 // made and the [lq, lk] score matrix is never materialized.
 //
-// Two regimes, switched on lk:
-//   - lk <= kFusedAttentionExactMaxKeys: exact mode. The result is bitwise
-//     identical to the unfused Bmm/MulScalar/SoftmaxWithMask/Bmm chain of the
-//     active SIMD tier on the head-split operands. At dk <= 8 the tier's
-//     attention forms run (few queries: absorb; short key rows: broadcast;
-//     fused_attention.cc holds the thresholds); every other shape streams
-//     64-row blocks through the same kernel entry points as the chain, with
-//     the same row-block boundaries (tensor/matmul.h kGemmRowBlock).
-//   - lk > kFusedAttentionExactMaxKeys: flash-style online softmax over key
-//     blocks with a running (max, denominator, accumulator) triple. Results
-//     agree with the unfused chain only to rounding (see DESIGN.md §14 for
-//     the tolerance policy) but each call is still bitwise deterministic at
-//     any thread count: work items are independent and every reduction is
-//     sequential within one item.
+// The result is bitwise identical to the unfused Bmm -> MulScalar ->
+// Add(mask) -> Softmax -> Bmm chain of the active SIMD tier on the
+// head-split operands, at every shape. At dk <= 8 and lk <= 512 the tier's
+// attention forms run (few queries: absorb; short key rows: broadcast;
+// fused_attention.cc holds the thresholds); every other shape streams 64-row
+// blocks through the same kernel entry points as the chain, with the same
+// row-block boundaries (tensor/matmul.h kGemmRowBlock). Work items are
+// independent and every reduction is sequential within one item, so results
+// are bitwise equal at any thread count.
 //
 // `key_mask` is optional: when non-null it holds [batch, lk] keep rows
 // (> 0.5f keeps a key), shared by the heads of a batch item, and the kernel
-// applies the same `keep ? 0.0f : -1e9f` additive expansion the unfused path
-// builds explicitly.
-
-inline constexpr int64_t kFusedAttentionExactMaxKeys = 512;
+// applies the additive expansion `keep ? 0.0f : -1e9f` to the scores.
 
 struct AttentionDims {
   int64_t batch = 1;
@@ -62,9 +54,16 @@ AttentionDims FusedAttentionDims(const Tensor& q, const Tensor& k,
 Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       const Tensor* key_mask, int64_t mask_heads, float scale);
 
+// Attention probabilities averaged over heads, [batch, lq, lk], for the
+// q/k operands FusedAttentionInto takes: the unfused chain's softmax output
+// and head mean, bit for bit. Grads-off introspection; the forward never
+// materializes them.
+Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
+                      int64_t heads, float scale);
+
 // Gradient by recomputation, in the same layout: per (batch item, head) the
-// head's slices are gathered into contiguous scratch, probabilities are
-// rebuilt per row block (exact softmax regardless of lk), then
+// head's slices are gathered into contiguous scratch, the forward's
+// probabilities are rebuilt per row block, then
 //   dV += P^T dOut, dP = dOut V^T,
 //   dS = P o (dP - rowsum(dP o P)) * scale,
 //   dQ = dS K, dK += dS^T Q,

@@ -496,10 +496,6 @@ Tensor Softmax(const Tensor& a) {
   return out;
 }
 
-Tensor SoftmaxWithMask(const Tensor& a, const Tensor& additive_mask) {
-  return Softmax(Add(a, additive_mask));
-}
-
 bool AllClose(const Tensor& a, const Tensor& b, float atol, float rtol) {
   if (a.shape() != b.shape()) return false;
   const float* pa = a.data();

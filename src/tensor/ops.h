@@ -65,12 +65,10 @@ Tensor Slice(const Tensor& a, int axis, int64_t start, int64_t length);
 Tensor RepeatAxis(const Tensor& a, int axis, int64_t repeats);
 
 // -- Softmax --------------------------------------------------------------
-// Numerically stable softmax along the last axis.
+// Numerically stable softmax along the last axis. To exclude keys, add large
+// negative entries (e.g. -1e9) first: Softmax(Add(a, additive_mask)); a row
+// whose entries are all excluded degrades to a uniform distribution (no NaNs).
 Tensor Softmax(const Tensor& a);
-// Softmax of (a + additive_mask): use large negative mask entries (e.g.
-// -1e9) to exclude keys. The mask must broadcast to a's shape. Rows whose
-// entries are all excluded degrade to a uniform distribution (no NaNs).
-Tensor SoftmaxWithMask(const Tensor& a, const Tensor& additive_mask);
 
 // -- Predicates -----------------------------------------------------------
 // True when |a - b| <= atol + rtol * |b| elementwise (shapes must match).

@@ -196,7 +196,7 @@ TEST(GradCheckTest, SoftmaxWithMask) {
   mask.at({1, 3}) = -1e9f;
   ExpectGradientsMatch(
       [mask](std::vector<Variable>& v) {
-        return SumAll(Square(SoftmaxWithMask(v[0], mask)));
+        return SumAll(Square(Softmax(Add(v[0], Variable(mask)))));
       },
       {Rand({2, 4}, 20)});
 }

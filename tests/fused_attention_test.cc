@@ -1,18 +1,18 @@
 // Differential tests for the fused attention kernel (tensor/fused_attention.h)
 // and its integrations: the raw kernel vs the unfused
-// Bmm -> MulScalar -> (+mask) -> Softmax -> Bmm chain, on contiguous
+// Bmm -> MulScalar -> Add(mask) -> Softmax -> Bmm chain, on contiguous
 // single-head operands and on the projections' [B, L, h*dk] layout (every
 // attention form and the row-block path, on every SIMD tier the host has),
 // the autograd op's recompute backward vs the unfused tape gradients, and a
-// whole model's forecast with grads off (fused kernel) vs grads on (unfused
-// chain).
+// whole model's forecast with grads on vs off.
 //
-// Tolerance policy (DESIGN.md §14): with lk <= kFusedAttentionExactMaxKeys
-// the fused kernel runs the exact two-pass mode and must match the unfused
-// chain BIT FOR BIT; above that it switches to the flash-style online softmax,
-// which reorders the denominator sum and is held to a relative tolerance
-// instead — but each mode is bitwise deterministic across thread counts.
+// Tolerance policy (DESIGN.md §14): the forward must match the unfused chain
+// BIT FOR BIT at every shape, lk > 512 included. The recompute backward
+// contracts the same sums in a different order, so its gradients are held to
+// 1e-5 absolute / 1e-4 relative against the chain's; forward and backward
+// are each bitwise deterministic across thread counts.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -26,6 +26,7 @@
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/dataset.h"
+#include "simd_tiers.h"
 #include "sstban/config.h"
 #include "sstban/model.h"
 #include "tensor/fused_attention.h"
@@ -42,8 +43,10 @@ namespace {
 namespace ag = ::sstban::autograd;
 namespace t = ::sstban::tensor;
 namespace model_ns = ::sstban::sstban;
+using ::sstban::testing::AvailableLevels;
+using ::sstban::testing::ScopedSimdLevel;
 
-// The additive mask the tape path builds: [batch, lq, lk] rows of
+// The additive mask the unfused chain adds: [batch, lq, lk] rows of
 // keep ? 0 : -1e9, expanded from [batch / mask_heads, lk] keep rows.
 t::Tensor AdditiveMask(const t::Tensor& keep, int64_t batch, int64_t heads,
                        int64_t lq, int64_t lk) {
@@ -89,28 +92,6 @@ void ExpectBitwise(const t::Tensor& a, const t::Tensor& b,
             0)
       << what;
 }
-
-std::vector<core::SimdLevel> AvailableLevels() {
-  std::vector<core::SimdLevel> levels = {core::SimdLevel::kScalar};
-  if (t::simd::internal::Avx2Kernels() != nullptr &&
-      core::DetectCpuFeatures().avx2 && core::DetectCpuFeatures().fma) {
-    levels.push_back(core::SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
-// RAII tier override so a failing assertion cannot leak a forced level.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(core::SimdLevel level)
-      : previous_(core::ActiveSimdLevel()) {
-    core::SetSimdLevelForTesting(level);
-  }
-  ~ScopedSimdLevel() { core::SetSimdLevelForTesting(previous_); }
-
- private:
-  core::SimdLevel previous_;
-};
 
 std::string TierName() { return t::simd::Kernels().name; }
 
@@ -167,7 +148,7 @@ HeadProblem MakeHeadProblem(int64_t batch, int64_t heads, int64_t lq,
   return p;
 }
 
-// -- Exact mode: bitwise vs the unfused chain --------------------------------
+// -- Forward: bitwise vs the unfused chain ------------------------------------
 
 TEST(FusedAttentionTest, ExactModeMatchesUnfusedChainBitwise) {
   struct Case { int64_t batch, lq, lk, dk, heads; bool masked; };
@@ -177,7 +158,8 @@ TEST(FusedAttentionTest, ExactModeMatchesUnfusedChainBitwise) {
       {2, 130, 65, 8, 2, true}, {1, 48, 512, 8, 1, false},
       {2, 3, 512, 4, 2, true},  {16, 3, 307, 4, 8, true},
       {16, 307, 3, 2, 8, true}, {24, 12, 3, 2, 8, false},
-      {24, 12, 12, 2, 8, true},
+      {24, 12, 12, 2, 8, true}, {2, 8, 700, 8, 1, false},
+      {2, 8, 700, 8, 1, true},
   };
   for (core::SimdLevel level : AvailableLevels()) {
     ScopedSimdLevel scoped(level);
@@ -187,7 +169,6 @@ TEST(FusedAttentionTest, ExactModeMatchesUnfusedChainBitwise) {
                    std::to_string(c.lq) + " lk=" + std::to_string(c.lk) +
                    " dk=" + std::to_string(c.dk) +
                    (c.masked ? " masked" : ""));
-      ASSERT_LE(c.lk, t::kFusedAttentionExactMaxKeys);
       t::Tensor q = t::Tensor::RandomNormal(t::Shape{c.batch, c.lq, c.dk}, rng);
       t::Tensor k = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, c.dk}, rng);
       t::Tensor v = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, c.dk}, rng);
@@ -206,7 +187,8 @@ TEST(FusedAttentionTest, ExactModeMatchesUnfusedChainBitwise) {
 // against the unfused chain on head-split copies, on every tier. lk straddles
 // the broadcast form's 16-key limit, lq the absorb form's 8-query limit; each
 // shape also runs with a batch-1 (shared) Q and with a key mask that excludes
-// every key of one batch item. dk = 9 and 16 leave the forms' head_dim range.
+// every key of one batch item. dk = 9 and 16 leave the forms' head_dim range,
+// lk = 700 their key range.
 TEST(FusedAttentionTest, HeadLayoutMatchesUnfusedChainBitwise) {
   struct Shape { int64_t heads, lq, lk, dk; };
   std::vector<Shape> shapes;
@@ -222,6 +204,7 @@ TEST(FusedAttentionTest, HeadLayoutMatchesUnfusedChainBitwise) {
   shapes.push_back({2, 3, 12, 9});
   shapes.push_back({2, 20, 3, 16});
   shapes.push_back({8, 3, 512, 4});
+  shapes.push_back({8, 20, 700, 4});
   for (core::SimdLevel level : AvailableLevels()) {
     ScopedSimdLevel scoped(level);
     core::Rng rng(17);
@@ -245,42 +228,7 @@ TEST(FusedAttentionTest, HeadLayoutMatchesUnfusedChainBitwise) {
   }
 }
 
-// -- Online-softmax mode: documented tolerance, never bitwise drift ----------
-
-TEST(FusedAttentionTest, OnlineModeMatchesUnfusedWithinTolerance) {
-  core::Rng rng(9);
-  const int64_t batch = 2, lq = 8, lk = 700, dk = 8;  // lk > exact cutoff
-  ASSERT_GT(lk, t::kFusedAttentionExactMaxKeys);
-  t::Tensor q = t::Tensor::RandomNormal(t::Shape{batch, lq, dk}, rng);
-  t::Tensor k = t::Tensor::RandomNormal(t::Shape{batch, lk, dk}, rng);
-  t::Tensor v = t::Tensor::RandomNormal(t::Shape{batch, lk, dk}, rng);
-  t::Tensor keep = MakeKeep(batch, lk, 31);
-  float scale = 1.0f / std::sqrt(static_cast<float>(dk));
-  for (const t::Tensor* keep_ptr :
-       std::vector<const t::Tensor*>{nullptr, &keep}) {
-    SCOPED_TRACE(keep_ptr ? "masked" : "unmasked");
-    t::Tensor fused = t::FusedAttention(q, k, v, keep_ptr, 1, scale);
-    t::Tensor unfused = UnfusedAttention(q, k, v, keep_ptr, 1, scale);
-    // Online softmax reorders the denominator accumulation (double-precision
-    // running sum over key blocks); outputs are convex combinations of V, so
-    // absolute error is what matters. 1e-5 is ~100x the observed drift.
-    EXPECT_TRUE(t::AllClose(fused, unfused, /*atol=*/1e-5f, /*rtol=*/1e-4f));
-    // ...but never bitwise-random: the same call twice is identical.
-    ExpectBitwise(fused, t::FusedAttention(q, k, v, keep_ptr, 1, scale),
-                  "run-to-run");
-  }
-}
-
-TEST(FusedAttentionTest, HeadLayoutOnlineModeMatchesUnfusedWithinTolerance) {
-  core::Rng rng(10);
-  const int64_t heads = 8, lq = 20, lk = 700, dk = 4;
-  HeadProblem p = MakeHeadProblem(2, heads, lq, lk, dk, /*shared_q=*/true, rng);
-  t::Tensor fused = FusedHeads(p.q, p.k, p.v, &p.keep, heads, 0.5f);
-  t::Tensor unfused = UnfusedHeads(p.q, p.k, p.v, &p.keep, heads, 0.5f);
-  EXPECT_TRUE(t::AllClose(fused, unfused, /*atol=*/1e-5f, /*rtol=*/1e-4f));
-}
-
-// Forms, row blocks and online blocks in the head layout, forward and
+// Forms and row blocks in the head layout, up to 600 keys, forward and
 // backward, at 1 and 8 threads.
 TEST(FusedAttentionTest, HeadLayoutIsBitwiseDeterministicOneVsEightThreads) {
   struct Shape { int64_t heads, lq, lk, dk; };
@@ -322,7 +270,7 @@ TEST(FusedAttentionTest, HeadLayoutIsBitwiseDeterministicOneVsEightThreads) {
   }
 }
 
-TEST(FusedAttentionTest, BothModesAreBitwiseDeterministicOneVsEightThreads) {
+TEST(FusedAttentionTest, ForwardIsBitwiseDeterministicOneVsEightThreads) {
   core::Rng rng(21);
   for (int64_t lk : {48, 512, 700}) {
     SCOPED_TRACE("lk=" + std::to_string(lk));
@@ -366,10 +314,11 @@ TEST(FusedAttentionTest, BackwardMatchesUnfusedChainGradients) {
     ag::Variable k2(kv.Clone(), /*requires_grad=*/true);
     ag::Variable v2(vv.Clone(), /*requires_grad=*/true);
     ag::Variable scores = ag::MulScalar(ag::Bmm(q2, k2, false, true), scale);
-    ag::Variable probs =
-        keep_ptr ? ag::SoftmaxWithMask(
-                       scores, AdditiveMask(*keep_ptr, batch, heads, lq, lk))
-                 : ag::Softmax(scores);
+    if (keep_ptr != nullptr) {
+      scores = ag::Add(scores, ag::Variable(AdditiveMask(*keep_ptr, batch,
+                                                         heads, lq, lk)));
+    }
+    ag::Variable probs = ag::Softmax(scores);
     ag::Variable out2 = ag::Bmm(probs, v2);
     ag::MeanAll(ag::Square(out2)).Backward();
 
@@ -417,10 +366,11 @@ TEST(FusedAttentionTest, HeadLayoutBackwardMatchesUnfusedChainGradients) {
       };
       ag::Variable scores = ag::MulScalar(
           ag::Bmm(split(qb, lq), split(k2, lk), false, true), scale);
-      ag::Variable probs =
-          masked ? ag::SoftmaxWithMask(
-                       scores, AdditiveMask(p.keep, batch * heads, heads, lq, lk))
-                 : ag::Softmax(scores);
+      if (masked) {
+        scores = ag::Add(scores, ag::Variable(AdditiveMask(
+                                     p.keep, batch * heads, heads, lq, lk)));
+      }
+      ag::Variable probs = ag::Softmax(scores);
       ag::Variable ctx = ag::Bmm(probs, split(v2, lk));
       ag::Variable out2 = ag::Reshape(
           ag::Permute(ag::Reshape(ctx, t::Shape{batch, heads, lq, dk}),
@@ -432,6 +382,46 @@ TEST(FusedAttentionTest, HeadLayoutBackwardMatchesUnfusedChainGradients) {
       EXPECT_TRUE(t::AllClose(q1.grad(), q2.grad(), 1e-5f, 1e-4f));
       EXPECT_TRUE(t::AllClose(k1.grad(), k2.grad(), 1e-5f, 1e-4f));
       EXPECT_TRUE(t::AllClose(v1.grad(), v2.grad(), 1e-5f, 1e-4f));
+    }
+  }
+}
+
+// A fully masked item's rows are uniform whatever its scores, so its Q and K
+// get no gradient; its V still gets P^T dOut. One and two row blocks.
+TEST(FusedAttentionTest, FullyMaskedItemPassesNoGradientToQueryOrKey) {
+  core::Rng rng(35);
+  const int64_t batch = 2, heads = 2, dk = 4;
+  for (int64_t lq : {3, 70}) {
+    SCOPED_TRACE("lq=" + std::to_string(lq));
+    const int64_t lk = 9, hd = heads * dk;
+    // Item 1 excludes every key.
+    HeadProblem p = MakeHeadProblem(batch, heads, lq, lk, dk,
+                                    /*shared_q=*/false, rng);
+    t::AttentionDims dims =
+        t::FusedAttentionDims(p.q, p.k, p.v, &p.keep, heads);
+    t::Tensor dout = t::Tensor::RandomNormal(t::Shape{batch, lq, hd}, rng);
+    t::Tensor dq = t::Tensor::Empty(p.q.shape());
+    t::Tensor dkk = t::Tensor::Empty(p.k.shape());
+    t::Tensor dv = t::Tensor::Empty(p.v.shape());
+    t::FusedAttentionBackward(p.q.data(), p.k.data(), p.v.data(),
+                              p.keep.data(), dout.data(), dq.data(),
+                              dkk.data(), dv.data(), dims, 0.5f);
+    auto item_is_zero = [](const t::Tensor& g, int64_t item) {
+      const int64_t n = g.size() / g.dim(0);
+      const float* pg = g.data() + item * n;
+      return std::all_of(pg, pg + n, [](float x) { return x == 0.0f; });
+    };
+    EXPECT_FALSE(item_is_zero(dq, 0));
+    EXPECT_FALSE(item_is_zero(dkk, 0));
+    EXPECT_TRUE(item_is_zero(dq, 1));
+    EXPECT_TRUE(item_is_zero(dkk, 1));
+    // dV of item 1: every key gets the mean of dOut over the rows.
+    for (int64_t c = 0; c < hd; ++c) {
+      double sum = 0.0;
+      for (int64_t i = 0; i < lq; ++i) sum += dout.at({1, i, c});
+      for (int64_t j = 0; j < lk; ++j) {
+        EXPECT_NEAR(dv.at({1, j, c}), sum / lk, 1e-5);
+      }
     }
   }
 }
@@ -462,7 +452,7 @@ TEST(FusedAttentionTest, BackwardIsBitwiseDeterministicOneVsEightThreads) {
   }
 }
 
-// -- Model level: grads off (fused kernel) vs grads on (unfused chain) ------
+// -- Model level: grads off vs grads on -------------------------------------
 
 model_ns::SstbanConfig ModelConfig(int64_t nodes, bool use_bottleneck) {
   model_ns::SstbanConfig config;
@@ -498,14 +488,11 @@ data::Batch ModelBatch(int64_t b, const model_ns::SstbanConfig& c,
   return batch;
 }
 
-// MultiHeadAttention runs the fused kernel when grads are off and no
-// probabilities are requested, and the unfused chain otherwise. At these
-// key counts the fused kernel is in its exact mode, so a forecast must not
-// depend on whether the caller holds a NoGradGuard: Predict and
-// PredictMasked with grads on must equal the same calls under NoGradGuard
-// bit for bit, masked and clean, at 1 and 8 threads. N = 100 puts the
-// spatial query rows across a 64-row block boundary; the full-attention
-// variant makes lq = lk = N.
+// Recording a tape must not change forward bits: Predict and PredictMasked
+// with grads on must equal the same calls under NoGradGuard bit for bit,
+// masked and clean, at 1 and 8 threads. N = 100 puts the spatial query rows
+// across a 64-row block boundary; the full-attention variant makes
+// lq = lk = N.
 TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
   struct Case {
     int64_t nodes;
@@ -544,13 +531,13 @@ TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
           return masked ? model.PredictMasked(batch.x, keep, batch).value()
                         : model.Predict(batch.x, batch).value();
         };
-        t::Tensor unfused = forward();
-        t::Tensor fused;
+        t::Tensor grads_on = forward();
+        t::Tensor grads_off;
         {
           ag::NoGradGuard no_grad;
-          fused = forward();
+          grads_off = forward();
         }
-        ExpectBitwise(fused, unfused, "grads off vs grads on");
+        ExpectBitwise(grads_off, grads_on, "grads off vs grads on");
       }
     }
   }

@@ -17,6 +17,7 @@
 #include "core/cpu_features.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "simd_tiers.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/simd/kernels.h"
@@ -27,30 +28,8 @@ namespace {
 
 namespace t = ::sstban::tensor;
 using core::SimdLevel;
-
-std::vector<SimdLevel> AvailableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (t::simd::internal::Avx2Kernels() != nullptr &&
-      core::DetectCpuFeatures().avx2 && core::DetectCpuFeatures().fma) {
-    levels.push_back(SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
-// RAII tier override so a failing assertion cannot leak a forced level.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) {
-    previous_ = core::ActiveSimdLevel();
-    active_ = core::SetSimdLevelForTesting(level);
-  }
-  ~ScopedSimdLevel() { core::SetSimdLevelForTesting(previous_); }
-  SimdLevel active() const { return active_; }
-
- private:
-  SimdLevel previous_;
-  SimdLevel active_;
-};
+using ::sstban::testing::AvailableLevels;
+using ::sstban::testing::ScopedSimdLevel;
 
 t::Tensor NaiveMatmul(const t::Tensor& a, const t::Tensor& b, bool ta,
                       bool tb) {

@@ -1,6 +1,10 @@
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "data/synthetic_world.h"
 #include "gradcheck.h"
 #include "nn/attention.h"
+#include "simd_tiers.h"
 #include "sstban/bottleneck_attention.h"
 #include "sstban/config.h"
 #include "sstban/decoders.h"
@@ -20,12 +25,15 @@
 #include "sstban/ste.h"
 #include "sstban/transform_attention.h"
 #include "tensor/ops.h"
+#include "tensor/simd/kernels.h"
 
 namespace sstban::sstban {
 namespace {
 
 namespace ag = ::sstban::autograd;
 namespace t = ::sstban::tensor;
+using ::sstban::testing::AvailableLevels;
+using ::sstban::testing::ScopedSimdLevel;
 
 t::Tensor Rand(t::Shape shape, uint64_t seed) {
   core::Rng rng(seed);
@@ -240,28 +248,62 @@ TEST(StbaBlockTest, GradientsFlowToAllParameters) {
   }
 }
 
-// End-to-end gradcheck through the attention primitive every SSTBAN block is
-// built from: softmax + batched matmuls + head reshuffles, with asymmetric
-// query/kv/output dims so every projection is exercised at a distinct size.
-// The second input set is a batch-1 query shared by three key/value items
-// (how bottleneck attention passes its reference points): its projection is
-// broadcast over the batch and its gradient summed back.
+// End-to-end gradchecks through the attention primitive every SSTBAN block
+// is built from: the fused op and its recompute backward between the
+// projections, with asymmetric query/kv/output dims so every projection is
+// exercised at a distinct size. Inputs: a single item; a batch-1 query
+// shared by three key/value items (how bottleneck attention passes its
+// reference points), whose gradient is summed over the batch; a key mask
+// that excludes every key of one item; and lq = 8 / 9 (the absorb form's
+// limit) by lk = 16 / 17 (the broadcast form's), on every kernel tier.
+struct AttentionGradCase {
+  std::string name;
+  t::Tensor q, k, v, keep;  // keep undefined: no key mask
+};
+std::vector<AttentionGradCase> AttentionGradCases(uint64_t seed) {
+  // q [q_batch, lq, 3], k/v [batch, lk, 3] from three consecutive seeds.
+  auto make = [&](std::string name, int64_t q_batch, int64_t lq,
+                  int64_t batch, int64_t lk) {
+    AttentionGradCase c{std::move(name), Rand({q_batch, lq, 3}, seed),
+                        Rand({batch, lk, 3}, seed + 1),
+                        Rand({batch, lk, 3}, seed + 2), t::Tensor()};
+    seed += 3;
+    return c;
+  };
+  std::vector<AttentionGradCase> cases;
+  cases.push_back(make("single item", 1, 2, 1, 3));
+  cases.push_back(make("shared query", 1, 2, 3, 3));
+  AttentionGradCase masked = make("fully masked item", 2, 2, 2, 3);
+  masked.keep = t::Tensor::Ones(t::Shape{2, 3});
+  masked.keep.at({0, 1}) = 0.0f;
+  for (int64_t j = 0; j < 3; ++j) masked.keep.at({1, j}) = 0.0f;
+  cases.push_back(masked);
+  for (int64_t lq : {8, 9}) {
+    for (int64_t lk : {16, 17}) {
+      cases.push_back(make("lq " + std::to_string(lq) + " lk " +
+                               std::to_string(lk),
+                           2, lq, 2, lk));
+    }
+  }
+  return cases;
+}
+
 TEST(MultiHeadAttentionTest, InputGradientsMatchFiniteDifferences) {
   core::Rng rng(31);
   nn::MultiHeadAttention mha(/*query_dim=*/3, /*kv_dim=*/3, /*out_dim=*/4,
                              /*num_heads=*/2, rng);
-  const std::vector<std::vector<t::Tensor>> input_sets = {
-      {Rand({1, 2, 3}, 32), Rand({1, 3, 3}, 33), Rand({1, 3, 3}, 34)},
-      {Rand({1, 2, 3}, 35), Rand({3, 3, 3}, 36), Rand({3, 3, 3}, 37)},
-  };
-  for (const std::vector<t::Tensor>& inputs : input_sets) {
-    SCOPED_TRACE("k/v batch " + std::to_string(inputs[1].dim(0)));
-    ::sstban::testing::ExpectGradientsMatch(
-        [&](std::vector<ag::Variable>& leaves) {
-          return ag::SumAll(
-              ag::Square(mha.Forward(leaves[0], leaves[1], leaves[2])));
-        },
-        inputs);
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    for (const AttentionGradCase& c : AttentionGradCases(32)) {
+      SCOPED_TRACE(std::string(t::simd::Kernels().name) + " " + c.name);
+      const t::Tensor* keep = c.keep.defined() ? &c.keep : nullptr;
+      ::sstban::testing::ExpectGradientsMatch(
+          [&](std::vector<ag::Variable>& leaves) {
+            return ag::SumAll(ag::Square(
+                mha.Forward(leaves[0], leaves[1], leaves[2], keep)));
+          },
+          {c.q, c.k, c.v});
+    }
   }
 }
 
@@ -269,12 +311,17 @@ TEST(MultiHeadAttentionTest, ParameterGradientsMatchFiniteDifferences) {
   core::Rng rng(35);
   nn::MultiHeadAttention mha(/*query_dim=*/3, /*kv_dim=*/3, /*out_dim=*/4,
                              /*num_heads=*/2, rng);
-  ag::Variable q(Rand({1, 2, 3}, 36));
-  ag::Variable k(Rand({1, 3, 3}, 37));
-  ag::Variable v(Rand({1, 3, 3}, 38));
-  ::sstban::testing::ExpectParameterGradientsMatch(
-      [&] { return ag::SumAll(ag::Square(mha.Forward(q, k, v))); },
-      mha.Parameters());
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    for (const AttentionGradCase& c : AttentionGradCases(36)) {
+      SCOPED_TRACE(std::string(t::simd::Kernels().name) + " " + c.name);
+      const t::Tensor* keep = c.keep.defined() ? &c.keep : nullptr;
+      ag::Variable q(c.q), k(c.k), v(c.v);
+      ::sstban::testing::ExpectParameterGradientsMatch(
+          [&] { return ag::SumAll(ag::Square(mha.Forward(q, k, v, keep))); },
+          mha.Parameters());
+    }
+  }
 }
 
 // Full StbaBlock gradcheck: bottleneck attention (both stages), feed-forward,
@@ -469,6 +516,44 @@ TEST(SstbanModelTest, DetachAlignmentTargetControlsGradientPath) {
     }
   }
   EXPECT_TRUE(reconstructor_has_grad);
+}
+
+// Op counts of the graph recorded behind `root`.
+std::map<std::string, int> OpCounts(const ag::Variable& root) {
+  std::map<std::string, int> counts;
+  std::set<const ag::Node*> seen;
+  std::vector<ag::NodePtr> stack = {root.node()};
+  while (!stack.empty()) {
+    ag::NodePtr node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node.get()).second) continue;
+    ++counts[node->op];
+    for (const ag::NodePtr& parent : node->parents) stack.push_back(parent);
+  }
+  return counts;
+}
+
+// Training records the attention serving runs: the two-branch loss, masked
+// encoder and reconstructor included, holds fused attention nodes and no
+// node of the unfused softmax/bmm chain.
+TEST(SstbanModelTest, TrainingRecordsOnlyFusedAttention) {
+  SstbanConfig c = TinyConfig();
+  data::Batch batch = TinyBatch(c, 2);
+  SstbanModel model(c);
+  model.SetTraining(true);
+  std::map<std::string, int> ops =
+      OpCounts(model.TrainingLoss(batch.x, batch.y, batch));
+  c.self_supervised = false;
+  SstbanModel forecast_only(c);
+  forecast_only.SetTraining(true);
+  std::map<std::string, int> forecast_ops =
+      OpCounts(forecast_only.TrainingLoss(batch.x, batch.y, batch));
+
+  EXPECT_GT(forecast_ops["fused_attention"], 0);
+  // The masked branch attends through the same op.
+  EXPECT_GT(ops["fused_attention"], forecast_ops["fused_attention"]);
+  EXPECT_EQ(ops.count("softmax"), 0u);
+  EXPECT_EQ(ops.count("bmm"), 0u);
 }
 
 TEST(SstbanModelTest, WithoutBottleneckUsesFullAttention) {

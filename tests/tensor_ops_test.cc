@@ -236,7 +236,7 @@ TEST(SoftmaxTest, NumericallyStableForLargeInputs) {
 TEST(SoftmaxTest, MaskExcludesKeys) {
   Tensor a = T({1, 3}, {1, 2, 3});
   Tensor mask = T({1, 3}, {0, -1e9f, 0});
-  Tensor s = SoftmaxWithMask(a, mask);
+  Tensor s = Softmax(Add(a, mask));
   EXPECT_NEAR(s.at({0, 1}), 0.0f, 1e-6);
   EXPECT_NEAR(s.at({0, 0}) + s.at({0, 2}), 1.0f, 1e-5);
 }
@@ -244,7 +244,7 @@ TEST(SoftmaxTest, MaskExcludesKeys) {
 TEST(SoftmaxTest, FullyMaskedRowDegradesToUniform) {
   Tensor a = T({1, 4}, {1, 2, 3, 4});
   Tensor mask = Tensor::Full(Shape{1, 4}, -1e9f);
-  Tensor s = SoftmaxWithMask(a, mask);
+  Tensor s = Softmax(Add(a, mask));
   EXPECT_FALSE(HasNonFinite(s));
   for (int64_t c = 0; c < 4; ++c) EXPECT_NEAR(s.at({0, c}), 0.25f, 1e-4);
 }
