@@ -1,6 +1,5 @@
 #include "autograd/ops.h"
 
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -338,21 +337,6 @@ Variable FusedAttention(const Variable& q, const Variable& k,
   });
 }
 
-Variable Dropout(const Variable& a, float p, core::Rng& rng, bool training) {
-  if (!training || p <= 0.0f) return a;
-  SSTBAN_CHECK_LT(p, 1.0f);
-  float scale = 1.0f / (1.0f - p);
-  t::Tensor mask = t::Tensor::Empty(a.shape());
-  float* pm = mask.data();
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    pm[i] = rng.NextDouble() < p ? 0.0f : scale;
-  }
-  NodePtr na = a.node();
-  return MakeOp("dropout", t::Mul(a.value(), mask), {a}, [na, mask](Node& n) {
-    Accumulate(na, t::Mul(n.grad, mask));
-  });
-}
-
 Variable EmbeddingLookup(const Variable& weight,
                          const std::vector<int64_t>& indices) {
   SSTBAN_CHECK_EQ(weight.rank(), 2);
@@ -476,73 +460,12 @@ Variable Conv1dTime(const Variable& input, const Variable& weight,
   });
 }
 
-Variable Softplus(const Variable& a) {
-  NodePtr na = a.node();
-  t::Tensor x = a.value();
-  t::Tensor y = t::Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  int64_t n = y.size();
-  for (int64_t i = 0; i < n; ++i) {
-    // max(x, 0) + log1p(exp(-|x|)) avoids overflow either way.
-    float v = px[i];
-    py[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
-  }
-  return MakeOp("softplus", y, {a}, [na, x](Node& node) {
-    // d softplus = sigmoid(x)
-    Accumulate(na, t::Mul(node.grad, t::Sigmoid(x)));
-  });
-}
-
-Variable Gelu(const Variable& a) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  // Composed from primitive ops so the backward pass comes for free.
-  Variable x3 = Mul(Mul(a, a), a);
-  Variable inner =
-      MulScalar(Add(a, MulScalar(x3, 0.044715f)), 0.7978845608f);
-  Variable gate = MulScalar(AddScalar(Tanh(inner), 1.0f), 0.5f);
-  return Mul(a, gate);
-}
-
 Variable MaeLoss(const Variable& pred, const Variable& target) {
   return MeanAll(Abs(Sub(pred, target)));
 }
 
 Variable MseLoss(const Variable& pred, const Variable& target) {
   return MeanAll(Square(Sub(pred, target)));
-}
-
-Variable HuberLoss(const Variable& pred, const Variable& target, float delta) {
-  SSTBAN_CHECK_GT(delta, 0.0f);
-  Variable abs_err = Abs(Sub(pred, target));
-  // Branchless composition with m = min(|e|, delta), expressed through
-  // primitives so autograd covers both regions:
-  //   m = |e| - relu(|e| - delta)
-  //   loss = 0.5 * m^2 + delta * (|e| - m)
-  Variable m = Sub(abs_err, Relu(AddScalar(abs_err, -delta)));
-  Variable quadratic = MulScalar(Square(m), 0.5f);
-  Variable linear = MulScalar(Sub(abs_err, m), delta);
-  return MeanAll(Add(quadratic, linear));
-}
-
-Variable MaskedMaeLoss(const Variable& pred, const Variable& target,
-                       float threshold) {
-  SSTBAN_CHECK(pred.shape() == target.shape());
-  t::Tensor mask = t::Tensor::Empty(target.shape());
-  const float* pt = target.value().data();
-  float* pm = mask.data();
-  int64_t n = mask.size();
-  double valid = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    pm[i] = std::fabs(pt[i]) > threshold ? 1.0f : 0.0f;
-    valid += pm[i];
-  }
-  if (valid == 0) {
-    // Nothing to supervise: a constant zero that still links the graph.
-    return MulScalar(SumAll(Sub(pred, pred)), 0.0f);
-  }
-  Variable masked_abs = Mul(Abs(Sub(pred, target)), Variable(mask));
-  return MulScalar(SumAll(masked_abs), static_cast<float>(1.0 / valid));
 }
 
 }  // namespace sstban::autograd

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "autograd/variable.h"
-#include "core/rng.h"
 #include "tensor/tensor.h"
 
 namespace sstban::autograd {
@@ -36,10 +35,6 @@ Variable Square(const Variable& a);
 Variable Relu(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable Tanh(const Variable& a);
-// Smooth ReLU: log(1 + e^x), numerically stable for large |x|.
-Variable Softplus(const Variable& a);
-// Gaussian error linear unit (tanh approximation).
-Variable Gelu(const Variable& a);
 
 // -- Matrix products ----------------------------------------------------------
 // [M, K] x [K, N] -> [M, N].
@@ -80,11 +75,6 @@ Variable FusedAttention(const Variable& q, const Variable& k,
                         const Variable& v, const tensor::Tensor* key_mask,
                         int64_t heads, float scale);
 
-// -- Regularization -------------------------------------------------------
-// Inverted dropout: keeps elements with probability 1-p and rescales by
-// 1/(1-p). Identity when !training or p == 0.
-Variable Dropout(const Variable& a, float p, core::Rng& rng, bool training);
-
 // -- Embedding / gather -----------------------------------------------------
 // Selects rows of `weight` ([V, d]) by index: result [indices.size(), d].
 // Backward scatter-adds into the weight gradient.
@@ -104,14 +94,6 @@ Variable Conv1dTime(const Variable& input, const Variable& weight,
 Variable MaeLoss(const Variable& pred, const Variable& target);
 // Mean squared error over all elements.
 Variable MseLoss(const Variable& pred, const Variable& target);
-// Huber / smooth-L1: quadratic within |e| <= delta, linear outside.
-Variable HuberLoss(const Variable& pred, const Variable& target,
-                   float delta = 1.0f);
-// Masked MAE, the traffic-forecasting community's standard loss for data
-// with zero-filled gaps: entries whose |target| <= threshold are excluded
-// from the mean. The mask is a constant (no gradient flows through it).
-Variable MaskedMaeLoss(const Variable& pred, const Variable& target,
-                       float threshold = 1e-1f);
 
 }  // namespace sstban::autograd
 

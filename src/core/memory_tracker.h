@@ -72,13 +72,6 @@ class MemoryTracker {
     return heap_frees_.load(std::memory_order_relaxed);
   }
 
-  // Everything the tensor layer is currently holding onto: live tensor
-  // storage plus buffers parked on the pool's free lists. This is the
-  // process footprint signal the serving brownout ladder watches.
-  int64_t resident_footprint_bytes() const {
-    return live_bytes() + pool_resident_bytes();
-  }
-
   // Resets the peak to the current live size (call at the start of the
   // region being measured). Total-allocated is reset to zero.
   void ResetPeak();

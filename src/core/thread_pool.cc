@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 
 #include "core/check.h"
@@ -13,11 +16,8 @@ namespace {
 
 std::atomic<int> g_parallelism_cap{0};
 
-// Pools whose tasks are on this thread's call stack, innermost last. Wait()
-// uses it to exclude the caller's own in-flight tasks; it tracks the owning
-// pool per frame so waiting on a *different* pool from inside a task still
-// waits for all of that pool's work.
-thread_local std::vector<const ThreadPool*> tl_task_stack;
+// Upper bound on SSTBAN_NUM_THREADS: each worker is an OS thread.
+constexpr int kMaxThreads = 256;
 
 }  // namespace
 
@@ -39,41 +39,15 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-    ++pending_;
-  }
-  cv_.notify_all();
-}
-
 bool ThreadPool::RunOneTask(std::unique_lock<std::mutex>& lock) {
   if (tasks_.empty()) return false;
   std::function<void()> task = std::move(tasks_.front());
   tasks_.pop();
-  tl_task_stack.push_back(this);
   lock.unlock();
   task();
   lock.lock();
-  tl_task_stack.pop_back();
-  --pending_;
   cv_.notify_all();
   return true;
-}
-
-void ThreadPool::Wait() {
-  if (workers_.empty()) return;
-  int64_t own = static_cast<int64_t>(
-      std::count(tl_task_stack.begin(), tl_task_stack.end(), this));
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (pending_ > own) {
-    if (!RunOneTask(lock)) cv_.wait(lock);
-  }
 }
 
 void ThreadPool::RunAndWait(std::vector<std::function<void()>> tasks) {
@@ -104,7 +78,6 @@ void ThreadPool::RunAndWait(std::vector<std::function<void()>> tasks) {
           --latch.remaining;
         }
       });
-      ++pending_;
     }
   }
   cv_.notify_all();
@@ -124,11 +97,28 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+std::optional<int> ParseNumThreads(const char* text) {
+  const char* end = text + std::strlen(text);
+  int n = 0;
+  auto [ptr, error] = std::from_chars(text, end, n);
+  if (error != std::errc() || ptr != end || n < 0 || n > kMaxThreads) {
+    return std::nullopt;
+  }
+  return std::max(n, 1);
+}
+
 ThreadPool& ThreadPool::Global() {
   static ThreadPool* pool = [] {
     int threads = static_cast<int>(std::thread::hardware_concurrency());
     if (const char* env = std::getenv("SSTBAN_NUM_THREADS")) {
-      threads = std::atoi(env);
+      if (std::optional<int> parsed = ParseNumThreads(env)) {
+        threads = *parsed;
+      } else {
+        std::fprintf(stderr,
+                     "[thread_pool] ignoring SSTBAN_NUM_THREADS='%s': want a "
+                     "whole number in [0, %d]\n",
+                     env, kMaxThreads);
+      }
     }
     return new ThreadPool(std::max(threads, 1));
   }();

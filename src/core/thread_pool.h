@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -15,9 +16,8 @@ namespace sstban::core {
 // is run inline so the pool adds no overhead; the heavy tensor kernels call
 // ParallelFor below and transparently scale with available hardware.
 //
-// Any thread that blocks waiting on pool work (Wait, RunAndWait) helps
-// execute queued tasks while it waits, so pool tasks may themselves fan out
-// to the pool without deadlocking.
+// A thread blocked in RunAndWait helps execute queued tasks while it waits,
+// so pool tasks may themselves fan out to the pool without deadlocking.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -28,16 +28,6 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // Enqueues a task. Tasks must not throw (use RunAndWait when the caller
-  // needs exceptions propagated).
-  void Schedule(std::function<void()> task);
-
-  // Blocks until every scheduled task has completed, except tasks on the
-  // calling thread's own stack (a worker waiting for its own in-flight task
-  // would never return). While blocked the caller executes queued tasks, so
-  // tasks scheduled from inside other tasks are drained, not missed.
-  void Wait();
-
   // Runs `tasks` on the pool and blocks until all of them have completed.
   // The caller helps execute queued work while waiting, so RunAndWait may be
   // called from inside a pool task (nested fan-out cannot deadlock). The
@@ -45,8 +35,8 @@ class ThreadPool {
   // finished.
   void RunAndWait(std::vector<std::function<void()>> tasks);
 
-  // Process-wide pool sized from std::thread::hardware_concurrency() (or the
-  // SSTBAN_NUM_THREADS environment variable when set).
+  // Process-wide pool sized from std::thread::hardware_concurrency(), or from
+  // SSTBAN_NUM_THREADS when it holds a valid value (see ParseNumThreads).
   static ThreadPool& Global();
 
  private:
@@ -62,9 +52,14 @@ class ThreadPool {
   // Signalled on task arrival, task completion, and shutdown. Workers and
   // helping waiters share it; everyone re-checks their predicate on wake.
   std::condition_variable cv_;
-  int64_t pending_ = 0;  // queued + currently executing tasks
   bool shutdown_ = false;
 };
+
+// Parses an SSTBAN_NUM_THREADS value. A whole number n in [0, 256] gives
+// max(n, 1) workers (0 and 1 both run every parallel helper inline); any
+// other text, including signs, trailing characters and out-of-range numbers,
+// gives nullopt, and the global pool keeps the hardware default.
+std::optional<int> ParseNumThreads(const char* text);
 
 // Caps the fan-out ParallelFor uses: 1 forces every loop to run inline on
 // the calling thread, 0 removes the cap (use the pool size). Benchmarks use

@@ -13,7 +13,7 @@ namespace sstban::nn {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'S', 'T', 'B'};
-constexpr uint32_t kVersion = 2;  // v2 = v1 body + CRC32 footer
+constexpr uint32_t kVersion = 2;  // the only version LoadParameters accepts
 constexpr size_t kFooterBytes = sizeof(uint32_t);
 
 }  // namespace
@@ -79,7 +79,7 @@ core::Status LoadParameters(Module* module, const std::string& path) {
     return core::Status::InvalidArgument("not an SSTBAN checkpoint: " + path);
   }
   uint32_t version = 0;
-  if (!r.Pod(&version) || version < 1 || version > kVersion) {
+  if (!r.Pod(&version) || version != kVersion) {
     return core::Status::InvalidArgument(
         core::StrFormat("unsupported checkpoint version %u", version));
   }
@@ -121,30 +121,25 @@ core::Status LoadParameters(Module* module, const std::string& path) {
     }
     staged[i] = std::move(value);
   }
-  // A well-formed checkpoint ends exactly after the last parameter (plus the
-  // CRC footer from version 2 on); anything else (a truncated write that
-  // happened to end on a record boundary, or a corrupted/concatenated file)
-  // must not be silently accepted — the serving model registry hot-swaps on
-  // the strength of this check.
-  if (version >= 2) {
-    if (r.remaining() < kFooterBytes) {
-      return core::Status::IoError("truncated checksum footer: " + path);
-    }
-    if (r.remaining() > kFooterBytes) {
-      return core::Status::IoError("trailing bytes after last parameter: " +
-                                   path);
-    }
-    uint32_t stored = 0;
-    r.Pod(&stored);
-    uint32_t actual = core::Crc32(blob.data(), blob.size() - kFooterBytes);
-    if (stored != actual) {
-      return core::Status::IoError(core::StrFormat(
-          "checksum mismatch (CRC32 %08x vs stored %08x): %s", actual, stored,
-          path.c_str()));
-    }
-  } else if (!r.AtEnd()) {
+  // A well-formed checkpoint ends exactly after the last parameter plus the
+  // CRC footer; anything else (a truncated write that happened to end on a
+  // record boundary, or a corrupted/concatenated file) must not be silently
+  // accepted — the serving model registry hot-swaps on the strength of this
+  // check.
+  if (r.remaining() < kFooterBytes) {
+    return core::Status::IoError("truncated checksum footer: " + path);
+  }
+  if (r.remaining() > kFooterBytes) {
     return core::Status::IoError("trailing bytes after last parameter: " +
                                  path);
+  }
+  uint32_t stored = 0;
+  r.Pod(&stored);
+  uint32_t actual = core::Crc32(blob.data(), blob.size() - kFooterBytes);
+  if (stored != actual) {
+    return core::Status::IoError(core::StrFormat(
+        "checksum mismatch (CRC32 %08x vs stored %08x): %s", actual, stored,
+        path.c_str()));
   }
   for (size_t i = 0; i < named.size(); ++i) {
     named[i].second.mutable_value().CopyFrom(staged[i]);

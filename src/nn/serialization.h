@@ -9,18 +9,18 @@
 
 namespace sstban::nn {
 
-// Binary checkpoint format for module parameters:
+// Binary checkpoint format for module parameters (version 2):
 //   magic "SSTB" | uint32 version | uint64 param count |
 //   per parameter: uint64 name length | name bytes |
 //                  uint32 rank | int64 dims[rank] | float data[numel]
-//   version >= 2 only: uint32 CRC32 over every preceding byte
+//   uint32 CRC32 over every preceding byte
 // Parameters are matched by their dotted registry path, so the module on
 // the loading side must have the same architecture.
 //
 // Writes are atomic (temp file -> fsync -> rename): a crash mid-save leaves
 // the previous checkpoint — or no file — at `path`, never a torn one. The
-// reader verifies the CRC footer before trusting any value; legacy
-// footer-less version-1 files are still accepted.
+// reader rejects any other version, including the footer-less version 1,
+// and verifies the CRC footer before trusting any value.
 
 // Writes every named parameter of `module` to `path`.
 core::Status SaveParameters(const Module& module, const std::string& path);

@@ -86,9 +86,6 @@ void Batcher::SweepExpired(Clock::time_point now) {
 void Batcher::WorkerLoop() {
   for (;;) {
     watchdog_->MarkLoopTick();
-    // Re-probe the brownout ladder every tick so a server with no incoming
-    // traffic still steps back down once memory pressure clears.
-    overload_->brownout().Update();
     // Expired requests never coalesce: anything whose deadline passed while
     // a previous (possibly slow) batch held the worker is terminated with
     // DeadlineExceeded before batch assembly even starts.
@@ -120,11 +117,7 @@ void Batcher::WorkerLoop() {
     }
 
     core::Timer assembly;
-    // Batch identity is shape + routing tier: force-fallback requests (the
-    // brownout verdict) never coalesce with primary traffic, so skipping
-    // the model for them costs primary requests nothing.
     tensor::Shape key = first.request.recent.shape();
-    const bool fallback_key = first.force_fallback;
     std::vector<PendingRequest> batch;
     batch.push_back(std::move(first));
 
@@ -132,8 +125,7 @@ void Batcher::WorkerLoop() {
     for (auto it = holdover_.begin();
          it != holdover_.end() &&
          static_cast<int64_t>(batch.size()) < options_.max_batch;) {
-      if (it->request.recent.shape() == key &&
-          it->force_fallback == fallback_key) {
+      if (it->request.recent.shape() == key) {
         batch.push_back(std::move(*it));
         it = holdover_.erase(it);
       } else {
@@ -158,8 +150,7 @@ void Batcher::WorkerLoop() {
         RejectExpired(&*popped);
         continue;
       }
-      if (popped->request.recent.shape() == key &&
-          popped->force_fallback == fallback_key) {
+      if (popped->request.recent.shape() == key) {
         batch.push_back(std::move(*popped));
       } else {
         holdover_.push_back(std::move(*popped));
@@ -212,10 +203,6 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
   stats_->RecordAssembly(assembly_seconds);
   const int64_t b = static_cast<int64_t>(batch.size());
   stats_->RecordBatch(b);
-  // Brownout verdict carried from Submit: the whole batch bypasses the
-  // primary model and serves from the fallback tiers (batches are
-  // tier-homogeneous by construction in WorkerLoop).
-  const bool force_fallback = batch[0].force_fallback && fallback_->enabled();
   core::Timer execution;  // feeds the dequeue-time service estimate
 
   watchdog_->MarkBatchStart(Clock::now());
@@ -235,15 +222,6 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
       fallback_->primary_breaker().OnModelSwapped();
     }
     last_version_ = served->version;
-  }
-  if (served == nullptr && !fallback_->enabled()) {
-    for (PendingRequest& req : batch) {
-      req.promise.set_value(
-          core::Status::FailedPrecondition("no model version installed"));
-      overload_->admission().OnTerminal();
-    }
-    watchdog_->MarkBatchEnd();
-    return;
   }
 
   const int64_t p = options_.input_len;
@@ -282,10 +260,8 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
   tensor::Tensor denorm;
   ServedBy served_by = ServedBy::kModel;
   bool primary_ok = false;
-  if (served != nullptr && !force_fallback) {
-    if (!fallback_->enabled() || fallback_->primary_breaker().Allow()) {
-      primary_ok = RunPrimary(*served, model_batch, keep_pos, &denorm);
-    }
+  if (served != nullptr && fallback_->primary_breaker().Allow()) {
+    primary_ok = RunPrimary(*served, model_batch, keep_pos, &denorm);
   }
 
   std::vector<tensor::Tensor> slices(static_cast<size_t>(b));
@@ -301,7 +277,7 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
     // first_step; staleness of later fallback serves is measured against it.
     fallback_->cache().Update(slices.back(),
                               batch.back().request.first_step);
-  } else if (fallback_->enabled()) {
+  } else {
     std::vector<int64_t> first_steps;
     first_steps.reserve(batch.size());
     for (const PendingRequest& req : batch) {
@@ -325,17 +301,6 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
       watchdog_->MarkBatchEnd();
       return;
     }
-  } else {
-    Clock::time_point done = Clock::now();
-    for (PendingRequest& req : batch) {
-      req.promise.set_value(
-          core::Status::Unavailable("model pass failed (fallback disabled)"));
-      stats_->RecordEndToEnd(
-          std::chrono::duration<double>(done - req.enqueued_at).count());
-      overload_->admission().OnTerminal();
-    }
-    watchdog_->MarkBatchEnd();
-    return;
   }
 
   const int64_t version =

@@ -54,10 +54,10 @@ struct BatcherOptions {
 //
 // The loop runs on a dedicated thread rather than a core::ThreadPool slot:
 // the global pool is the substrate the tensor kernels parallelize on via
-// ParallelFor, and parking a never-finishing loop there would deadlock any
-// Wait() on the pool. One batched forward runs at a time, so the model
-// needs no internal synchronization; hot-swap safety comes from pinning the
-// registry snapshot for the duration of each batch.
+// ParallelFor, and a never-finishing loop parked there would never return
+// to the RunAndWait caller that helped run it. One batched forward runs at
+// a time, so the model needs no internal synchronization; hot-swap safety
+// comes from pinning the registry snapshot for the duration of each batch.
 class Batcher {
  public:
   Batcher(BatcherOptions options, RequestQueue* queue, ModelRegistry* registry,

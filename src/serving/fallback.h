@@ -50,9 +50,6 @@ class LastGoodCache {
 };
 
 struct FallbackOptions {
-  // Disabling the chain turns every model-tier fault into Unavailable (the
-  // pre-resilience behavior, kept for A/B benchmarks).
-  bool enabled = true;
   // Oldest last-known-good entry (in logical slice steps, relative to the
   // requesting window's first_step) the cache tier may serve; -1 = unbounded
   // (the pre-staleness behavior). Beyond the horizon requests fall to the
@@ -94,7 +91,6 @@ class FallbackChain {
                    std::vector<tensor::Tensor>* slices, ServedBy* served_by,
                    std::vector<int64_t>* cache_ages = nullptr);
 
-  bool enabled() const { return options_.enabled; }
   bool has_var_baseline() const { return var_ != nullptr; }
   CircuitBreaker& primary_breaker() { return primary_breaker_; }
   const CircuitBreaker& primary_breaker() const { return primary_breaker_; }

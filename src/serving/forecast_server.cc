@@ -34,7 +34,6 @@ ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
   // sink a closure so /stats snapshots can fold them in.
   stats_.SetResilienceProvider([this] {
     ServerStats::ResilienceSummary summary;
-    summary.fallback_enabled = fallback_.enabled();
     summary.var_available = fallback_.has_var_baseline();
     const CircuitBreaker& primary = fallback_.primary_breaker();
     summary.primary_breaker_state = primary.StateName();
@@ -62,12 +61,6 @@ ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
     summary.shed_batch = a.shed_batch;
     summary.shed_whatif = a.shed_whatif;
     summary.admission_backoffs = a.backoffs;
-    BrownoutController::Snapshot b = overload_.brownout().TakeSnapshot();
-    summary.brownout_enabled = b.enabled;
-    summary.brownout_level = BrownoutLevelName(b.level);
-    summary.brownout_probe_bytes = b.probe_bytes;
-    summary.brownout_steps_up = b.steps_up;
-    summary.brownout_steps_down = b.steps_down;
     summary.submit_p50_ms = overload_.submit_estimator().P50() * 1e3;
     summary.service_p50_ms = overload_.service_estimator().P50() * 1e3;
     return summary;
@@ -140,26 +133,6 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
 
   // -- Overload control, cheapest verdicts first -----------------------------
   const Criticality criticality = request.criticality;
-  // Brownout ladder: under memory pressure low-criticality traffic first
-  // moves to the fallback tiers, then sheds outright. Interactive traffic
-  // keeps full service at every level — memory relief comes from the
-  // classes that can wait.
-  bool force_fallback = false;
-  const BrownoutLevel brownout = overload_.brownout().Update();
-  if (criticality != Criticality::kInteractive &&
-      brownout >= BrownoutLevel::kFallbackLow) {
-    const bool can_fallback =
-        fallback_.enabled() && brownout < BrownoutLevel::kShedLow;
-    if (can_fallback) {
-      force_fallback = true;
-      stats_.RecordForcedFallback();
-    } else {
-      stats_.RecordShedBrownout();
-      return core::Status::Unavailable(core::StrFormat(
-          "brownout (%s): shedding %s traffic under memory pressure",
-          BrownoutLevelName(brownout), CriticalityName(criticality)));
-    }
-  }
   // Deadline propagation: if the request cannot plausibly finish before its
   // deadline (remaining budget below the observed p50 end-to-end), reject
   // now instead of letting it ride the queue to a guaranteed sweep.
@@ -191,7 +164,6 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
 
   PendingRequest pending;
   pending.request = std::move(request);
-  pending.force_fallback = force_fallback;
 
   // Input boundary: NaN/Inf/sentinel readings either reject the request
   // (strict channel) or become a keep mask + scrubbed window copy for

@@ -41,10 +41,8 @@ struct ServerOptions {
   // A batch in flight longer than this means the worker is wedged: the
   // readiness probe goes false and Submit fails fast with Unavailable.
   std::chrono::milliseconds stall_budget{2000};
-  // Overload control: adaptive admission, deadline propagation, and the
-  // memory-pressure brownout ladder (defaults read SSTBAN_ADMISSION /
-  // SSTBAN_BROWNOUT_WATERMARKS once).
-  OverloadOptions overload = ResolveOverloadOptions();
+  // Overload control: adaptive admission and deadline propagation.
+  OverloadOptions overload;
 };
 
 // The multi-client inference facade: Submit validates, sanitizes, and

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "serving/overload/admission.h"
-#include "serving/overload/brownout.h"
 #include "serving/overload/estimator.h"
 
 namespace sstban::serving {
@@ -23,32 +22,21 @@ struct DeadlineOptions {
 };
 
 // Everything the overload-control subsystem needs, hung off ServerOptions.
-// Defaults come from the environment:
-//   SSTBAN_ADMISSION            off | on | key=value list
-//                               (limit, min, max, tolerance, increase,
-//                                decrease) e.g. "limit=32,tolerance=1.5"
-//   SSTBAN_BROWNOUT_WATERMARKS  off | "<fallback_mb>[,<shed_mb>]" enter
-//                               watermarks in MB (one value sets both)
 struct OverloadOptions {
   AdmissionOptions admission;
   DeadlineOptions deadline;
-  BrownoutOptions brownout;
 
-  // Turns every layer off (pure pre-overload-control behavior; the bench's
-  // "admission off" arm and the big red switch for experiments).
+  // Turns both layers off (pure pre-overload-control behavior; the bench's
+  // "admission off" arm).
   void DisableAll() {
     admission.enabled = false;
     deadline.enabled = false;
-    brownout.enabled = false;
   }
 };
 
-// Reads SSTBAN_ADMISSION / SSTBAN_BROWNOUT_WATERMARKS once per call.
-OverloadOptions ResolveOverloadOptions();
-
-// The per-server bundle: one admission controller, the two stage estimators
-// behind deadline propagation, and the brownout ladder. ForecastServer owns
-// one and shares a pointer with its Batcher.
+// The per-server bundle: one admission controller and the two stage
+// estimators behind deadline propagation. ForecastServer owns one and shares
+// a pointer with its Batcher.
 class OverloadControl {
  public:
   explicit OverloadControl(const OverloadOptions& options)
@@ -56,8 +44,7 @@ class OverloadControl {
         admission_(options.admission),
         submit_estimator_(options.deadline.window, options.deadline.min_samples),
         service_estimator_(options.deadline.window,
-                           options.deadline.min_samples),
-        brownout_(options.brownout) {}
+                           options.deadline.min_samples) {}
 
   const OverloadOptions& options() const { return options_; }
   AdmissionController& admission() { return admission_; }
@@ -67,15 +54,12 @@ class OverloadControl {
   // Dequeue-time gate: batch execution only (the work still ahead of a
   // request that has already been popped).
   ServiceTimeEstimator& service_estimator() { return service_estimator_; }
-  BrownoutController& brownout() { return brownout_; }
-  const BrownoutController& brownout() const { return brownout_; }
 
  private:
   OverloadOptions options_;
   AdmissionController admission_;
   ServiceTimeEstimator submit_estimator_;
   ServiceTimeEstimator service_estimator_;
-  BrownoutController brownout_;
 };
 
 }  // namespace sstban::serving

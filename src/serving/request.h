@@ -14,9 +14,9 @@ namespace sstban::serving {
 using Clock = std::chrono::steady_clock;
 
 // How much the client cares, for overload shedding: when the server is past
-// its concurrency limit or browning out under memory pressure, what-if
-// traffic sheds first, then batch, and interactive last. The default is the
-// most protected class so existing callers keep today's behavior.
+// its concurrency limit, what-if traffic sheds first, then batch, and
+// interactive last. The default is the most protected class so existing
+// callers keep today's behavior.
 enum class Criticality { kInteractive = 0, kBatch = 1, kWhatIf = 2 };
 
 const char* CriticalityName(Criticality criticality);
@@ -86,10 +86,6 @@ struct PendingRequest {
   tensor::Tensor keep_pos;  // [P, N] 1=observed; undefined when clean
   DegradationLevel degradation = DegradationLevel::kNone;
   int64_t masked_positions = 0;
-  // Brownout verdict made at Submit time: skip the primary model and serve
-  // this request from the fallback tiers (batched separately from primary
-  // traffic so the two never coalesce).
-  bool force_fallback = false;
 
   bool Expired(Clock::time_point now) const {
     return request.deadline.has_value() && now > *request.deadline;

@@ -139,8 +139,6 @@ ServerStats::Snapshot ServerStats::TakeSnapshot() const {
   snap.swept_expired = swept_expired_.load();
   snap.rejected_shutdown = rejected_shutdown_.load();
   snap.shed_admission = shed_admission_.load();
-  snap.shed_brownout = shed_brownout_.load();
-  snap.forced_fallback = forced_fallback_.load();
   snap.rejected_predicted_late = rejected_predicted_late_.load();
   snap.swept_predicted_late = swept_predicted_late_.load();
   if (resilience_provider_) snap.resilience = resilience_provider_();
@@ -201,7 +199,7 @@ std::string ServerStats::ReportTable() const {
   out += core::StrFormat(
       "  degraded: none=%lld partial=%lld heavy=%lld   served: model=%lld "
       "var=%lld cache=%lld\n"
-      "  resilience: fallback=%s var=%s swept_expired=%lld "
+      "  resilience: var=%s swept_expired=%lld "
       "rejected_nonfinite=%lld rejected_wedged=%lld cached_sensors=%lld\n"
       "  breaker primary: state=%s trips=%lld probes=%lld rejected=%lld\n"
       "  breaker var:     state=%s trips=%lld probes=%lld rejected=%lld\n",
@@ -210,8 +208,8 @@ std::string ServerStats::ReportTable() const {
       static_cast<long long>(s.degraded_heavy),
       static_cast<long long>(s.served_model),
       static_cast<long long>(s.served_var),
-      static_cast<long long>(s.served_cache), r.fallback_enabled ? "on" : "off",
-      r.var_available ? "on" : "off", static_cast<long long>(s.swept_expired),
+      static_cast<long long>(s.served_cache), r.var_available ? "on" : "off",
+      static_cast<long long>(s.swept_expired),
       static_cast<long long>(s.rejected_nonfinite),
       static_cast<long long>(s.rejected_wedged),
       static_cast<long long>(r.cached_sensors), r.primary_breaker_state.c_str(),
@@ -235,11 +233,9 @@ std::string ServerStats::ReportTable() const {
   out += core::StrFormat(
       "  overload: admission=%s limit=%.1f in_flight=%lld min_batch=%.3fms "
       "backoffs=%lld\n"
-      "            shed: admission=%lld (int=%lld batch=%lld whatif=%lld) "
-      "brownout=%lld forced_fallback=%lld\n"
+      "            shed: admission=%lld (int=%lld batch=%lld whatif=%lld)\n"
       "            predicted_late: submit=%lld dequeue=%lld  "
-      "p50 est: e2e=%.3fms service=%.3fms\n"
-      "  brownout: %s level=%s probe=%.1fMB steps_up=%lld steps_down=%lld\n",
+      "p50 est: e2e=%.3fms service=%.3fms\n",
       o.admission_enabled ? "on" : "off", o.admission_limit,
       static_cast<long long>(o.in_flight), o.min_batch_latency_ms,
       static_cast<long long>(o.admission_backoffs),
@@ -247,14 +243,9 @@ std::string ServerStats::ReportTable() const {
       static_cast<long long>(o.shed_interactive),
       static_cast<long long>(o.shed_batch),
       static_cast<long long>(o.shed_whatif),
-      static_cast<long long>(s.shed_brownout),
-      static_cast<long long>(s.forced_fallback),
       static_cast<long long>(s.rejected_predicted_late),
       static_cast<long long>(s.swept_predicted_late), o.submit_p50_ms,
-      o.service_p50_ms, o.brownout_enabled ? "on" : "off",
-      o.brownout_level.c_str(), o.brownout_probe_bytes / 1e6,
-      static_cast<long long>(o.brownout_steps_up),
-      static_cast<long long>(o.brownout_steps_down));
+      o.service_p50_ms);
   return out;
 }
 
@@ -300,7 +291,7 @@ std::string ServerStats::ReportJson() const {
   out += core::StrFormat(
       "  \"degraded\": {\"none\": %lld, \"partial\": %lld, \"heavy\": %lld},\n"
       "  \"served_by\": {\"model\": %lld, \"var\": %lld, \"cache\": %lld},\n"
-      "  \"resilience\": {\"fallback_enabled\": %s, \"var_available\": %s, "
+      "  \"resilience\": {\"var_available\": %s, "
       "\"swept_expired\": %lld, \"rejected_nonfinite\": %lld, "
       "\"rejected_wedged\": %lld, \"cached_sensors\": %lld, "
       "\"primary_breaker\": {\"state\": %s, \"trips\": %lld, "
@@ -313,7 +304,6 @@ std::string ServerStats::ReportJson() const {
       static_cast<long long>(s.served_model),
       static_cast<long long>(s.served_var),
       static_cast<long long>(s.served_cache),
-      r.fallback_enabled ? "true" : "false",
       r.var_available ? "true" : "false",
       static_cast<long long>(s.swept_expired),
       static_cast<long long>(s.rejected_nonfinite),
@@ -332,11 +322,9 @@ std::string ServerStats::ReportJson() const {
       "\"in_flight\": %lld, \"min_batch_latency_ms\": %.6f, "
       "\"admission_backoffs\": %lld, \"shed_admission\": %lld, "
       "\"shed_by_class\": {\"interactive\": %lld, \"batch\": %lld, "
-      "\"whatif\": %lld}, \"shed_brownout\": %lld, \"forced_fallback\": %lld, "
+      "\"whatif\": %lld}, "
       "\"rejected_predicted_late\": %lld, \"swept_predicted_late\": %lld, "
-      "\"submit_p50_ms\": %.6f, \"service_p50_ms\": %.6f, "
-      "\"brownout\": {\"enabled\": %s, \"level\": %s, \"probe_bytes\": %lld, "
-      "\"steps_up\": %lld, \"steps_down\": %lld}},\n",
+      "\"submit_p50_ms\": %.6f, \"service_p50_ms\": %.6f},\n",
       o.admission_enabled ? "true" : "false", o.admission_limit,
       static_cast<long long>(o.in_flight), o.min_batch_latency_ms,
       static_cast<long long>(o.admission_backoffs),
@@ -344,15 +332,9 @@ std::string ServerStats::ReportJson() const {
       static_cast<long long>(o.shed_interactive),
       static_cast<long long>(o.shed_batch),
       static_cast<long long>(o.shed_whatif),
-      static_cast<long long>(s.shed_brownout),
-      static_cast<long long>(s.forced_fallback),
       static_cast<long long>(s.rejected_predicted_late),
       static_cast<long long>(s.swept_predicted_late), o.submit_p50_ms,
-      o.service_p50_ms, o.brownout_enabled ? "true" : "false",
-      core::JsonQuote(o.brownout_level).c_str(),
-      static_cast<long long>(o.brownout_probe_bytes),
-      static_cast<long long>(o.brownout_steps_up),
-      static_cast<long long>(o.brownout_steps_down));
+      o.service_p50_ms);
   const MemorySummary& m = s.memory;
   out += core::StrFormat(
       "  \"memory\": {\"live_bytes\": %lld, \"peak_bytes\": %lld, "

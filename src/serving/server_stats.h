@@ -56,10 +56,6 @@ class ServerStats {
   void RecordRejectedShutdown() { rejected_shutdown_.fetch_add(1); }
   // Shed by the adaptive admission controller (concurrency limit).
   void RecordShedAdmission() { shed_admission_.fetch_add(1); }
-  // Shed (or soon-to-miss-deadline rejected) by the brownout ladder.
-  void RecordShedBrownout() { shed_brownout_.fetch_add(1); }
-  // Low-criticality request routed to the fallback tiers by brownout.
-  void RecordForcedFallback() { forced_fallback_.fetch_add(1); }
   // Deadline propagation: rejected at Submit (remaining < p50 end-to-end).
   void RecordRejectedPredictedLate() { rejected_predicted_late_.fetch_add(1); }
   // Deadline propagation: rejected at dequeue (remaining < p50 service).
@@ -96,7 +92,7 @@ class ServerStats {
   // the provider the ForecastServer registers (the breakers live in the
   // FallbackChain, not here).
   struct ResilienceSummary {
-    bool fallback_enabled = false, var_available = false;
+    bool var_available = false;
     std::string primary_breaker_state = "closed";
     std::string var_breaker_state = "closed";
     int64_t primary_trips = 0, primary_probes = 0, primary_rejected = 0;
@@ -106,8 +102,8 @@ class ServerStats {
   using ResilienceProvider = std::function<ResilienceSummary()>;
   void SetResilienceProvider(ResilienceProvider provider);
 
-  // Overload-control picture (admission limit, brownout level, deadline
-  // estimators), filled in at snapshot time by the provider ForecastServer
+  // Overload-control picture (admission limit, deadline estimators), filled
+  // in at snapshot time by the provider ForecastServer
   // registers — the controllers live in OverloadControl, not here.
   struct OverloadSummary {
     bool admission_enabled = false;
@@ -116,10 +112,6 @@ class ServerStats {
     double min_batch_latency_ms = 0.0;
     int64_t shed_interactive = 0, shed_batch = 0, shed_whatif = 0;
     int64_t admission_backoffs = 0;
-    bool brownout_enabled = false;
-    std::string brownout_level = "normal";
-    int64_t brownout_probe_bytes = 0;
-    int64_t brownout_steps_up = 0, brownout_steps_down = 0;
     double submit_p50_ms = 0.0;   // end-to-end estimate behind Submit's gate
     double service_p50_ms = 0.0;  // batch-execution estimate at dequeue
   };
@@ -141,7 +133,7 @@ class ServerStats {
     int64_t served_model = 0, served_var = 0, served_cache = 0;
     int64_t rejected_nonfinite = 0, rejected_wedged = 0, swept_expired = 0;
     int64_t rejected_shutdown = 0;
-    int64_t shed_admission = 0, shed_brownout = 0, forced_fallback = 0;
+    int64_t shed_admission = 0;
     int64_t rejected_predicted_late = 0, swept_predicted_late = 0;
     ResilienceSummary resilience;
     OverloadSummary overload;
@@ -173,8 +165,7 @@ class ServerStats {
   std::atomic<int64_t> rejected_nonfinite_{0}, rejected_wedged_{0},
       swept_expired_{0};
   std::atomic<int64_t> rejected_shutdown_{0};
-  std::atomic<int64_t> shed_admission_{0}, shed_brownout_{0},
-      forced_fallback_{0};
+  std::atomic<int64_t> shed_admission_{0};
   std::atomic<int64_t> rejected_predicted_late_{0}, swept_predicted_late_{0};
   ResilienceProvider resilience_provider_;  // set before Start, then read-only
   OverloadProvider overload_provider_;      // same lifecycle

@@ -191,12 +191,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x / y; });
 }
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return std::max(x, y); });
-}
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return std::min(x, y); });
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return ScalarMap(a, s, simd::Kernels().add_scalar);

@@ -16,8 +16,6 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
-Tensor Maximum(const Tensor& a, const Tensor& b);
-Tensor Minimum(const Tensor& a, const Tensor& b);
 
 // -- Elementwise with scalar --------------------------------------------------
 Tensor AddScalar(const Tensor& a, float s);

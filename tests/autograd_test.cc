@@ -269,36 +269,6 @@ TEST(OpsTest, Conv1dTimeShapeAndValues) {
   EXPECT_EQ(out2.value().ToVector(), (std::vector<float>{4, 6}));
 }
 
-TEST(OpsTest, DropoutTrainingAndEval) {
-  core::Rng rng(27);
-  Variable x(t::Tensor::Ones(t::Shape{1000}), true);
-  Variable dropped = Dropout(x, 0.5f, rng, /*training=*/true);
-  int64_t zeros = 0;
-  double sum = 0;
-  for (int64_t i = 0; i < 1000; ++i) {
-    float v = dropped.value().data()[i];
-    if (v == 0.0f) ++zeros;
-    sum += v;
-  }
-  EXPECT_GT(zeros, 380);
-  EXPECT_LT(zeros, 620);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.15);  // inverted scaling keeps mean ~1
-  Variable eval = Dropout(x, 0.5f, rng, /*training=*/false);
-  EXPECT_TRUE(t::AllClose(eval.value(), x.value()));
-}
-
-TEST(OpsTest, DropoutBackwardUsesSameMask) {
-  core::Rng rng(28);
-  Variable x(t::Tensor::Ones(t::Shape{100}), true);
-  Variable y = SumAll(Dropout(x, 0.3f, rng, true));
-  y.Backward();
-  // Gradient must be 0 exactly where the output was 0 and 1/(1-p) elsewhere.
-  for (int64_t i = 0; i < 100; ++i) {
-    float g = x.grad().data()[i];
-    EXPECT_TRUE(g == 0.0f || std::fabs(g - 1.0f / 0.7f) < 1e-5) << g;
-  }
-}
-
 // -- What the graph keeps alive -------------------------------------------
 
 constexpr int64_t kMiB = int64_t{1} << 20;

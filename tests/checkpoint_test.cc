@@ -120,7 +120,7 @@ TEST(AtomicWriteTest, FaultBeforeRenameLeavesNoFileAtFreshPath) {
   EXPECT_FALSE(fs::exists(path));
 }
 
-// -- Parameter checkpoint format (v2 + legacy v1) ----------------------------
+// -- Parameter checkpoint format (v2; v1 refused) ----------------------------
 
 TEST(SerializationV2Test, CorruptByteIsRejectedByChecksum) {
   std::string dir = FreshDir("ser_crc");
@@ -143,7 +143,10 @@ TEST(SerializationV2Test, CorruptByteIsRejectedByChecksum) {
       << status.ToString();
 }
 
-TEST(SerializationV2Test, LegacyV1FileWithoutFooterStillLoads) {
+// Version 1 had no CRC footer, so a file claiming it could carry payload bit
+// flips that nothing detects: the loader refuses it as an unsupported
+// version and leaves the module as it was.
+TEST(SerializationV2Test, VersionOneFileIsRejected) {
   std::string dir = FreshDir("ser_v1");
   std::string path = dir + "/legacy.bin";
   core::Rng rng(3);
@@ -163,15 +166,20 @@ TEST(SerializationV2Test, LegacyV1FileWithoutFooterStillLoads) {
 
   core::Rng rng2(4);
   nn::Mlp reload({3, 5, 1}, rng2);
-  ASSERT_TRUE(nn::LoadParameters(&reload, path).ok());
-  auto a = model.NamedParameters();
-  auto b = reload.NamedParameters();
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::memcmp(a[i].second.value().data(),
-                          b[i].second.value().data(),
-                          sizeof(float) *
-                              static_cast<size_t>(a[i].second.value().size())),
-              0);
+  std::vector<std::vector<float>> before;
+  for (const auto& [name, param] : reload.NamedParameters()) {
+    before.push_back(param.value().ToVector());
+  }
+  core::Status status = nn::LoadParameters(&reload, path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << status.ToString();
+  auto after = reload.NamedParameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].second.value().ToVector(), before[i]) << after[i].first;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -162,77 +163,55 @@ TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ScheduleAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 32);
-}
-
-// The serving batcher runs on its own thread while tensor kernels fan work
-// out to the pool via ParallelFor, so Schedule/Wait must stay correct under
-// many concurrent producers issuing repeated rounds.
-TEST(ThreadPoolTest, StressManyScheduleWaitRoundsFromMultipleProducers) {
+// The serving batcher's forward and the promotion gate's shadow evaluation
+// run ParallelFor from two threads at once, so RunAndWait must stay correct
+// under many concurrent producers issuing repeated rounds: each call returns
+// only once its own tasks have all run.
+TEST(ThreadPoolTest, StressManyRunAndWaitRoundsFromMultipleProducers) {
   ThreadPool pool(4);
-  std::atomic<int64_t> counter{0};
   constexpr int kProducers = 4;
   constexpr int kRounds = 50;
   constexpr int kTasksPerRound = 8;
+  std::vector<std::atomic<int64_t>> counters(kProducers);
+  std::vector<int64_t> short_rounds(kProducers, 0);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
+    producers.emplace_back([&, p] {
       for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::function<void()>> tasks;
         for (int task = 0; task < kTasksPerRound; ++task) {
-          pool.Schedule([&counter] { counter.fetch_add(1); });
+          tasks.push_back([&counters, p] { counters[p].fetch_add(1); });
         }
-        pool.Wait();
+        pool.RunAndWait(std::move(tasks));
+        if (counters[p].load() != (round + 1) * kTasksPerRound) {
+          ++short_rounds[p];
+        }
       }
     });
   }
   for (auto& producer : producers) producer.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kProducers * kRounds * kTasksPerRound);
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(short_rounds[p], 0) << "producer " << p;
+    EXPECT_EQ(counters[p].load(), kRounds * kTasksPerRound) << "producer " << p;
+  }
 }
 
-// Regression: tasks scheduled *from inside* running tasks used to be
-// invisible to a concurrent Wait(), which could return while the chain was
-// still growing. Wait() must observe the whole chain because each link is
-// enqueued before its parent finishes (and thus before pending can drain).
-TEST(ThreadPoolTest, WaitSeesTasksScheduledFromTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  constexpr int kDepth = 64;
-  std::function<void(int)> chain = [&](int remaining) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    counter.fetch_add(1);
-    if (remaining > 0) pool.Schedule([&chain, remaining] { chain(remaining - 1); });
+// Each SSTBAN_NUM_THREADS value maps to a worker count or to nullopt (keep
+// the hardware default); no pool is built from these values.
+TEST(ThreadPoolTest, ParseNumThreadsAcceptsOnlyWholeNumbersUpTo256) {
+  const std::optional<int> kDefault;
+  const struct {
+    const char* text;
+    std::optional<int> workers;
+  } cases[] = {
+      {"8", 8},          {"1", 1},          {"0", 1},
+      {"256", 256},      {"257", kDefault}, {"-3", kDefault},
+      {"abc", kDefault}, {"8x", kDefault},  {"", kDefault},
+      {"99999999999", kDefault},
   };
-  pool.Schedule([&chain] { chain(kDepth - 1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kDepth);
-}
-
-// Regression: Wait() called from inside a pool task used to deadlock — the
-// caller's own in-flight task kept `pending` above zero forever. Now the
-// caller helps drain the queue and excludes its own stack from the wait.
-TEST(ThreadPoolTest, WaitFromInsideTaskDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> subtasks_done{0};
-  std::atomic<bool> inner_wait_returned{false};
-  pool.Schedule([&] {
-    for (int i = 0; i < 8; ++i) {
-      pool.Schedule([&subtasks_done] { subtasks_done.fetch_add(1); });
-    }
-    pool.Wait();  // must not wait on the task this lambda runs inside
-    EXPECT_EQ(subtasks_done.load(), 8);
-    inner_wait_returned.store(true);
-  });
-  pool.Wait();
-  EXPECT_TRUE(inner_wait_returned.load());
-  EXPECT_EQ(subtasks_done.load(), 8);
+  for (const auto& c : cases) {
+    EXPECT_EQ(ParseNumThreads(c.text), c.workers) << "'" << c.text << "'";
+  }
 }
 
 // RunAndWait from inside RunAndWait tasks: every level must complete, with

@@ -1,9 +1,7 @@
 // Tests for the components beyond the paper's core: checkpoint
-// serialization, learning-rate schedulers, the extra activation/loss ops,
-// the ForecastService deployment wrapper, and SSTBAN's missing-data
-// prediction path.
+// serialization, learning-rate schedulers, the ForecastService deployment
+// wrapper, and SSTBAN's missing-data prediction path.
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -12,7 +10,6 @@
 #include "autograd/ops.h"
 #include "core/rng.h"
 #include "data/synthetic_world.h"
-#include "gradcheck.h"
 #include "nn/mlp.h"
 #include "nn/serialization.h"
 #include "optim/lr_scheduler.h"
@@ -27,12 +24,6 @@ namespace {
 
 namespace ag = ::sstban::autograd;
 namespace t = ::sstban::tensor;
-using ::sstban::testing::ExpectGradientsMatch;
-
-t::Tensor Rand(t::Shape shape, uint64_t seed) {
-  core::Rng rng(seed);
-  return t::Tensor::RandomNormal(std::move(shape), rng, 0.0f, 0.7f);
-}
 
 // -- Serialization -----------------------------------------------------------
 
@@ -149,73 +140,6 @@ TEST(LrSchedulerTest, CosineAnnealsToMinimum) {
   EXPECT_NEAR(opt.learning_rate(), 0.1f, 1e-5f);
   sched.Step();  // past the horizon: stays at the floor
   EXPECT_NEAR(opt.learning_rate(), 0.1f, 1e-5f);
-}
-
-// -- New ops -----------------------------------------------------------------
-
-TEST(NewOpsTest, SoftplusValuesAndStability) {
-  ag::Variable x(t::Tensor::FromVector(t::Shape{3}, {0.0f, 100.0f, -100.0f}));
-  ag::Variable y = ag::Softplus(x);
-  EXPECT_NEAR(y.value().data()[0], std::log(2.0f), 1e-5f);
-  EXPECT_NEAR(y.value().data()[1], 100.0f, 1e-3f);
-  EXPECT_NEAR(y.value().data()[2], 0.0f, 1e-3f);
-  EXPECT_FALSE(t::HasNonFinite(y.value()));
-}
-
-TEST(NewOpsTest, SoftplusGradCheck) {
-  ExpectGradientsMatch(
-      [](std::vector<ag::Variable>& v) { return ag::SumAll(ag::Softplus(v[0])); },
-      {Rand({5}, 6)});
-}
-
-TEST(NewOpsTest, GeluMatchesKnownValues) {
-  ag::Variable x(t::Tensor::FromVector(t::Shape{3}, {0.0f, 1.0f, -1.0f}));
-  ag::Variable y = ag::Gelu(x);
-  EXPECT_NEAR(y.value().data()[0], 0.0f, 1e-5f);
-  EXPECT_NEAR(y.value().data()[1], 0.8412f, 1e-3f);
-  EXPECT_NEAR(y.value().data()[2], -0.1588f, 1e-3f);
-}
-
-TEST(NewOpsTest, GeluGradCheck) {
-  ExpectGradientsMatch(
-      [](std::vector<ag::Variable>& v) { return ag::SumAll(ag::Gelu(v[0])); },
-      {Rand({6}, 7)});
-}
-
-TEST(NewOpsTest, HuberMatchesQuadraticAndLinearRegimes) {
-  // Small errors: 0.5 e^2; large errors: delta(|e| - 0.5 delta).
-  ag::Variable pred(t::Tensor::FromVector(t::Shape{2}, {0.5f, 5.0f}));
-  ag::Variable target(t::Tensor::Zeros(t::Shape{2}));
-  float loss = ag::HuberLoss(pred, target, 1.0f).item();
-  float expected = 0.5f * (0.5f * 0.25f + (5.0f - 0.5f));
-  EXPECT_NEAR(loss, expected, 1e-5f);
-}
-
-TEST(NewOpsTest, HuberGradCheck) {
-  // Keep |errors| away from the delta kink for finite differences.
-  t::Tensor pred = t::Tensor::FromVector(t::Shape{4}, {0.2f, 3.0f, -0.3f, -2.5f});
-  t::Tensor target = t::Tensor::Zeros(t::Shape{4});
-  ExpectGradientsMatch(
-      [&target](std::vector<ag::Variable>& v) {
-        return ag::HuberLoss(v[0], ag::Variable(target), 1.0f);
-      },
-      {pred});
-}
-
-TEST(NewOpsTest, MaskedMaeIgnoresNearZeroTargets) {
-  ag::Variable pred(t::Tensor::FromVector(t::Shape{3}, {1.0f, 5.0f, 9.0f}));
-  ag::Variable target(t::Tensor::FromVector(t::Shape{3}, {0.0f, 4.0f, 10.0f}));
-  // Entry 0 excluded (target 0); mean(|1|, |1|) over 2 valid entries = 1.
-  EXPECT_NEAR(ag::MaskedMaeLoss(pred, target).item(), 1.0f, 1e-5f);
-}
-
-TEST(NewOpsTest, MaskedMaeAllMaskedIsZeroAndSafe) {
-  ag::Variable pred(t::Tensor::FromVector(t::Shape{2}, {1.0f, 2.0f}), true);
-  ag::Variable target(t::Tensor::Zeros(t::Shape{2}));
-  ag::Variable loss = ag::MaskedMaeLoss(pred, target);
-  EXPECT_FLOAT_EQ(loss.item(), 0.0f);
-  loss.Backward();  // must not crash; gradient simply zero
-  EXPECT_FLOAT_EQ(pred.grad().data()[0], 0.0f);
 }
 
 // -- ForecastService -----------------------------------------------------

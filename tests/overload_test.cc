@@ -1,33 +1,25 @@
 // Tests for the overload-control subsystem: the adaptive admission
 // controller (AIMD limit steering + criticality-ordered shedding), the
 // windowed service-time estimator behind cooperative deadline propagation,
-// the memory brownout ladder (hysteretic and reversible), the
-// SSTBAN_ADMISSION / SSTBAN_BROWNOUT_WATERMARKS knobs (malformed values keep
-// the defaults), and the integrated server behavior: eager expired-deadline
-// rejection, admission shedding with exact in-flight accounting, and
-// brownout routing low-criticality traffic to the fallback tiers and back.
+// and the integrated server behavior: eager expired-deadline rejection and
+// admission shedding with exact in-flight accounting.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/var_model.h"
 #include "core/check.h"
 #include "data/normalizer.h"
 #include "data/synthetic_world.h"
 #include "serving/forecast_server.h"
 #include "serving/model_registry.h"
 #include "serving/overload/admission.h"
-#include "serving/overload/brownout.h"
 #include "serving/overload/estimator.h"
 #include "serving/overload/overload.h"
 #include "serving/request_queue.h"
@@ -156,178 +148,6 @@ TEST(ServiceTimeEstimatorTest, TracksTheRecentMedian) {
   // The window slides: four slow samples displace the fast ones entirely.
   for (int i = 0; i < 4; ++i) estimator.Record(0.100);
   EXPECT_NEAR(estimator.P50(), 0.100, 1e-9);
-}
-
-// -- BrownoutController ------------------------------------------------------
-
-struct FakeEnvironment {
-  std::atomic<int64_t> bytes{0};
-  Clock::time_point now = Clock::now();
-
-  BrownoutOptions Options() {
-    BrownoutOptions options;
-    options.enter_bytes = {1000, 2000};
-    options.exit_fraction = 0.8;
-    options.min_dwell = std::chrono::milliseconds(100);
-    options.probe = [this] { return bytes.load(); };
-    options.now = [this] { return now; };
-    return options;
-  }
-};
-
-TEST(BrownoutControllerTest, EscalatesImmediatelyAndRecoversOneLevelPerDwell) {
-  FakeEnvironment env;
-  BrownoutController brownout(env.Options());
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);
-
-  env.bytes = 2500;  // straight past both watermarks
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kShedLow);
-  EXPECT_EQ(brownout.TakeSnapshot().steps_up, 2);
-
-  // Recovery: footprint fully back down, but de-escalation is gradual —
-  // one level per dwell, and never before the dwell elapses.
-  env.bytes = 0;
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kShedLow);  // dwell not met
-  env.now += std::chrono::milliseconds(150);
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
-  // The next dwell is still pending.
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
-  env.now += std::chrono::milliseconds(150);
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);  // fully reversible
-  const auto snap = brownout.TakeSnapshot();
-  EXPECT_EQ(snap.steps_up, 2);
-  EXPECT_EQ(snap.steps_down, 2);
-}
-
-TEST(BrownoutControllerTest, HysteresisBandHoldsTheLevelAcrossTheWatermark) {
-  FakeEnvironment env;
-  BrownoutController brownout(env.Options());
-  env.bytes = 1100;
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
-  // Dip just below the enter watermark but above exit (0.8 * 1000 = 800):
-  // without hysteresis this would flap on every sawtooth allocation.
-  env.bytes = 950;
-  env.now += std::chrono::milliseconds(500);
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kFallbackLow);
-  env.bytes = 700;  // below the exit watermark: now it may step down
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);
-}
-
-TEST(BrownoutControllerTest, DisabledStaysNormalAtAnyFootprint) {
-  FakeEnvironment env;
-  BrownoutOptions options = env.Options();
-  options.enabled = false;
-  BrownoutController brownout(options);
-  env.bytes = int64_t{1} << 40;
-  EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal);
-}
-
-// -- Environment knobs -------------------------------------------------------
-
-struct ScopedEnv {
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-  const char* name_;
-};
-
-TEST(OverloadEnvTest, AdmissionKnobsParseAndMalformedKeysAreIgnored) {
-  ScopedEnv env("SSTBAN_ADMISSION",
-                "limit=32,tolerance=1.5,bogus,min=oops,decrease=0.8");
-  OverloadOptions options = ResolveOverloadOptions();
-  EXPECT_TRUE(options.admission.enabled);
-  EXPECT_EQ(options.admission.initial_limit, 32.0);
-  EXPECT_EQ(options.admission.tolerance, 1.5);
-  EXPECT_EQ(options.admission.decrease, 0.8);
-  EXPECT_EQ(options.admission.min_limit, AdmissionOptions{}.min_limit);
-}
-
-TEST(OverloadEnvTest, AdmissionOffDisables) {
-  ScopedEnv env("SSTBAN_ADMISSION", "off");
-  EXPECT_FALSE(ResolveOverloadOptions().admission.enabled);
-}
-
-TEST(OverloadEnvTest, BrownoutWatermarksInMegabytesExtendTheLastValue) {
-  {
-    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "100,200,300");
-    OverloadOptions options = ResolveOverloadOptions();
-    EXPECT_EQ(options.brownout.enter_bytes[0], 100000000);  // fallback-low
-    EXPECT_EQ(options.brownout.enter_bytes[1], 200000000);  // shed-low
-  }
-  {
-    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "512");
-    OverloadOptions options = ResolveOverloadOptions();
-    EXPECT_EQ(options.brownout.enter_bytes[0], 512000000);
-    EXPECT_EQ(options.brownout.enter_bytes[1], 512000000);
-  }
-  {
-    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "off");
-    EXPECT_FALSE(ResolveOverloadOptions().brownout.enabled);
-  }
-}
-
-// inf and nan parse as numbers but mean nothing: each keeps its default, so
-// the limit still caps admissions.
-TEST(OverloadEnvTest, NonFiniteValuesKeepTheDefaults) {
-  {
-    ScopedEnv env("SSTBAN_ADMISSION", "limit=nan,tolerance=inf,max=-inf");
-    OverloadOptions options = ResolveOverloadOptions();
-    const AdmissionOptions defaults;
-    EXPECT_EQ(options.admission.initial_limit, defaults.initial_limit);
-    EXPECT_EQ(options.admission.tolerance, defaults.tolerance);
-    EXPECT_EQ(options.admission.max_limit, defaults.max_limit);
-    AdmissionController admission(options.admission);
-    int admitted = 0;
-    for (int i = 0; i < 1000; ++i) {
-      if (admission.Admit(Criticality::kInteractive)) ++admitted;
-    }
-    EXPECT_EQ(admitted, static_cast<int>(defaults.initial_limit));
-  }
-  for (const char* spec : {"inf", "nan", "-inf,inf"}) {
-    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", spec);
-    EXPECT_EQ(ResolveOverloadOptions().brownout.enter_bytes,
-              BrownoutOptions{}.enter_bytes)
-        << spec;
-  }
-}
-
-// 1e13 MB is past INT64_MAX bytes; converting it would be undefined, and the
-// wrapped watermark would hold the ladder at shed-low at any footprint.
-TEST(OverloadEnvTest, WatermarksPastInt64BytesKeepTheDefaults) {
-  for (const char* spec : {"1e13", "1e13,1e13", "9.3e12"}) {
-    ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", spec);
-    OverloadOptions options = ResolveOverloadOptions();
-    EXPECT_EQ(options.brownout.enter_bytes, BrownoutOptions{}.enter_bytes)
-        << spec;
-    options.brownout.probe = [] { return int64_t{0}; };
-    BrownoutController brownout(options.brownout);
-    EXPECT_EQ(brownout.Update(), BrownoutLevel::kNormal) << spec;
-  }
-  ScopedEnv env("SSTBAN_BROWNOUT_WATERMARKS", "9e12");  // fits: kept
-  EXPECT_EQ(ResolveOverloadOptions().brownout.enter_bytes[0],
-            int64_t{9000000000000000000});
-}
-
-// A floor above the ceiling leaves the limit no valid value (std::clamp's
-// precondition); both bounds keep their defaults instead.
-TEST(OverloadEnvTest, MinAboveMaxKeepsTheDefaultBounds) {
-  const AdmissionOptions defaults;
-  for (const char* spec : {"min=5000", "max=4", "min=20,max=10"}) {
-    ScopedEnv env("SSTBAN_ADMISSION", spec);
-    OverloadOptions options = ResolveOverloadOptions();
-    EXPECT_EQ(options.admission.min_limit, defaults.min_limit) << spec;
-    EXPECT_EQ(options.admission.max_limit, defaults.max_limit) << spec;
-    AdmissionController admission(options.admission);
-    admission.OnBatchLatency(0.010);
-    admission.OnBatchLatency(0.500);  // one congested batch backs off
-    EXPECT_GE(admission.limit(), defaults.min_limit) << spec;
-    EXPECT_LE(admission.limit(), defaults.max_limit) << spec;
-  }
-  ScopedEnv env("SSTBAN_ADMISSION", "min=16,max=16");  // equal bounds are valid
-  OverloadOptions options = ResolveOverloadOptions();
-  EXPECT_EQ(options.admission.min_limit, 16.0);
-  EXPECT_EQ(options.admission.max_limit, 16.0);
 }
 
 // -- RequestQueue rejection causes -------------------------------------------
@@ -518,84 +338,6 @@ TEST(ServerOverloadTest, AdmissionShedsAtTheLimitAndAccountingBalances) {
   EXPECT_EQ(server.stats().TakeSnapshot().overload.in_flight, 0);
 }
 
-TEST(ServerOverloadTest, BrownoutRoutesLowCriticalityToFallbackThenShedsThenRecovers) {
-  auto dataset = TinyWorld();
-  data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
-  model_ns::SstbanConfig config = TinyConfig();
-  ModelRegistry registry(
-      [config] { return std::make_unique<model_ns::SstbanModel>(config); },
-      norm);
-  registry.Install(std::make_unique<model_ns::SstbanModel>(config));
-
-  auto pressure = std::make_shared<std::atomic<int64_t>>(0);
-  ServerOptions options = TinyServerOptions();
-  options.max_batch = 1;
-  options.max_wait = std::chrono::microseconds(0);
-  options.overload.brownout.enter_bytes = {1000, 2000};
-  options.overload.brownout.min_dwell = std::chrono::milliseconds(0);
-  options.overload.brownout.probe = [pressure] { return pressure->load(); };
-  ForecastServer server(options, &registry);
-  auto var = std::make_unique<baselines::VarModel>(3);
-  var->FitSeries(norm.Transform(dataset->signals));
-  server.SetVarBaseline(std::move(var));
-  ASSERT_TRUE(server.Start().ok());
-
-  auto serve = [&](Criticality criticality) -> ForecastResult {
-    auto submitted = server.Submit(MakeRequest(*dataset, 0, criticality));
-    if (!submitted.ok()) return ForecastResult(submitted.status());
-    return submitted.value().get();
-  };
-
-  // Normal: batch traffic gets the model.
-  ForecastResult calm = serve(Criticality::kBatch);
-  ASSERT_TRUE(calm.ok());
-  EXPECT_EQ(calm.value().served_by, ServedBy::kModel);
-
-  // kFallbackLow: batch skips the primary and serves from the VAR tier;
-  // interactive keeps the model.
-  pressure->store(1500);
-  ForecastResult browned = serve(Criticality::kBatch);
-  ASSERT_TRUE(browned.ok());
-  EXPECT_EQ(browned.value().served_by, ServedBy::kVarBaseline);
-  ForecastResult vip = serve(Criticality::kInteractive);
-  ASSERT_TRUE(vip.ok());
-  EXPECT_EQ(vip.value().served_by, ServedBy::kModel);
-
-  // kShedLow: low-criticality traffic is refused outright, interactive still
-  // served.
-  pressure->store(2500);
-  ForecastResult shed = serve(Criticality::kWhatIf);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), core::StatusCode::kUnavailable);
-  EXPECT_NE(shed.status().message().find("brownout"), std::string::npos);
-  ForecastResult vip2 = serve(Criticality::kInteractive);
-  ASSERT_TRUE(vip2.ok());
-  EXPECT_EQ(vip2.value().served_by, ServedBy::kModel);
-
-  // Pressure gone: the ladder steps back down (batcher ticks Update too) and
-  // batch traffic returns to the model — brownout is fully reversible.
-  pressure->store(0);
-  ForecastResult recovered = ForecastResult(core::Status::Unavailable(""));
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    recovered = serve(Criticality::kBatch);
-    if (recovered.ok() && recovered.value().served_by == ServedBy::kModel) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered.value().served_by, ServedBy::kModel);
-
-  const auto snap = server.stats().TakeSnapshot();
-  EXPECT_GE(snap.forced_fallback, 1);
-  EXPECT_GE(snap.shed_brownout, 1);
-  EXPECT_GE(snap.overload.brownout_steps_up, 2);
-  EXPECT_GE(snap.overload.brownout_steps_down, 2);
-  EXPECT_EQ(snap.overload.brownout_level, "normal");
-  server.Shutdown();
-  EXPECT_EQ(server.overload().admission().in_flight(), 0);
-}
-
 TEST(ServerOverloadTest, StatsReportsCarryTheOverloadBlock) {
   auto dataset = TinyWorld();
   data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
@@ -613,7 +355,6 @@ TEST(ServerOverloadTest, StatsReportsCarryTheOverloadBlock) {
 
   const std::string table = server.stats().ReportTable();
   EXPECT_NE(table.find("overload"), std::string::npos);
-  EXPECT_NE(table.find("brownout"), std::string::npos);
   EXPECT_NE(table.find("shutdown="), std::string::npos);
   const std::string json = server.stats().ReportJson();
   EXPECT_NE(json.find("\"overload\""), std::string::npos);

@@ -623,30 +623,6 @@ TEST(ServerFallbackTest, ThrowingModelIsAbsorbedAndBreakerTrips) {
   EXPECT_TRUE(snap.resilience.var_available);
 }
 
-TEST(ServerFallbackTest, DisabledChainTurnsModelFaultsIntoUnavailable) {
-  ScopedFailpoints fp("serve_batch_run=error(Internal)");
-  auto dataset = TinyWorld();
-  data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
-  model_ns::SstbanConfig config = TinyConfig();
-  ModelRegistry registry(
-      [config] { return std::make_unique<model_ns::SstbanModel>(config); },
-      norm);
-  registry.Install(std::make_unique<model_ns::SstbanModel>(config));
-  ServerOptions options = TinyServerOptions();
-  options.fallback.enabled = false;
-  ForecastServer server(options, &registry);
-  ASSERT_TRUE(server.Start().ok());
-
-  ForecastRequest request;
-  request.recent = t::Slice(dataset->signals, 0, 0, kSteps);
-  auto submitted = server.Submit(std::move(request));
-  ASSERT_TRUE(submitted.ok());
-  ForecastResult result = submitted.value().get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), core::StatusCode::kUnavailable);
-  server.Shutdown();
-}
-
 TEST(ServerFallbackTest, CacheTierReplaysLastGoodForecast) {
   auto dataset = TinyWorld();
   data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
@@ -865,7 +841,6 @@ TEST(ResilienceStatsTest, SnapshotTableAndJsonCarryResilienceFields) {
   stats.RecordSweptExpired(3);
   stats.SetResilienceProvider([] {
     ServerStats::ResilienceSummary summary;
-    summary.fallback_enabled = true;
     summary.var_available = true;
     summary.primary_breaker_state = "half-open";
     summary.primary_trips = 2;

@@ -7,30 +7,24 @@
 //                [--epochs 2] [--days 8] [--nodes 16]
 //                [--clients 4] [--requests 32] [--deadline-ms 0]
 //                [--max-batch 8] [--max-wait-us 2000] [--queue-cap 256]
-//                [--swap 1] [--json 0] [--degrade-pct 0] [--fallback 1]
-//                [--var-lag 3] [--stall-ms 2000]
-//                [--cache-age -1] [--ingest 0] [--drift recalibrate]
-//                [--adapt-steps 24] [--admission ""] [--brownout-mb ""]
+//                [--swap 1] [--json 0] [--degrade-pct 0] [--var-lag 3]
+//                [--stall-ms 2000] [--cache-age -1] [--ingest 0]
+//                [--drift recalibrate] [--adapt-steps 24]
 //
 // Trains a checkpoint if --ckpt does not exist yet (plus a second version
 // for the hot-swap), then serves it. `--requests` is per client; a deadline
 // of 0 means none. `--json 1` appends the machine-readable stats dump.
 //
 // Resilience knobs: `--degrade-pct N` corrupts channel 0 of N% of requests
-// with NaN readings, exercising mask-aware degraded inference;
-// `--fallback 0` disables the VAR/cache fallback chain; `--var-lag 0` skips
-// fitting the VAR tier; `--stall-ms` is the batcher watchdog budget. The
-// health probe line is printed after the run. SSTBAN_FAILPOINTS (see
-// src/core/failpoint.h) injects serving faults: serve_enqueue,
-// serve_batch_run, serve_fallback, registry_get.
+// with NaN readings, exercising mask-aware degraded inference; `--var-lag 0`
+// skips fitting the VAR tier (the cache tier still answers model faults);
+// `--stall-ms` is the batcher watchdog budget. The health probe line is
+// printed after the run. SSTBAN_FAILPOINTS (see src/core/failpoint.h)
+// injects serving faults: serve_enqueue, serve_batch_run, serve_fallback,
+// registry_get.
 //
-// Overload knobs: `--admission <spec>` sets the adaptive admission
-// controller (same grammar as SSTBAN_ADMISSION: `off`, `on`, or a
-// key=value list such as `limit=32,tolerance=1.5`); `--brownout-mb <list>`
-// sets the memory-pressure brownout enter watermarks in MB (same grammar
-// as SSTBAN_BROWNOUT_WATERMARKS: `off` or `<fallback_mb>[,<shed_mb>]`, e.g.
-// `768,1024`). Both default to the environment / built-in defaults when
-// omitted. See DESIGN.md section 16 for the full overload-control story.
+// Overload control (adaptive admission, deadline propagation) runs with its
+// ServerOptions defaults; see DESIGN.md section 16.
 //
 // `--cache-age N` bounds last-known-good cache staleness to N slices
 // (-1 = unbounded, the pre-staleness behavior); stale hits fall through to
@@ -217,22 +211,12 @@ int main(int argc, char** argv) {
   bool do_swap = flags.GetInt("swap", 1) != 0;
   bool emit_json = flags.GetInt("json", 0) != 0;
   int64_t degrade_pct = flags.GetInt("degrade-pct", 0);
-  bool fallback_enabled = flags.GetInt("fallback", 1) != 0;
   int64_t var_lag = flags.GetInt("var-lag", 3);
   int64_t stall_ms = flags.GetInt("stall-ms", 2000);
   int64_t cache_age = flags.GetInt("cache-age", -1);
   int64_t ingest_slices = flags.GetInt("ingest", 0);
   std::string drift = flags.GetString("drift", "recalibrate");
   int64_t adapt_steps = flags.GetInt("adapt-steps", 24);
-  std::string admission = flags.GetString("admission", "");
-  std::string brownout_mb = flags.GetString("brownout-mb", "");
-
-  // The overload flags reuse the documented env-knob grammar by feeding the
-  // environment before ServerOptions resolves its defaults.
-  if (!admission.empty()) setenv("SSTBAN_ADMISSION", admission.c_str(), 1);
-  if (!brownout_mb.empty()) {
-    setenv("SSTBAN_BROWNOUT_WATERMARKS", brownout_mb.c_str(), 1);
-  }
 
   auto dataset = std::make_shared<data::TrafficDataset>(
       data::GenerateSyntheticWorld(WorldFor(preset, flags)));
@@ -369,12 +353,11 @@ int main(int argc, char** argv) {
   if (degrade_pct > 0) {
     options.sanitizer.degradable_channels = {0};
   }
-  options.fallback.enabled = fallback_enabled;
   options.fallback.max_cache_age_steps = cache_age;
   options.stall_budget = std::chrono::milliseconds(stall_ms);
 
   serving::ForecastServer server(options, &registry);
-  if (fallback_enabled && var_lag > 0) {
+  if (var_lag > 0) {
     auto var = std::make_unique<sstban::baselines::VarModel>(
         static_cast<int>(var_lag));
     var->FitSeries(normalizer.Transform(dataset->signals));
