@@ -7,49 +7,10 @@
 
 namespace sstban::optim {
 
-Optimizer::Optimizer(std::vector<autograd::Variable> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
-  for (const auto& p : params_) {
-    SSTBAN_CHECK(p.requires_grad()) << "optimizer given a non-trainable tensor";
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<autograd::Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_) {
-      velocity_.push_back(tensor::Tensor::Zeros(p.shape()));
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    float* w = p.mutable_value().data();
-    const float* g = p.grad().data();
-    int64_t n = p.size();
-    if (momentum_ > 0.0f) {
-      float* v = velocity_[i].data();
-      for (int64_t j = 0; j < n; ++j) {
-        v[j] = momentum_ * v[j] + g[j];
-        w[j] -= lr_ * v[j];
-      }
-    } else {
-      for (int64_t j = 0; j < n; ++j) w[j] -= lr_ * g[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<autograd::Variable> params, float lr, float beta1,
            float beta2, float eps, float weight_decay)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
@@ -57,9 +18,14 @@ Adam::Adam(std::vector<autograd::Variable> params, float lr, float beta1,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
+    SSTBAN_CHECK(p.requires_grad()) << "optimizer given a non-trainable tensor";
     m_.push_back(tensor::Tensor::Zeros(p.shape()));
     v_.push_back(tensor::Tensor::Zeros(p.shape()));
   }
+}
+
+void Adam::ZeroGrad() {
+  for (auto& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {

@@ -7,52 +7,24 @@
 
 namespace sstban::optim {
 
-// Base interface for first-order optimizers. The optimizer keeps references
-// (shared nodes) to the parameters it updates; Step() reads each parameter's
-// accumulated gradient and updates its value in place.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<autograd::Variable> params, float lr);
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  // Applies one update using the current gradients. Parameters with no
-  // accumulated gradient are skipped.
-  virtual void Step() = 0;
-
-  // Clears gradients on all managed parameters.
-  void ZeroGrad();
-
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
-
- protected:
-  std::vector<autograd::Variable> params_;
-  float lr_;
-};
-
-// Plain stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<autograd::Variable> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-
- private:
-  float momentum_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
 // Adam (Kingma & Ba 2015) with bias correction — the de-facto optimizer for
-// the STGNN literature; the paper trains with lr = 0.001.
-class Adam : public Optimizer {
+// the STGNN literature; the paper trains with lr = 0.001. The optimizer keeps
+// references (shared nodes) to the parameters it updates; Step() reads each
+// parameter's accumulated gradient and updates its value in place.
+class Adam {
  public:
   Adam(std::vector<autograd::Variable> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  // Applies one update using the current gradients. Parameters with no
+  // accumulated gradient are skipped.
+  void Step();
+
+  // Clears gradients on all managed parameters.
+  void ZeroGrad();
 
   // Checkpointing hooks: Adam's full state is the step count plus the
   // first/second moment estimates, in parameter order.
@@ -66,6 +38,8 @@ class Adam : public Optimizer {
                     const std::vector<tensor::Tensor>& v);
 
  private:
+  std::vector<autograd::Variable> params_;
+  float lr_;
   float beta1_, beta2_, eps_, weight_decay_;
   int64_t step_ = 0;
   std::vector<tensor::Tensor> m_;

@@ -20,15 +20,27 @@ void Batcher::RejectExpired(PendingRequest* req) {
   overload_->admission().OnTerminal();
 }
 
-bool Batcher::PredictedLate(const PendingRequest& req,
-                            Clock::time_point now) const {
-  const DeadlineOptions& dl = overload_->options().deadline;
-  if (!dl.enabled || !req.request.deadline.has_value()) return false;
-  const double p50 = overload_->service_estimator().P50();
-  if (p50 <= 0.0) return false;
-  const double remaining =
-      std::chrono::duration<double>(*req.request.deadline - now).count();
-  return remaining < dl.safety_factor * p50;
+bool Batcher::Batchable(PendingRequest* req, Clock::time_point now) {
+  stats_->RecordQueueWait(
+      std::chrono::duration<double>(now - req->enqueued_at).count());
+  if (req->Expired(now)) {
+    RejectExpired(req);
+    return false;
+  }
+  // Deadline propagation at dequeue: a remaining budget below the p50
+  // batch-execution estimate would burn a batch slot on a guaranteed miss.
+  if (overload_->options().deadline.enabled &&
+      req->request.deadline.has_value()) {
+    const double p50 = overload_->service_estimator().P50();
+    const double remaining =
+        std::chrono::duration<double>(*req->request.deadline - now).count();
+    if (p50 > 0.0 && remaining < p50) {
+      stats_->RecordSweptPredictedLate();
+      RejectExpired(req);
+      return false;
+    }
+  }
+  return true;
 }
 
 Batcher::Batcher(BatcherOptions options, RequestQueue* queue,
@@ -68,92 +80,34 @@ void Batcher::Join() {
   if (started_ && worker_.joinable()) worker_.join();
 }
 
-void Batcher::SweepExpired(Clock::time_point now) {
-  int64_t swept = queue_->SweepExpired(
-      now, [this](PendingRequest&& req) { RejectExpired(&req); });
-  for (auto it = holdover_.begin(); it != holdover_.end();) {
-    if (it->Expired(now)) {
-      RejectExpired(&*it);
-      it = holdover_.erase(it);
-      ++swept;
-    } else {
-      ++it;
-    }
-  }
-  if (swept > 0) stats_->RecordSweptExpired(swept);
-}
-
 void Batcher::WorkerLoop() {
   for (;;) {
     watchdog_->MarkLoopTick();
     // Expired requests never coalesce: anything whose deadline passed while
     // a previous (possibly slow) batch held the worker is terminated with
     // DeadlineExceeded before batch assembly even starts.
-    SweepExpired(Clock::now());
+    int64_t swept = queue_->SweepExpired(
+        Clock::now(), [this](PendingRequest&& req) { RejectExpired(&req); });
+    if (swept > 0) stats_->RecordSweptExpired(swept);
 
-    // Seed the next batch: prefer a held-over request, otherwise block for
-    // the first arrival. nullopt means the queue closed and drained — once
-    // the holdover is empty too, every promise has been fulfilled.
-    PendingRequest first;
-    if (!holdover_.empty()) {
-      first = std::move(holdover_.front());
-      holdover_.pop_front();
-    } else {
-      std::optional<PendingRequest> popped = queue_->PopBlocking();
-      if (!popped.has_value()) return;
-      first = std::move(*popped);
-    }
+    // Block for the batch's first arrival. nullopt means the queue closed
+    // and drained: every promise has been fulfilled.
+    std::optional<PendingRequest> first = queue_->PopBlocking();
+    if (!first.has_value()) return;
     Clock::time_point seeded_at = Clock::now();
-    stats_->RecordQueueWait(
-        std::chrono::duration<double>(seeded_at - first.enqueued_at).count());
-    if (first.Expired(seeded_at)) {
-      RejectExpired(&first);
-      continue;
-    }
-    if (PredictedLate(first, seeded_at)) {
-      stats_->RecordSweptPredictedLate();
-      RejectExpired(&first);
-      continue;
-    }
+    if (!Batchable(&*first, seeded_at)) continue;
 
+    // Every admitted request has the server's window shape, so any arrival
+    // joins; keep the batch open up to max_wait for more.
     core::Timer assembly;
-    tensor::Shape key = first.request.recent.shape();
     std::vector<PendingRequest> batch;
-    batch.push_back(std::move(first));
-
-    // Pull batch-compatible holdovers first — they have waited longest.
-    for (auto it = holdover_.begin();
-         it != holdover_.end() &&
-         static_cast<int64_t>(batch.size()) < options_.max_batch;) {
-      if (it->request.recent.shape() == key) {
-        batch.push_back(std::move(*it));
-        it = holdover_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    // Keep the batch open up to max_wait for more arrivals.
+    batch.push_back(std::move(*first));
     Clock::time_point flush_at = seeded_at + options_.max_wait;
     while (static_cast<int64_t>(batch.size()) < options_.max_batch) {
       std::optional<PendingRequest> popped = queue_->PopUntil(flush_at);
       if (!popped.has_value()) break;
-      Clock::time_point now = Clock::now();
-      stats_->RecordQueueWait(
-          std::chrono::duration<double>(now - popped->enqueued_at).count());
-      if (popped->Expired(now)) {
-        RejectExpired(&*popped);
-        continue;
-      }
-      if (PredictedLate(*popped, now)) {
-        stats_->RecordSweptPredictedLate();
-        RejectExpired(&*popped);
-        continue;
-      }
-      if (popped->request.recent.shape() == key) {
+      if (Batchable(&*popped, Clock::now())) {
         batch.push_back(std::move(*popped));
-      } else {
-        holdover_.push_back(std::move(*popped));
       }
     }
     stats_->UpdateQueueDepth(queue_->depth());

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <thread>
 #include <vector>
 
@@ -30,14 +29,15 @@ struct BatcherOptions {
 };
 
 // The micro-batching worker: drains the request queue, coalesces up to
-// `max_batch` requests sharing one [P, N, C] shape (or flushes after
-// `max_wait`), stacks them into a single [B, P, N, C] tensor, runs ONE
-// batched TrafficModel::Predict pass on the currently served model, and
-// fulfills each request's promise with its annotated [Q, N, C] slice.
+// `max_batch` requests (or flushes after `max_wait`), stacks them into a
+// single [B, P, N, C] tensor, runs ONE batched TrafficModel::Predict pass on
+// the currently served model, and fulfills each request's promise with its
+// annotated [Q, N, C] slice. Submit admits only the server's one [P, N, C]
+// shape, so any queued requests batch together.
 //
 // Resilience behavior layered on top of the happy path:
-//   - Every loop iteration sweeps expired requests out of the queue (and the
-//     holdover) with DeadlineExceeded before they can join a batch.
+//   - Every loop iteration sweeps expired requests out of the queue with
+//     DeadlineExceeded before they can join a batch.
 //   - The primary model pass runs only when the fallback chain's primary
 //     circuit breaker admits it, inside a try/catch, and its output is
 //     checked for NaN/Inf — a throwing or poisoned model becomes a recorded
@@ -77,16 +77,14 @@ class Batcher {
 
  private:
   void WorkerLoop();
-  // Rejects every expired request in the queue and the holdover deque.
-  void SweepExpired(Clock::time_point now);
   // Terminates `req` with DeadlineExceeded (expired, or predicted to miss
   // its deadline given the current p50 service estimate) and releases its
   // admission slot.
   void RejectExpired(PendingRequest* req);
-  // Deadline propagation at dequeue: true when the request's remaining
-  // budget is below the p50 batch-execution estimate, so running it would
-  // burn a batch slot on a guaranteed miss.
-  bool PredictedLate(const PendingRequest& req, Clock::time_point now) const;
+  // Records a just-popped request's queue wait and says whether it may join
+  // the batch: false after rejecting it because its deadline passed or its
+  // remaining budget is below the p50 batch-execution estimate.
+  bool Batchable(PendingRequest* req, Clock::time_point now);
   // Executes one assembled batch; `assembly_seconds` is how long the batch
   // was held open.
   void RunBatch(std::vector<PendingRequest> batch, double assembly_seconds);
@@ -110,10 +108,6 @@ class Batcher {
   // Last served model version, to notice hot-swaps for the stats and to
   // reset the primary breaker (a fresh model deserves a clean window).
   int64_t last_version_ = 0;
-  // Popped requests whose shape did not match the batch being assembled;
-  // they lead the next batch so nothing is ever dropped or reordered
-  // indefinitely.
-  std::deque<PendingRequest> holdover_;
 };
 
 }  // namespace sstban::serving

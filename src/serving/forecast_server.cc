@@ -4,10 +4,15 @@
 
 #include "core/failpoint.h"
 #include "core/string_util.h"
+#include "training/forecast_service.h"
 
 namespace sstban::serving {
 
 namespace {
+
+// A request with more than this fraction of its [P, N] positions masked is
+// annotated kHeavy instead of kPartial.
+constexpr double kHeavyMaskedFraction = 0.3;
 
 BatcherOptions MakeBatcherOptions(const ServerOptions& options) {
   BatcherOptions batcher;
@@ -57,9 +62,6 @@ ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
     summary.admission_limit = a.limit;
     summary.in_flight = a.in_flight;
     summary.min_batch_latency_ms = a.min_latency * 1e3;
-    summary.shed_interactive = a.shed_interactive;
-    summary.shed_batch = a.shed_batch;
-    summary.shed_whatif = a.shed_whatif;
     summary.admission_backoffs = a.backoffs;
     summary.submit_p50_ms = overload_.submit_estimator().P50() * 1e3;
     summary.service_p50_ms = overload_.service_estimator().P50() * 1e3;
@@ -72,6 +74,13 @@ ForecastServer::~ForecastServer() { Shutdown(); }
 core::Status ForecastServer::Start() {
   if (started_) {
     return core::Status::FailedPrecondition("server already started");
+  }
+  if (options_.input_len <= 0 || options_.output_len <= 0 ||
+      options_.steps_per_day <= 0 || options_.num_nodes <= 0 ||
+      options_.num_features <= 0) {
+    return core::Status::InvalidArgument(
+        "cannot start: input_len, output_len, steps_per_day, num_nodes and "
+        "num_features must all be set (> 0)");
   }
   if (registry_->current() == nullptr) {
     return core::Status::FailedPrecondition(
@@ -109,30 +118,15 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
         watchdog_.InFlightSeconds(),
         std::chrono::duration<double>(options_.stall_budget).count()));
   }
-  const tensor::Tensor& recent = request.recent;
-  if (recent.rank() != 3 || recent.dim(0) != options_.input_len ||
-      (options_.num_nodes >= 0 && recent.dim(1) != options_.num_nodes) ||
-      (options_.num_features >= 0 &&
-       recent.dim(2) != options_.num_features)) {
+  core::Status valid = training::CheckWindow(
+      request.recent, request.first_step, options_.input_len,
+      options_.num_nodes, options_.num_features);
+  if (!valid.ok()) {
     stats_.RecordRejectedInvalid();
-    std::string nodes_str = options_.num_nodes >= 0
-                                ? std::to_string(options_.num_nodes)
-                                : std::string("*");
-    std::string feats_str = options_.num_features >= 0
-                                ? std::to_string(options_.num_features)
-                                : std::string("*");
-    return core::Status::InvalidArgument(core::StrFormat(
-        "expected a [%lld, %s, %s] window, got %s",
-        static_cast<long long>(options_.input_len), nodes_str.c_str(),
-        feats_str.c_str(), recent.shape().ToString().c_str()));
-  }
-  if (request.first_step < 0) {
-    stats_.RecordRejectedInvalid();
-    return core::Status::InvalidArgument("first_step must be >= 0");
+    return valid;
   }
 
   // -- Overload control, cheapest verdicts first -----------------------------
-  const Criticality criticality = request.criticality;
   // Deadline propagation: if the request cannot plausibly finish before its
   // deadline (remaining budget below the observed p50 end-to-end), reject
   // now instead of letting it ride the queue to a guaranteed sweep.
@@ -141,7 +135,7 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
     const double p50 = overload_.submit_estimator().P50();
     const double remaining =
         std::chrono::duration<double>(*request.deadline - submit_now).count();
-    if (p50 > 0.0 && remaining < dl.safety_factor * p50) {
+    if (p50 > 0.0 && remaining < p50) {
       stats_.RecordRejectedPredictedLate();
       return core::Status::DeadlineExceeded(core::StrFormat(
           "cannot finish before deadline: %.1fms remaining < p50 estimate "
@@ -150,14 +144,14 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
     }
   }
   core::Status admit_injected = core::FailPointStatus("overload_admit");
-  const bool admitted = admit_injected.ok() && overload_.admission().Admit(criticality);
+  const bool admitted = admit_injected.ok() && overload_.admission().Admit();
   if (!admitted) {
     stats_.RecordShedAdmission();
     if (!admit_injected.ok()) return admit_injected;
     return core::Status::Unavailable(core::StrFormat(
-        "admission limit reached (%.1f in flight, limit %.1f): %s load shed",
+        "admission limit reached (%.1f in flight, limit %.1f): load shed",
         static_cast<double>(overload_.admission().in_flight()),
-        overload_.admission().limit(), CriticalityName(criticality)));
+        overload_.admission().limit()));
   }
   // Every path below must balance the admission slot with exactly one
   // OnTerminal — on rejection here, or in the batcher at the terminal.
@@ -165,9 +159,9 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
   PendingRequest pending;
   pending.request = std::move(request);
 
-  // Input boundary: NaN/Inf/sentinel readings either reject the request
-  // (strict channel) or become a keep mask + scrubbed window copy for
-  // degraded-mode inference.
+  // Input boundary: NaN/Inf readings either reject the request (strict
+  // channel) or become a keep mask + scrubbed window copy for degraded-mode
+  // inference.
   core::StatusOr<SanitizeResult> sanitized =
       sanitizer_.Sanitize(&pending.request.recent);
   if (!sanitized.ok()) {
@@ -181,7 +175,7 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
     const double fraction =
         static_cast<double>(sanitized.value().masked_positions) /
         static_cast<double>(sanitized.value().total_positions);
-    pending.degradation = fraction > options_.sanitizer.heavy_fraction
+    pending.degradation = fraction > kHeavyMaskedFraction
                               ? DegradationLevel::kHeavy
                               : DegradationLevel::kPartial;
   }

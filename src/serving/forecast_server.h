@@ -21,20 +21,21 @@
 namespace sstban::serving {
 
 struct ServerOptions {
-  // Window geometry every request must match.
-  int64_t input_len = 24;
-  int64_t output_len = 24;
-  int64_t steps_per_day = 96;
-  // Expected node/feature counts; validated per request when >= 0.
-  int64_t num_nodes = -1;
-  int64_t num_features = -1;
+  // The served model's window geometry: every request must be exactly
+  // [input_len, num_nodes, num_features]. There is no default; Start refuses
+  // a server with any of the five left unset (<= 0).
+  int64_t input_len = 0;
+  int64_t output_len = 0;
+  int64_t steps_per_day = 0;
+  int64_t num_nodes = 0;
+  int64_t num_features = 0;
   // Micro-batching knobs (see BatcherOptions).
   int64_t max_batch = 8;
   std::chrono::microseconds max_wait{2000};
   // Backpressure bound: Submit sheds load with Unavailable beyond this.
   int64_t queue_capacity = 256;
-  // Input-boundary policy for NaN/Inf/sentinel readings (strict everywhere
-  // by default; list degradable channels to enable masked inference).
+  // Input-boundary policy for NaN/Inf readings (strict everywhere by
+  // default; list degradable channels to enable masked inference).
   SanitizerOptions sanitizer;
   // Degraded tiers + circuit breakers behind the primary model.
   FallbackOptions fallback;
@@ -62,6 +63,7 @@ class ForecastServer {
   ForecastServer(const ForecastServer&) = delete;
   ForecastServer& operator=(const ForecastServer&) = delete;
 
+  // InvalidArgument when the options leave any geometry field unset;
   // FailedPrecondition when the registry has no model installed yet.
   core::Status Start();
 
@@ -71,7 +73,7 @@ class ForecastServer {
 
   // Validates and sanitizes the request and enqueues it. Errors:
   //   InvalidArgument    - window shape mismatch, negative first_step, or a
-  //                        NaN/Inf/sentinel reading on a strict channel
+  //                        NaN/Inf reading on a strict channel
   //   Unavailable        - server not running, shutting down, queue full,
   //                        or the batcher watchdog reports a wedged worker
   //   DeadlineExceeded   - the deadline already passed

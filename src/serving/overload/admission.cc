@@ -4,44 +4,35 @@
 
 namespace sstban::serving {
 
+namespace {
+
+// The limit never climbs past this.
+constexpr double kMaxLimit = 4096.0;
+// Additive probe on a good batch: limit += kIncrease / limit (a concave
+// climb, AIMD-style).
+constexpr double kIncrease = 1.0;
+// Multiplicative decrease applied on congestion.
+constexpr double kDecrease = 0.9;
+// Batches per moving-minimum window; the minimum resets every window so a
+// permanent latency shift (bigger model, slower host) re-baselines instead of
+// reading as permanent congestion.
+constexpr int64_t kMinWindow = 128;
+
+}  // namespace
+
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options), limit_(options.initial_limit) {}
 
-bool AdmissionController::Admit(Criticality criticality) {
+bool AdmissionController::Admit() {
   if (!options_.enabled) {
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  double fraction = 1.0;
-  switch (criticality) {
-    case Criticality::kInteractive:
-      fraction = 1.0;
-      break;
-    case Criticality::kBatch:
-      fraction = options_.batch_fraction;
-      break;
-    case Criticality::kWhatIf:
-      fraction = options_.whatif_fraction;
-      break;
-  }
-  const double ceiling = limit_.load(std::memory_order_relaxed) * fraction;
+  const double ceiling = limit_.load(std::memory_order_relaxed);
   // CAS loop so two racing Submits cannot both squeeze through one slot.
   int64_t current = in_flight_.load(std::memory_order_relaxed);
   for (;;) {
-    if (static_cast<double>(current) >= ceiling) {
-      switch (criticality) {
-        case Criticality::kInteractive:
-          shed_interactive_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case Criticality::kBatch:
-          shed_batch_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case Criticality::kWhatIf:
-          shed_whatif_.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-      return false;
-    }
+    if (static_cast<double>(current) >= ceiling) return false;
     if (in_flight_.compare_exchange_weak(current, current + 1,
                                          std::memory_order_relaxed)) {
       return true;
@@ -59,7 +50,7 @@ void AdmissionController::OnBatchLatency(double seconds) {
   if (window_count_ == 0 || seconds < window_min_) window_min_ = seconds;
   ++window_count_;
   if (current_min_ == 0.0) current_min_ = window_min_;
-  if (window_count_ >= options_.min_window) {
+  if (window_count_ >= kMinWindow) {
     // Roll the window: the new baseline is what the *last* window observed,
     // so a regime change stops reading as congestion within one window.
     current_min_ = window_min_;
@@ -68,12 +59,12 @@ void AdmissionController::OnBatchLatency(double seconds) {
 
   double limit = limit_.load(std::memory_order_relaxed);
   if (seconds > options_.tolerance * current_min_) {
-    limit *= options_.decrease;
+    limit *= kDecrease;
     backoffs_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    limit += options_.increase / std::max(limit, 1.0);
+    limit += kIncrease / std::max(limit, 1.0);
   }
-  limit = std::clamp(limit, options_.min_limit, options_.max_limit);
+  limit = std::clamp(limit, options_.min_limit, kMaxLimit);
   limit_.store(limit, std::memory_order_relaxed);
 }
 
@@ -86,9 +77,6 @@ AdmissionController::Snapshot AdmissionController::TakeSnapshot() const {
     std::unique_lock<std::mutex> lock(mutex_);
     snap.min_latency = current_min_;
   }
-  snap.shed_interactive = shed_interactive_.load(std::memory_order_relaxed);
-  snap.shed_batch = shed_batch_.load(std::memory_order_relaxed);
-  snap.shed_whatif = shed_whatif_.load(std::memory_order_relaxed);
   snap.backoffs = backoffs_.load(std::memory_order_relaxed);
   return snap;
 }

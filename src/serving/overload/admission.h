@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <mutex>
 
-#include "serving/request.h"
-
 namespace sstban::serving {
 
 struct AdmissionOptions {
@@ -16,33 +14,17 @@ struct AdmissionOptions {
   // The limit never shrinks below this, so a burst of slow batches cannot
   // starve the server into rejecting everything forever.
   double min_limit = 8.0;
-  double max_limit = 4096.0;
   // Congestion threshold: a batch whose end-to-end latency exceeds
   // `tolerance` x the moving-minimum latency signals queue buildup.
   double tolerance = 2.0;
-  // Additive probe on a good batch: limit += increase / limit (concave climb,
-  // AIMD-style), and the floor added on every gradient update.
-  double increase = 1.0;
-  // Multiplicative decrease factor applied on congestion.
-  double decrease = 0.9;
-  // Samples per moving-minimum window; the minimum resets every window so a
-  // permanent latency shift (bigger model, slower host) re-baselines instead
-  // of reading as permanent congestion.
-  int64_t min_window = 128;
-  // Fraction of the limit each criticality class may fill. Interactive gets
-  // the whole limit; lower classes hit their ceiling first and shed first.
-  double batch_fraction = 0.9;
-  double whatif_fraction = 0.75;
 };
 
 // Adaptive concurrency limiter in front of the request queue. The limit is
 // steered by per-batch latency (submit -> promise fulfilled, averaged over
-// the batch) against a windowed moving minimum: latency near the minimum
-// means the queue is empty-ish and the limit climbs additively; latency
-// beyond tolerance x minimum means requests are queueing and the limit
-// decreases multiplicatively. Criticality classes share one in-flight
-// counter but cap at different fractions of the limit, so under pressure
-// what-if traffic sheds before batch, batch before interactive.
+// the batch) against a moving minimum over windows of 128 batches: latency
+// near the minimum means the queue is empty-ish and the limit climbs by
+// 1 / limit; latency beyond tolerance x minimum means requests are queueing
+// and the limit shrinks by x0.9. The limit stays within [min_limit, 4096].
 //
 // Thread-safety: Admit/OnTerminal are lock-free on the hot path;
 // OnBatchLatency takes a short mutex (called once per batch).
@@ -51,8 +33,8 @@ class AdmissionController {
   explicit AdmissionController(AdmissionOptions options);
 
   // True = admitted (in-flight incremented; the caller must balance with
-  // exactly one OnTerminal). False = shed (counter recorded per class).
-  bool Admit(Criticality criticality);
+  // exactly one OnTerminal). False = shed: the limit is reached.
+  bool Admit();
 
   // One admitted request reached its terminal (any status).
   void OnTerminal();
@@ -65,7 +47,6 @@ class AdmissionController {
     double limit = 0.0;
     int64_t in_flight = 0;
     double min_latency = 0.0;  // current moving-minimum (seconds)
-    int64_t shed_interactive = 0, shed_batch = 0, shed_whatif = 0;
     int64_t backoffs = 0;  // multiplicative-decrease events
   };
   Snapshot TakeSnapshot() const;
@@ -77,7 +58,6 @@ class AdmissionController {
   const AdmissionOptions options_;
   std::atomic<int64_t> in_flight_{0};
   std::atomic<double> limit_;
-  std::atomic<int64_t> shed_interactive_{0}, shed_batch_{0}, shed_whatif_{0};
   std::atomic<int64_t> backoffs_{0};
 
   mutable std::mutex mutex_;  // guards the moving-minimum window

@@ -16,7 +16,7 @@ namespace sstban::serving {
 // the batcher thread; P50() from any submit thread (atomic read).
 class ServiceTimeEstimator {
  public:
-  explicit ServiceTimeEstimator(int64_t window = 64, int64_t min_samples = 16);
+  ServiceTimeEstimator(int64_t window, int64_t min_samples);
 
   void Record(double seconds);
 

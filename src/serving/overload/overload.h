@@ -1,24 +1,19 @@
 #ifndef SSTBAN_SERVING_OVERLOAD_OVERLOAD_H_
 #define SSTBAN_SERVING_OVERLOAD_OVERLOAD_H_
 
-#include <cstdint>
-
 #include "serving/overload/admission.h"
 #include "serving/overload/estimator.h"
 
 namespace sstban::serving {
 
-// Deadline-propagation knobs (tentpole layer 2). A request is rejected —
-// at Submit and again at dequeue — when its remaining deadline is smaller
-// than safety_factor x the current p50 estimate of the relevant stage, so a
-// doomed request never occupies a queue slot or a batch slot.
+// Deadline propagation, the second overload layer. A request is rejected — at
+// Submit and again at dequeue — when its remaining deadline is smaller than
+// the current p50 estimate of the relevant stage, so a doomed request never
+// occupies a queue slot or a batch slot. Each estimate is the median of the
+// last 64 samples and stays silent until 16 have been observed (see
+// ServiceTimeEstimator).
 struct DeadlineOptions {
   bool enabled = true;
-  double safety_factor = 1.0;
-  // Estimator shape (see ServiceTimeEstimator): no predictions are rejected
-  // until min_samples completions have been observed.
-  int64_t window = 64;
-  int64_t min_samples = 16;
 };
 
 // Everything the overload-control subsystem needs, hung off ServerOptions.
@@ -42,9 +37,8 @@ class OverloadControl {
   explicit OverloadControl(const OverloadOptions& options)
       : options_(options),
         admission_(options.admission),
-        submit_estimator_(options.deadline.window, options.deadline.min_samples),
-        service_estimator_(options.deadline.window,
-                           options.deadline.min_samples) {}
+        submit_estimator_(/*window=*/64, /*min_samples=*/16),
+        service_estimator_(/*window=*/64, /*min_samples=*/16) {}
 
   const OverloadOptions& options() const { return options_; }
   AdmissionController& admission() { return admission_; }

@@ -13,29 +13,20 @@ namespace sstban::serving {
 
 using Clock = std::chrono::steady_clock;
 
-// How much the client cares, for overload shedding: when the server is past
-// its concurrency limit, what-if traffic sheds first, then batch, and
-// interactive last. The default is the most protected class so existing
-// callers keep today's behavior.
-enum class Criticality { kInteractive = 0, kBatch = 1, kWhatIf = 2 };
-
-const char* CriticalityName(Criticality criticality);
-
 // What a client hands to ForecastServer::Submit: one raw [P, N, C] recent
-// window, the absolute slice index of its first row (for calendar features),
-// an optional deadline after which the client no longer wants the answer,
-// and the criticality class overload control sheds by.
+// window in the server's geometry, the absolute slice index of its first row
+// (for calendar features), and an optional deadline after which the client
+// no longer wants the answer.
 struct ForecastRequest {
   tensor::Tensor recent;  // [P, N, C] raw (denormalized) signals
   int64_t first_step = 0;
   std::optional<Clock::time_point> deadline;
-  Criticality criticality = Criticality::kInteractive;
 };
 
 // How much of the request's input survived sanitization. Partial means some
 // positions were masked-missing and the encoder ran in degraded mode; heavy
-// means more than SanitizerOptions::heavy_fraction of positions were
-// missing — the answer leans mostly on learned structure, not observations.
+// means more than 30% of positions were missing — the answer leans mostly on
+// learned structure, not observations.
 enum class DegradationLevel { kNone = 0, kPartial = 1, kHeavy = 2 };
 
 // Which tier of the fallback chain produced the forecast.

@@ -21,18 +21,6 @@ const char* DegradationLevelName(DegradationLevel level) {
   return "unknown";
 }
 
-const char* CriticalityName(Criticality criticality) {
-  switch (criticality) {
-    case Criticality::kInteractive:
-      return "interactive";
-    case Criticality::kBatch:
-      return "batch";
-    case Criticality::kWhatIf:
-      return "what-if";
-  }
-  return "unknown";
-}
-
 const char* ServedByName(ServedBy tier) {
   switch (tier) {
     case ServedBy::kModel:
@@ -47,7 +35,6 @@ const char* ServedByName(ServedBy tier) {
 
 InputSanitizer::InputSanitizer(SanitizerOptions options)
     : options_(std::move(options)) {
-  SSTBAN_CHECK_GT(options_.heavy_fraction, 0.0);
   for (int64_t channel : options_.degradable_channels) {
     SSTBAN_CHECK_GE(channel, 0);
   }
@@ -70,12 +57,9 @@ core::StatusOr<SanitizeResult> InputSanitizer::Sanitize(
   // fully-observed hot path is a single scan, no allocation, no writes.
   float* data = window->data();
   const int64_t elems = p * n * c;
-  const float sentinel =
-      options_.missing_sentinel.value_or(0.0f);  // unused unless set
-  const bool has_sentinel = options_.missing_sentinel.has_value();
   int64_t first_bad = -1;
   for (int64_t i = 0; i < elems; ++i) {
-    if (!std::isfinite(data[i]) || (has_sentinel && data[i] == sentinel)) {
+    if (!std::isfinite(data[i])) {
       first_bad = i;
       break;
     }
@@ -95,14 +79,12 @@ core::StatusOr<SanitizeResult> InputSanitizer::Sanitize(
   result.keep_pos = tensor::Tensor::Ones(tensor::Shape{p, n});
   float* keep = result.keep_pos.data();
   for (int64_t i = first_bad; i < elems; ++i) {
-    const bool broken =
-        !std::isfinite(data[i]) || (has_sentinel && data[i] == sentinel);
-    if (!broken) continue;
+    if (std::isfinite(data[i])) continue;
     const int64_t channel = i % c;
     const int64_t position = i / c;  // flattened (step, sensor)
     if (!ChannelDegradable(channel)) {
       return core::Status::InvalidArgument(core::StrFormat(
-          "non-finite or flagged-missing reading at step %lld, sensor %lld, "
+          "non-finite reading at step %lld, sensor %lld, "
           "channel %lld (strict channel; mark it degradable to allow "
           "masked inference)",
           static_cast<long long>(position / n),
@@ -117,8 +99,7 @@ core::StatusOr<SanitizeResult> InputSanitizer::Sanitize(
     // the masked pathway never reads it (any finite value * 0-mask = 0).
     data[i] = 0.0f;
   }
-  if (options_.reject_fully_masked &&
-      result.masked_positions == result.total_positions) {
+  if (result.masked_positions == result.total_positions) {
     return core::Status::InvalidArgument(
         "every position of the window is missing; nothing to condition on");
   }

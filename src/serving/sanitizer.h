@@ -2,7 +2,6 @@
 #define SSTBAN_SERVING_SANITIZER_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/status.h"
@@ -10,23 +9,15 @@
 
 namespace sstban::serving {
 
-// Input-boundary policy for broken sensor readings.
+// Input-boundary policy for broken sensor readings. NaN and Inf are the only
+// missing-reading markers; a window whose every position is missing is always
+// rejected, since no observation is left to condition on.
 struct SanitizerOptions {
-  // Channels whose NaN/Inf/sentinel readings may be routed through the
-  // model's masking mechanism instead of rejecting the request. Channels NOT
-  // listed here are strict: any non-finite value in them is InvalidArgument.
-  // Empty (the default) = strict everywhere.
+  // Channels whose NaN/Inf readings may be routed through the model's masking
+  // mechanism instead of rejecting the request. Channels NOT listed here are
+  // strict: any non-finite value in them is InvalidArgument. Empty (the
+  // default) = strict everywhere.
   std::vector<int64_t> degradable_channels;
-  // Optional sentinel that upstream feeds use to flag a missing reading
-  // (e.g. -1 in loop-detector exports). Compared exactly; NaN/Inf are always
-  // treated as missing on degradable channels.
-  std::optional<float> missing_sentinel;
-  // A request with more than this fraction of its [P, N] positions masked is
-  // annotated kHeavy instead of kPartial.
-  double heavy_fraction = 0.3;
-  // Reject (InvalidArgument) when every position of the window is missing —
-  // there is no observation left to condition on.
-  bool reject_fully_masked = true;
 };
 
 // The sanitizer's verdict on one [P, N, C] window.
@@ -39,7 +30,7 @@ struct SanitizeResult {
   bool clean() const { return masked_positions == 0; }
 };
 
-// Detects NaN/Inf/sentinel readings at the serving boundary. For degradable
+// Detects NaN/Inf readings at the serving boundary. For degradable
 // channels it scrubs the offending values (so they cannot poison a coalesced
 // batch: 0 * mask is 0, NaN * mask is NaN) and emits the [P, N] keep mask
 // the encoder consumes for degraded-mode inference. For strict channels it

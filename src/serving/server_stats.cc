@@ -233,16 +233,13 @@ std::string ServerStats::ReportTable() const {
   out += core::StrFormat(
       "  overload: admission=%s limit=%.1f in_flight=%lld min_batch=%.3fms "
       "backoffs=%lld\n"
-      "            shed: admission=%lld (int=%lld batch=%lld whatif=%lld)\n"
+      "            shed: admission=%lld\n"
       "            predicted_late: submit=%lld dequeue=%lld  "
       "p50 est: e2e=%.3fms service=%.3fms\n",
       o.admission_enabled ? "on" : "off", o.admission_limit,
       static_cast<long long>(o.in_flight), o.min_batch_latency_ms,
       static_cast<long long>(o.admission_backoffs),
       static_cast<long long>(s.shed_admission),
-      static_cast<long long>(o.shed_interactive),
-      static_cast<long long>(o.shed_batch),
-      static_cast<long long>(o.shed_whatif),
       static_cast<long long>(s.rejected_predicted_late),
       static_cast<long long>(s.swept_predicted_late), o.submit_p50_ms,
       o.service_p50_ms);
@@ -321,17 +318,12 @@ std::string ServerStats::ReportJson() const {
       "  \"overload\": {\"admission_enabled\": %s, \"admission_limit\": %.3f, "
       "\"in_flight\": %lld, \"min_batch_latency_ms\": %.6f, "
       "\"admission_backoffs\": %lld, \"shed_admission\": %lld, "
-      "\"shed_by_class\": {\"interactive\": %lld, \"batch\": %lld, "
-      "\"whatif\": %lld}, "
       "\"rejected_predicted_late\": %lld, \"swept_predicted_late\": %lld, "
       "\"submit_p50_ms\": %.6f, \"service_p50_ms\": %.6f},\n",
       o.admission_enabled ? "true" : "false", o.admission_limit,
       static_cast<long long>(o.in_flight), o.min_batch_latency_ms,
       static_cast<long long>(o.admission_backoffs),
       static_cast<long long>(s.shed_admission),
-      static_cast<long long>(o.shed_interactive),
-      static_cast<long long>(o.shed_batch),
-      static_cast<long long>(o.shed_whatif),
       static_cast<long long>(s.rejected_predicted_late),
       static_cast<long long>(s.swept_predicted_late), o.submit_p50_ms,
       o.service_p50_ms);

@@ -110,7 +110,6 @@ class ServerStats {
     double admission_limit = 0.0;
     int64_t in_flight = 0;
     double min_batch_latency_ms = 0.0;
-    int64_t shed_interactive = 0, shed_batch = 0, shed_whatif = 0;
     int64_t admission_backoffs = 0;
     double submit_p50_ms = 0.0;   // end-to-end estimate behind Submit's gate
     double service_p50_ms = 0.0;  // batch-execution estimate at dequeue

@@ -42,8 +42,6 @@ struct SstbanConfig {
   double mask_rate = 0.3;  // alpha_m
   double lambda = 0.1;     // weight of the alignment loss
   MaskStrategy mask_strategy = MaskStrategy::kSpacetimeAgnostic;
-  // Stop-gradient on the alignment target H^(L) (see DESIGN.md §5).
-  bool detach_alignment_target = true;
 
   uint64_t seed = 1;
 

@@ -84,9 +84,8 @@ SstbanModel::ForwardOutput SstbanModel::ForwardTwoBranch(
   ag::Variable h_masked = encoder_->Forward(x_masked, e, &keep_pos);
   ag::Variable h_recon = reconstructor_->Forward(h_masked, e, keep_latent);
 
-  ag::Variable target =
-      config_.detach_alignment_target ? h_latent.Detach() : h_latent;
-  out.alignment_loss = ag::MseLoss(h_recon, target);
+  // Stop-gradient on the alignment target H^(L) (DESIGN.md §5).
+  out.alignment_loss = ag::MseLoss(h_recon, h_latent.Detach());
 
   float lambda = static_cast<float>(config_.lambda);
   out.total_loss = ag::Add(ag::MulScalar(out.forecast_loss, 1.0f - lambda),
@@ -134,8 +133,7 @@ ag::Variable SstbanModel::SelfSupervisedLoss(const t::Tensor& x_norm,
   ag::Variable x(x_norm);
   ag::Variable e = ste_->Forward(batch.tod_in, batch.dow_in, batch_size, p);
   ag::Variable h_clean = encoder_->Forward(x, e);
-  ag::Variable target =
-      config_.detach_alignment_target ? h_clean.Detach() : h_clean;
+  ag::Variable target = h_clean.Detach();  // stop-gradient, DESIGN.md §5
 
   t::Tensor mask, keep_pos, keep_latent;
   DrawStepMasks(batch_size, &mask, &keep_pos, &keep_latent);

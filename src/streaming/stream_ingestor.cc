@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "core/check.h"
 #include "core/failpoint.h"
@@ -55,8 +56,10 @@ core::Status StreamIngestor::Append(const t::Tensor& slice, int64_t step) {
   // Timestamp discipline: the logical clock is pinned by the first accepted
   // slice and must advance by exactly one thereafter. A regressed, repeated,
   // or gapped step means the feed glitched; accepting it would corrupt the
-  // calendar features of every window cut from the ring.
-  if (step < 0 || (started_ && step != next_step_)) {
+  // calendar features of every window cut from the ring. The largest int64
+  // step is refused too: the clock could not advance past it.
+  if (step < 0 || step == std::numeric_limits<int64_t>::max() ||
+      (started_ && step != next_step_)) {
     ++rejected_timestamps_;
     return core::Status::OutOfRange(
         "out-of-range timestamp " + std::to_string(step) + " (expected " +

@@ -24,9 +24,9 @@ struct StreamIngestorOptions {
   // snapshots (8 * (input_len + output_len), at least two days).
   int64_t capacity = 0;
   // Value policy at the append boundary. Channels listed as degradable are
-  // scrubbed (and excluded from the running stats); any non-finite/sentinel
-  // reading in a strict channel rejects the whole slice, so corrupt readings
-  // can never poison the normalizer statistics.
+  // scrubbed (and excluded from the running stats); any non-finite reading in
+  // a strict channel rejects the whole slice, so corrupt readings can never
+  // poison the normalizer statistics.
   serving::SanitizerOptions sanitizer;
   // Exponential half-life, in slices, of the running mean/variance the
   // drift-aware normalizer is derived from.
@@ -58,7 +58,8 @@ class StreamIngestor {
   // `ingest_append` fires first (chaos hook). Errors:
   //   InvalidArgument      — wrong geometry (node/feature count changed), or
   //                          a strict-channel value violation;
-  //   OutOfRange           — step is negative, regresses, or skips ahead.
+  //   OutOfRange           — step is negative, regresses, skips ahead, or
+  //                          is INT64_MAX (the clock cannot pass it).
   // Geometry and timestamp rejections leave everything untouched. A value
   // rejection consumes its (legitimate) timestamp so the feed keeps flowing,
   // but punches a hole in window continuity: the ring restarts, because

@@ -7,20 +7,37 @@
 
 namespace sstban::training {
 
+core::Status CheckWindow(const tensor::Tensor& recent, int64_t first_step,
+                         int64_t input_len, int64_t num_nodes,
+                         int64_t num_features) {
+  const tensor::Shape want{input_len, num_nodes, num_features};
+  if (!(recent.shape() == want)) {
+    return core::Status::InvalidArgument(core::StrFormat(
+        "expected a %s window, got %s", want.ToString().c_str(),
+        recent.shape().ToString().c_str()));
+  }
+  if (first_step < 0) {
+    return core::Status::InvalidArgument("first_step must be >= 0");
+  }
+  return core::Status::Ok();
+}
+
 void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
                             int64_t output_len, int64_t steps_per_day,
                             data::Batch* batch) {
   SSTBAN_CHECK_GT(steps_per_day, 0);
+  // Same week position, no overflow when the offsets are added below.
+  const int64_t origin = first_step % (7 * steps_per_day);
   auto calendar = [&](int64_t step, std::vector<int64_t>* tod,
                       std::vector<int64_t>* dow) {
     tod->push_back(step % steps_per_day);
     dow->push_back((step / steps_per_day) % 7);
   };
   for (int64_t p = 0; p < input_len; ++p) {
-    calendar(first_step + p, &batch->tod_in, &batch->dow_in);
+    calendar(origin + p, &batch->tod_in, &batch->dow_in);
   }
   for (int64_t q = 0; q < output_len; ++q) {
-    calendar(first_step + input_len + q, &batch->tod_out, &batch->dow_out);
+    calendar(origin + input_len + q, &batch->tod_out, &batch->dow_out);
   }
 }
 
@@ -75,34 +92,19 @@ ForecastService::ForecastService(TrafficModel* model, data::Normalizer normalize
   SSTBAN_CHECK_GT(input_len, 0);
   SSTBAN_CHECK_GT(output_len, 0);
   SSTBAN_CHECK_GT(steps_per_day, 0);
+  SSTBAN_CHECK_GT(num_nodes, 0);
+  SSTBAN_CHECK_GT(num_features, 0);
 }
 
 core::StatusOr<tensor::Tensor> ForecastService::Forecast(
     const tensor::Tensor& recent, int64_t first_step) {
-  if (recent.rank() != 3 || recent.dim(0) != input_len_) {
-    return core::Status::InvalidArgument(core::StrFormat(
-        "expected [%lld, N, C] recent window, got %s",
-        static_cast<long long>(input_len_), recent.shape().ToString().c_str()));
-  }
-  if ((num_nodes_ >= 0 && recent.dim(1) != num_nodes_) ||
-      (num_features_ >= 0 && recent.dim(2) != num_features_)) {
-    std::string nodes_str =
-        num_nodes_ >= 0 ? std::to_string(num_nodes_) : std::string("*");
-    std::string feats_str =
-        num_features_ >= 0 ? std::to_string(num_features_) : std::string("*");
-    return core::Status::InvalidArgument(core::StrFormat(
-        "window shape %s does not match the model's configured geometry "
-        "[%lld, %s, %s]",
-        recent.shape().ToString().c_str(), static_cast<long long>(input_len_),
-        nodes_str.c_str(), feats_str.c_str()));
-  }
-  if (first_step < 0) {
-    return core::Status::InvalidArgument("first_step must be >= 0");
-  }
+  core::Status valid = CheckWindow(recent, first_step, input_len_, num_nodes_,
+                                   num_features_);
+  if (!valid.ok()) return valid;
   // Strict finiteness: a single NaN/Inf reading would silently poison the
   // whole forward pass (and, on the batched path, everyone coalesced with
-  // it). Degraded-mode inference for flagged-missing sensors lives in the
-  // serving sanitizer; this single-request service always rejects.
+  // it). Degraded-mode inference for NaN/Inf readings lives in the serving
+  // sanitizer; this single-request service always rejects.
   if (tensor::HasNonFinite(recent)) {
     return core::Status::InvalidArgument(
         "recent window contains NaN/Inf readings; clean the feed or use the "

@@ -16,10 +16,20 @@ namespace sstban::training {
 // normalize -> Predict -> denormalize pipeline; these helpers are that logic,
 // hoisted so the two paths cannot drift.
 
+// The window check both serving entry points run before any compute:
+// `recent` must be exactly [input_len, num_nodes, num_features] and
+// `first_step` non-negative. The InvalidArgument message names the expected
+// and the offered shape.
+core::Status CheckWindow(const tensor::Tensor& recent, int64_t first_step,
+                         int64_t input_len, int64_t num_nodes,
+                         int64_t num_features);
+
 // Appends the time-of-day / day-of-week features for one window whose first
 // input slice sits at absolute index `first_step` (slices since a Monday
-// 00:00 origin). Appending once per window in batch order reproduces the
-// [B*P] / [B*Q] layout data::WindowDataset::MakeBatch emits.
+// 00:00 origin). The features repeat weekly, so `first_step` is reduced
+// modulo one week before the window's offsets are added: any non-negative
+// int64 index is safe. Appending once per window in batch order reproduces
+// the [B*P] / [B*Q] layout data::WindowDataset::MakeBatch emits.
 void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
                             int64_t output_len, int64_t steps_per_day,
                             data::Batch* batch);
@@ -50,13 +60,13 @@ core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
 // origin, so time-of-day and day-of-week are self-consistent.
 class ForecastService {
  public:
-  // The service borrows `model` (must outlive the service). `num_nodes` /
-  // `num_features` are the geometry the model was configured with; when
-  // >= 0 every request's window is validated against them up front instead
-  // of failing deep inside attention with an opaque shape check.
+  // The service borrows `model` (must outlive the service). The geometry is
+  // the one the model was configured with; every request's window is
+  // checked against it up front (CheckWindow) instead of failing deep inside
+  // attention with an opaque shape check.
   ForecastService(TrafficModel* model, data::Normalizer normalizer,
                   int64_t input_len, int64_t output_len, int64_t steps_per_day,
-                  int64_t num_nodes = -1, int64_t num_features = -1);
+                  int64_t num_nodes, int64_t num_features);
 
   // recent: [P, N, C] raw signals whose first slice is at absolute index
   // `first_step`. Returns [Q, N, C] raw forecasts for the following Q

@@ -26,8 +26,8 @@ class TrafficModel : public nn::Module {
   // zeroes unobserved positions and runs the plain forecasting pass; models
   // trained to handle missing inputs (SSTBAN's masked-autoencoder branch)
   // override this to exclude masked positions structurally (mask tokens,
-  // -inf attention keys) — the serving sanitizer routes flagged-missing
-  // sensors through here instead of rejecting the request.
+  // -inf attention keys) — the serving sanitizer routes NaN/Inf readings on
+  // degradable channels through here instead of rejecting the request.
   virtual autograd::Variable PredictMasked(const tensor::Tensor& x_norm,
                                            const tensor::Tensor& keep_pos,
                                            const data::Batch& batch);

@@ -1,6 +1,6 @@
 // Tests for the components beyond the paper's core: checkpoint
-// serialization, learning-rate schedulers, the ForecastService deployment
-// wrapper, and SSTBAN's missing-data prediction path.
+// serialization, the ForecastService deployment wrapper, and SSTBAN's
+// missing-data prediction path.
 
 #include <cstdio>
 #include <memory>
@@ -12,7 +12,6 @@
 #include "data/synthetic_world.h"
 #include "nn/mlp.h"
 #include "nn/serialization.h"
-#include "optim/lr_scheduler.h"
 #include "sstban/config.h"
 #include "sstban/model.h"
 #include "tensor/ops.h"
@@ -111,37 +110,6 @@ TEST(SerializationTest, FullSstbanModelRoundTrip) {
   std::remove(path.c_str());
 }
 
-// -- LR schedulers ---------------------------------------------------------
-
-TEST(LrSchedulerTest, StepDecayHalvesAtBoundaries) {
-  ag::Variable p(t::Tensor::Zeros(t::Shape{1}), true);
-  optim::Sgd opt({p}, 1.0f);
-  optim::StepDecay sched(&opt, /*step_size=*/2, /*gamma=*/0.5f);
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 1.0f);
-  sched.Step();  // epoch 1
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 1.0f);
-  sched.Step();  // epoch 2
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 0.5f);
-  sched.Step();
-  sched.Step();  // epoch 4
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 0.25f);
-}
-
-TEST(LrSchedulerTest, CosineAnnealsToMinimum) {
-  ag::Variable p(t::Tensor::Zeros(t::Shape{1}), true);
-  optim::Sgd opt({p}, 1.0f);
-  optim::CosineAnnealing sched(&opt, /*max_epochs=*/10, /*min_rate=*/0.1f);
-  float prev = opt.learning_rate();
-  for (int i = 0; i < 10; ++i) {
-    sched.Step();
-    EXPECT_LE(opt.learning_rate(), prev + 1e-6f);  // monotone decreasing
-    prev = opt.learning_rate();
-  }
-  EXPECT_NEAR(opt.learning_rate(), 0.1f, 1e-5f);
-  sched.Step();  // past the horizon: stays at the floor
-  EXPECT_NEAR(opt.learning_rate(), 0.1f, 1e-5f);
-}
-
 // -- ForecastService -----------------------------------------------------
 
 TEST(ForecastServiceTest, ProducesDenormalizedForecast) {
@@ -168,7 +136,8 @@ TEST(ForecastServiceTest, ProducesDenormalizedForecast) {
   config.patch_len = 2;
   sstban::SstbanModel model(config);
 
-  training::ForecastService service(&model, norm, 6, 6, 12);
+  training::ForecastService service(&model, norm, 6, 6, 12, /*num_nodes=*/4,
+                                    /*num_features=*/1);
   tensor::Tensor recent = t::Slice(dataset->signals, 0, 30, 6);
   auto forecast = service.Forecast(recent, 30);
   ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
@@ -191,7 +160,8 @@ TEST(ForecastServiceTest, RejectsBadShapes) {
   config.decoder_blocks = 1;
   config.patch_len = 2;
   sstban::SstbanModel model(config);
-  training::ForecastService service(&model, data::Normalizer(), 6, 6, 12);
+  training::ForecastService service(&model, data::Normalizer(), 6, 6, 12,
+                                    /*num_nodes=*/4, /*num_features=*/1);
   auto result = service.Forecast(t::Tensor::Zeros(t::Shape{5, 4, 1}), 0);
   EXPECT_FALSE(result.ok());
   auto result2 = service.Forecast(t::Tensor::Zeros(t::Shape{6, 4, 1}), -3);

@@ -7,7 +7,6 @@
 #include "gradcheck.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
-#include "nn/gru_cell.h"
 #include "nn/init.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
@@ -215,40 +214,6 @@ TEST(EmbeddingTest, LookupSelectsRows) {
   EXPECT_EQ(rows.shape(), t::Shape({3, 3}));
   EXPECT_TRUE(t::AllClose(t::Slice(rows.value(), 0, 0, 1),
                           t::Slice(rows.value(), 0, 2, 1)));
-}
-
-TEST(GruCellTest, ShapeAndStateUpdate) {
-  core::Rng rng(32);
-  GruCell cell(3, 5, rng);
-  ag::Variable x(Rand({2, 3}, 33));
-  ag::Variable h(t::Tensor::Zeros(t::Shape{2, 5}));
-  ag::Variable h1 = cell.Forward(x, h);
-  EXPECT_EQ(h1.shape(), t::Shape({2, 5}));
-  // Hidden state must change when input is nonzero.
-  EXPECT_GT(t::SumAll(t::Abs(h1.value())).item(), 0.0f);
-}
-
-TEST(GruCellTest, HiddenStateIsBounded) {
-  core::Rng rng(34);
-  GruCell cell(2, 4, rng);
-  ag::Variable h(t::Tensor::Zeros(t::Shape{1, 4}));
-  for (int step = 0; step < 50; ++step) {
-    ag::Variable x(Rand({1, 2}, 35 + step));
-    h = cell.Forward(x, h);
-  }
-  // GRU state is a convex combination of tanh outputs -> |h| <= 1.
-  EXPECT_LE(t::MaxAll(t::Abs(h.value())), 1.0f + 1e-5f);
-}
-
-TEST(GruCellTest, GradientsReachParameters) {
-  core::Rng rng(36);
-  GruCell cell(2, 3, rng);
-  ag::Variable x(Rand({2, 2}, 37));
-  ag::Variable h(t::Tensor::Zeros(t::Shape{2, 3}));
-  ag::SumAll(ag::Square(cell.Forward(x, cell.Forward(x, h)))).Backward();
-  for (auto& [name, p] : cell.NamedParameters()) {
-    EXPECT_TRUE(p.has_grad()) << name;
-  }
 }
 
 }  // namespace

@@ -30,16 +30,6 @@ float MinimizeQuadratic(int steps, float lr, Args... args) {
   return loss_value;
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  EXPECT_LT(MinimizeQuadratic<Sgd>(200, 0.1f), 1e-4f);
-}
-
-TEST(SgdTest, MomentumAccelerates) {
-  float plain = MinimizeQuadratic<Sgd>(30, 0.05f);
-  float momentum = MinimizeQuadratic<Sgd>(30, 0.05f, 0.9f);
-  EXPECT_LT(momentum, plain);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   EXPECT_LT(MinimizeQuadratic<Adam>(400, 0.05f), 1e-3f);
 }

@@ -107,7 +107,6 @@ TEST(OverloadChaosTest, SaturatedServerShedsCleanlyAndEveryRequestTerminates) {
         const int64_t start = (c * kPerClient + r) % 24;
         request.recent = t::Slice(dataset->signals, 0, start, kSteps).Clone();
         request.first_step = start;
-        request.criticality = static_cast<Criticality>(r % 3);
         if (r % 4 == 3) {
           request.deadline =
               Clock::now() + std::chrono::milliseconds(5 + (r % 3) * 40);

@@ -203,19 +203,6 @@ TEST(SanitizerTest, DegradableNaNIsMaskedScrubbedAndClientBufferPreserved) {
   EXPECT_TRUE(std::isnan(client.data()[(3 * kNodes + 2) * kFeatures]));
 }
 
-TEST(SanitizerTest, SentinelValueCountsAsMissing) {
-  t::Tensor window = t::Tensor::Ones(t::Shape{kSteps, kNodes, kFeatures});
-  window.data()[0] = -1.0f;
-  SanitizerOptions options;
-  options.degradable_channels = {0};
-  options.missing_sentinel = -1.0f;
-  auto result = InputSanitizer(options).Sanitize(&window);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().masked_positions, 1);
-  EXPECT_EQ(result.value().keep_pos.data()[0], 0.0f);
-  EXPECT_EQ(window.data()[0], 0.0f);
-}
-
 TEST(SanitizerTest, FullyMaskedWindowIsRejected) {
   t::Tensor window = t::Tensor::Full(t::Shape{kSteps, kNodes, kFeatures}, kNaN);
   SanitizerOptions options;

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -189,6 +191,38 @@ TEST(ForecastServerTest, RejectsMismatchedGeometry) {
   EXPECT_EQ(server.stats().TakeSnapshot().rejected_invalid, 1);
 }
 
+TEST(ForecastServerTest, StartRefusesUnsetGeometry) {
+  GateModel* gate = nullptr;
+  std::unique_ptr<ModelRegistry> registry = GateRegistry(&gate);
+  gate->Release();
+  {
+    // The defaults leave the whole geometry unset.
+    ForecastServer server(ServerOptions(), registry.get());
+    core::Status status = server.Start();
+    EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_FALSE(server.running());
+  }
+  // So is any one field left at zero or negative.
+  for (int field = 0; field < 5; ++field) {
+    for (int64_t unset : {0, -1}) {
+      ServerOptions options = TinyServerOptions();
+      int64_t* geometry[] = {&options.input_len, &options.output_len,
+                             &options.steps_per_day, &options.num_nodes,
+                             &options.num_features};
+      *geometry[field] = unset;
+      ForecastServer server(options, registry.get());
+      EXPECT_EQ(server.Start().code(), core::StatusCode::kInvalidArgument)
+          << "field " << field << " = " << unset;
+      // A refused server takes no requests.
+      ForecastRequest request;
+      request.recent = t::Tensor::Zeros(t::Shape{kSteps, kNodes, kFeatures});
+      EXPECT_EQ(server.Submit(std::move(request)).status().code(),
+                core::StatusCode::kUnavailable);
+    }
+  }
+}
+
 TEST(ForecastServerTest, RejectsAlreadyExpiredDeadline) {
   GateModel* gate = nullptr;
   std::unique_ptr<ModelRegistry> registry = GateRegistry(&gate);
@@ -259,13 +293,19 @@ TEST(ForecastServerTest, DeadlineExpiresWhileQueuedIsRejectedWithoutCompute) {
   ASSERT_TRUE(first_future.ok());
   gate->WaitEntered(1);
 
+  // The margin only has to cover the Submit call below; the gate opens once
+  // the deadline has certainly passed, however long that takes.
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(500);
   ForecastRequest doomed;
   doomed.recent = t::Tensor::Ones(t::Shape{kSteps, kNodes, kFeatures});
-  doomed.deadline = Clock::now() + std::chrono::milliseconds(30);
+  doomed.deadline = deadline;
   auto doomed_future = server.Submit(std::move(doomed));
   ASSERT_TRUE(doomed_future.ok());
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  while (Clock::now() <= deadline) {
+    std::this_thread::sleep_until(deadline + std::chrono::milliseconds(1));
+  }
   gate->Release();
   ForecastResult result = doomed_future.value().get();
   ASSERT_FALSE(result.ok());
@@ -321,6 +361,48 @@ TEST(ForecastServerTest, BatchedMatchesSequentialForecastService) {
   auto snap = server.stats().TakeSnapshot();
   EXPECT_EQ(snap.completed, 6);
   EXPECT_LT(snap.batches, 6);
+}
+
+// Calendar features repeat weekly, so a first_step near the top of int64
+// must be served exactly like its residue modulo one week — not overflow
+// while the window's offsets are added.
+TEST(ForecastServerTest, LargestFirstStepServesItsWeeklyResidueBitwise) {
+  auto dataset = TinyWorld();
+  data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
+  model_ns::SstbanConfig config = TinyConfig();
+  ModelRegistry registry(
+      [config] { return std::make_unique<model_ns::SstbanModel>(config); },
+      norm);
+  registry.Install(std::make_unique<model_ns::SstbanModel>(config));
+  ServerOptions options = TinyServerOptions();
+  options.max_batch = 1;  // both requests run alone, as B = 1 forwards
+  ForecastServer server(options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int64_t kFar = std::numeric_limits<int64_t>::max() - 2;
+  constexpr int64_t kResidue = kFar % (7 * kStepsPerDay);
+  const t::Tensor window = t::Slice(dataset->signals, 0, 10, kSteps).Clone();
+  auto serve = [&](int64_t first_step) {
+    ForecastRequest request;
+    request.recent = window;
+    request.first_step = first_step;
+    auto submitted = server.Submit(std::move(request));
+    EXPECT_TRUE(submitted.ok()) << submitted.status().ToString();
+    if (!submitted.ok()) return t::Tensor();
+    ForecastResult result = submitted.value().get();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return t::Tensor();
+    EXPECT_EQ(result.value().served_by, ServedBy::kModel);
+    return result.value().forecast;
+  };
+  const t::Tensor far = serve(kFar);
+  const t::Tensor near = serve(kResidue);
+  server.Shutdown();
+  ASSERT_TRUE(far.defined() && near.defined());
+  ASSERT_EQ(far.shape(), near.shape());
+  EXPECT_EQ(std::memcmp(far.data(), near.data(),
+                        static_cast<size_t>(far.size()) * sizeof(float)),
+            0);
 }
 
 // -- Hot swap ----------------------------------------------------------------

@@ -494,12 +494,11 @@ TEST(SstbanModelTest, BackwardReachesEveryParameter) {
   EXPECT_EQ(with_grad, total);
 }
 
-TEST(SstbanModelTest, DetachAlignmentTargetControlsGradientPath) {
-  // With detach on (default), the alignment loss alone must NOT produce
-  // gradients in the forecasting decoder, but still trains the encoder via
-  // the masked pathway.
+TEST(SstbanModelTest, DetachedAlignmentTargetKeepsDecoderGradientFree) {
+  // The alignment target is detached, so the alignment loss alone must NOT
+  // produce gradients in the forecasting decoder, but still trains the
+  // encoder via the masked pathway.
   SstbanConfig c = TinyConfig();
-  c.detach_alignment_target = true;
   SstbanModel model(c);
   data::Batch batch = TinyBatch(c, 2);
   auto out = model.ForwardTwoBranch(batch.x, batch.y, batch);

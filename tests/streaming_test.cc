@@ -118,6 +118,24 @@ TEST_F(StreamIngestorTest, RejectsRegressedGappedAndNegativeTimestamps) {
   EXPECT_TRUE(ingestor.Append(FlatSlice(1.0f), 6).ok());
 }
 
+TEST_F(StreamIngestorTest, LargestStepIsOutOfRangeAndCommitsNothing) {
+  constexpr int64_t kLast = std::numeric_limits<int64_t>::max();
+  StreamIngestor ingestor(TinyIngestOptions());
+  EXPECT_EQ(ingestor.Append(FlatSlice(1.0f), kLast).code(),
+            core::StatusCode::kOutOfRange);
+  EXPECT_EQ(ingestor.rejected_timestamps(), 1);
+  EXPECT_EQ(ingestor.accepted(), 0);
+  EXPECT_EQ(ingestor.size(), 0);
+  EXPECT_FALSE(ingestor.started());
+  EXPECT_EQ(ingestor.next_step(), 0);
+  // The step before it may still pin the clock, which then stops there.
+  ASSERT_TRUE(ingestor.Append(FlatSlice(1.0f), kLast - 1).ok());
+  EXPECT_EQ(ingestor.next_step(), kLast);
+  EXPECT_EQ(ingestor.Append(FlatSlice(1.0f), kLast).code(),
+            core::StatusCode::kOutOfRange);
+  EXPECT_EQ(ingestor.size(), 1);
+}
+
 TEST_F(StreamIngestorTest, StrictChannelNaNCannotPoisonRunningStats) {
   StreamIngestor ingestor(TinyIngestOptions());  // strict everywhere
   core::Rng rng(11);
