@@ -11,11 +11,21 @@
 // The fused kernel's end-to-end cost is measured by the serving forward
 // that uses it (perfbench's pems_burst).
 //
+// The backward section times the fused backward (FusedAttentionBackward, the
+// tier's backward form where the shape has one) against the unfused tape
+// chain's Backward, at the five attention shapes of one train_pems step
+// (B = 4 windows, N = 307, P = 12): TBA absorb and broadcast over each
+// node's P steps, SBA absorb and broadcast over each step's N nodes, and
+// transform attention (P queries over P keys per node). Each row also gives
+// the fused backward's time over the fused forward's.
+//
 // Emits JSON on stdout (snapshot: bench/BENCH_fused_attention.json); pass a
 // path as argv[1] to also write it. Exits nonzero when the two paths
-// disagree on any bit: the fused kernel must match the unfused chain of the
-// active SIMD tier at every shape.
+// disagree on any forward bit (the fused kernel must match the unfused chain
+// of the active SIMD tier at every shape) or on any gradient beyond AllClose
+// (atol 1e-5, rtol 1e-4). No timing is gated.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "autograd/ops.h"
+#include "autograd/variable.h"
 #include "common/timing.h"
 #include "core/rng.h"
 #include "tensor/fused_attention.h"
@@ -32,7 +44,9 @@
 #include "tensor/simd/kernels.h"
 #include "tensor/tensor.h"
 
+namespace ag = ::sstban::autograd;
 namespace t = ::sstban::tensor;
+using sstban::bench::BenchNowSeconds;
 using sstban::bench::MeasureSeconds;
 using sstban::bench::Timing;
 
@@ -109,6 +123,122 @@ bool RunCase(const Case& c, sstban::core::Rng& rng, std::string* json) {
   return bitwise;
 }
 
+// Per-call seconds of a tape's Backward alone: `record` records a fresh
+// forward (untimed) before each call.
+template <typename Record>
+Timing MeasureBackward(Record&& record, int reps = 5,
+                       double target_rep_seconds = 0.05) {
+  record().Backward();  // warm-up
+  Timing timing;
+  timing.reps = reps;
+  double total = 0.0, best = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    double spent = 0.0;
+    int calls = 0;
+    while (spent < target_rep_seconds) {
+      ag::Variable loss = record();
+      const double start = BenchNowSeconds();
+      loss.Backward();
+      spent += BenchNowSeconds() - start;
+      ++calls;
+    }
+    const double per_call = spent / calls;
+    total += per_call;
+    best = r == 0 ? per_call : std::min(best, per_call);
+    timing.iters = calls;
+  }
+  timing.mean_s = total / reps;
+  timing.min_s = best;
+  return timing;
+}
+
+// One training-step shape: fused forward and backward vs the unfused tape
+// chain's backward. Appends its JSON object to `json` and returns whether
+// the fused gradients match the chain's to AllClose.
+bool RunBackwardCase(const Case& c, bool shared_q, sstban::core::Rng& rng,
+                     std::string* json) {
+  const int64_t hd = c.heads * c.dk;
+  t::Tensor q = t::Tensor::RandomNormal(
+      t::Shape{shared_q ? 1 : c.batch, c.lq, hd}, rng);
+  t::Tensor k = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, hd}, rng);
+  t::Tensor v = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, hd}, rng);
+  t::Tensor dout = t::Tensor::RandomNormal(t::Shape{c.batch, c.lq, hd}, rng);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(c.dk));
+  t::AttentionDims dims = t::FusedAttentionDims(q, k, v, nullptr, c.heads);
+  t::Tensor out = t::Tensor::Empty(t::Shape{c.batch, c.lq, hd});
+  t::Tensor dq = t::Tensor::Empty(dout.shape());
+  t::Tensor dk = t::Tensor::Empty(k.shape());
+  t::Tensor dv = t::Tensor::Empty(v.shape());
+
+  Timing forward_t = MeasureSeconds([&] {
+    t::FusedAttentionInto(q.data(), k.data(), v.data(), nullptr, out.data(),
+                          dims, scale);
+  });
+  Timing backward_t = MeasureSeconds([&] {
+    t::FusedAttentionBackward(q.data(), k.data(), v.data(), nullptr,
+                              dout.data(), dq.data(), dk.data(), dv.data(),
+                              dims, scale);
+  });
+  // The chain on head-split copies; a shared Q is first broadcast to every
+  // item, so its gradient is summed over the batch as the fused op's is.
+  ag::Variable qc, kc, vc;
+  auto record = [&] {
+    qc = ag::Variable(q, /*requires_grad=*/true);
+    kc = ag::Variable(k, /*requires_grad=*/true);
+    vc = ag::Variable(v, /*requires_grad=*/true);
+    ag::Variable qb = qc;
+    if (shared_q) {
+      qb = ag::Add(qc, ag::Variable(t::Tensor::Zeros(dout.shape())));
+    }
+    auto split = [&](const ag::Variable& x, int64_t len) {
+      return ag::Reshape(
+          ag::Permute(ag::Reshape(x, t::Shape{c.batch, len, c.heads, c.dk}),
+                      {0, 2, 1, 3}),
+          t::Shape{c.batch * c.heads, len, c.dk});
+    };
+    ag::Variable scores = ag::MulScalar(
+        ag::Bmm(split(qb, c.lq), split(kc, c.lk), false, true), scale);
+    ag::Variable ctx = ag::Bmm(ag::Softmax(scores), split(vc, c.lk));
+    ag::Variable merged = ag::Reshape(
+        ag::Permute(ag::Reshape(ctx, t::Shape{c.batch, c.heads, c.lq, c.dk}),
+                    {0, 2, 1, 3}),
+        dout.shape());
+    // d(loss)/d(merged) = dout.
+    return ag::SumAll(ag::Mul(merged, ag::Variable(dout)));
+  };
+  Timing chain_t = MeasureBackward(record);
+
+  const t::Tensor fused_dq = shared_q ? t::Sum(dq, 0, /*keepdim=*/true) : dq;
+  const bool allclose = t::AllClose(fused_dq, qc.grad(), 1e-5f, 1e-4f) &&
+                        t::AllClose(dk, kc.grad(), 1e-5f, 1e-4f) &&
+                        t::AllClose(dv, vc.grad(), 1e-5f, 1e-4f);
+  const double ratio = backward_t.min_s / forward_t.min_s;
+  std::printf("%-13s [%lld x h%lld: %lld over %lld, dk=%lld]: backward %.3f "
+              "ms = %.2fx forward (%.3f ms), chain backward %.3f ms, "
+              "speedup %.2fx, allclose %s\n",
+              c.name, static_cast<long long>(c.batch),
+              static_cast<long long>(c.heads), static_cast<long long>(c.lq),
+              static_cast<long long>(c.lk), static_cast<long long>(c.dk),
+              backward_t.min_s * 1e3, ratio, forward_t.min_s * 1e3,
+              chain_t.min_s * 1e3, chain_t.min_s / backward_t.min_s,
+              allclose ? "true" : "false");
+  char row[512];
+  std::snprintf(row, sizeof(row),
+                "    \"%s\": {\"batch\": %lld, \"heads\": %lld, \"lq\": %lld, "
+                "\"lk\": %lld, \"dk\": %lld, \"shared_q\": %s, "
+                "\"forward_ms_min\": %.3f, \"backward_ms_min\": %.3f, "
+                "\"backward_ms_mean\": %.3f, \"chain_backward_ms_min\": %.3f, "
+                "\"backward_over_forward\": %.2f, \"allclose\": %s},\n",
+                c.name, static_cast<long long>(c.batch),
+                static_cast<long long>(c.heads), static_cast<long long>(c.lq),
+                static_cast<long long>(c.lk), static_cast<long long>(c.dk),
+                shared_q ? "true" : "false", forward_t.min_s * 1e3,
+                backward_t.min_s * 1e3, backward_t.mean_s * 1e3,
+                chain_t.min_s * 1e3, ratio, allclose ? "true" : "false");
+  *json += row;
+  return allclose;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,11 +253,35 @@ int main(int argc, char** argv) {
   bool bitwise = true;
   for (const Case& c : cases) bitwise = RunCase(c, rng, &rows) && bitwise;
 
+  // One train_pems step's attentions: B = 4 windows, N = 307, P = 12, R = 3.
+  // Absorb's query set is the shared reference points.
+  const int64_t batch = 4, nodes = 307, steps = 12, refs = 3;
+  struct StepCase {
+    Case c;
+    bool shared_q;
+  };
+  const std::vector<StepCase> step_cases = {
+      {{"tba_absorb", batch * nodes, 8, refs, steps, 4}, true},
+      {{"tba_broadcast", batch * nodes, 8, steps, refs, 2}, false},
+      {{"sba_absorb", batch * steps, 8, refs, nodes, 4}, true},
+      {{"sba_broadcast", batch * steps, 8, nodes, refs, 2}, false},
+      {{"transform", batch * nodes, 8, steps, steps, 2}, false},
+  };
+  std::string backward_rows;
+  bool allclose = true;
+  for (const StepCase& s : step_cases) {
+    allclose =
+        RunBackwardCase(s.c, s.shared_q, rng, &backward_rows) && allclose;
+  }
+  backward_rows.resize(backward_rows.size() - 2);  // the last ",\n"
+
   std::ostringstream json;
   json << "{\n  \"bench\": \"fused_attention\",\n  \"tier\": \""
        << t::simd::Kernels().name << "\",\n"
        << rows << "  \"bitwise_identical\": " << (bitwise ? "true" : "false")
-       << "\n}\n";
+       << ",\n  \"backward\": {\n" << backward_rows
+       << "\n  },\n  \"gradients_allclose\": "
+       << (allclose ? "true" : "false") << "\n}\n";
   std::fputs(json.str().c_str(), stdout);
   if (argc > 1) {
     std::ofstream out(argv[1]);
@@ -136,7 +290,10 @@ int main(int argc, char** argv) {
   if (!bitwise) {
     std::fprintf(stderr,
                  "FAIL: fused kernel disagrees with the unfused chain\n");
-    return 1;
   }
-  return 0;
+  if (!allclose) {
+    std::fprintf(stderr,
+                 "FAIL: fused gradients disagree with the unfused chain's\n");
+  }
+  return bitwise && allclose ? 0 : 1;
 }

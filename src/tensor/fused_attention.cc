@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "core/check.h"
@@ -15,10 +16,10 @@ namespace sstban::tensor {
 
 namespace {
 
-// Shapes the tier's attention forms (simd::AttentionItem) take. At
-// dk <= kFormMaxHeadDim both GEMMs of the unfused chain run the tier's
-// small-shape kernels (matmul.cc UseTiledPath), whose FMA chains the forms
-// reproduce; any other shape takes the row-block path.
+// Shapes the tier's attention forms (simd::AttentionItem) take, forward
+// and backward. At dk <= kFormMaxHeadDim both GEMMs of the unfused chain run
+// the tier's small-shape kernels (matmul.cc UseTiledPath), whose FMA chains
+// the forms reproduce; any other shape takes the row-block path.
 constexpr int64_t kFormMaxHeadDim = 8;
 // Few queries, e.g. R reference points absorbing L elements: absorb.
 constexpr int64_t kAbsorbMaxQueries = 8;
@@ -28,13 +29,48 @@ constexpr int64_t kBroadcastMaxKeys = 16;
 // Neither form takes longer key rows.
 constexpr int64_t kFormMaxKeys = 512;
 
-// Null when the shape (or the tier) has no form.
-simd::AttentionFormFn ChooseForm(const simd::SimdKernels& ks,
-                                 const AttentionDims& d) {
-  if (d.dk > kFormMaxHeadDim || d.lk > kFormMaxKeys) return nullptr;
-  if (d.lq <= kAbsorbMaxQueries) return ks.attention_absorb;
-  if (d.lk <= kBroadcastMaxKeys) return ks.attention_broadcast;
-  return nullptr;
+// An attention form in both directions.
+struct Form {
+  simd::AttentionFormFn forward = nullptr;
+  simd::AttentionBackwardFn backward = nullptr;
+};
+
+// Both null when the shape (or the tier) has no form.
+Form ChooseForm(const simd::SimdKernels& ks, const AttentionDims& d) {
+  if (d.dk > kFormMaxHeadDim || d.lk > kFormMaxKeys) return {};
+  if (d.lq <= kAbsorbMaxQueries) {
+    return {ks.attention_absorb, ks.attention_absorb_backward};
+  }
+  if (d.lk <= kBroadcastMaxKeys) {
+    return {ks.attention_broadcast, ks.attention_broadcast_backward};
+  }
+  return {};
+}
+
+// fn(b) for every batch item b, one item per work item and each item
+// sequential on its thread. Work per item drives the inline-vs-pooled
+// decision; which thread runs an item never changes its result.
+void ForEachItem(const AttentionDims& d,
+                 const std::function<void(int64_t)>& fn) {
+  const int64_t madds = d.heads * d.lq * d.lk * d.dk;
+  const int64_t min_chunk =
+      std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
+  ParallelFor(0, d.batch, [&](int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) fn(b);
+  }, min_chunk);
+}
+
+// The operands of batch item b, `out` left null.
+simd::AttentionItem ItemOperands(const float* q, const float* k,
+                                 const float* v, const float* key_mask,
+                                 const AttentionDims& d, float scale,
+                                 int64_t b) {
+  const int64_t ld = d.heads * d.dk;
+  const int64_t q_stride = d.shared_q ? 0 : d.lq * ld;
+  return simd::AttentionItem{
+      q + b * q_stride, k + b * d.lk * ld, v + b * d.lk * ld,
+      key_mask != nullptr ? key_mask + b * d.lk : nullptr,
+      /*out=*/nullptr, d.heads, d.lq, d.lk, d.dk, scale};
 }
 
 // `rows` rows of one head (dk floats each, `ld` apart) as a contiguous
@@ -138,7 +174,8 @@ void RowBlockAttention(const float* q, const float* k, const float* v,
   }, min_chunk);
 }
 
-// Backward of one contiguous head: dq/dk/dv overwritten.
+// Row-block backward of one contiguous head, for shapes without a form:
+// dq/dk/dv overwritten.
 void BackwardHead(const float* qb, const float* kb, const float* vb,
                   const float* mrow, const float* dob, float* dqb, float* dkb,
                   float* dvb, int64_t lq, int64_t lk, int64_t dk, float scale,
@@ -196,25 +233,18 @@ void FusedAttentionInto(const float* q, const float* k, const float* v,
   SSTBAN_CHECK_GT(dims.lk, 0);
   SSTBAN_CHECK_GT(dims.dk, 0);
   const simd::SimdKernels& ks = simd::Kernels();
-  const simd::AttentionFormFn form = ChooseForm(ks, dims);
+  const simd::AttentionFormFn form = ChooseForm(ks, dims).forward;
   if (form == nullptr) {
     RowBlockAttention(q, k, v, key_mask, out, dims, scale, ks);
     return;
   }
-  // One work item per batch item, all heads.
   const int64_t ld = dims.heads * dims.dk;
-  const int64_t q_stride = dims.shared_q ? 0 : dims.lq * ld;
-  const int64_t madds = dims.heads * dims.lq * dims.lk * dims.dk;
-  const int64_t min_chunk = std::max<int64_t>(1, (1 << 16) / madds);
-  ParallelFor(0, dims.batch, [&](int64_t lo, int64_t hi) {
-    for (int64_t b = lo; b < hi; ++b) {
-      form(simd::AttentionItem{
-          q + b * q_stride, k + b * dims.lk * ld, v + b * dims.lk * ld,
-          key_mask != nullptr ? key_mask + b * dims.lk : nullptr,
-          out + b * dims.lq * ld, dims.heads, dims.lq, dims.lk, dims.dk,
-          scale});
-    }
-  }, min_chunk);
+  ForEachItem(dims, [&](int64_t b) {
+    simd::AttentionItem item =
+        ItemOperands(q, k, v, key_mask, dims, scale, b);
+    item.out = out + b * dims.lq * ld;
+    form(item);
+  });
 }
 
 AttentionDims FusedAttentionDims(const Tensor& q, const Tensor& k,
@@ -303,6 +333,16 @@ void FusedAttentionBackward(const float* q, const float* k, const float* v,
                             const AttentionDims& dims, float scale) {
   const simd::SimdKernels& ks = simd::Kernels();
   const int64_t ld = dims.heads * dims.dk, dk = dims.dk;
+  const simd::AttentionBackwardFn form = ChooseForm(ks, dims).backward;
+  if (form != nullptr) {
+    ForEachItem(dims, [&](int64_t b) {
+      const int64_t q_off = b * dims.lq * ld, kv_off = b * dims.lk * ld;
+      form(simd::AttentionGradItem{
+          ItemOperands(q, k, v, key_mask, dims, scale, b), dout + q_off,
+          dq + q_off, dkk + kv_off, dv + kv_off});
+    });
+    return;
+  }
   const int64_t lq = dims.lq, lk = dims.lk;
   const int64_t q_stride = dims.shared_q ? 0 : lq * ld;
   const int64_t block_rows = std::min(lq, kGemmRowBlock);

@@ -61,15 +61,19 @@ Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
                       int64_t heads, float scale);
 
-// Gradient by recomputation, in the same layout: per (batch item, head) the
-// head's slices are gathered into contiguous scratch, the forward's
-// probabilities are rebuilt per row block, then
+// Gradient by recomputation, in the same layout:
 //   dV += P^T dOut, dP = dOut V^T,
 //   dS = P o (dP - rowsum(dP o P)) * scale,
-//   dQ = dS K, dK += dS^T Q,
-// and the head's gradients are scattered back. Items are independent and
-// each accumulates in a fixed order, so the gradients are bitwise
-// deterministic at any thread count. dq is [batch, lq, heads*dk] even when
+//   dQ = dS K, dK += dS^T Q.
+// The backward picks its path as the forward does (one dispatch, so a shape
+// has a form in both directions or in neither): where the forward runs an
+// attention form, its backward form takes one batch item with all heads and
+// rebuilds P with the forward form's own code; every other shape runs per
+// (batch item, head), the head's slices gathered into contiguous scratch, P
+// rebuilt per row block and the gradients scattered back. Either way items
+// are independent and each accumulates in a fixed order, so the gradients
+// are bitwise deterministic at any thread count. An item whose keys are all
+// excluded gets dQ = dK = 0. dq is [batch, lq, heads*dk] even when
 // dims.shared_q (the caller sums it over the batch); dq/dkk/dv are fully
 // overwritten.
 void FusedAttentionBackward(const float* q, const float* k, const float* v,

@@ -65,6 +65,25 @@ struct AttentionItem {
 // Bmm -> MulScalar -> Add(mask) -> Softmax -> Bmm chain element for element.
 using AttentionFormFn = void (*)(const AttentionItem& item);
 
+// One batch item's attention gradients in the same layout: `item` holds the
+// forward's operands (its `out` is unused), `dout` the gradient of out
+// [lq, heads*dk]; dq [lq, heads*dk], dkk and dv [lk, heads*dk] are
+// overwritten.
+struct AttentionGradItem {
+  AttentionItem item;
+  const float* dout;
+  float* dq;
+  float* dkk;
+  float* dv;
+};
+// The backward of an attention form. It recomputes P with its forward's own
+// score and softmax code, so P is the forward's bit for bit, then
+//   dV = P^T dOut, dP = dOut V^T, dS = P o (dP - rowsum(dP o P)) * scale,
+//   dQ = dS K, dK = dS^T Q,
+// each summed in a fixed order within the item. An item whose keys are all
+// excluded gets dQ = dK = 0 (its rows are uniform whatever Q and K are).
+using AttentionBackwardFn = void (*)(const AttentionGradItem& grad);
+
 struct SimdKernels {
   const char* name;
   int64_t gemm_mr;  // full micro-tile height the packed path uses
@@ -80,10 +99,13 @@ struct SimdKernels {
   ReduceMaxFn reduce_max;
   ExpSumFn exp_sum;
   SoftmaxRowFn softmax_row;
-  // Attention forms for head_dim <= 8 and at most 512 keys; null in a tier
-  // without them, which then runs the row-block path for every shape.
+  // Attention forms for head_dim <= 8 and at most 512 keys, each with its
+  // backward; all null in a tier without them, which then runs the
+  // row-block path for every shape in both directions.
   AttentionFormFn attention_absorb;     // few queries (lq <= 8)
   AttentionFormFn attention_broadcast;  // short key rows (lk <= 16)
+  AttentionBackwardFn attention_absorb_backward;
+  AttentionBackwardFn attention_broadcast_backward;
 };
 
 // Table for the process-wide active level (resolved once, then cached by

@@ -464,6 +464,71 @@ __m256 InvDenomLanes(const __m256* e, int64_t n) {
 
 constexpr int64_t kBroadcastFormMaxKeys = 16;
 
+// The eight lanes summed in a fixed order.
+inline float HorizontalSum(__m256 v) {
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
+  return _mm_cvtss_f32(s);
+}
+
+// True when a mask is given and it excludes every one of the lk keys.
+bool AllKeysExcluded(const float* keep, int64_t lk) {
+  return keep != nullptr &&
+         std::none_of(keep, keep + lk, [](float m) { return m > 0.5f; });
+}
+
+// The first `rows` (<= 8) rows of q (`ld` apart) as lanes: qt[c * 8 + l]
+// holds row l's column c, for c < hd. A short group repeats its last row
+// in the spare lanes.
+void QueryLanes(const float* q, int64_t ld, int64_t rows, int64_t hd,
+                float* qt) {
+  if (rows == 8) {
+    Transpose(q, ld, rows, hd, qt, 8);
+    return;
+  }
+  const __m256i row_offsets = _mm256_mullo_epi32(
+      _mm256_min_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                       _mm256_set1_epi32(static_cast<int>(rows - 1))),
+      _mm256_set1_epi32(static_cast<int>(ld)));
+  for (int64_t c = 0; c < hd; ++c) {
+    _mm256_storeu_ps(qt + c * 8, _mm256_i32gather_ps(q + c, row_offsets, 4));
+  }
+}
+
+// Probabilities of one head for eight query rows (lanes): e[x] holds key
+// x's. qj is the head's [dk][8] query lanes, kj its first column of K;
+// mask_add is null when no mask is given.
+inline void BroadcastProbs(const float* qj, const float* kj, int64_t ld,
+                           int64_t lk, int64_t dk, __m256 vscale,
+                           const __m256* mask_add, __m256* e) {
+  for (int64_t x = 0; x < lk; ++x) {
+    __m256 s = _mm256_setzero_ps();
+    for (int64_t c = 0; c < dk; ++c) {
+      s = _mm256_fmadd_ps(_mm256_loadu_ps(qj + c * 8),
+                          _mm256_broadcast_ss(kj + x * ld + c), s);
+    }
+    s = _mm256_mul_ps(s, vscale);
+    if (mask_add != nullptr) s = _mm256_add_ps(s, mask_add[x]);
+    e[x] = s;
+  }
+  __m256 m = e[0];
+  for (int64_t x = 1; x < lk; ++x) m = _mm256_max_ps(m, e[x]);
+  for (int64_t x = 0; x < lk; ++x) e[x] = Exp256(_mm256_sub_ps(e[x], m));
+  const __m256 inv = InvDenomLanes(e, lk);
+  for (int64_t x = 0; x < lk; ++x) e[x] = _mm256_mul_ps(e[x], inv);
+}
+
+// The broadcast forms' additive mask per key, broadcast to every lane; null
+// when the item has no mask.
+const __m256* BroadcastMask(const float* keep, int64_t lk, __m256* mask_add) {
+  if (keep == nullptr) return nullptr;
+  for (int64_t x = 0; x < lk; ++x) {
+    mask_add[x] = _mm256_set1_ps(keep[x] > 0.5f ? 0.0f : -1e9f);
+  }
+  return mask_add;
+}
+
 // Broadcast form: lanes are eight query rows of one head, so a whole row's
 // scores, softmax and context stay in registers and no score row is stored.
 void AttentionBroadcastAvx2(const AttentionItem& it) {
@@ -475,48 +540,17 @@ void AttentionBroadcastAvx2(const AttentionItem& it) {
   }
   float* qt = buf.data();    // [hd][8]: the group's query rows as lanes
   float* ot = qt + 8 * hd;   // [hd][8]: its output rows as lanes
-  __m256 mask_add[kBroadcastFormMaxKeys];
-  if (it.keep != nullptr) {
-    for (int64_t x = 0; x < lk; ++x) {
-      mask_add[x] = _mm256_set1_ps(it.keep[x] > 0.5f ? 0.0f : -1e9f);
-    }
-  }
+  __m256 mask_storage[kBroadcastFormMaxKeys];
+  const __m256* mask_add = BroadcastMask(it.keep, lk, mask_storage);
   const __m256 vscale = _mm256_set1_ps(it.scale);
   __m256 e[kBroadcastFormMaxKeys];
   for (int64_t i0 = 0; i0 < it.lq; i0 += 8) {
     const int64_t rows = std::min<int64_t>(8, it.lq - i0);
-    if (rows == 8) {
-      Transpose(it.q + i0 * ld, ld, rows, hd, qt, 8);
-    } else {
-      // A short group repeats its last row in the spare lanes.
-      const __m256i row_offsets = _mm256_mullo_epi32(
-          _mm256_min_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                           _mm256_set1_epi32(static_cast<int>(rows - 1))),
-          _mm256_set1_epi32(static_cast<int>(ld)));
-      for (int64_t c = 0; c < hd; ++c) {
-        _mm256_storeu_ps(qt + c * 8, _mm256_i32gather_ps(it.q + i0 * ld + c,
-                                                          row_offsets, 4));
-      }
-    }
+    QueryLanes(it.q + i0 * ld, ld, rows, hd, qt);
     for (int64_t j = 0; j < it.heads; ++j) {
-      const float* kj = it.k + j * dk;
       const float* vj = it.v + j * dk;
-      const float* qj = qt + j * dk * 8;
-      for (int64_t x = 0; x < lk; ++x) {
-        __m256 s = _mm256_setzero_ps();
-        for (int64_t c = 0; c < dk; ++c) {
-          s = _mm256_fmadd_ps(_mm256_loadu_ps(qj + c * 8),
-                              _mm256_broadcast_ss(kj + x * ld + c), s);
-        }
-        s = _mm256_mul_ps(s, vscale);
-        if (it.keep != nullptr) s = _mm256_add_ps(s, mask_add[x]);
-        e[x] = s;
-      }
-      __m256 m = e[0];
-      for (int64_t x = 1; x < lk; ++x) m = _mm256_max_ps(m, e[x]);
-      for (int64_t x = 0; x < lk; ++x) e[x] = Exp256(_mm256_sub_ps(e[x], m));
-      const __m256 inv = InvDenomLanes(e, lk);
-      for (int64_t x = 0; x < lk; ++x) e[x] = _mm256_mul_ps(e[x], inv);
+      BroadcastProbs(qt + j * dk * 8, it.k + j * dk, ld, lk, dk, vscale,
+                     mask_add, e);
       for (int64_t c = 0; c < dk; ++c) {
         __m256 acc = _mm256_setzero_ps();
         for (int64_t x = 0; x < lk; ++x) {
@@ -526,6 +560,93 @@ void AttentionBroadcastAvx2(const AttentionItem& it) {
       }
     }
     Transpose(ot, 8, hd, rows, it.out + i0 * ld, ld);
+  }
+}
+
+// Backward of the broadcast form, lanes again eight query rows. dQ leaves
+// per group; dK and dV gather per-lane partial sums over all groups and
+// fold their lanes once at the end. A short group's spare lanes carry a
+// zero dOut, so they add nothing to dK or dV.
+void AttentionBroadcastBackwardAvx2(const AttentionGradItem& g) {
+  const AttentionItem& it = g.item;
+  const int64_t dk = it.dk, lk = it.lk, hd = it.heads * it.dk, ld = hd;
+  SSTBAN_CHECK_LE(lk, kBroadcastFormMaxKeys);
+  const int64_t acc_size = lk * hd * 8;
+  thread_local std::vector<float> buf;
+  const size_t need = static_cast<size_t>(24 * hd + 2 * acc_size);
+  if (buf.size() < need) buf.resize(need);
+  float* qt = buf.data();        // [hd][8]: the group's query rows as lanes
+  float* dout_t = qt + 8 * hd;   // [hd][8]: its dOut rows as lanes
+  float* dqt = dout_t + 8 * hd;  // [hd][8]: its dQ rows
+  float* dv_acc = dqt + 8 * hd;  // [lk][hd][8]: dV's per-lane partial sums
+  float* dk_acc = dv_acc + acc_size;  // [lk][hd][8]: dK's
+  std::fill(dv_acc, dv_acc + 2 * acc_size, 0.0f);
+  __m256 mask_storage[kBroadcastFormMaxKeys];
+  const __m256* mask_add = BroadcastMask(it.keep, lk, mask_storage);
+  const bool no_qk_grad = AllKeysExcluded(it.keep, lk);
+  const __m256 vscale = _mm256_set1_ps(it.scale);
+  __m256 e[kBroadcastFormMaxKeys], ds[kBroadcastFormMaxKeys];
+  for (int64_t i0 = 0; i0 < it.lq; i0 += 8) {
+    const int64_t rows = std::min<int64_t>(8, it.lq - i0);
+    QueryLanes(it.q + i0 * ld, ld, rows, hd, qt);
+    if (rows < 8) std::fill(dout_t, dout_t + 8 * hd, 0.0f);
+    Transpose(g.dout + i0 * ld, ld, rows, hd, dout_t, 8);
+    for (int64_t j = 0; j < it.heads; ++j) {
+      const float* kj = it.k + j * dk;
+      const float* vj = it.v + j * dk;
+      const float* qj = qt + j * dk * 8;
+      const float* doj = dout_t + j * dk * 8;
+      BroadcastProbs(qj, kj, ld, lk, dk, vscale, mask_add, e);
+      // dV += P^T dOut.
+      for (int64_t x = 0; x < lk; ++x) {
+        float* dvx = dv_acc + (x * hd + j * dk) * 8;
+        for (int64_t c = 0; c < dk; ++c) {
+          _mm256_storeu_ps(dvx + c * 8,
+                           _mm256_fmadd_ps(e[x], _mm256_loadu_ps(doj + c * 8),
+                                           _mm256_loadu_ps(dvx + c * 8)));
+        }
+      }
+      if (no_qk_grad) continue;
+      // dP = dOut V^T and the row sums of dP o P, then dS over dP.
+      __m256 dot_p = _mm256_setzero_ps();
+      for (int64_t x = 0; x < lk; ++x) {
+        __m256 dp = _mm256_setzero_ps();
+        for (int64_t c = 0; c < dk; ++c) {
+          dp = _mm256_fmadd_ps(_mm256_loadu_ps(doj + c * 8),
+                               _mm256_broadcast_ss(vj + x * ld + c), dp);
+        }
+        ds[x] = dp;
+        dot_p = _mm256_fmadd_ps(dp, e[x], dot_p);
+      }
+      for (int64_t x = 0; x < lk; ++x) {
+        ds[x] = _mm256_mul_ps(_mm256_mul_ps(e[x], _mm256_sub_ps(ds[x], dot_p)),
+                              vscale);
+      }
+      // dQ = dS K.
+      for (int64_t c = 0; c < dk; ++c) {
+        __m256 acc = _mm256_setzero_ps();
+        for (int64_t x = 0; x < lk; ++x) {
+          acc = _mm256_fmadd_ps(ds[x], _mm256_broadcast_ss(kj + x * ld + c),
+                                acc);
+        }
+        _mm256_storeu_ps(dqt + (j * dk + c) * 8, acc);
+      }
+      // dK += dS^T Q.
+      for (int64_t x = 0; x < lk; ++x) {
+        float* dkx = dk_acc + (x * hd + j * dk) * 8;
+        for (int64_t c = 0; c < dk; ++c) {
+          _mm256_storeu_ps(dkx + c * 8,
+                           _mm256_fmadd_ps(ds[x], _mm256_loadu_ps(qj + c * 8),
+                                           _mm256_loadu_ps(dkx + c * 8)));
+        }
+      }
+    }
+    if (!no_qk_grad) Transpose(dqt, 8, hd, rows, g.dq + i0 * ld, ld);
+  }
+  if (no_qk_grad) std::fill(g.dq, g.dq + it.lq * ld, 0.0f);
+  for (int64_t i = 0; i < lk * hd; ++i) {
+    g.dv[i] = HorizontalSum(_mm256_loadu_ps(dv_acc + i * 8));
+    g.dkk[i] = HorizontalSum(_mm256_loadu_ps(dk_acc + i * 8));
   }
 }
 
@@ -558,31 +679,55 @@ void AbsorbContext(const float* probs, int64_t lkp, const float* v,
   for (int t = 0; t < N; ++t) _mm256_maskstore_ps(out + o_off[t], cmask, acc[t]);
 }
 
-// Absorb form: lanes are keys. All heads * lq score rows of the item are
-// scored eight keys at a time against an L1-resident transposed K block and
-// run through the tier's softmax row; the context then interleaves every
-// head's chains.
-void AttentionAbsorbAvx2(const AttentionItem& it) {
+// Every chain of an item: out [lq, hd] = the rows of `probs` ([heads * lq]
+// [lkp], row j * lq + r) times v [lk, hd], head by head.
+void AbsorbContexts(const float* probs, int64_t lkp, const float* v,
+                    float* out, int64_t ld, int64_t heads, int64_t lq,
+                    int64_t lk, int64_t dk) {
+  const int64_t rows = heads * lq;
+  const __m256i cmask = LaneMask(dk);
+  for (int64_t c0 = 0; c0 < rows; c0 += 8) {
+    switch (std::min<int64_t>(8, rows - c0)) {
+#define SSTBAN_ABSORB_CONTEXT(n)                                     \
+  AbsorbContext<n>(probs, lkp, v, out, ld, lq, lk, dk, c0, cmask); \
+  break
+      case 8: SSTBAN_ABSORB_CONTEXT(8);
+      case 7: SSTBAN_ABSORB_CONTEXT(7);
+      case 6: SSTBAN_ABSORB_CONTEXT(6);
+      case 5: SSTBAN_ABSORB_CONTEXT(5);
+      case 4: SSTBAN_ABSORB_CONTEXT(4);
+      case 3: SSTBAN_ABSORB_CONTEXT(3);
+      case 2: SSTBAN_ABSORB_CONTEXT(2);
+      default: SSTBAN_ABSORB_CONTEXT(1);
+#undef SSTBAN_ABSORB_CONTEXT
+    }
+  }
+}
+
+// Lanes [keys, 8) of a [cols][8] lane block set to zero.
+void ZeroSpareLanes(float* t, int64_t cols, int64_t keys) {
+  if (keys == 8) return;
+  for (int64_t c = 0; c < cols; ++c) {
+    std::fill(t + c * 8 + keys, t + c * 8 + 8, 0.0f);
+  }
+}
+
+// Scores and probabilities of the absorb form, lanes keys: all heads * lq
+// rows of the item into probs ([heads * lq][lkp], row j * lq + r), scored
+// eight keys at a time against an L1-resident transposed K block (`kt`,
+// [hd][8]) and run through the tier's softmax row. Columns [lk, lkp) keep
+// their scores.
+void AbsorbProbs(const AttentionItem& it, int64_t lkp, float* probs,
+                 float* kt) {
   const int64_t dk = it.dk, lk = it.lk, lq = it.lq;
   const int64_t hd = it.heads * dk, ld = hd;
-  const int64_t lkp = (lk + 7) / 8 * 8;
-  const int64_t rows = it.heads * lq;
-  thread_local std::vector<float> buf;
-  const size_t need = static_cast<size_t>(rows * lkp + 8 * hd);
-  if (buf.size() < need) buf.resize(need);
-  float* probs = buf.data();        // [rows][lkp] score rows
-  float* kt = probs + rows * lkp;   // [hd][8]: one key block of K^T
   const __m256 vscale = _mm256_set1_ps(it.scale);
   const __m256 half = _mm256_set1_ps(0.5f);
   const __m256 excluded = _mm256_set1_ps(-1e9f);
   for (int64_t x0 = 0; x0 < lk; x0 += 8) {
     const int64_t keys = std::min<int64_t>(8, lk - x0);
     Transpose(it.k + x0 * ld, ld, keys, hd, kt, 8);
-    if (keys < 8) {
-      for (int64_t c = 0; c < hd; ++c) {
-        std::fill(kt + c * 8 + keys, kt + c * 8 + 8, 0.0f);
-      }
-    }
+    ZeroSpareLanes(kt, hd, keys);
     __m256 mask_add = _mm256_setzero_ps();
     if (it.keep != nullptr) {
       const __m256 keep = _mm256_maskload_ps(it.keep + x0, LaneMask(keys));
@@ -603,25 +748,119 @@ void AttentionAbsorbAvx2(const AttentionItem& it) {
       }
     }
   }
-  for (int64_t row = 0; row < rows; ++row) {
+  for (int64_t row = 0; row < it.heads * lq; ++row) {
     SoftmaxRowAvx2(probs + row * lkp, probs + row * lkp, lk);
   }
-  const __m256i cmask = LaneMask(dk);
-  for (int64_t c0 = 0; c0 < rows; c0 += 8) {
-    switch (std::min<int64_t>(8, rows - c0)) {
-#define SSTBAN_ABSORB_CONTEXT(n)                                           \
-  AbsorbContext<n>(probs, lkp, it.v, it.out, ld, lq, lk, dk, c0, cmask); \
-  break
-      case 8: SSTBAN_ABSORB_CONTEXT(8);
-      case 7: SSTBAN_ABSORB_CONTEXT(7);
-      case 6: SSTBAN_ABSORB_CONTEXT(6);
-      case 5: SSTBAN_ABSORB_CONTEXT(5);
-      case 4: SSTBAN_ABSORB_CONTEXT(4);
-      case 3: SSTBAN_ABSORB_CONTEXT(3);
-      case 2: SSTBAN_ABSORB_CONTEXT(2);
-      default: SSTBAN_ABSORB_CONTEXT(1);
+}
+
+// Absorb form: lanes are keys. The item's score rows are scored and
+// normalized by AbsorbProbs; the context then interleaves every head's
+// chains.
+void AttentionAbsorbAvx2(const AttentionItem& it) {
+  const int64_t hd = it.heads * it.dk;
+  const int64_t lkp = (it.lk + 7) / 8 * 8;
+  const int64_t rows = it.heads * it.lq;
+  thread_local std::vector<float> buf;
+  const size_t need = static_cast<size_t>(rows * lkp + 8 * hd);
+  if (buf.size() < need) buf.resize(need);
+  float* probs = buf.data();        // [rows][lkp] score rows
+  float* kt = probs + rows * lkp;   // [hd][8]: one key block of K^T
+  AbsorbProbs(it, lkp, probs, kt);
+  AbsorbContexts(probs, lkp, it.v, it.out, hd, it.heads, it.lq, it.lk, it.dk);
+}
+
+// dst[(j * dk + c) * 8 + l] = sum over r < lq of a[(j * lq + r) * lda + l] *
+// b[r * ld + j * dk + c]: for eight keys (lanes) of every head, the lq-row
+// sum of a key column of `a` times a row of `b` (dV^T from P and dOut, dK^T
+// from dS and Q), rows in ascending order.
+void KeyLaneProducts(const float* a, int64_t lda, const float* b, int64_t ld,
+                     int64_t heads, int64_t lq, int64_t dk, float* dst) {
+  for (int64_t j = 0; j < heads; ++j) {
+    const float* aj = a + j * lq * lda;
+    for (int64_t c = 0; c < dk; ++c) {
+      const float* bc = b + j * dk + c;
+      __m256 acc = _mm256_setzero_ps();
+      for (int64_t r = 0; r < lq; ++r) {
+        acc = _mm256_fmadd_ps(_mm256_loadu_ps(aj + r * lda),
+                              _mm256_broadcast_ss(bc + r * ld), acc);
+      }
+      _mm256_storeu_ps(dst + (j * dk + c) * 8, acc);
     }
   }
+}
+
+// Backward of the absorb form, lanes keys. A first pass over key blocks
+// writes dV and stores dP with the row sums of dP o P kept per lane; a
+// second turns dP into dS and writes dK; dQ = dS K then runs as the
+// forward's context chains.
+void AttentionAbsorbBackwardAvx2(const AttentionGradItem& g) {
+  const AttentionItem& it = g.item;
+  const int64_t dk = it.dk, lk = it.lk, lq = it.lq;
+  const int64_t hd = it.heads * dk, ld = hd;
+  const int64_t lkp = (lk + 7) / 8 * 8;
+  const int64_t rows = it.heads * lq;
+  thread_local std::vector<float> buf;
+  const size_t need =
+      static_cast<size_t>(2 * rows * lkp + 16 * hd + 8 * rows);
+  if (buf.size() < need) buf.resize(need);
+  float* probs = buf.data();       // [rows][lkp]: P
+  float* ds = probs + rows * lkp;  // [rows][lkp]: dP, then dS
+  float* blk = ds + rows * lkp;    // [hd][8]: a key block of K^T or V^T
+  float* gblk = blk + 8 * hd;      // [hd][8]: the block's dV^T or dK^T
+  float* rowdot = gblk + 8 * hd;   // [rows][8]: rowsum(dP o P) by lane
+  AbsorbProbs(it, lkp, probs, blk);
+  for (int64_t row = 0; row < rows; ++row) {
+    std::fill(probs + row * lkp + lk, probs + (row + 1) * lkp, 0.0f);
+  }
+  std::fill(rowdot, rowdot + 8 * rows, 0.0f);
+  for (int64_t x0 = 0; x0 < lk; x0 += 8) {
+    const int64_t keys = std::min<int64_t>(8, lk - x0);
+    Transpose(it.v + x0 * ld, ld, keys, hd, blk, 8);
+    ZeroSpareLanes(blk, hd, keys);
+    for (int64_t j = 0; j < it.heads; ++j) {
+      const float* vtj = blk + j * dk * 8;
+      for (int64_t r = 0; r < lq; ++r) {
+        const float* dor = g.dout + r * ld + j * dk;
+        const int64_t row = j * lq + r;
+        __m256 dp = _mm256_setzero_ps();
+        for (int64_t c = 0; c < dk; ++c) {
+          dp = _mm256_fmadd_ps(_mm256_broadcast_ss(dor + c),
+                               _mm256_loadu_ps(vtj + c * 8), dp);
+        }
+        _mm256_storeu_ps(ds + row * lkp + x0, dp);
+        const __m256 p = _mm256_loadu_ps(probs + row * lkp + x0);
+        float* dot_row = rowdot + row * 8;
+        _mm256_storeu_ps(dot_row,
+                         _mm256_fmadd_ps(dp, p, _mm256_loadu_ps(dot_row)));
+      }
+    }
+    KeyLaneProducts(probs + x0, lkp, g.dout, ld, it.heads, lq, dk, gblk);
+    Transpose(gblk, 8, hd, keys, g.dv + x0 * ld, ld);
+  }
+  if (AllKeysExcluded(it.keep, lk)) {
+    std::fill(g.dq, g.dq + lq * ld, 0.0f);
+    std::fill(g.dkk, g.dkk + lk * ld, 0.0f);
+    return;
+  }
+  const __m256 vscale = _mm256_set1_ps(it.scale);
+  for (int64_t row = 0; row < rows; ++row) {
+    const __m256 dot_p =
+        _mm256_set1_ps(HorizontalSum(_mm256_loadu_ps(rowdot + row * 8)));
+    float* dsrow = ds + row * lkp;
+    const float* prow = probs + row * lkp;
+    for (int64_t x0 = 0; x0 < lk; x0 += 8) {
+      const __m256 dp = _mm256_loadu_ps(dsrow + x0);
+      _mm256_storeu_ps(dsrow + x0,
+                       _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(prow + x0),
+                                                   _mm256_sub_ps(dp, dot_p)),
+                                     vscale));
+    }
+  }
+  for (int64_t x0 = 0; x0 < lk; x0 += 8) {
+    KeyLaneProducts(ds + x0, lkp, it.q, ld, it.heads, lq, dk, gblk);
+    Transpose(gblk, 8, hd, std::min<int64_t>(8, lk - x0), g.dkk + x0 * ld, ld);
+  }
+  AbsorbContexts(ds, lkp, it.k, g.dq, ld, it.heads, lq, lk, dk);
 }
 
 }  // namespace
@@ -646,6 +885,8 @@ const SimdKernels* Avx2Kernels() {
       /*softmax_row=*/SoftmaxRowAvx2,
       /*attention_absorb=*/AttentionAbsorbAvx2,
       /*attention_broadcast=*/AttentionBroadcastAvx2,
+      /*attention_absorb_backward=*/AttentionAbsorbBackwardAvx2,
+      /*attention_broadcast_backward=*/AttentionBroadcastBackwardAvx2,
   };
   return &table;
 }

@@ -202,6 +202,8 @@ const SimdKernels& ScalarKernels() {
       // The scalar tier keeps calling the entries above per attention item.
       /*attention_absorb=*/nullptr,
       /*attention_broadcast=*/nullptr,
+      /*attention_absorb_backward=*/nullptr,
+      /*attention_broadcast_backward=*/nullptr,
   };
   return table;
 }

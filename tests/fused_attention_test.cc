@@ -234,7 +234,7 @@ TEST(FusedAttentionTest, HeadLayoutIsBitwiseDeterministicOneVsEightThreads) {
   struct Shape { int64_t heads, lq, lk, dk; };
   const std::vector<Shape> shapes = {
       {8, 3, 307, 4}, {8, 307, 3, 2}, {8, 12, 12, 2}, {4, 70, 65, 4},
-      {2, 9, 600, 4},
+      {2, 9, 600, 4}, {3, 8, 512, 8}, {3, 307, 16, 1},
   };
   for (core::SimdLevel level : AvailableLevels()) {
     ScopedSimdLevel scoped(level);
@@ -331,96 +331,144 @@ TEST(FusedAttentionTest, BackwardMatchesUnfusedChainGradients) {
   }
 }
 
-// The layout-aware backward: gradients of [B, L, h*dk] operands (and of a
-// shared batch-1 Q, summed over the batch) against the unfused tape chain on
-// head-split copies.
+// Gradients of q, k and v under loss = sum(out o dout), so that
+// d(loss)/d(out) = dout.
+struct Grads {
+  t::Tensor q, k, v;
+};
+
+// Through the fused op's backward (a backward form where the shape has one).
+Grads FusedGrads(const HeadProblem& p, const t::Tensor* keep, int64_t heads,
+                 float scale, const t::Tensor& dout) {
+  ag::Variable q(p.q.Clone(), true), k(p.k.Clone(), true), v(p.v.Clone(), true);
+  ag::Variable out = ag::FusedAttention(q, k, v, keep, heads, scale);
+  ag::SumAll(ag::Mul(out, ag::Variable(dout))).Backward();
+  return {q.grad(), k.grad(), v.grad()};
+}
+
+// Through the unfused tape chain on head-split copies; a shared Q is first
+// broadcast to every batch item.
+Grads ChainGrads(const HeadProblem& p, const t::Tensor* keep, int64_t heads,
+                 float scale, const t::Tensor& dout) {
+  const int64_t batch = p.k.dim(0), lq = dout.dim(1), lk = p.k.dim(1);
+  const int64_t dk = p.k.dim(2) / heads;
+  ag::Variable q(p.q.Clone(), true), k(p.k.Clone(), true), v(p.v.Clone(), true);
+  ag::Variable qb = q;
+  if (p.q.dim(0) != batch) {
+    qb = ag::Add(q, ag::Variable(t::Tensor::Zeros(dout.shape())));
+  }
+  auto split = [&](const ag::Variable& x, int64_t len) {
+    return ag::Reshape(
+        ag::Permute(ag::Reshape(x, t::Shape{batch, len, heads, dk}),
+                    {0, 2, 1, 3}),
+        t::Shape{batch * heads, len, dk});
+  };
+  ag::Variable scores =
+      ag::MulScalar(ag::Bmm(split(qb, lq), split(k, lk), false, true), scale);
+  if (keep != nullptr) {
+    scores = ag::Add(scores, ag::Variable(AdditiveMask(*keep, batch * heads,
+                                                       heads, lq, lk)));
+  }
+  ag::Variable ctx = ag::Bmm(ag::Softmax(scores), split(v, lk));
+  ag::Variable out = ag::Reshape(
+      ag::Permute(ag::Reshape(ctx, t::Shape{batch, heads, lq, dk}),
+                  {0, 2, 1, 3}),
+      dout.shape());
+  ag::SumAll(ag::Mul(out, ag::Variable(dout))).Backward();
+  return {q.grad(), k.grad(), v.grad()};
+}
+
+// The layout-aware backward against the unfused tape chain, on every tier:
+// gradients of [B, L, h*dk] operands (and of a shared batch-1 Q, summed over
+// the batch), at both forms' boundaries (absorb: lq <= 8 over up to 512
+// keys; broadcast: up to 16 keys), every head width a form takes, three
+// heads (lane tails), and the formless neighbours (lq 9 over 17 keys,
+// dk 9) on the row-block path. On the scalar tier every shape takes the
+// row-block path. In the masked variants item 1 keeps one key: an item
+// that keeps none is FullyMaskedItemPassesNoGradientToQueryOrKey's case.
 TEST(FusedAttentionTest, HeadLayoutBackwardMatchesUnfusedChainGradients) {
-  core::Rng rng(34);
-  const int64_t heads = 3, lq = 5, lk = 9, dk = 2, batch = 2;
-  const float scale = 0.7f;
-  for (bool shared_q : {false, true}) {
-    for (bool masked : {false, true}) {
-      SCOPED_TRACE(std::string(shared_q ? "shared-q" : "batched-q") +
-                   (masked ? " masked" : ""));
-      HeadProblem p = MakeHeadProblem(batch, heads, lq, lk, dk, shared_q, rng);
-      p.keep.data()[lk] = 1.0f;  // item 1 keeps one key
-      const t::Tensor* keep = masked ? &p.keep : nullptr;
-
-      ag::Variable q1(p.q.Clone(), true), k1(p.k.Clone(), true),
-          v1(p.v.Clone(), true);
-      ag::Variable out1 = ag::FusedAttention(q1, k1, v1, keep, heads, scale);
-      ag::MeanAll(ag::Square(out1)).Backward();
-
-      ag::Variable q2(p.q.Clone(), true), k2(p.k.Clone(), true),
-          v2(p.v.Clone(), true);
-      ag::Variable qb = q2;
-      if (shared_q) {
-        qb = ag::Add(q2, ag::Variable(t::Tensor::Zeros(
-                             t::Shape{batch, lq, heads * dk})));
+  struct Shape { int64_t lq, lk, dk; };
+  std::vector<Shape> shapes;
+  for (int64_t dk : {1, 2, 4, 8}) {
+    for (int64_t lq : {1, 8}) {
+      for (int64_t lk : {9, 307, 512}) shapes.push_back({lq, lk, dk});
+    }
+    for (int64_t lk : {3, 16}) {
+      for (int64_t lq : {12, 70, 307}) shapes.push_back({lq, lk, dk});
+    }
+  }
+  shapes.push_back({9, 17, 2});
+  shapes.push_back({3, 12, 9});
+  const int64_t heads = 3, batch = 2;
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(34);
+    for (const Shape& c : shapes) {
+      const float scale = 1.0f / std::sqrt(static_cast<float>(c.dk));
+      for (int variant = 0; variant < 3; ++variant) {
+        const bool shared_q = variant == 2, masked = variant >= 1;
+        SCOPED_TRACE(TierName() + " lq=" + std::to_string(c.lq) +
+                     " lk=" + std::to_string(c.lk) +
+                     " dk=" + std::to_string(c.dk) +
+                     (masked ? " masked" : "") + (shared_q ? " shared-q" : ""));
+        HeadProblem p =
+            MakeHeadProblem(batch, heads, c.lq, c.lk, c.dk, shared_q, rng);
+        p.keep.data()[c.lk + c.lk / 2] = 1.0f;  // item 1 keeps one key
+        const t::Tensor* keep = masked ? &p.keep : nullptr;
+        t::Tensor dout = t::Tensor::RandomNormal(
+            t::Shape{batch, c.lq, heads * c.dk}, rng);
+        Grads fused = FusedGrads(p, keep, heads, scale, dout);
+        Grads chain = ChainGrads(p, keep, heads, scale, dout);
+        EXPECT_TRUE(t::AllClose(fused.q, chain.q, 1e-5f, 1e-4f)) << "dQ";
+        EXPECT_TRUE(t::AllClose(fused.k, chain.k, 1e-5f, 1e-4f)) << "dK";
+        EXPECT_TRUE(t::AllClose(fused.v, chain.v, 1e-5f, 1e-4f)) << "dV";
       }
-      auto split = [&](const ag::Variable& x, int64_t len) {
-        return ag::Reshape(
-            ag::Permute(ag::Reshape(x, t::Shape{batch, len, heads, dk}),
-                        {0, 2, 1, 3}),
-            t::Shape{batch * heads, len, dk});
-      };
-      ag::Variable scores = ag::MulScalar(
-          ag::Bmm(split(qb, lq), split(k2, lk), false, true), scale);
-      if (masked) {
-        scores = ag::Add(scores, ag::Variable(AdditiveMask(
-                                     p.keep, batch * heads, heads, lq, lk)));
-      }
-      ag::Variable probs = ag::Softmax(scores);
-      ag::Variable ctx = ag::Bmm(probs, split(v2, lk));
-      ag::Variable out2 = ag::Reshape(
-          ag::Permute(ag::Reshape(ctx, t::Shape{batch, heads, lq, dk}),
-                      {0, 2, 1, 3}),
-          t::Shape{batch, lq, heads * dk});
-      ag::MeanAll(ag::Square(out2)).Backward();
-
-      ExpectBitwise(out1.value(), out2.value(), "forward");
-      EXPECT_TRUE(t::AllClose(q1.grad(), q2.grad(), 1e-5f, 1e-4f));
-      EXPECT_TRUE(t::AllClose(k1.grad(), k2.grad(), 1e-5f, 1e-4f));
-      EXPECT_TRUE(t::AllClose(v1.grad(), v2.grad(), 1e-5f, 1e-4f));
     }
   }
 }
 
 // A fully masked item's rows are uniform whatever its scores, so its Q and K
-// get no gradient; its V still gets P^T dOut. One and two row blocks.
+// get exactly no gradient; its V still gets P^T dOut. On every tier, through
+// the absorb form (lq 3), the broadcast form (lq 70 over 9 keys) and the
+// row-block path (lq 70 over 17 keys: two row blocks).
 TEST(FusedAttentionTest, FullyMaskedItemPassesNoGradientToQueryOrKey) {
-  core::Rng rng(35);
-  const int64_t batch = 2, heads = 2, dk = 4;
-  for (int64_t lq : {3, 70}) {
-    SCOPED_TRACE("lq=" + std::to_string(lq));
-    const int64_t lk = 9, hd = heads * dk;
-    // Item 1 excludes every key.
-    HeadProblem p = MakeHeadProblem(batch, heads, lq, lk, dk,
-                                    /*shared_q=*/false, rng);
-    t::AttentionDims dims =
-        t::FusedAttentionDims(p.q, p.k, p.v, &p.keep, heads);
-    t::Tensor dout = t::Tensor::RandomNormal(t::Shape{batch, lq, hd}, rng);
-    t::Tensor dq = t::Tensor::Empty(p.q.shape());
-    t::Tensor dkk = t::Tensor::Empty(p.k.shape());
-    t::Tensor dv = t::Tensor::Empty(p.v.shape());
-    t::FusedAttentionBackward(p.q.data(), p.k.data(), p.v.data(),
-                              p.keep.data(), dout.data(), dq.data(),
-                              dkk.data(), dv.data(), dims, 0.5f);
-    auto item_is_zero = [](const t::Tensor& g, int64_t item) {
-      const int64_t n = g.size() / g.dim(0);
-      const float* pg = g.data() + item * n;
-      return std::all_of(pg, pg + n, [](float x) { return x == 0.0f; });
-    };
-    EXPECT_FALSE(item_is_zero(dq, 0));
-    EXPECT_FALSE(item_is_zero(dkk, 0));
-    EXPECT_TRUE(item_is_zero(dq, 1));
-    EXPECT_TRUE(item_is_zero(dkk, 1));
-    // dV of item 1: every key gets the mean of dOut over the rows.
-    for (int64_t c = 0; c < hd; ++c) {
-      double sum = 0.0;
-      for (int64_t i = 0; i < lq; ++i) sum += dout.at({1, i, c});
-      for (int64_t j = 0; j < lk; ++j) {
-        EXPECT_NEAR(dv.at({1, j, c}), sum / lk, 1e-5);
+  const int64_t batch = 2, heads = 2, dk = 4, hd = heads * dk;
+  struct Shape { int64_t lq, lk; };
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(35);
+    for (const Shape& c : {Shape{3, 9}, Shape{70, 9}, Shape{70, 17}}) {
+      SCOPED_TRACE(TierName() + " lq=" + std::to_string(c.lq) +
+                   " lk=" + std::to_string(c.lk));
+      const int64_t lq = c.lq, lk = c.lk;
+      // Item 1 excludes every key.
+      HeadProblem p = MakeHeadProblem(batch, heads, lq, lk, dk,
+                                      /*shared_q=*/false, rng);
+      t::AttentionDims dims =
+          t::FusedAttentionDims(p.q, p.k, p.v, &p.keep, heads);
+      t::Tensor dout = t::Tensor::RandomNormal(t::Shape{batch, lq, hd}, rng);
+      t::Tensor dq = t::Tensor::Full(p.q.shape(), 7.0f);
+      t::Tensor dkk = t::Tensor::Full(p.k.shape(), 7.0f);
+      t::Tensor dv = t::Tensor::Empty(p.v.shape());
+      t::FusedAttentionBackward(p.q.data(), p.k.data(), p.v.data(),
+                                p.keep.data(), dout.data(), dq.data(),
+                                dkk.data(), dv.data(), dims, 0.5f);
+      auto item_is_zero = [](const t::Tensor& g, int64_t item) {
+        const int64_t n = g.size() / g.dim(0);
+        const float* pg = g.data() + item * n;
+        return std::all_of(pg, pg + n, [](float x) { return x == 0.0f; });
+      };
+      EXPECT_FALSE(item_is_zero(dq, 0));
+      EXPECT_FALSE(item_is_zero(dkk, 0));
+      EXPECT_TRUE(item_is_zero(dq, 1));
+      EXPECT_TRUE(item_is_zero(dkk, 1));
+      // dV of item 1: every key gets the mean of dOut over the rows.
+      for (int64_t col = 0; col < hd; ++col) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < lq; ++i) sum += dout.at({1, i, col});
+        for (int64_t j = 0; j < lk; ++j) {
+          EXPECT_NEAR(dv.at({1, j, col}), sum / lk, 1e-5);
+        }
       }
     }
   }
