@@ -3,7 +3,7 @@
 // branch trains the encoder to operate on masked inputs; the same pathway
 // (zeroed inputs + attention key-masking) can serve forecasts when sensors
 // drop out in production. We compare
-//   (a) mask-aware inference via SstbanModel::PredictWithMissing
+//   (a) mask-aware inference via SstbanModel::PredictMasked
 //   (b) naive inference that silently feeds the zero-filled input
 // at increasing fractions of randomly missing observations.
 
@@ -60,7 +60,7 @@ int main() {
       }
       // (a) mask-aware path.
       t::Tensor pred_aware = scenario.normalizer.InverseTransform(
-          model.PredictWithMissing(x_norm, keep, batch).value());
+          model.PredictMasked(x_norm, keep, batch).value());
       aware.Add(pred_aware, batch.y);
       // (b) naive path: zero-filled input, no key masking.
       t::Tensor x_zeroed = t::Mul(

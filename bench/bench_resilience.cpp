@@ -154,11 +154,11 @@ int main(int argc, char** argv) {
   serving::CircuitBreaker breaker((serving::CircuitBreakerOptions()));
   for (int i = 0; i < 256; ++i) {  // fill the ring past its window
     breaker.Allow();
-    breaker.RecordSuccess(0.001);
+    breaker.RecordSuccess();
   }
   Measurement breaker_closed = Measure(kBreakerIters, [&breaker] {
     g_sink += breaker.Allow() ? 1 : 0;
-    breaker.RecordSuccess(0.001);
+    breaker.RecordSuccess();
   });
 
   // 4. Clean-window sanitizer scan: read-only, no clone, no mask.

@@ -7,14 +7,16 @@
 
 namespace sstban::optim {
 
-Adam::Adam(std::vector<autograd::Variable> params, float lr, float beta1,
-           float beta2, float eps, float weight_decay)
-    : params_(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<autograd::Variable> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
@@ -30,8 +32,8 @@ void Adam::ZeroGrad() {
 
 void Adam::Step() {
   ++step_;
-  float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
-  float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+  float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(step_));
+  float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(step_));
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     if (!p.has_grad()) continue;
@@ -41,12 +43,11 @@ void Adam::Step() {
     float* v = v_[i].data();
     int64_t n = p.size();
     for (int64_t j = 0; j < n; ++j) {
-      float grad = g[j] + weight_decay_ * w[j];
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * grad;
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * grad * grad;
+      m[j] = kBeta1 * m[j] + (1.0f - kBeta1) * g[j];
+      v[j] = kBeta2 * v[j] + (1.0f - kBeta2) * g[j] * g[j];
       float m_hat = m[j] / bias1;
       float v_hat = v[j] / bias2;
-      w[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+      w[j] -= lr_ * m_hat / (std::sqrt(v_hat) + kEps);
     }
   }
 }
@@ -84,10 +85,8 @@ float ClipGradNorm(const std::vector<autograd::Variable>& params, float max_norm
   return norm;
 }
 
-EarlyStopping::EarlyStopping(int patience, float min_delta)
-    : patience_(patience),
-      min_delta_(min_delta),
-      best_(std::numeric_limits<float>::infinity()) {}
+EarlyStopping::EarlyStopping(int patience)
+    : patience_(patience), best_(std::numeric_limits<float>::infinity()) {}
 
 void EarlyStopping::RestoreState(float best_metric, int epochs_since_best) {
   SSTBAN_CHECK_GE(epochs_since_best, 0);
@@ -97,7 +96,7 @@ void EarlyStopping::RestoreState(float best_metric, int epochs_since_best) {
 }
 
 bool EarlyStopping::Update(float metric) {
-  improved_ = metric < best_ - min_delta_;
+  improved_ = metric < best_;
   if (improved_) {
     best_ = metric;
     stale_ = 0;

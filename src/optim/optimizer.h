@@ -8,13 +8,14 @@
 namespace sstban::optim {
 
 // Adam (Kingma & Ba 2015) with bias correction — the de-facto optimizer for
-// the STGNN literature; the paper trains with lr = 0.001. The optimizer keeps
-// references (shared nodes) to the parameters it updates; Step() reads each
-// parameter's accumulated gradient and updates its value in place.
+// the STGNN literature; the paper trains with lr = 0.001. The decay rates
+// and epsilon are Kingma & Ba's defaults (0.9, 0.999, 1e-8), and there is no
+// weight decay. The optimizer keeps references (shared nodes) to the
+// parameters it updates; Step() reads each parameter's accumulated gradient
+// and updates its value in place.
 class Adam {
  public:
-  Adam(std::vector<autograd::Variable> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
+  Adam(std::vector<autograd::Variable> params, float lr);
 
   Adam(const Adam&) = delete;
   Adam& operator=(const Adam&) = delete;
@@ -25,6 +26,8 @@ class Adam {
 
   // Clears gradients on all managed parameters.
   void ZeroGrad();
+
+  const std::vector<autograd::Variable>& params() const { return params_; }
 
   // Checkpointing hooks: Adam's full state is the step count plus the
   // first/second moment estimates, in parameter order.
@@ -40,7 +43,6 @@ class Adam {
  private:
   std::vector<autograd::Variable> params_;
   float lr_;
-  float beta1_, beta2_, eps_, weight_decay_;
   int64_t step_ = 0;
   std::vector<tensor::Tensor> m_;
   std::vector<tensor::Tensor> v_;
@@ -54,10 +56,10 @@ float ClipGradNorm(const std::vector<autograd::Variable>& params, float max_norm
 // consecutive epochs (the paper uses patience = 5).
 class EarlyStopping {
  public:
-  explicit EarlyStopping(int patience = 5, float min_delta = 0.0f);
+  explicit EarlyStopping(int patience = 5);
 
   // Records an epoch's validation metric; returns true when training should
-  // stop.
+  // stop. Any decrease counts as an improvement.
   bool Update(float metric);
 
   bool improved_last_update() const { return improved_; }
@@ -71,7 +73,6 @@ class EarlyStopping {
 
  private:
   int patience_;
-  float min_delta_;
   float best_;
   int stale_ = 0;
   bool improved_ = false;

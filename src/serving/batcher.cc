@@ -145,7 +145,7 @@ bool Batcher::RunPrimary(const ModelRegistry::Served& served,
   }
   if (ok) {
     stats_->RecordForward(forward.ElapsedSeconds());
-    fallback_->primary_breaker().RecordSuccess(forward.ElapsedSeconds());
+    fallback_->primary_breaker().RecordSuccess();
   } else {
     fallback_->primary_breaker().RecordFailure();
   }

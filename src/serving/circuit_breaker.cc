@@ -14,10 +14,9 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options, NowFn now)
   SSTBAN_CHECK_LE(options_.min_samples, options_.window);
   SSTBAN_CHECK_GT(options_.probe_successes_to_close, 0);
   if (now_ == nullptr) now_ = [] { return Clock::now(); };
-  // Fixed-capacity ring + scratch, so the closed-state hot path never
-  // allocates after construction.
-  ring_.resize(static_cast<size_t>(options_.window), 0.0);
-  scratch_.reserve(static_cast<size_t>(options_.window));
+  // Fixed-capacity ring, so the closed-state hot path never allocates after
+  // construction.
+  ring_.resize(static_cast<size_t>(options_.window), 0);
 }
 
 bool CircuitBreaker::Allow() {
@@ -49,7 +48,7 @@ bool CircuitBreaker::Allow() {
   return false;
 }
 
-void CircuitBreaker::RecordSuccess(double latency_seconds) {
+void CircuitBreaker::RecordSuccess() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == State::kHalfOpen) {
     half_open_in_flight_ = std::max<int64_t>(half_open_in_flight_ - 1, 0);
@@ -63,7 +62,7 @@ void CircuitBreaker::RecordSuccess(double latency_seconds) {
     return;
   }
   if (state_ != State::kClosed) return;  // stale in-flight from before a trip
-  PushOutcomeLocked(std::max(latency_seconds, 0.0));
+  PushOutcomeLocked(/*failed=*/false);
   MaybeTripLocked(now_());
 }
 
@@ -75,7 +74,7 @@ void CircuitBreaker::RecordFailure() {
     return;
   }
   if (state_ != State::kClosed) return;
-  PushOutcomeLocked(kFailureMark);
+  PushOutcomeLocked(/*failed=*/true);
   MaybeTripLocked(now_());
 }
 
@@ -112,46 +111,23 @@ CircuitBreaker::Stats CircuitBreaker::stats() const {
   return stats_;
 }
 
-void CircuitBreaker::PushOutcomeLocked(double outcome) {
+void CircuitBreaker::PushOutcomeLocked(bool failed) {
   const int64_t capacity = options_.window;
   if (ring_count_ == capacity) {
-    if (ring_[static_cast<size_t>(ring_head_)] == kFailureMark) {
-      --window_failures_;
-    }
+    if (ring_[static_cast<size_t>(ring_head_)] != 0) --window_failures_;
   } else {
     ++ring_count_;
   }
-  ring_[static_cast<size_t>(ring_head_)] = outcome;
+  ring_[static_cast<size_t>(ring_head_)] = failed ? 1 : 0;
   ring_head_ = (ring_head_ + 1) % capacity;
-  if (outcome == kFailureMark) ++window_failures_;
+  if (failed) ++window_failures_;
 }
 
 void CircuitBreaker::MaybeTripLocked(Clock::time_point now) {
   if (ring_count_ < options_.min_samples) return;
   const double error_rate =
       static_cast<double>(window_failures_) / static_cast<double>(ring_count_);
-  if (error_rate >= options_.error_rate_threshold) {
-    OpenLocked(now);
-    return;
-  }
-  if (options_.latency_threshold_seconds > 0.0 &&
-      WindowQuantileLocked(options_.latency_quantile) >
-          options_.latency_threshold_seconds) {
-    OpenLocked(now);
-  }
-}
-
-double CircuitBreaker::WindowQuantileLocked(double q) const {
-  scratch_.clear();
-  for (int64_t i = 0; i < ring_count_; ++i) {
-    double v = ring_[static_cast<size_t>(i)];
-    if (v != kFailureMark) scratch_.push_back(v);
-  }
-  if (scratch_.empty()) return 0.0;
-  std::sort(scratch_.begin(), scratch_.end());
-  size_t rank = static_cast<size_t>(q * static_cast<double>(scratch_.size()));
-  rank = std::min(rank, scratch_.size() - 1);
-  return scratch_[rank];
+  if (error_rate >= options_.error_rate_threshold) OpenLocked(now);
 }
 
 void CircuitBreaker::OpenLocked(Clock::time_point now) {

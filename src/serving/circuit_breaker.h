@@ -12,17 +12,13 @@
 namespace sstban::serving {
 
 struct CircuitBreakerOptions {
-  // Rolling outcome window the trip conditions are evaluated over.
+  // Rolling outcome window the trip condition is evaluated over.
   int64_t window = 32;
   // No tripping before this many outcomes are in the window (a single cold
   // failure must not open the breaker).
   int64_t min_samples = 8;
-  // Open when failures / window-size reaches this fraction...
+  // Open when failures / window-size reaches this fraction.
   double error_rate_threshold = 0.5;
-  // ...or when the window's `latency_quantile` latency exceeds this bound
-  // (<= 0 disables the latency condition).
-  double latency_threshold_seconds = 0.0;
-  double latency_quantile = 0.99;
   // Open -> half-open probe schedule: first probe after `cooldown`, doubling
   // on every re-trip up to `max_cooldown` (exponential backoff).
   std::chrono::milliseconds cooldown{100};
@@ -32,11 +28,11 @@ struct CircuitBreakerOptions {
 };
 
 // Per-model-tier circuit breaker: closed passes everything and records
-// outcomes; too many failures (or a latency-quantile blow-up) trips it open,
-// which sheds the tier entirely until the cooldown expires; half-open lets a
-// bounded number of probes through — success closes, failure re-opens with
-// doubled cooldown. All transitions are count- and clock-driven, and the
-// clock is injectable so tests are deterministic without sleeping.
+// outcomes; too many failures trip it open, which sheds the tier entirely
+// until the cooldown expires; half-open lets a bounded number of probes
+// through — success closes, failure re-opens with doubled cooldown. All
+// transitions are count- and clock-driven, and the clock is injectable so
+// tests are deterministic without sleeping.
 //
 // Thread-safe; Allow/Record are a short mutex hold each, no allocation once
 // the rolling window has filled (it is a fixed-capacity ring after warmup).
@@ -54,9 +50,8 @@ class CircuitBreaker {
   // concurrent probes are admitted.
   bool Allow();
 
-  // Outcome of an admitted request. Latency (seconds) feeds the quantile
-  // condition; failures count toward the error rate.
-  void RecordSuccess(double latency_seconds);
+  // Outcome of an admitted request; failures count toward the error rate.
+  void RecordSuccess();
   void RecordFailure();
 
   // The served model changed under us (hot-swap): give the new version a
@@ -75,25 +70,21 @@ class CircuitBreaker {
   Stats stats() const;
 
  private:
-  // Successes store their latency (clamped >= 0); failures store this mark.
-  static constexpr double kFailureMark = -1.0;
-
-  void PushOutcomeLocked(double outcome);
-  // Evaluates the trip conditions over the window; caller holds mutex_.
+  void PushOutcomeLocked(bool failed);
+  // Evaluates the trip condition over the window; caller holds mutex_.
   void MaybeTripLocked(Clock::time_point now);
   void OpenLocked(Clock::time_point now);
-  double WindowQuantileLocked(double q) const;
 
   CircuitBreakerOptions options_;
   NowFn now_;
   mutable std::mutex mutex_;
   State state_ = State::kClosed;
-  // Fixed-capacity rolling outcome ring (no allocation after construction).
-  std::vector<double> ring_;
+  // Fixed-capacity rolling ring of failure flags (no allocation after
+  // construction).
+  std::vector<uint8_t> ring_;
   int64_t ring_count_ = 0;
   int64_t ring_head_ = 0;
   int64_t window_failures_ = 0;
-  mutable std::vector<double> scratch_;  // quantile workspace, pre-reserved
   Clock::time_point open_until_{};
   int64_t half_open_in_flight_ = 0;
   int64_t half_open_successes_ = 0;

@@ -8,7 +8,6 @@
 
 #include "core/check.h"
 #include "core/failpoint.h"
-#include "core/timer.h"
 #include "tensor/ops.h"
 #include "training/forecast_service.h"
 
@@ -108,7 +107,6 @@ core::Status FallbackChain::Run(const data::Batch& batch,
   // the primary: its coefficients never hot-swap.
   if (var_ != nullptr && normalizer != nullptr &&
       batch.x.dim(1) >= var_->lag() && var_breaker_.Allow()) {
-    core::Timer timer;
     bool ok = true;
     t::Tensor denorm;
     try {
@@ -118,7 +116,7 @@ core::Status FallbackChain::Run(const data::Batch& batch,
       ok = false;
     }
     if (ok) {
-      var_breaker_.RecordSuccess(timer.ElapsedSeconds());
+      var_breaker_.RecordSuccess();
       for (int64_t i = 0; i < b; ++i) {
         (*slices)[static_cast<size_t>(i)] =
             t::Slice(denorm, 0, i, 1).Reshape(t::Shape{output_len, n, c});

@@ -32,41 +32,63 @@ SstbanModel::SstbanModel(const SstbanConfig& config)
   }
 }
 
-ag::Variable SstbanModel::ForecastBranch(const ag::Variable& x,
-                                         const data::Batch& batch,
-                                         ag::Variable* h_latent,
-                                         ag::Variable* e_in) {
+ag::Variable SstbanModel::Encode(const ag::Variable& x,
+                                 const data::Batch& batch, ag::Variable* e,
+                                 const t::Tensor* keep_pos) {
   int64_t batch_size = x.dim(0);
-  ag::Variable e = ste_->Forward(batch.tod_in, batch.dow_in, batch_size,
-                                 config_.input_len);
-  ag::Variable e_out = ste_->Forward(batch.tod_out, batch.dow_out, batch_size,
+  int64_t p = config_.input_len, n = config_.num_nodes, c = config_.num_features;
+  SSTBAN_CHECK(x.shape() == (t::Shape{batch_size, p, n, c}))
+      << "input" << x.shape().ToString();
+  *e = ste_->Forward(batch.tod_in, batch.dow_in, batch_size, p);
+  return encoder_->Forward(x, *e, keep_pos);
+}
+
+ag::Variable SstbanModel::Forecast(const ag::Variable& h, const ag::Variable& e,
+                                   const data::Batch& batch) {
+  ag::Variable e_out = ste_->Forward(batch.tod_out, batch.dow_out, h.dim(0),
                                      config_.output_len);
-  ag::Variable h = encoder_->Forward(x, e);
-  ag::Variable h0 = transform_->Forward(e_out, e, h);
-  ag::Variable prediction = decoder_->Forward(h0, e_out);
-  if (h_latent != nullptr) *h_latent = h;
-  if (e_in != nullptr) *e_in = e;
-  return prediction;
+  return decoder_->Forward(transform_->Forward(e_out, e, h), e_out);
+}
+
+ag::Variable SstbanModel::AlignmentLoss(const ag::Variable& x,
+                                        const ag::Variable& e,
+                                        const ag::Variable& h) {
+  t::Tensor mask, keep_pos, keep_latent;
+  DrawStepMasks(x.dim(0), &mask, &keep_pos, &keep_latent);
+  ag::Variable x_masked = ag::Mul(x, ag::Variable(mask));
+  ag::Variable h_masked = encoder_->Forward(x_masked, e, &keep_pos);
+  ag::Variable h_recon = reconstructor_->Forward(h_masked, e, keep_latent);
+  // Stop-gradient on the alignment target H^(L) (DESIGN.md §5).
+  return ag::MseLoss(h_recon, h.Detach());
 }
 
 ag::Variable SstbanModel::Predict(const t::Tensor& x_norm,
                                   const data::Batch& batch) {
-  ag::Variable x(x_norm);
-  return ForecastBranch(x, batch, nullptr, nullptr);
+  ag::Variable e;
+  ag::Variable h = Encode(ag::Variable(x_norm), batch, &e);
+  return Forecast(h, e, batch);
+}
+
+ag::Variable SstbanModel::PredictMasked(const t::Tensor& x_norm,
+                                        const t::Tensor& keep_pos,
+                                        const data::Batch& batch) {
+  int64_t batch_size = x_norm.dim(0);
+  int64_t p = config_.input_len, n = config_.num_nodes;
+  SSTBAN_CHECK(keep_pos.shape() == (t::Shape{batch_size, p, n}));
+  // Zero out missing observations, matching the corrupted-input pathway.
+  t::Tensor channel_mask = keep_pos.Reshape(t::Shape{batch_size, p, n, 1});
+  ag::Variable x = ag::Mul(ag::Variable(x_norm), ag::Variable(channel_mask));
+  ag::Variable e;
+  ag::Variable h = Encode(x, batch, &e, &keep_pos);
+  return Forecast(h, e, batch);
 }
 
 SstbanModel::ForwardOutput SstbanModel::ForwardTwoBranch(
     const t::Tensor& x_norm, const t::Tensor& y_norm, const data::Batch& batch) {
-  SSTBAN_CHECK_EQ(x_norm.rank(), 4);
-  int64_t batch_size = x_norm.dim(0);
-  int64_t p = config_.input_len, n = config_.num_nodes, c = config_.num_features;
-  SSTBAN_CHECK(x_norm.shape() == (t::Shape{batch_size, p, n, c}))
-      << "input" << x_norm.shape().ToString();
-
   ForwardOutput out;
-  ag::Variable x(x_norm);
-  ag::Variable h_latent, e_in;
-  out.prediction = ForecastBranch(x, batch, &h_latent, &e_in);
+  ag::Variable x(x_norm), e;
+  ag::Variable h = Encode(x, batch, &e);
+  out.prediction = Forecast(h, e, batch);
   out.forecast_loss =
       ag::MaeLoss(out.prediction, ag::Variable(y_norm, /*requires_grad=*/false));
 
@@ -74,19 +96,7 @@ SstbanModel::ForwardOutput SstbanModel::ForwardTwoBranch(
     out.total_loss = out.forecast_loss;
     return out;
   }
-
-  // -- Self-supervised branch --------------------------------------------
-  t::Tensor mask, keep_pos, keep_latent;
-  DrawStepMasks(batch_size, &mask, &keep_pos, &keep_latent);
-
-  ag::Variable x_masked = ag::Mul(x, ag::Variable(mask));
-  ag::Variable e = ste_->Forward(batch.tod_in, batch.dow_in, batch_size, p);
-  ag::Variable h_masked = encoder_->Forward(x_masked, e, &keep_pos);
-  ag::Variable h_recon = reconstructor_->Forward(h_masked, e, keep_latent);
-
-  // Stop-gradient on the alignment target H^(L) (DESIGN.md §5).
-  out.alignment_loss = ag::MseLoss(h_recon, h_latent.Detach());
-
+  out.alignment_loss = AlignmentLoss(x, e, h);
   float lambda = static_cast<float>(config_.lambda);
   out.total_loss = ag::Add(ag::MulScalar(out.forecast_loss, 1.0f - lambda),
                            ag::MulScalar(out.alignment_loss, lambda));
@@ -124,47 +134,15 @@ void SstbanModel::DrawStepMasks(int64_t batch_size, t::Tensor* mask,
 ag::Variable SstbanModel::SelfSupervisedLoss(const t::Tensor& x_norm,
                                              const data::Batch& batch) {
   if (reconstructor_ == nullptr) return {};
-  SSTBAN_CHECK_EQ(x_norm.rank(), 4);
-  int64_t batch_size = x_norm.dim(0);
-  int64_t p = config_.input_len, n = config_.num_nodes, c = config_.num_features;
-  SSTBAN_CHECK(x_norm.shape() == (t::Shape{batch_size, p, n, c}))
-      << "input" << x_norm.shape().ToString();
-
-  ag::Variable x(x_norm);
-  ag::Variable e = ste_->Forward(batch.tod_in, batch.dow_in, batch_size, p);
-  ag::Variable h_clean = encoder_->Forward(x, e);
-  ag::Variable target = h_clean.Detach();  // stop-gradient, DESIGN.md §5
-
-  t::Tensor mask, keep_pos, keep_latent;
-  DrawStepMasks(batch_size, &mask, &keep_pos, &keep_latent);
-  ag::Variable x_masked = ag::Mul(x, ag::Variable(mask));
-  ag::Variable h_masked = encoder_->Forward(x_masked, e, &keep_pos);
-  ag::Variable h_recon = reconstructor_->Forward(h_masked, e, keep_latent);
-  return ag::MseLoss(h_recon, target);
+  ag::Variable x(x_norm), e;
+  ag::Variable h = Encode(x, batch, &e);
+  return AlignmentLoss(x, e, h);
 }
 
 void SstbanModel::set_self_supervised(bool enabled) {
   SSTBAN_CHECK(!enabled || reconstructor_ != nullptr)
       << "model was built without a reconstructing decoder";
   config_.self_supervised = enabled;
-}
-
-ag::Variable SstbanModel::PredictWithMissing(const t::Tensor& x_norm,
-                                             const t::Tensor& keep_pos,
-                                             const data::Batch& batch) {
-  int64_t batch_size = x_norm.dim(0);
-  int64_t p = config_.input_len, n = config_.num_nodes, c = config_.num_features;
-  SSTBAN_CHECK(keep_pos.shape() == (t::Shape{batch_size, p, n}));
-  // Zero out missing observations, matching the corrupted-input pathway.
-  t::Tensor channel_mask = keep_pos.Reshape(t::Shape{batch_size, p, n, 1});
-  ag::Variable x = ag::Mul(ag::Variable(x_norm), ag::Variable(channel_mask));
-  (void)c;
-  ag::Variable e = ste_->Forward(batch.tod_in, batch.dow_in, batch_size, p);
-  ag::Variable e_out = ste_->Forward(batch.tod_out, batch.dow_out, batch_size,
-                                     config_.output_len);
-  ag::Variable h = encoder_->Forward(x, e, &keep_pos);
-  ag::Variable h0 = transform_->Forward(e_out, e, h);
-  return decoder_->Forward(h0, e_out);
 }
 
 ag::Variable SstbanModel::TrainingLoss(const t::Tensor& x_norm,

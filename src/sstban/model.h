@@ -61,20 +61,11 @@ class SstbanModel : public training::TrafficModel {
   // Forecast from partially observed input: `keep_pos` is [B, P, N] with 1
   // where the position was actually observed. Missing positions are zeroed
   // in the input and excluded as attention keys in the encoder — the same
-  // machinery the self-supervised branch trains, reused for inference with
-  // sensor dropouts.
-  autograd::Variable PredictWithMissing(const tensor::Tensor& x_norm,
-                                        const tensor::Tensor& keep_pos,
-                                        const data::Batch& batch);
-
-  // Serving-facing mask entry point (TrafficModel interface): degraded-mode
-  // inference is PredictWithMissing, i.e. exactly the encoder pathway the
-  // self-supervised branch trained.
+  // machinery the self-supervised branch trains, reused for degraded-mode
+  // serving and for inference with sensor dropouts.
   autograd::Variable PredictMasked(const tensor::Tensor& x_norm,
                                    const tensor::Tensor& keep_pos,
-                                   const data::Batch& batch) override {
-    return PredictWithMissing(x_norm, keep_pos, batch);
-  }
+                                   const data::Batch& batch) override;
 
   // Exposed pieces of one training forward pass, for tests and ablations.
   struct ForwardOutput {
@@ -88,17 +79,29 @@ class SstbanModel : public training::TrafficModel {
                                  const data::Batch& batch);
 
  private:
-  // The per-branch forecasting pipeline; returns the normalized prediction
-  // and (via h_latent) the clean-encoder latent used as alignment target.
-  autograd::Variable ForecastBranch(const autograd::Variable& x,
-                                    const data::Batch& batch,
-                                    autograd::Variable* h_latent,
-                                    autograd::Variable* e_in);
+  // The input-calendar STE and the encoder: returns the latent H^(L) of
+  // `x` and, through `e`, the embedding E the later stages read. `keep_pos`
+  // ([B, P, N], optional) excludes unobserved positions as attention keys.
+  autograd::Variable Encode(const autograd::Variable& x,
+                            const data::Batch& batch, autograd::Variable* e,
+                            const tensor::Tensor* keep_pos = nullptr);
+
+  // The output-calendar STE, transform attention and the forecasting
+  // decoder: the normalized prediction from the clean latent `h`.
+  autograd::Variable Forecast(const autograd::Variable& h,
+                              const autograd::Variable& e,
+                              const data::Batch& batch);
+
+  // The self-supervised half: masks `x` with masks drawn from mask_rng_,
+  // re-encodes it with the clean pass's embedding `e`, reconstructs the
+  // latent and returns its MSE against the detached clean latent `h`.
+  autograd::Variable AlignmentLoss(const autograd::Variable& x,
+                                   const autograd::Variable& e,
+                                   const autograd::Variable& h);
 
   // Draws per-sample spacetime patch masks from mask_rng_: `mask` is
   // [B, P, N, C], `keep_pos` [B, P, N] and `keep_latent` [B, P, N, 1] mark
-  // positions where any channel survived. Shared by ForwardTwoBranch and
-  // SelfSupervisedLoss.
+  // positions where any channel survived.
   void DrawStepMasks(int64_t batch_size, tensor::Tensor* mask,
                      tensor::Tensor* keep_pos, tensor::Tensor* keep_latent);
 

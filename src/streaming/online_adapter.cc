@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <utility>
 
 #include "autograd/variable.h"
@@ -11,36 +10,17 @@
 #include "core/rng.h"
 #include "optim/optimizer.h"
 #include "training/checkpoint.h"
+#include "training/trainer.h"
 
 namespace sstban::streaming {
 
 namespace {
 
-// An adapter checkpoint resumes only into the identical round: same
-// architecture (parameter names + shapes), same window set, same model-side
-// stochastic setup. Anything else starts fresh — resuming a previous round's
-// finished checkpoint would silently skip the new round entirely.
-bool CheckpointMatchesRound(
-    const training::TrainCheckpoint& ckpt,
-    const std::vector<std::pair<std::string, autograd::Variable>>& named,
-    const std::vector<int64_t>& indices, bool model_has_rng,
-    int64_t num_steps) {
-  if (ckpt.has_model_rng != model_has_rng) return false;
-  if (ckpt.next_epoch > num_steps) return false;
-  if (ckpt.params.size() != named.size()) return false;
-  for (size_t i = 0; i < named.size(); ++i) {
-    if (ckpt.params[i].first != named[i].first ||
-        ckpt.params[i].second.shape() != named[i].second.shape()) {
-      return false;
-    }
-  }
-  if (ckpt.order.size() != indices.size()) return false;
-  std::vector<int64_t> a = ckpt.order;
-  std::vector<int64_t> b = indices;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
-}
+// Every round fine-tunes at half the paper's training learning rate and
+// samples its windows from one fixed stream. The stream is checkpointed, so
+// a resumed round replays the identical sample sequence.
+constexpr float kLearningRate = 5e-4f;
+constexpr uint64_t kSamplingSeed = 17;
 
 }  // namespace
 
@@ -65,49 +45,18 @@ core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
   }
 
   std::vector<autograd::Variable> params = model->Parameters();
-  auto named = model->NamedParameters();
-  optim::Adam optimizer(params, options_.learning_rate);
-  core::Rng rng(options_.seed);
+  optim::Adam optimizer(params, kLearningRate);
+  core::Rng rng(kSamplingSeed);
+  const training::TrainingState state{model, &optimizer, &rng};
   AdaptReport report;
 
-  if (!options_.checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.checkpoint_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "[adapt] cannot create %s: %s (continuing)\n",
-                   options_.checkpoint_dir.c_str(), ec.message().c_str());
-    }
-  }
-  if (!options_.checkpoint_dir.empty() && options_.resume) {
-    training::TrainCheckpoint ckpt;
-    std::string from;
-    core::Status status = training::LoadNewestValidTrainCheckpoint(
-        options_.checkpoint_dir, &ckpt, &from);
-    if (status.ok()) {
-      if (CheckpointMatchesRound(ckpt, named, indices,
-                                 model->TrainingRng() != nullptr,
-                                 options_.num_steps)) {
-        for (size_t i = 0; i < named.size(); ++i) {
-          named[i].second.mutable_value().CopyFrom(ckpt.params[i].second);
-        }
-        optimizer.RestoreState(ckpt.adam_step, ckpt.adam_m, ckpt.adam_v);
-        rng.RestoreState(ckpt.shuffle_rng);
-        if (ckpt.has_model_rng) {
-          model->TrainingRng()->RestoreState(ckpt.model_rng);
-        }
-        report.step_loss = std::move(ckpt.epoch_train_loss);
-        report.start_step = ckpt.next_epoch;
-        report.resumed_from = from;
-      } else {
-        std::fprintf(stderr,
-                     "[adapt] %s is incompatible with this round "
-                     "(architecture or window set changed); starting fresh\n",
-                     from.c_str());
-      }
-    } else if (status.code() != core::StatusCode::kNotFound) {
-      std::fprintf(stderr, "[adapt] resume scan failed: %s\n",
-                   status.ToString().c_str());
-    }
+  training::TrainCheckpoint ckpt;
+  if (!options_.checkpoint_dir.empty() &&
+      training::ResumeTraining(options_.checkpoint_dir, indices,
+                               options_.num_steps, state, &ckpt,
+                               &report.resumed_from)) {
+    report.step_loss = std::move(ckpt.epoch_train_loss);
+    report.start_step = ckpt.next_epoch;
   }
 
   auto write_checkpoint = [&](int64_t next_step) {
@@ -121,38 +70,17 @@ core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
                    gate.ToString().c_str());
       return;
     }
-    training::TrainCheckpoint ckpt;
-    ckpt.next_epoch = static_cast<int32_t>(next_step);
-    ckpt.global_step = optimizer.step_count();
-    ckpt.shuffle_rng = rng.SaveState();
-    if (core::Rng* model_rng = model->TrainingRng()) {
-      ckpt.has_model_rng = true;
-      ckpt.model_rng = model_rng->SaveState();
-    }
-    ckpt.epoch_train_loss = report.step_loss;
-    ckpt.order = indices;
-    ckpt.params.reserve(named.size());
-    for (const auto& [name, param] : named) {
-      ckpt.params.emplace_back(name, param.value());  // shares storage
-    }
-    ckpt.adam_step = optimizer.step_count();
-    ckpt.adam_m = optimizer.first_moments();
-    ckpt.adam_v = optimizer.second_moments();
+    training::TrainCheckpoint next;
+    next.next_epoch = static_cast<int32_t>(next_step);
+    next.epoch_train_loss = report.step_loss;
+    next.order = indices;
     // The adapter keeps no best-epoch snapshot (promotion gating happens in
     // the shadow evaluator); the record format wants a mirror, share weights.
-    ckpt.best_params.reserve(named.size());
-    for (const auto& [name, param] : named) {
-      (void)name;
-      ckpt.best_params.push_back(param.value());
+    for (const autograd::Variable& p : params) {
+      next.best_params.push_back(p.value());
     }
-    std::string path = options_.checkpoint_dir + "/" +
-                       training::TrainCheckpointFileName(
-                           static_cast<int>(next_step));
-    core::Status status = training::SaveTrainCheckpoint(path, ckpt);
-    if (!status.ok()) {
-      std::fprintf(stderr, "[adapt] checkpoint write failed (continuing): %s\n",
-                   status.ToString().c_str());
-    }
+    training::WriteTrainingCheckpoint(options_.checkpoint_dir, state,
+                                      std::move(next));
   };
 
   const int64_t pool = static_cast<int64_t>(indices.size());
@@ -174,10 +102,7 @@ core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
           model->name() + " exposes no label-free objective; cannot adapt "
           "online without ground truth");
     }
-    model->ZeroGrad();
-    loss.Backward();
-    optim::ClipGradNorm(params, options_.grad_clip);
-    optimizer.Step();
+    training::TrainStep(loss, &optimizer);
     report.step_loss.push_back(loss.item());
     ++report.steps_run;
     if (!options_.checkpoint_dir.empty() &&

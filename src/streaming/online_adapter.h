@@ -16,21 +16,15 @@ struct OnlineAdapterOptions {
   // Fine-tuning steps per adaptation round.
   int64_t num_steps = 48;
   int64_t batch_size = 8;
-  float learning_rate = 5e-4f;
-  float grad_clip = 5.0f;
-  // Seed of the window-sampling stream (checkpointed, so a resumed round
-  // replays the identical sample sequence).
-  uint64_t seed = 17;
   // Crash-safety: when non-empty, the adapter persists a full-state
   // training::TrainCheckpoint here every `checkpoint_every_steps` steps (and
-  // at the final step) via core::WriteFileAtomic, and — when `resume` is set —
-  // continues from the newest valid checkpoint instead of starting over.
-  // The directory must be dedicated to one adaptation round: stale
-  // checkpoints from an architecture- or window-compatible *previous* round
-  // would otherwise resume into the wrong run.
+  // at the final step) via core::WriteFileAtomic, and continues from the
+  // newest valid checkpoint instead of starting over. The directory must be
+  // dedicated to one adaptation round: stale checkpoints from an
+  // architecture- or window-compatible *previous* round would otherwise
+  // resume into the wrong run.
   std::string checkpoint_dir;
   int64_t checkpoint_every_steps = 8;
-  bool resume = true;
 };
 
 struct AdaptReport {

@@ -43,6 +43,31 @@ core::Status Corrupt(const std::string& what, const std::string& path) {
                                "): " + path);
 }
 
+// A checkpoint resumes only the run that wrote it. Resuming another run's
+// record (say, a previous adaptation round's finished one) would silently
+// skip or corrupt this run.
+bool SameRun(
+    const TrainCheckpoint& ckpt,
+    const std::vector<std::pair<std::string, autograd::Variable>>& named,
+    const std::vector<int64_t>& indices, bool model_has_rng,
+    int64_t max_next_epoch) {
+  if (ckpt.has_model_rng != model_has_rng) return false;
+  if (ckpt.next_epoch > max_next_epoch) return false;
+  if (ckpt.params.size() != named.size()) return false;
+  for (size_t i = 0; i < named.size(); ++i) {
+    if (ckpt.params[i].first != named[i].first ||
+        ckpt.params[i].second.shape() != named[i].second.shape()) {
+      return false;
+    }
+  }
+  if (ckpt.order.size() != indices.size()) return false;
+  std::vector<int64_t> a = ckpt.order;
+  std::vector<int64_t> b = indices;
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return a == b;
+}
+
 }  // namespace
 
 core::Status SaveTrainCheckpoint(const std::string& path,
@@ -206,6 +231,55 @@ core::Status LoadNewestValidTrainCheckpoint(const std::string& dir,
                  status.ToString().c_str());
   }
   return core::Status::NotFound("no valid train checkpoint in " + dir);
+}
+
+bool ResumeTraining(const std::string& dir, const std::vector<int64_t>& indices,
+                    int64_t max_next_epoch, const TrainingState& state,
+                    TrainCheckpoint* ckpt, std::string* from) {
+  std::string path;
+  if (!LoadNewestValidTrainCheckpoint(dir, ckpt, &path).ok()) return false;
+  auto named = state.model->NamedParameters();
+  core::Rng* model_rng = state.model->TrainingRng();
+  if (!SameRun(*ckpt, named, indices, model_rng != nullptr, max_next_epoch)) {
+    std::fprintf(stderr,
+                 "[checkpoint] %s belongs to another run (architecture, "
+                 "index set or length changed); starting fresh\n",
+                 path.c_str());
+    return false;
+  }
+  for (size_t i = 0; i < named.size(); ++i) {
+    named[i].second.mutable_value().CopyFrom(ckpt->params[i].second);
+  }
+  state.optimizer->RestoreState(ckpt->adam_step, ckpt->adam_m, ckpt->adam_v);
+  state.rng->RestoreState(ckpt->shuffle_rng);
+  if (model_rng != nullptr) model_rng->RestoreState(ckpt->model_rng);
+  *from = std::move(path);
+  return true;
+}
+
+void WriteTrainingCheckpoint(const std::string& dir, const TrainingState& state,
+                             TrainCheckpoint ckpt) {
+  ckpt.global_step = state.optimizer->step_count();
+  ckpt.shuffle_rng = state.rng->SaveState();
+  if (core::Rng* model_rng = state.model->TrainingRng()) {
+    ckpt.has_model_rng = true;
+    ckpt.model_rng = model_rng->SaveState();
+  }
+  for (auto& [name, param] : state.model->NamedParameters()) {
+    ckpt.params.emplace_back(std::move(name), param.value());
+  }
+  ckpt.adam_step = state.optimizer->step_count();
+  ckpt.adam_m = state.optimizer->first_moments();
+  ckpt.adam_v = state.optimizer->second_moments();
+  // A directory that cannot be created fails the write below, which warns.
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  core::Status status = SaveTrainCheckpoint(
+      dir + "/" + TrainCheckpointFileName(ckpt.next_epoch), ckpt);
+  if (!status.ok()) {
+    std::fprintf(stderr, "[checkpoint] write failed (continuing): %s\n",
+                 status.ToString().c_str());
+  }
 }
 
 }  // namespace sstban::training

@@ -8,16 +8,19 @@
 
 #include "core/rng.h"
 #include "core/status.h"
+#include "optim/optimizer.h"
 #include "tensor/tensor.h"
+#include "training/model.h"
 
 namespace sstban::training {
 
-// Everything Trainer::Train needs to continue a run at an epoch boundary
-// exactly as if it had never stopped: model weights, the full Adam state,
-// both RNG streams, the cumulative shuffle order, the early-stopping
-// counters, and the best-epoch snapshot. The contract (pinned by the
-// kill-and-resume tests) is *bitwise* resume: an interrupted-and-resumed
-// run produces final parameters identical to an uninterrupted one.
+// Everything a training loop (Trainer::Train, OnlineAdapter::Adapt) needs to
+// continue a run at an epoch or step boundary exactly as if it had never
+// stopped: model weights, the full Adam state, both RNG streams, the
+// cumulative shuffle order, the early-stopping counters, and the best-epoch
+// snapshot. The contract (pinned by the kill-and-resume tests) is *bitwise*
+// resume: an interrupted-and-resumed run produces final parameters identical
+// to an uninterrupted one.
 //
 // On disk: magic "SSTT" | uint32 version | record fields | uint32 CRC32
 // over every preceding byte, written via core::WriteFileAtomic. Timing
@@ -27,7 +30,7 @@ struct TrainCheckpoint {
   int32_t next_epoch = 0;   // first epoch the resumed run should execute
   int64_t global_step = 0;  // optimizer steps taken so far
 
-  core::Rng::State shuffle_rng;  // the trainer's shuffle stream
+  core::Rng::State shuffle_rng;  // the loop's shuffle or sampling stream
   bool has_model_rng = false;    // model-internal stream (SSTBAN masking)
   core::Rng::State model_rng;
 
@@ -68,6 +71,36 @@ std::vector<std::string> ListTrainCheckpoints(const std::string& dir);
 core::Status LoadNewestValidTrainCheckpoint(const std::string& dir,
                                             TrainCheckpoint* state,
                                             std::string* path_out);
+
+// The state every training loop checkpoints besides its own loop fields:
+// the model's weights and masking stream, the optimizer, and the loop's
+// sampling stream (TrainCheckpoint::shuffle_rng).
+struct TrainingState {
+  TrafficModel* model = nullptr;
+  optim::Adam* optimizer = nullptr;
+  core::Rng* rng = nullptr;
+};
+
+// Resumes `state` from the newest valid checkpoint in `dir` when the same run
+// wrote it: identical parameter names and shapes, the same `indices` in any
+// order (TrainCheckpoint::order), a model stream exactly when the model has
+// one, and next_epoch <= max_next_epoch. On a match it restores the weights,
+// the Adam state and both streams, and returns true with the record in
+// *ckpt, for the loop's own fields, and its path in *from. Otherwise the run
+// starts fresh: it returns false, with a warning when `dir` held a valid
+// checkpoint of another run.
+bool ResumeTraining(const std::string& dir, const std::vector<int64_t>& indices,
+                    int64_t max_next_epoch, const TrainingState& state,
+                    TrainCheckpoint* ckpt, std::string* from);
+
+// Completes `ckpt`, whose loop fields the caller has set, with the state the
+// resume restores (the weights share storage), and saves it atomically as
+// dir/TrainCheckpointFileName(ckpt.next_epoch), creating `dir` if needed. A
+// failed write is a warning: checkpointing is a safety net, not a
+// dependency, so a full disk or an injected I/O fault must not kill a
+// healthy run.
+void WriteTrainingCheckpoint(const std::string& dir, const TrainingState& state,
+                             TrainCheckpoint ckpt);
 
 }  // namespace sstban::training
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
+#include <limits>
 
 #include "autograd/ops.h"
 #include "core/check.h"
@@ -12,61 +12,40 @@
 #include "core/timer.h"
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 #include "training/checkpoint.h"
 
 namespace sstban::training {
 
 namespace {
 
-// Deep-copies current parameter values (for best-epoch restoration). The
-// copies are independent per parameter, so fan them out across the pool —
-// best-epoch snapshots happen once per improving epoch on every model size.
+// Global gradient-norm bound of every training loop.
+constexpr float kGradClipNorm = 5.0f;
+
+// Deep-copies current parameter values (for best-epoch restoration).
 std::vector<tensor::Tensor> SnapshotParams(
     const std::vector<autograd::Variable>& params) {
-  std::vector<tensor::Tensor> snapshot(params.size());
-  tensor::ParallelForEachIndex(
-      static_cast<int64_t>(params.size()), [&](int64_t i) {
-        snapshot[static_cast<size_t>(i)] =
-            params[static_cast<size_t>(i)].value().Clone();
-      });
+  std::vector<tensor::Tensor> snapshot;
+  snapshot.reserve(params.size());
+  for (const autograd::Variable& p : params) snapshot.push_back(p.value().Clone());
   return snapshot;
 }
 
 void RestoreParams(std::vector<autograd::Variable>& params,
                    const std::vector<tensor::Tensor>& snapshot) {
   SSTBAN_CHECK_EQ(params.size(), snapshot.size());
-  tensor::ParallelForEachIndex(
-      static_cast<int64_t>(params.size()), [&](int64_t i) {
-        params[static_cast<size_t>(i)].mutable_value().CopyFrom(
-            snapshot[static_cast<size_t>(i)]);
-      });
-}
-
-// A checkpoint is only resumable into a run with the identical model
-// architecture (names + shapes), the same train split, and the same
-// model-side stochastic setup. Anything else gets a fresh start.
-bool CheckpointMatchesRun(
-    const TrainCheckpoint& ckpt,
-    const std::vector<std::pair<std::string, autograd::Variable>>& named,
-    const std::vector<int64_t>& train_indices, bool model_has_rng) {
-  if (ckpt.has_model_rng != model_has_rng) return false;
-  if (ckpt.params.size() != named.size()) return false;
-  for (size_t i = 0; i < named.size(); ++i) {
-    if (ckpt.params[i].first != named[i].first ||
-        ckpt.params[i].second.shape() != named[i].second.shape()) {
-      return false;
-    }
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i].mutable_value().CopyFrom(snapshot[i]);
   }
-  if (ckpt.order.size() != train_indices.size()) return false;
-  std::vector<int64_t> a = ckpt.order;
-  std::vector<int64_t> b = train_indices;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
 }
 
 }  // namespace
+
+void TrainStep(autograd::Variable loss, optim::Adam* optimizer) {
+  optimizer->ZeroGrad();
+  loss.Backward();
+  optim::ClipGradNorm(optimizer->params(), kGradClipNorm);
+  optimizer->Step();
+}
 
 TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& windows,
                           const data::SplitIndices& split,
@@ -90,106 +69,46 @@ TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& window
   }
 
   std::vector<autograd::Variable> params = model->Parameters();
-  auto named = model->NamedParameters();
   optim::Adam optimizer(params, config_.learning_rate);
   optim::EarlyStopping early(config_.patience);
   core::Rng rng(config_.seed);
+  const TrainingState state{model, &optimizer, &rng};
   std::vector<tensor::Tensor> best_params = SnapshotParams(params);
   double best_val = 1e30;
   std::vector<int64_t> order = split.train;
   int start_epoch = 0;
 
-  if (!config_.checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.checkpoint_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "[checkpoint] cannot create %s: %s (continuing)\n",
-                   config_.checkpoint_dir.c_str(), ec.message().c_str());
+  // The trainer takes a checkpoint from any epoch: one past max_epochs ends
+  // the run at once with its best-epoch weights.
+  TrainCheckpoint ckpt;
+  if (!config_.checkpoint_dir.empty() && config_.resume &&
+      ResumeTraining(config_.checkpoint_dir, split.train,
+                     std::numeric_limits<int32_t>::max(), state, &ckpt,
+                     &stats.resumed_from)) {
+    early.RestoreState(ckpt.early_best, ckpt.early_stale);
+    best_params = std::move(ckpt.best_params);
+    best_val = ckpt.best_val;
+    order = std::move(ckpt.order);
+    stats.epoch_train_loss = std::move(ckpt.epoch_train_loss);
+    start_epoch = ckpt.next_epoch;
+    stats.epochs_run = start_epoch;
+    stats.start_epoch = start_epoch;
+    if (config_.verbose) {
+      std::printf("[%s] resumed from %s (next epoch %d)\n",
+                  model->name().c_str(), stats.resumed_from.c_str(),
+                  start_epoch);
+    }
+    // The interrupted run may already have exhausted its patience (or
+    // its epoch budget); in that case the loop below must not run at
+    // all, exactly as it would not have continued uninterrupted.
+    if (early.epochs_since_best() >= config_.patience) {
+      start_epoch = config_.max_epochs;
     }
   }
-  if (!config_.checkpoint_dir.empty() && config_.resume) {
-    TrainCheckpoint ckpt;
-    std::string from;
-    core::Status status =
-        LoadNewestValidTrainCheckpoint(config_.checkpoint_dir, &ckpt, &from);
-    if (status.ok()) {
-      if (CheckpointMatchesRun(ckpt, named, split.train,
-                               model->TrainingRng() != nullptr)) {
-        for (size_t i = 0; i < named.size(); ++i) {
-          named[i].second.mutable_value().CopyFrom(ckpt.params[i].second);
-        }
-        optimizer.RestoreState(ckpt.adam_step, ckpt.adam_m, ckpt.adam_v);
-        early.RestoreState(ckpt.early_best, ckpt.early_stale);
-        rng.RestoreState(ckpt.shuffle_rng);
-        if (ckpt.has_model_rng) {
-          model->TrainingRng()->RestoreState(ckpt.model_rng);
-        }
-        best_params = std::move(ckpt.best_params);
-        best_val = ckpt.best_val;
-        order = std::move(ckpt.order);
-        stats.epoch_train_loss = std::move(ckpt.epoch_train_loss);
-        start_epoch = ckpt.next_epoch;
-        stats.epochs_run = start_epoch;
-        stats.start_epoch = start_epoch;
-        stats.resumed_from = from;
-        if (config_.verbose) {
-          std::printf("[%s] resumed from %s (next epoch %d)\n",
-                      model->name().c_str(), from.c_str(), start_epoch);
-        }
-        // The interrupted run may already have exhausted its patience (or
-        // its epoch budget); in that case the loop below must not run at
-        // all, exactly as it would not have continued uninterrupted.
-        if (early.epochs_since_best() >= config_.patience) {
-          start_epoch = config_.max_epochs;
-        }
-      } else {
-        std::fprintf(stderr,
-                     "[checkpoint] %s is incompatible with this run "
-                     "(architecture or split changed); starting fresh\n",
-                     from.c_str());
-      }
-    } else if (status.code() != core::StatusCode::kNotFound) {
-      std::fprintf(stderr, "[checkpoint] resume scan failed: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-
-  auto write_checkpoint = [&](int next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.global_step = optimizer.step_count();
-    ckpt.shuffle_rng = rng.SaveState();
-    if (core::Rng* model_rng = model->TrainingRng()) {
-      ckpt.has_model_rng = true;
-      ckpt.model_rng = model_rng->SaveState();
-    }
-    ckpt.best_val = best_val;
-    ckpt.early_best = early.best_metric();
-    ckpt.early_stale = early.epochs_since_best();
-    ckpt.epoch_train_loss = stats.epoch_train_loss;
-    ckpt.order = order;
-    ckpt.params.reserve(named.size());
-    for (const auto& [name, param] : named) {
-      ckpt.params.emplace_back(name, param.value());  // shares storage
-    }
-    ckpt.adam_step = optimizer.step_count();
-    ckpt.adam_m = optimizer.first_moments();
-    ckpt.adam_v = optimizer.second_moments();
-    ckpt.best_params = best_params;
-    std::string path = config_.checkpoint_dir + "/" +
-                       TrainCheckpointFileName(next_epoch);
-    core::Status status = SaveTrainCheckpoint(path, ckpt);
-    if (!status.ok()) {
-      // Checkpointing is a safety net, not a dependency: a full disk or an
-      // injected I/O fault must not kill a healthy training run.
-      std::fprintf(stderr, "[checkpoint] write failed (continuing): %s\n",
-                   status.ToString().c_str());
-    }
-  };
 
   for (int epoch = start_epoch; epoch < config_.max_epochs; ++epoch) {
     model->SetTraining(true);
-    if (config_.shuffle) rng.Shuffle(order);
+    rng.Shuffle(order);
     double epoch_loss = 0.0;
     int64_t num_batches = 0;
     for (size_t begin = 0; begin < order.size(); begin += config_.batch_size) {
@@ -199,10 +118,7 @@ TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& window
       tensor::Tensor x_norm = normalizer.Transform(batch.x);
       tensor::Tensor y_norm = normalizer.Transform(batch.y);
       autograd::Variable loss = model->TrainingLoss(x_norm, y_norm, batch);
-      model->ZeroGrad();
-      loss.Backward();
-      optim::ClipGradNorm(params, config_.grad_clip);
-      optimizer.Step();
+      TrainStep(loss, &optimizer);
       epoch_loss += loss.item();
       ++num_batches;
     }
@@ -231,7 +147,15 @@ TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& window
          stop_early || stop_requested || last_epoch)) {
       // The cadence is in *absolute* epochs so a resumed run writes the
       // same checkpoint files an uninterrupted one would.
-      write_checkpoint(epoch + 1);
+      TrainCheckpoint next;
+      next.next_epoch = epoch + 1;
+      next.best_val = best_val;
+      next.early_best = early.best_metric();
+      next.early_stale = early.epochs_since_best();
+      next.epoch_train_loss = stats.epoch_train_loss;
+      next.order = order;
+      next.best_params = best_params;
+      WriteTrainingCheckpoint(config_.checkpoint_dir, state, std::move(next));
     }
     SSTBAN_FAILPOINT_NOTIFY("train_epoch_end");
     if (stop_requested) {

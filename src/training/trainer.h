@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "autograd/variable.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
+#include "optim/optimizer.h"
 #include "training/metrics.h"
 #include "training/model.h"
 
@@ -18,9 +20,7 @@ struct TrainerConfig {
   int patience = 5;        // the paper's early-stopping patience
   int64_t batch_size = 4;  // the paper's batch size
   float learning_rate = 1e-3f;  // the paper's learning rate
-  float grad_clip = 5.0f;
-  bool shuffle = true;
-  uint64_t seed = 7;
+  uint64_t seed = 7;  // seeds the per-epoch shuffle
   bool verbose = false;
   // Feature channel metrics are computed on (-1 = all channels). The
   // Seattle scenarios input (flow, speed, occupancy) but report *speed*
@@ -88,6 +88,11 @@ class Trainer {
  private:
   TrainerConfig config_;
 };
+
+// One optimizer step on `loss`, shared by every training loop: clears the
+// optimizer's parameters' gradients, backpropagates, clips the global
+// gradient norm at 5 and applies Adam.
+void TrainStep(autograd::Variable loss, optim::Adam* optimizer);
 
 // Runs the model over the given windows and aggregates denormalized
 // metrics. Gradients are disabled for the duration.

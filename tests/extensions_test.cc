@@ -199,7 +199,7 @@ TEST(ForecastServiceTest, RejectsWrongNodeOrFeatureCount) {
 
 // -- SSTBAN extensions ------------------------------------------------------
 
-TEST(SstbanExtensionsTest, PredictWithMissingIgnoresMaskedPositions) {
+TEST(SstbanExtensionsTest, PredictMaskedIgnoresMaskedPositions) {
   sstban::SstbanConfig config;
   config.num_nodes = 5;
   config.input_len = 8;
@@ -224,11 +224,11 @@ TEST(SstbanExtensionsTest, PredictWithMissingIgnoresMaskedPositions) {
   }
   t::Tensor keep = t::Tensor::Ones(t::Shape{1, 8, 5});
   keep.at({0, 3, 2}) = 0.0f;
-  ag::Variable out1 = model.PredictWithMissing(batch.x, keep, batch);
+  ag::Variable out1 = model.PredictMasked(batch.x, keep, batch);
   // Corrupting the masked observation must not change the forecast.
   t::Tensor x2 = batch.x.Clone();
   x2.at({0, 3, 2, 0}) += 1000.0f;
-  ag::Variable out2 = model.PredictWithMissing(x2, keep, batch);
+  ag::Variable out2 = model.PredictMasked(x2, keep, batch);
   EXPECT_TRUE(t::AllClose(out1.value(), out2.value(), 1e-4f, 1e-4f));
   EXPECT_FALSE(t::HasNonFinite(out1.value()));
 }

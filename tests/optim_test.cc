@@ -45,19 +45,6 @@ TEST(AdamTest, SkipsParamsWithoutGrad) {
   EXPECT_NE(used.value().item(), 1.0f);
 }
 
-TEST(AdamTest, WeightDecayShrinksWeights) {
-  ag::Variable x(t::Tensor::Full(t::Shape{1}, 1.0f), true);
-  Adam opt({x}, 0.01f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/1.0f);
-  for (int i = 0; i < 50; ++i) {
-    // Loss gradient of zero: only decay acts.
-    ag::Variable loss = ag::MulScalar(ag::SumAll(x), 0.0f);
-    opt.ZeroGrad();
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_LT(x.value().item(), 0.9f);
-}
-
 TEST(ClipGradNormTest, ScalesLargeGradients) {
   ag::Variable x(t::Tensor::Full(t::Shape{4}, 10.0f), true);
   ag::SumAll(ag::Square(x)).Backward();  // grad = 20 each, norm = 40

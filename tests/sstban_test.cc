@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -517,18 +518,48 @@ TEST(SstbanModelTest, DetachedAlignmentTargetKeepsDecoderGradientFree) {
   EXPECT_TRUE(reconstructor_has_grad);
 }
 
-// Op counts of the graph recorded behind `root`.
-std::map<std::string, int> OpCounts(const ag::Variable& root) {
-  std::map<std::string, int> counts;
+// The label-free objective is the two-branch step's self-supervised half:
+// on twins built from one seed it gives the same loss bits and leaves the
+// masking stream in the same state.
+TEST(SstbanModelTest, SelfSupervisedLossIsTheTwoBranchAlignmentLoss) {
+  SstbanConfig c = TinyConfig();
+  data::Batch batch = TinyBatch(c, 2);
+  SstbanModel label_free(c), two_branch(c);
+  label_free.SetTraining(true);
+  two_branch.SetTraining(true);
+  float ssl = label_free.SelfSupervisedLoss(batch.x, batch).item();
+  auto out = two_branch.ForwardTwoBranch(batch.x, batch.y, batch);
+  ASSERT_TRUE(out.alignment_loss.defined());
+  float alignment = out.alignment_loss.item();
+  EXPECT_EQ(std::memcmp(&ssl, &alignment, sizeof(float)), 0)
+      << ssl << " vs " << alignment;
+  core::Rng::State a = label_free.TrainingRng()->SaveState();
+  core::Rng::State b = two_branch.TrainingRng()->SaveState();
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.inc, b.inc);
+  EXPECT_EQ(a.has_spare, b.has_spare);
+  EXPECT_EQ(a.spare, b.spare);
+}
+
+// The distinct nodes of the graph recorded behind `root`.
+std::vector<ag::NodePtr> TapeNodes(const ag::Variable& root) {
+  std::vector<ag::NodePtr> nodes;
   std::set<const ag::Node*> seen;
   std::vector<ag::NodePtr> stack = {root.node()};
   while (!stack.empty()) {
     ag::NodePtr node = stack.back();
     stack.pop_back();
     if (!seen.insert(node.get()).second) continue;
-    ++counts[node->op];
+    nodes.push_back(node);
     for (const ag::NodePtr& parent : node->parents) stack.push_back(parent);
   }
+  return nodes;
+}
+
+// Op counts of the graph recorded behind `root`.
+std::map<std::string, int> OpCounts(const ag::Variable& root) {
+  std::map<std::string, int> counts;
+  for (const ag::NodePtr& node : TapeNodes(root)) ++counts[node->op];
   return counts;
 }
 
@@ -553,6 +584,27 @@ TEST(SstbanModelTest, TrainingRecordsOnlyFusedAttention) {
   EXPECT_GT(ops["fused_attention"], forecast_ops["fused_attention"]);
   EXPECT_EQ(ops.count("softmax"), 0u);
   EXPECT_EQ(ops.count("bmm"), 0u);
+}
+
+// The two-branch step embeds each calendar once: the masked pass reuses the
+// clean pass's input embedding, so the STE's spatial table is read by one
+// node per calendar.
+TEST(SstbanModelTest, TwoBranchTapeRunsTheSteOncePerCalendar) {
+  SstbanConfig c = TinyConfig();
+  data::Batch batch = TinyBatch(c, 2);
+  SstbanModel model(c);
+  model.SetTraining(true);
+  ag::NodePtr table;
+  for (auto& [name, p] : model.NamedParameters()) {
+    if (name == "ste.spatial.weight") table = p.node();
+  }
+  ASSERT_NE(table, nullptr);
+  int64_t readers = 0;
+  for (const ag::NodePtr& node :
+       TapeNodes(model.TrainingLoss(batch.x, batch.y, batch))) {
+    readers += std::count(node->parents.begin(), node->parents.end(), table);
+  }
+  EXPECT_EQ(readers, 2);
 }
 
 TEST(SstbanModelTest, WithoutBottleneckUsesFullAttention) {

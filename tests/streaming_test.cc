@@ -465,6 +465,51 @@ TEST_F(OnlineAdapterTest, InterruptedRoundResumesBitwiseIdentical) {
       << "resumed weights diverged from the uninterrupted round";
 }
 
+// A checkpoint of another round is ignored, whether it covers another
+// window set or runs more steps than this round: the round starts at step 0
+// and ends bitwise equal to a fresh one.
+TEST_F(OnlineAdapterTest, IncompatibleCheckpointStartsFresh) {
+  auto dataset = TinyWorld();
+  data::WindowDataset windows(dataset, kSteps, kSteps);
+  data::Normalizer normalizer = data::Normalizer::Fit(dataset->signals);
+
+  OnlineAdapterOptions options;
+  options.num_steps = 4;
+  options.batch_size = 4;
+  options.checkpoint_every_steps = 2;
+  model_ns::SstbanModel fresh(TinyModelConfig(9));
+  ASSERT_TRUE(OnlineAdapter(options)
+                  .Adapt(&fresh, windows, FirstIndices(12), normalizer)
+                  .ok());
+
+  struct StaleRound {
+    int64_t num_windows;
+    int64_t num_steps;
+  };
+  for (const StaleRound& stale : {StaleRound{10, 4}, StaleRound{12, 6}}) {
+    OnlineAdapterOptions stale_options = options;
+    stale_options.num_steps = stale.num_steps;
+    stale_options.checkpoint_dir = FreshDir("adapt_stale");
+    model_ns::SstbanModel previous(TinyModelConfig(9));
+    ASSERT_TRUE(OnlineAdapter(stale_options)
+                    .Adapt(&previous, windows, FirstIndices(stale.num_windows),
+                           normalizer)
+                    .ok());
+
+    options.checkpoint_dir = stale_options.checkpoint_dir;
+    model_ns::SstbanModel model(TinyModelConfig(9));
+    auto report = OnlineAdapter(options).Adapt(&model, windows,
+                                               FirstIndices(12), normalizer);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().start_step, 0) << stale.num_windows;
+    EXPECT_TRUE(report.value().resumed_from.empty());
+    EXPECT_EQ(report.value().steps_run, 4);
+    EXPECT_TRUE(ParamsBitwiseEqual(fresh, model))
+        << "a stale checkpoint of " << stale.num_windows << " windows and "
+        << stale.num_steps << " steps leaked into the round";
+  }
+}
+
 TEST_F(OnlineAdapterTest, CheckpointWriteFaultIsSurvivable) {
   auto dataset = TinyWorld();
   data::WindowDataset windows(dataset, kSteps, kSteps);
