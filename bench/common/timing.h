@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace sstban::bench {
 
@@ -25,33 +26,62 @@ inline double BenchNowSeconds() {
       .count();
 }
 
+// Iterations per repetition: enough back-to-back calls of `fn` to fill
+// about `target_rep_seconds`.
 template <typename Fn>
-Timing MeasureSeconds(Fn&& fn, int reps = 5,
-                      double target_rep_seconds = 0.05) {
-  fn();  // warm-up: thread-pool spin-up, pack-buffer/arena allocation
-  // Calibrate the per-repetition iteration count.
+int CalibrateIters(Fn& fn, double target_rep_seconds) {
   int iters = 1;
   for (;;) {
     double start = BenchNowSeconds();
     for (int i = 0; i < iters; ++i) fn();
     double elapsed = BenchNowSeconds() - start;
-    if (elapsed > target_rep_seconds || iters >= 1 << 16) break;
+    if (elapsed > target_rep_seconds || iters >= 1 << 16) return iters;
     iters *= 4;
   }
+}
+
+// Runs one repetition of `timing->iters` calls and folds its per-call
+// seconds into `timing`.
+template <typename Fn>
+void AddRepetition(Fn& fn, Timing* timing) {
+  double start = BenchNowSeconds();
+  for (int i = 0; i < timing->iters; ++i) fn();
+  double per_call = (BenchNowSeconds() - start) / timing->iters;
+  timing->min_s =
+      timing->reps == 0 ? per_call : std::min(timing->min_s, per_call);
+  timing->mean_s =
+      (timing->mean_s * timing->reps + per_call) / (timing->reps + 1);
+  ++timing->reps;
+}
+
+template <typename Fn>
+Timing MeasureSeconds(Fn&& fn, int reps = 5,
+                      double target_rep_seconds = 0.05) {
+  fn();  // warm-up: thread-pool spin-up, scratch-buffer/arena allocation
   Timing timing;
-  timing.reps = reps;
-  timing.iters = iters;
-  double total = 0.0, best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    double start = BenchNowSeconds();
-    for (int i = 0; i < iters; ++i) fn();
-    double per_call = (BenchNowSeconds() - start) / iters;
-    total += per_call;
-    best = r == 0 ? per_call : std::min(best, per_call);
-  }
-  timing.mean_s = total / reps;
-  timing.min_s = best;
+  timing.iters = CalibrateIters(fn, target_rep_seconds);
+  for (int r = 0; r < reps; ++r) AddRepetition(fn, &timing);
   return timing;
+}
+
+// Times two functions in alternating repetitions (a, b, a, b, ...), each
+// side with its own calibrated iteration count. A burst of host noise then
+// lands on samples of both sides instead of on whichever side was running,
+// so the ratio of the two min-of-K reads quiet repetitions of each.
+template <typename FnA, typename FnB>
+std::pair<Timing, Timing> MeasureAlternating(FnA&& fn_a, FnB&& fn_b,
+                                             int reps = 9,
+                                             double target_rep_seconds = 0.05) {
+  fn_a();
+  fn_b();
+  std::pair<Timing, Timing> timings;
+  timings.first.iters = CalibrateIters(fn_a, target_rep_seconds);
+  timings.second.iters = CalibrateIters(fn_b, target_rep_seconds);
+  for (int r = 0; r < reps; ++r) {
+    AddRepetition(fn_a, &timings.first);
+    AddRepetition(fn_b, &timings.second);
+  }
+  return timings;
 }
 
 }  // namespace sstban::bench

@@ -1,7 +1,6 @@
 #include "tensor/matmul.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/check.h"
@@ -24,18 +23,14 @@ namespace {
 // threads, including the inline sequential path.
 // ---------------------------------------------------------------------------
 
-// Rows of C per parallel task. Also the unit the tiled path packs A in, so
-// block boundaries are a pure function of M.
+// Rows of C per parallel task, so block boundaries are a pure function of M.
 constexpr int64_t kRowBlock = kGemmRowBlock;
-// Packed-panel extents: one B panel (kKC x kNC floats = 256 KiB) plus the
-// mr x kKC A strip stay resident in L2 while the micro-kernel streams C.
+// Cache-blocking extents: one kKC x kNC block of B (at most 256 KiB) stays
+// resident in L2 while the micro-kernel streams a row block's A and C.
 constexpr int64_t kKC = 256;
 constexpr int64_t kNC = 256;
-// Upper bound on any tier's micro-kernel height (scalar uses 4, AVX2 6);
-// sizes the packing scratch so it never depends on the dispatched tier.
-constexpr int64_t kMaxPackMR = 8;
-// Below this many multiply-adds per GEMM the packed/tiled path loses to the
-// plain loops (packing cost dominates).
+// Below this many multiply-adds per GEMM the tiled path loses to the plain
+// loops (its per-tile set-up dominates).
 constexpr int64_t kTiledMaddCutoff = 1 << 13;
 // Target multiply-adds per scheduled chunk; smaller problems run inline.
 constexpr int64_t kParallelMaddCutoff = 1 << 15;
@@ -88,65 +83,30 @@ void GemmDispatch(const float* a, const float* b, float* c, int64_t m,
 }
 
 // ---------------------------------------------------------------------------
-// Tiled/packed path. Transposition is absorbed entirely by the packing step;
-// the micro-kernel only ever sees k-major packed panels.
+// Tiled path. The micro-kernel reads A and B where they lie; only a
+// transposed B is copied, into a row-major panel.
 // ---------------------------------------------------------------------------
 
-// Packs the logical (post-transpose) panel B[p0:p0+kc, j0:j0+nc] into
-// dst[kc][nc] row-major. `ldb` is the row stride of the *stored* matrix
-// (n when !tb, k when tb).
-void PackB(const float* b, int64_t ldb, bool tb, int64_t p0, int64_t j0,
-           int64_t kc, int64_t nc, float* dst) {
-  if (!tb) {
-    for (int64_t p = 0; p < kc; ++p) {
-      std::memcpy(dst + p * nc, b + (p0 + p) * ldb + j0,
-                  static_cast<size_t>(nc) * sizeof(float));
-    }
-  } else {
-    // Stored B is [N, K]; logical B[p][j] = stored[j][p].
-    for (int64_t p = 0; p < kc; ++p) {
-      float* drow = dst + p * nc;
-      const float* src = b + j0 * ldb + (p0 + p);
-      for (int64_t j = 0; j < nc; ++j) drow[j] = src[j * ldb];
-    }
+// Copies the logical panel B[p0:p0+kc, j0:j0+nc] of a stored [N, K] matrix
+// (row stride `ldb` = k) into dst[kc][nc] row-major.
+void TransposeBPanel(const float* b, int64_t ldb, int64_t p0, int64_t j0,
+                     int64_t kc, int64_t nc, float* dst) {
+  for (int64_t p = 0; p < kc; ++p) {
+    float* drow = dst + p * nc;
+    const float* src = b + j0 * ldb + (p0 + p);
+    for (int64_t j = 0; j < nc; ++j) drow[j] = src[j * ldb];
   }
 }
 
-// Packs the logical A strip rows [i0, i0+mr) x cols [p0, p0+kc) k-major:
-// dst[p][r] = A[i0+r][p0+p], so the micro-kernel reads one contiguous group
-// of mr values per k step. `lda` is the stored row stride (k when !ta, m
-// when ta).
-void PackA(const float* a, int64_t lda, bool ta, int64_t i0, int64_t p0,
-           int64_t mr, int64_t kc, float* dst) {
-  if (!ta) {
-    for (int64_t p = 0; p < kc; ++p) {
-      float* drow = dst + p * mr;
-      const float* src = a + i0 * lda + (p0 + p);
-      for (int64_t r = 0; r < mr; ++r) drow[r] = src[r * lda];
-    }
-  } else {
-    // Stored A is [K, M]; the strip's k-slice is contiguous per row.
-    for (int64_t p = 0; p < kc; ++p) {
-      const float* srow = a + (p0 + p) * lda + i0;
-      float* drow = dst + p * mr;
-      for (int64_t r = 0; r < mr; ++r) drow[r] = srow[r];
-    }
-  }
-}
+// Per-thread transposed-B panel, reused across GEMM calls.
+thread_local std::vector<float> tl_bpanel;
 
-// Per-thread packing scratch, reused across GEMM calls.
-struct PackBuffers {
-  std::vector<float> a;
-  std::vector<float> b;
-};
-thread_local PackBuffers tl_pack;
-
-// Computes C rows [i0, i1) of the full GEMM via packed panels. The loop nest
-// is j-panel > k-panel > row-strip, so each C element accumulates its k
-// contributions strictly in ascending order. The micro-kernel comes from the
-// process-wide SIMD dispatch table (tensor/simd/kernels.h); its tile height
-// is a constant of the active tier, so strip boundaries stay a pure function
-// of the shape. The steady-state loop only ever issues full-height tiles —
+// Computes C rows [i0, i1) of the full GEMM. The loop nest is j-panel >
+// k-panel > row-strip, so each C element accumulates its k contributions
+// strictly in ascending order. The micro-kernel comes from the process-wide
+// SIMD dispatch table (tensor/simd/kernels.h); its tile height is a
+// constant of the active tier, so strip boundaries stay a pure function of
+// the shape. The steady-state loop only ever issues full-height tiles —
 // the sub-tile remainder (at most one per row range) runs once after it,
 // keeping the per-iteration height branch out of the hot loop.
 //
@@ -158,29 +118,33 @@ void TiledRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
                int64_t i1) {
   const simd::SimdKernels& ks = simd::Kernels();
   const int64_t mr_full = ks.gemm_mr;
-  SSTBAN_CHECK(mr_full <= kMaxPackMR);
-  std::vector<float>& apack = tl_pack.a;
-  std::vector<float>& bpack = tl_pack.b;
-  if (apack.size() < static_cast<size_t>(kMaxPackMR * kKC)) {
-    apack.resize(kMaxPackMR * kKC);
+  // Logical A(i0 + r, p) sits at a_i0[r * rsa + p * csa].
+  const float* a_i0 = ta ? a + i0 : a;
+  const int64_t rsa = ta ? 1 : lda;
+  const int64_t csa = ta ? lda : 1;
+  if (tb && tl_bpanel.size() < static_cast<size_t>(kKC * kNC)) {
+    tl_bpanel.resize(kKC * kNC);
   }
-  if (bpack.size() < static_cast<size_t>(kKC * kNC)) bpack.resize(kKC * kNC);
   for (int64_t j0 = 0; j0 < n; j0 += kNC) {
     int64_t nc = std::min(kNC, n - j0);
     for (int64_t p0 = 0; p0 < k; p0 += kKC) {
       int64_t kc = std::min(kKC, k - p0);
-      PackB(b, ldb, tb, p0, j0, kc, nc, bpack.data());
+      const float* bp = b + p0 * ldb + j0;
+      int64_t ldbp = ldb;
+      if (tb) {
+        TransposeBPanel(b, ldb, p0, j0, kc, nc, tl_bpanel.data());
+        bp = tl_bpanel.data();
+        ldbp = nc;
+      }
+      const float* ap = a_i0 + p0 * csa;
       int64_t i = i0;
       for (; i + mr_full <= i1; i += mr_full) {
-        PackA(a, lda, ta, ta ? i : i - i0, p0, mr_full, kc, apack.data());
-        ks.gemm_tile(apack.data(), bpack.data(), c + (i - i0) * n + j0, n, kc,
-                     nc);
+        ks.gemm_tile(ap + (i - i0) * rsa, rsa, csa, bp, ldbp,
+                     c + (i - i0) * n + j0, n, kc, nc);
       }
       if (i < i1) {
-        int64_t mr = i1 - i;
-        PackA(a, lda, ta, ta ? i : i - i0, p0, mr, kc, apack.data());
-        ks.gemm_tail(apack.data(), bpack.data(), c + (i - i0) * n + j0, n, kc,
-                     nc, mr);
+        ks.gemm_tail(ap + (i - i0) * rsa, rsa, csa, bp, ldbp,
+                     c + (i - i0) * n + j0, n, kc, nc, i1 - i);
       }
     }
   }

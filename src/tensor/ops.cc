@@ -275,13 +275,38 @@ Tensor Sum(const Tensor& a, int axis, bool keepdim) {
   Tensor out = Tensor::Empty(ReducedShape(a.shape(), axis, keepdim));
   const float* pa = a.data();
   float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t in = 0; in < inner; ++in) {
-      double acc = 0.0;
-      for (int64_t m = 0; m < mid; ++m) {
-        acc += pa[(o * mid + m) * inner + in];
+  // Each output sums its `mid` inputs into one double in ascending order.
+  // Below about one vector of doubles per row, a block of accumulators
+  // costs more to set up than it saves, so narrow rows (LayerNorm's row
+  // means reduce the contiguous axis) keep one strided running sum per
+  // output.
+  constexpr int64_t kMinBlockedInner = 8;
+  if (inner < kMinBlockedInner) {
+    for (int64_t o = 0; o < outer; ++o) {
+      for (int64_t in = 0; in < inner; ++in) {
+        double acc = 0.0;
+        for (int64_t m = 0; m < mid; ++m) {
+          acc += pa[(o * mid + m) * inner + in];
+        }
+        po[o * inner + in] = static_cast<float>(acc);
       }
-      po[o * inner + in] = static_cast<float>(acc);
+    }
+    return out;
+  }
+  // Wide rows: the innermost loop walks the contiguous `inner` axis, one
+  // stack block of accumulators at a time.
+  constexpr int64_t kChunk = 256;
+  double acc[kChunk];
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t in0 = 0; in0 < inner; in0 += kChunk) {
+      const int64_t width = std::min(kChunk, inner - in0);
+      std::fill_n(acc, width, 0.0);
+      for (int64_t m = 0; m < mid; ++m) {
+        const float* row = pa + (o * mid + m) * inner + in0;
+        for (int64_t j = 0; j < width; ++j) acc[j] += row[j];
+      }
+      float* dst = po + o * inner + in0;
+      for (int64_t j = 0; j < width; ++j) dst[j] = static_cast<float>(acc[j]);
     }
   }
   return out;

@@ -9,7 +9,7 @@ namespace sstban::tensor::simd {
 
 // Runtime-dispatched kernel table (DESIGN.md §14). One table is selected for
 // the whole process from core::ActiveSimdLevel(); every hot loop in the
-// tensor layer (packed GEMM micro-kernel, softmax rows, elementwise ops,
+// tensor layer (tiled GEMM micro-kernel, softmax rows, elementwise ops,
 // fused attention) indirects through it. Two invariants make this safe under
 // the repo's bitwise determinism contracts:
 //   1. The table choice is a process-wide constant — kernel routing never
@@ -20,16 +20,22 @@ namespace sstban::tensor::simd {
 // Results *across* tables differ (FMA contraction, vectorized exp); a given
 // process never mixes tables, so each mode is self-consistent.
 
-// Packed-GEMM micro-kernel: C[r][j] += sum_p ap[p*mr + r] * bp[p*nc + j]
-// for a full-height (mr == gemm_mr) tile. Accumulates into C ascending-p.
-using GemmTileFn = void (*)(const float* ap, const float* bp, float* c,
+// Tiled-GEMM micro-kernel, reading both operands where they lie:
+//   C[r][j] += sum_p a[r*rsa + p*csa] * b[p*ldb + j]
+// for r < mr, j < nc, p < kc, with C row r at c + r*ldc. A row-major A
+// passes (rsa, csa) = (lda, 1), a transposed one (1, lda); B's rows are
+// contiguous at stride ldb. This signature is for a full-height
+// (mr == gemm_mr) tile. Each C element accumulates ascending-p.
+using GemmTileFn = void (*)(const float* a, int64_t rsa, int64_t csa,
+                            const float* b, int64_t ldb, float* c,
                             int64_t ldc, int64_t kc, int64_t nc);
 // Remainder tile with runtime height 1 <= mr < gemm_mr.
-using GemmTailFn = void (*)(const float* ap, const float* bp, float* c,
+using GemmTailFn = void (*)(const float* a, int64_t rsa, int64_t csa,
+                            const float* b, int64_t ldb, float* c,
                             int64_t ldc, int64_t kc, int64_t nc, int64_t mr);
 
-// Unpacked attention-shape GEMMs: the small-inner-dimension problems
-// UseTiledPath (matmul.cc) keeps out of the packed path. gemm_nt_small is
+// Attention-shape GEMMs: the small-inner-dimension problems UseTiledPath
+// (matmul.cc) keeps out of the tiled path. gemm_nt_small is
 // C[M,N] += A[M,K] * B[N,K]^T (attention scores QK^T, K = head_dim);
 // gemm_nn_small is C[M,N] += A[M,K] * B[K,N] (context P*V, N = head_dim).
 // Every C element accumulates its K contributions in ascending order.
@@ -86,7 +92,7 @@ using AttentionBackwardFn = void (*)(const AttentionGradItem& grad);
 
 struct SimdKernels {
   const char* name;
-  int64_t gemm_mr;  // full micro-tile height the packed path uses
+  int64_t gemm_mr;  // full micro-tile height the tiled path uses
   GemmTileFn gemm_tile;
   GemmTailFn gemm_tail;
   GemmSmallFn gemm_nt_small;

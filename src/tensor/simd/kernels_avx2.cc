@@ -29,16 +29,21 @@ namespace {
 constexpr int64_t kAvx2MR = 6;  // 6x16 register block: 12 accumulator ymms
 
 // ---------------------------------------------------------------------------
-// Packed-GEMM micro-kernel: 6 rows x 16 columns of C held in registers for
+// Tiled-GEMM micro-kernel: 6 rows x 16 columns of C held in registers for
 // the whole kc loop (the scalar tier re-loads/stores C every p step, which
 // caps it at store throughput; keeping C resident is where the speedup
-// comes from). Column tails fall to 8-wide then scalar loops; each C element
-// still accumulates its k contributions in ascending order.
+// comes from). A is read in place through one pointer per row, element p
+// at csa steps from it; B's row p is at b + p*ldb. Column tails fall to
+// 8-wide then scalar loops; each C element still accumulates its k
+// contributions in ascending order.
 // ---------------------------------------------------------------------------
 
 template <int MR>
-void MicroKernelAvx2(const float* ap, const float* bp, float* c, int64_t ldc,
-                     int64_t kc, int64_t nc) {
+void MicroKernelAvx2(const float* a, int64_t rsa, int64_t csa, const float* b,
+                     int64_t ldb, float* c, int64_t ldc, int64_t kc,
+                     int64_t nc) {
+  const float* arow[MR];
+  for (int r = 0; r < MR; ++r) arow[r] = a + r * rsa;
   int64_t j = 0;
   for (; j + 16 <= nc; j += 16) {
     __m256 acc0[MR], acc1[MR];
@@ -46,15 +51,15 @@ void MicroKernelAvx2(const float* ap, const float* bp, float* c, int64_t ldc,
       acc0[r] = _mm256_loadu_ps(c + r * ldc + j);
       acc1[r] = _mm256_loadu_ps(c + r * ldc + j + 8);
     }
-    const float* brow = bp + j;
-    const float* av = ap;
-    for (int64_t p = 0; p < kc; ++p, brow += nc, av += MR) {
+    const float* brow = b + j;
+    int64_t pa = 0;
+    for (int64_t p = 0; p < kc; ++p, brow += ldb, pa += csa) {
       __m256 b0 = _mm256_loadu_ps(brow);
       __m256 b1 = _mm256_loadu_ps(brow + 8);
       for (int r = 0; r < MR; ++r) {
-        __m256 a = _mm256_broadcast_ss(av + r);
-        acc0[r] = _mm256_fmadd_ps(a, b0, acc0[r]);
-        acc1[r] = _mm256_fmadd_ps(a, b1, acc1[r]);
+        __m256 av = _mm256_broadcast_ss(arow[r] + pa);
+        acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
+        acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
       }
     }
     for (int r = 0; r < MR; ++r) {
@@ -65,12 +70,12 @@ void MicroKernelAvx2(const float* ap, const float* bp, float* c, int64_t ldc,
   for (; j + 8 <= nc; j += 8) {
     __m256 acc[MR];
     for (int r = 0; r < MR; ++r) acc[r] = _mm256_loadu_ps(c + r * ldc + j);
-    const float* brow = bp + j;
-    const float* av = ap;
-    for (int64_t p = 0; p < kc; ++p, brow += nc, av += MR) {
+    const float* brow = b + j;
+    int64_t pa = 0;
+    for (int64_t p = 0; p < kc; ++p, brow += ldb, pa += csa) {
       __m256 b0 = _mm256_loadu_ps(brow);
       for (int r = 0; r < MR; ++r) {
-        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(av + r), b0, acc[r]);
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(arow[r] + pa), b0, acc[r]);
       }
     }
     for (int r = 0; r < MR; ++r) _mm256_storeu_ps(c + r * ldc + j, acc[r]);
@@ -81,31 +86,32 @@ void MicroKernelAvx2(const float* ap, const float* bp, float* c, int64_t ldc,
     for (int r = 0; r < MR; ++r) {
       float acc = c[r * ldc + j];
       for (int64_t p = 0; p < kc; ++p) {
-        acc = std::fmaf(ap[p * MR + r], bp[p * nc + j], acc);
+        acc = std::fmaf(arow[r][p * csa], b[p * ldb + j], acc);
       }
       c[r * ldc + j] = acc;
     }
   }
 }
 
-void GemmTileAvx2(const float* ap, const float* bp, float* c, int64_t ldc,
-                  int64_t kc, int64_t nc) {
-  MicroKernelAvx2<kAvx2MR>(ap, bp, c, ldc, kc, nc);
+void GemmTileAvx2(const float* a, int64_t rsa, int64_t csa, const float* b,
+                  int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t nc) {
+  MicroKernelAvx2<kAvx2MR>(a, rsa, csa, b, ldb, c, ldc, kc, nc);
 }
 
-void GemmTailAvx2(const float* ap, const float* bp, float* c, int64_t ldc,
-                  int64_t kc, int64_t nc, int64_t mr) {
+void GemmTailAvx2(const float* a, int64_t rsa, int64_t csa, const float* b,
+                  int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t nc,
+                  int64_t mr) {
   switch (mr) {
-    case 5: MicroKernelAvx2<5>(ap, bp, c, ldc, kc, nc); break;
-    case 4: MicroKernelAvx2<4>(ap, bp, c, ldc, kc, nc); break;
-    case 3: MicroKernelAvx2<3>(ap, bp, c, ldc, kc, nc); break;
-    case 2: MicroKernelAvx2<2>(ap, bp, c, ldc, kc, nc); break;
-    default: MicroKernelAvx2<1>(ap, bp, c, ldc, kc, nc); break;
+    case 5: MicroKernelAvx2<5>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
+    case 4: MicroKernelAvx2<4>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
+    case 3: MicroKernelAvx2<3>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
+    case 2: MicroKernelAvx2<2>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
+    default: MicroKernelAvx2<1>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Unpacked attention-shape GEMMs. The packed path never sees these problems
+// Attention-shape GEMMs. The tiled path never sees these problems
 // (head_dim-sized inner dimensions, see UseTiledPath in matmul.cc), and the
 // scalar QK^T loop is a length-K dot product with a horizontal reduction per
 // score — the slowest shape in the attention forward. Both kernels instead

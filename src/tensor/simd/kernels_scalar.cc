@@ -13,39 +13,41 @@ namespace {
 
 constexpr int64_t kScalarMR = 4;
 
-// C[r][j] += sum_p Ap[p][r] * Bp[p][j] for an MR x nc tile. Accumulates
-// directly into C in ascending-p order so results never depend on how rows
-// were assigned to threads or on panel boundaries.
+// C[r][j] += sum_p A(r, p) * B[p][j] for an MR x nc tile, reading A at
+// a[r*rsa + p*csa] and B's row p at b + p*ldb in place. Accumulates directly
+// into C in ascending-p order so results never depend on how rows were
+// assigned to threads or on panel boundaries.
 template <int MR>
-void MicroKernel(const float* ap, const float* bp, float* c, int64_t ldc,
-                 int64_t kc, int64_t nc) {
+void MicroKernel(const float* a, int64_t rsa, int64_t csa, const float* b,
+                 int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t nc) {
   for (int64_t p = 0; p < kc; ++p) {
-    const float* brow = bp + p * nc;
-    const float* av = ap + p * MR;
+    const float* brow = b + p * ldb;
     for (int r = 0; r < MR; ++r) {
-      float aval = av[r];
+      float aval = a[r * rsa + p * csa];
       float* crow = c + r * ldc;
       for (int64_t j = 0; j < nc; ++j) crow[j] += aval * brow[j];
     }
   }
 }
 
-void GemmTileScalar(const float* ap, const float* bp, float* c, int64_t ldc,
-                    int64_t kc, int64_t nc) {
-  MicroKernel<kScalarMR>(ap, bp, c, ldc, kc, nc);
+void GemmTileScalar(const float* a, int64_t rsa, int64_t csa, const float* b,
+                    int64_t ldb, float* c, int64_t ldc, int64_t kc,
+                    int64_t nc) {
+  MicroKernel<kScalarMR>(a, rsa, csa, b, ldb, c, ldc, kc, nc);
 }
 
-void GemmTailScalar(const float* ap, const float* bp, float* c, int64_t ldc,
-                    int64_t kc, int64_t nc, int64_t mr) {
+void GemmTailScalar(const float* a, int64_t rsa, int64_t csa, const float* b,
+                    int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t nc,
+                    int64_t mr) {
   switch (mr) {
-    case 3: MicroKernel<3>(ap, bp, c, ldc, kc, nc); break;
-    case 2: MicroKernel<2>(ap, bp, c, ldc, kc, nc); break;
-    default: MicroKernel<1>(ap, bp, c, ldc, kc, nc); break;
+    case 3: MicroKernel<3>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
+    case 2: MicroKernel<2>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
+    default: MicroKernel<1>(a, rsa, csa, b, ldb, c, ldc, kc, nc); break;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Unpacked small-shape GEMMs: the original matmul.cc plain loops and their
+// Small-shape GEMMs: the original matmul.cc plain loops and their
 // compile-time-unrolled variants for the head_dim / reference-point sized
 // inner dimensions attention produces, moved here verbatim so this tier
 // keeps the pre-SIMD numerics bit for bit.

@@ -1,10 +1,13 @@
+#include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "simd_tiers.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -196,6 +199,103 @@ TEST_P(BmmEquivalenceTest, LargeShapesMatchNaivePerBatch) {
 INSTANTIATE_TEST_SUITE_P(AllTransposeCombos, BmmEquivalenceTest,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Bool()));
+
+// -- Storage layouts on the tiled path -------------------------------------
+//
+// The tiled micro-kernels read A and B where they lie, so the four (ta, tb)
+// storage layouts of one logical product must feed every C element the same
+// products in the same order, and a row range computed alone must equal
+// those rows of the whole product. The shapes take the tiled path (k, n > 8)
+// and leave row tails of both tiers' tile heights (4, 6) and of the 64-row
+// block, 16- and 8-wide column tails, several k panels and several column
+// panels; the last two are the model's projections at perfbench's geometry
+// (R = B * P * N = 4 * 12 * 307 rows of width 2d = 32).
+
+struct GemmShape {
+  int64_t m, k, n;
+};
+
+constexpr GemmShape kTiledLayoutShapes[] = {
+    {131, 45, 45},
+    {77, 517, 269},
+    {4 * 12 * 307, 32, 32},
+    {4 * 12 * 307, 32, 16},
+};
+
+std::string ShapeName(const GemmShape& s, bool ta, bool tb) {
+  return std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+         std::to_string(s.n) + (ta ? " ta" : "") + (tb ? " tb" : "");
+}
+
+// One logical product's operands in both storages: a[0] is A [1, m, k] and
+// a[1] its transpose [1, k, m]; b[0] is B [1, k, n] and b[1] [1, n, k].
+struct StoredOperands {
+  Tensor a[2];
+  Tensor b[2];
+};
+
+StoredOperands MakeStoredOperands(const GemmShape& s, core::Rng& rng) {
+  Tensor a = Tensor::RandomNormal(Shape{s.m, s.k}, rng);
+  Tensor b = Tensor::RandomNormal(Shape{s.k, s.n}, rng);
+  return {{a.Reshape(Shape{1, s.m, s.k}),
+           Transpose(a).Reshape(Shape{1, s.k, s.m})},
+          {b.Reshape(Shape{1, s.k, s.n}),
+           Transpose(b).Reshape(Shape{1, s.n, s.k})}};
+}
+
+TEST(MatmulLayoutTest, AllFourLayoutsGiveBitwiseEqualProductsOnEveryTier) {
+  core::Rng rng(31);
+  for (core::SimdLevel level : sstban::testing::AvailableLevels()) {
+    sstban::testing::ScopedSimdLevel scoped(level);
+    for (const GemmShape& s : kTiledLayoutShapes) {
+      StoredOperands ops = MakeStoredOperands(s, rng);
+      Tensor want = Bmm(ops.a[0], ops.b[0]);
+      for (bool ta : {false, true}) {
+        for (bool tb : {false, true}) {
+          ExpectIdentical(Bmm(ops.a[ta], ops.b[tb], ta, tb), want,
+                          std::string(core::SimdLevelName(level)) + " " +
+                              ShapeName(s, ta, tb));
+        }
+      }
+    }
+  }
+}
+
+TEST(MatmulLayoutTest, RowRangesEqualThoseRowsOfTheWholeProductOnEveryTier) {
+  core::Rng rng(37);
+  for (core::SimdLevel level : sstban::testing::AvailableLevels()) {
+    sstban::testing::ScopedSimdLevel scoped(level);
+    for (const GemmShape& s : kTiledLayoutShapes) {
+      StoredOperands ops = MakeStoredOperands(s, rng);
+      for (bool ta : {false, true}) {
+        for (bool tb : {false, true}) {
+          const Tensor& a = ops.a[ta];
+          const Tensor& b = ops.b[tb];
+          Tensor whole = Bmm(a, b, ta, tb);
+          // A transposed A is only ever split from row 0.
+          std::vector<std::pair<int64_t, int64_t>> ranges = {
+              {0, s.m}, {0, 5}, {0, 67}};
+          if (!ta) {
+            ranges.insert(ranges.end(),
+                          {{1, 8}, {5, 70}, {s.m / 3, s.m / 3 + 40},
+                           {s.m - 7, s.m}});
+          }
+          for (auto [i0, i1] : ranges) {
+            std::vector<float> rows(static_cast<size_t>((i1 - i0) * s.n), 0.0f);
+            GemmRowRangeAccumulate(ta ? a.data() : a.data() + i0 * s.k,
+                                   b.data(), rows.data(), s.m, s.k, s.n, ta,
+                                   tb, i0, i1);
+            EXPECT_EQ(std::memcmp(rows.data(), whole.data() + i0 * s.n,
+                                  rows.size() * sizeof(float)),
+                      0)
+                << core::SimdLevelName(level) << " " << ShapeName(s, ta, tb)
+                << " rows [" << i0 << ", " << i1 << ")";
+          }
+        }
+      }
+    }
+  }
+}
 
 // -- Edge shapes ------------------------------------------------------------
 

@@ -122,6 +122,55 @@ TEST(ReductionTest, SumAlongAxis) {
   EXPECT_EQ(cols.ToVector(), (std::vector<float>{5, 7, 9}));
 }
 
+// Sum's reference, element by element: each output is one double summed
+// over the reduced axis in ascending order.
+std::vector<float> ReferenceSum(const Tensor& a, int axis) {
+  const std::vector<int64_t>& dims = a.shape().dims();
+  int64_t outer = 1, inner = 1;
+  for (int i = 0; i < axis; ++i) outer *= dims[i];
+  for (int i = axis + 1; i < a.rank(); ++i) inner *= dims[i];
+  const int64_t mid = dims[axis];
+  std::vector<float> out(static_cast<size_t>(outer * inner));
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t in = 0; in < inner; ++in) {
+      double acc = 0.0;
+      for (int64_t m = 0; m < mid; ++m) {
+        acc += a.data()[(o * mid + m) * inner + in];
+      }
+      out[o * inner + in] = static_cast<float>(acc);
+    }
+  }
+  return out;
+}
+
+TEST(ReductionTest, SumMatchesPerElementReferenceBitwise) {
+  core::Rng rng(41);
+  // [3, 5, 300] reduces rows wider than one accumulator block on axes 0
+  // and 1; [4, 6, 5] reduces narrow rows on every axis; [R, 32] is the
+  // model's bias-gradient sum at perfbench's geometry.
+  for (const Shape& shape :
+       {Shape{3, 5, 300}, Shape{4, 6, 5}, Shape{4 * 12 * 307, 32}}) {
+    Tensor a = Tensor::RandomNormal(shape, rng);
+    for (int axis : {0, 1, shape.rank() - 1}) {
+      std::vector<float> want = ReferenceSum(a, axis);
+      for (bool keepdim : {false, true}) {
+        Tensor got = Sum(a, axis, keepdim);
+        std::vector<int64_t> dims = shape.dims();
+        if (keepdim) {
+          dims[axis] = 1;
+        } else {
+          dims.erase(dims.begin() + axis);
+        }
+        ASSERT_EQ(got.shape(), Shape(dims));
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << shape.ToString() << " axis " << axis;
+      }
+    }
+  }
+}
+
 TEST(ReductionTest, MeanAndMaxAlongAxis) {
   Tensor a = T({2, 3}, {1, 2, 3, 4, 5, 6});
   EXPECT_EQ(Mean(a, 1).ToVector(), (std::vector<float>{2, 5}));
