@@ -10,13 +10,17 @@
 // Every request carries a deadline; goodput counts only answers delivered
 // within it.
 //
-// The headline rows this bench exists to document:
+// The headline rows this bench exists to document, each gated:
 //   - admission ON at 5x capacity: goodput >= 80% of capacity and accepted
 //     p99 <= 3x the uncontended (0.5x) p99 — shedding keeps the server
 //     inside its latency budget while serving near its limit;
-//   - admission OFF at the same rate: the queue fills, every request ages
-//     into its deadline, goodput collapses — the failure mode the
-//     controller removes.
+//   - admission ON at 1x capacity: goodput >= 0.9x the OFF arm's (each the
+//     mean of its two runs) with at most 5% of submitted requests refused —
+//     at capacity the queue drains in time, so the rule must not read
+//     ordinary queueing as overload;
+//   - admission OFF at 5x: the queue fills, every request ages into its
+//     deadline, goodput collapses — the failure mode the rule removes
+//     (reported, not gated).
 //
 // Emits one JSON object on stdout; pass a path as argv[1] to also write it
 // there (CI snapshots it as bench/BENCH_overload.json).
@@ -112,13 +116,7 @@ serving::ServerOptions MakeServerOptions(bool admission) {
   options.max_batch = kMaxBatch;
   options.max_wait = std::chrono::milliseconds(1);
   options.queue_capacity = 512;  // big enough that ONLY admission sheds
-  if (admission) {
-    options.overload.admission.initial_limit = 16.0;
-    options.overload.admission.min_limit = 4.0;
-    options.overload.admission.tolerance = 1.5;
-  } else {
-    options.overload.DisableAll();
-  }
+  options.overload.enabled = admission;
   return options;
 }
 
@@ -324,14 +322,15 @@ int main(int argc, char** argv) {
   double uncontended_p99 = 0.0;
   double goodput_on_5x = 0.0, p99_on_5x = 0.0;
   double goodput_off_5x = 0.0, p99_off_5x = 0.0;
+  double goodput_on_1x = 0.0, goodput_off_1x = 0.0, shed_on_1x = 0.0;
   for (size_t m = 0; m < multiples.size(); ++m) {
     const double rate = multiples[m] * capacity;
     const int64_t requests = std::max<int64_t>(
         200, static_cast<int64_t>(rate * 2.0));  // >= ~2s per arm
     // ABBA: on, off, off, on — host drift hits both arms symmetrically.
     const bool arm_order[4] = {true, false, false, true};
-    RunReport on_total, off_total;
     std::vector<double> on_p99s, off_p99s, on_good, off_good;
+    int64_t on_submitted = 0, on_shed = 0;
     for (int a = 0; a < 4; ++a) {
       const bool admission = arm_order[a];
       RunReport r = RunOpenLoopArm(world, admission, rate, requests,
@@ -345,6 +344,10 @@ int main(int argc, char** argv) {
       sweeps += r.ToJson(admission ? "on" : "off");
       (admission ? on_p99s : off_p99s).push_back(r.accepted_p99);
       (admission ? on_good : off_good).push_back(r.goodput_rps);
+      if (admission) {
+        on_submitted += r.submitted;
+        on_shed += r.shed;
+      }
     }
     auto mean = [](const std::vector<double>& v) {
       double sum = 0.0;
@@ -352,6 +355,13 @@ int main(int argc, char** argv) {
       return v.empty() ? 0.0 : sum / v.size();
     };
     if (multiples[m] == 0.5) uncontended_p99 = mean(on_p99s);
+    if (multiples[m] == 1.0) {
+      goodput_on_1x = mean(on_good);
+      goodput_off_1x = mean(off_good);
+      shed_on_1x = on_submitted > 0 ? static_cast<double>(on_shed) /
+                                          static_cast<double>(on_submitted)
+                                    : 0.0;
+    }
     if (multiples[m] == 5.0) {
       goodput_on_5x = mean(on_good);
       p99_on_5x = mean(on_p99s);
@@ -364,19 +374,25 @@ int main(int argc, char** argv) {
   const bool goodput_gate = goodput_on_5x >= 0.8 * capacity;
   const bool p99_gate =
       uncontended_p99 > 0.0 && p99_on_5x <= 3.0 * uncontended_p99;
+  const bool goodput_1x_gate = goodput_on_1x >= 0.9 * goodput_off_1x;
+  const bool shed_1x_gate = shed_on_1x <= 0.05;
   std::string json = core::StrFormat(
       "{\n  \"bench\": \"overload\",\n"
       "  \"batch_delay_ms\": %d,\n  \"deadline_ms\": %lld,\n"
       "  \"capacity_rps\": %.1f,\n  \"uncontended_p99_ms\": %.2f,\n"
+      "  \"at_1x\": {\"goodput_on_rps\": %.1f, \"goodput_off_rps\": %.1f, "
+      "\"shed_on_share\": %.4f},\n"
       "  \"at_5x\": {\"goodput_on_rps\": %.1f, \"p99_on_ms\": %.2f, "
       "\"goodput_off_rps\": %.1f, \"p99_off_ms\": %.2f},\n"
       "  \"gates\": {\"goodput_on_5x_ge_80pct_capacity\": %s, "
-      "\"p99_on_5x_le_3x_uncontended\": %s},\n"
+      "\"p99_on_5x_le_3x_uncontended\": %s, "
+      "\"goodput_on_1x_ge_90pct_off\": %s, \"shed_on_1x_le_5pct\": %s},\n"
       "  \"sweeps\": [\n    ",
       kBatchDelayMs, static_cast<long long>(kDeadline.count()), capacity,
-      uncontended_p99 * 1e3, goodput_on_5x, p99_on_5x * 1e3, goodput_off_5x,
-      p99_off_5x * 1e3, goodput_gate ? "true" : "false",
-      p99_gate ? "true" : "false");
+      uncontended_p99 * 1e3, goodput_on_1x, goodput_off_1x, shed_on_1x,
+      goodput_on_5x, p99_on_5x * 1e3, goodput_off_5x, p99_off_5x * 1e3,
+      goodput_gate ? "true" : "false", p99_gate ? "true" : "false",
+      goodput_1x_gate ? "true" : "false", shed_1x_gate ? "true" : "false");
   json += sweeps;
   json += "\n  ]\n}\n";
   std::fputs(json.c_str(), stdout);
@@ -385,12 +401,14 @@ int main(int argc, char** argv) {
     out << json;
   }
 
-  if (!goodput_gate || !p99_gate) {
+  if (!goodput_gate || !p99_gate || !goodput_1x_gate || !shed_1x_gate) {
     std::fprintf(stderr,
                  "FAIL: gates: goodput_on_5x=%.1f (need >= %.1f), "
-                 "p99_on_5x=%.2fms (need <= %.2fms)\n",
+                 "p99_on_5x=%.2fms (need <= %.2fms), goodput_on_1x=%.1f "
+                 "(need >= %.1f), shed_on_1x=%.2f%% (need <= 5%%)\n",
                  goodput_on_5x, 0.8 * capacity, p99_on_5x * 1e3,
-                 3.0 * uncontended_p99 * 1e3);
+                 3.0 * uncontended_p99 * 1e3, goodput_on_1x,
+                 0.9 * goodput_off_1x, shed_on_1x * 100.0);
     return 1;
   }
   return 0;

@@ -8,6 +8,8 @@
 //   - CircuitBreaker Allow + RecordSuccess in the closed state, warm ring
 //   - InputSanitizer on a clean window  (the single read-only scan)
 //   - BatcherWatchdog tick/start/end/Wedged marks
+//   - a warm admission verdict (deadline judged against the batch p50) and
+//     its OnTerminal, plus one batch-estimate Record
 //
 // Exits nonzero when any warm hot path heap-allocates, or when the disarmed
 // failpoint stops being branch-cheap. Latency gates are deliberately loose —
@@ -26,6 +28,7 @@
 #include "core/failpoint.h"
 #include "serving/circuit_breaker.h"
 #include "serving/health.h"
+#include "serving/overload/overload.h"
 #include "serving/sanitizer.h"
 #include "tensor/tensor.h"
 
@@ -116,6 +119,7 @@ int main(int argc, char** argv) {
   constexpr long long kBreakerIters = 200'000;
   constexpr long long kSanitizerIters = 20'000;
   constexpr long long kWatchdogIters = 1'000'000;
+  constexpr long long kAdmissionIters = 200'000;
 
   // 1. Disarmed failpoint: one relaxed load + a predictable branch.
   core::FailPoint::ClearAll();
@@ -188,6 +192,22 @@ int main(int argc, char** argv) {
     watchdog.MarkBatchEnd();
   });
 
+  // 6. Overload control, once per request and once per batch: a warm
+  //    admission verdict that judges a deadline, its slot's release, and
+  //    one batch-execution sample (the estimator re-takes its median).
+  serving::OverloadControl overload(serving::OverloadOptions(),
+                                    /*max_batch=*/8);
+  for (int i = 0; i < 128; ++i) {  // fill the window past min_samples
+    overload.service_estimator().Record(0.005);
+  }
+  Measurement admission_warm = Measure(kAdmissionIters, [&] {
+    const serving::Clock::time_point at = serving::Clock::now();
+    g_sink = static_cast<long long>(overload.admission().Admit(
+        at, at + std::chrono::seconds(1), overload.service_estimator().P50()));
+    overload.admission().OnTerminal();
+    overload.service_estimator().Record(0.005);
+  });
+
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
@@ -201,13 +221,15 @@ int main(int argc, char** argv) {
       "  \"breaker_closed\": {\"ns_per_op\": %.2f, \"allocs\": %lld},\n"
       "  \"sanitize_clean_12x32x3\": {\"ns_per_op\": %.2f, \"allocs\": "
       "%lld},\n"
-      "  \"watchdog_marks\": {\"ns_per_op\": %.2f, \"allocs\": %lld}\n"
+      "  \"watchdog_marks\": {\"ns_per_op\": %.2f, \"allocs\": %lld},\n"
+      "  \"admission_warm\": {\"ns_per_op\": %.2f, \"allocs\": %lld}\n"
       "}\n",
       fp_disarmed.ns_per_op, fp_disarmed.allocs, fp_streaming.ns_per_op,
       fp_streaming.allocs, fp_armed_other.ns_per_op,
       fp_armed_other.allocs, breaker_closed.ns_per_op, breaker_closed.allocs,
       sanitize_clean.ns_per_op, sanitize_clean.allocs,
-      watchdog_marks.ns_per_op, watchdog_marks.allocs);
+      watchdog_marks.ns_per_op, watchdog_marks.allocs,
+      admission_warm.ns_per_op, admission_warm.allocs);
   std::fputs(buf, stdout);
   if (argc > 1) {
     std::ofstream out(argv[1]);
@@ -227,6 +249,7 @@ int main(int argc, char** argv) {
   gate_allocs("closed breaker hot path", breaker_closed);
   gate_allocs("clean sanitizer scan", sanitize_clean);
   gate_allocs("watchdog marks", watchdog_marks);
+  gate_allocs("warm admission verdict + estimator record", admission_warm);
   // Branch-cheap means low double-digit ns even on a throttled CI core;
   // 200ns would mean the guard grew a lock or an allocation.
   if (fp_disarmed.ns_per_op > 200.0) {

@@ -27,10 +27,9 @@ bool Batcher::Batchable(PendingRequest* req, Clock::time_point now) {
     RejectExpired(req);
     return false;
   }
-  // Deadline propagation at dequeue: a remaining budget below the p50
+  // Deadline check at dequeue: a remaining budget below the p50
   // batch-execution estimate would burn a batch slot on a guaranteed miss.
-  if (overload_->options().deadline.enabled &&
-      req->request.deadline.has_value()) {
+  if (overload_->options().enabled && req->request.deadline.has_value()) {
     const double p50 = overload_->service_estimator().P50();
     const double remaining =
         std::chrono::duration<double>(*req->request.deadline - now).count();
@@ -157,7 +156,7 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
   stats_->RecordAssembly(assembly_seconds);
   const int64_t b = static_cast<int64_t>(batch.size());
   stats_->RecordBatch(b);
-  core::Timer execution;  // feeds the dequeue-time service estimate
+  core::Timer execution;  // feeds the batch-execution estimate
 
   watchdog_->MarkBatchStart(Clock::now());
 
@@ -260,7 +259,6 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
   const int64_t version =
       served_by == ServedBy::kModel && served != nullptr ? served->version : 0;
   Clock::time_point done = Clock::now();
-  double e2e_sum = 0.0;
   for (int64_t i = 0; i < b; ++i) {
     PendingRequest& req = batch[static_cast<size_t>(i)];
     ForecastResponse response;
@@ -272,21 +270,14 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
     if (!cache_ages.empty()) {
       response.cache_age_steps = cache_ages[static_cast<size_t>(i)];
     }
-    const double e2e =
-        std::chrono::duration<double>(done - req.enqueued_at).count();
     req.promise.set_value(std::move(response));
     stats_->RecordCompleted();
     stats_->RecordDegradation(req.degradation);
     stats_->RecordServedBy(served_by);
-    stats_->RecordEndToEnd(e2e);
+    stats_->RecordEndToEnd(
+        std::chrono::duration<double>(done - req.enqueued_at).count());
     overload_->admission().OnTerminal();
-    overload_->submit_estimator().Record(e2e);
-    e2e_sum += e2e;
   }
-  // Steer the admission limit with this batch's mean end-to-end latency
-  // (queue wait included — that is the congestion signal) and refresh the
-  // dequeue-time service estimate with the pure execution time.
-  overload_->admission().OnBatchLatency(e2e_sum / static_cast<double>(b));
   overload_->service_estimator().Record(execution.ElapsedSeconds());
   watchdog_->MarkBatchEnd();
 }

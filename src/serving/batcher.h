@@ -78,7 +78,7 @@ class Batcher {
  private:
   void WorkerLoop();
   // Terminates `req` with DeadlineExceeded (expired, or predicted to miss
-  // its deadline given the current p50 service estimate) and releases its
+  // its deadline given the p50 batch-execution estimate) and releases its
   // admission slot.
   void RejectExpired(PendingRequest* req);
   // Records a just-popped request's queue wait and says whether it may join

@@ -31,7 +31,7 @@ ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
       registry_(registry),
       sanitizer_(options.sanitizer),
       fallback_(options.fallback),
-      overload_(options.overload),
+      overload_(options.overload, options.max_batch),
       queue_(options.queue_capacity),
       batcher_(MakeBatcherOptions(options), &queue_, registry, &stats_,
                &fallback_, &watchdog_, &overload_) {
@@ -57,13 +57,9 @@ ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
   });
   stats_.SetOverloadProvider([this] {
     ServerStats::OverloadSummary summary;
-    AdmissionController::Snapshot a = overload_.admission().TakeSnapshot();
-    summary.admission_enabled = a.enabled;
-    summary.admission_limit = a.limit;
-    summary.in_flight = a.in_flight;
-    summary.min_batch_latency_ms = a.min_latency * 1e3;
-    summary.admission_backoffs = a.backoffs;
-    summary.submit_p50_ms = overload_.submit_estimator().P50() * 1e3;
+    summary.admission_enabled = overload_.options().enabled;
+    summary.admission_limit = overload_.admission().limit();
+    summary.in_flight = overload_.admission().in_flight();
     summary.service_p50_ms = overload_.service_estimator().P50() * 1e3;
     return summary;
   });
@@ -126,32 +122,32 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
     return valid;
   }
 
-  // -- Overload control, cheapest verdicts first -----------------------------
-  // Deadline propagation: if the request cannot plausibly finish before its
-  // deadline (remaining budget below the observed p50 end-to-end), reject
-  // now instead of letting it ride the queue to a guaranteed sweep.
-  const DeadlineOptions& dl = overload_.options().deadline;
-  if (dl.enabled && request.deadline.has_value()) {
-    const double p50 = overload_.submit_estimator().P50();
-    const double remaining =
-        std::chrono::duration<double>(*request.deadline - submit_now).count();
-    if (p50 > 0.0 && remaining < p50) {
+  // -- Admission: only what the queue ahead lets finish in time -------------
+  core::Status admit_injected = core::FailPointStatus("overload_admit");
+  if (!admit_injected.ok()) {
+    stats_.RecordShedAdmission();
+    return admit_injected;
+  }
+  AdmissionController& admission = overload_.admission();
+  const double batch_p50 = overload_.service_estimator().P50();
+  switch (admission.Admit(submit_now, request.deadline, batch_p50)) {
+    case AdmissionController::Verdict::kAdmitted:
+      break;
+    case AdmissionController::Verdict::kShed:
+      stats_.RecordShedAdmission();
+      return core::Status::Unavailable(core::StrFormat(
+          "admission limit reached (%lld in flight, limit %lld): load shed",
+          static_cast<long long>(admission.in_flight()),
+          static_cast<long long>(admission.limit())));
+    case AdmissionController::Verdict::kLate:
       stats_.RecordRejectedPredictedLate();
       return core::Status::DeadlineExceeded(core::StrFormat(
-          "cannot finish before deadline: %.1fms remaining < p50 estimate "
-          "%.1fms",
-          remaining * 1e3, p50 * 1e3));
-    }
-  }
-  core::Status admit_injected = core::FailPointStatus("overload_admit");
-  const bool admitted = admit_injected.ok() && overload_.admission().Admit();
-  if (!admitted) {
-    stats_.RecordShedAdmission();
-    if (!admit_injected.ok()) return admit_injected;
-    return core::Status::Unavailable(core::StrFormat(
-        "admission limit reached (%.1f in flight, limit %.1f): load shed",
-        static_cast<double>(overload_.admission().in_flight()),
-        overload_.admission().limit()));
+          "cannot finish before deadline: %.1fms remaining, %lld requests in "
+          "flight, batch p50 %.1fms",
+          std::chrono::duration<double, std::milli>(*request.deadline -
+                                                    submit_now)
+              .count(),
+          static_cast<long long>(admission.in_flight()), batch_p50 * 1e3));
   }
   // Every path below must balance the admission slot with exactly one
   // OnTerminal — on rejection here, or in the batcher at the terminal.
@@ -165,7 +161,7 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
   core::StatusOr<SanitizeResult> sanitized =
       sanitizer_.Sanitize(&pending.request.recent);
   if (!sanitized.ok()) {
-    overload_.admission().OnTerminal();
+    admission.OnTerminal();
     stats_.RecordRejectedNonFinite();
     return sanitized.status();
   }
@@ -182,7 +178,7 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
 
   core::Status injected = core::FailPointStatus("serve_enqueue");
   if (!injected.ok()) {
-    overload_.admission().OnTerminal();
+    admission.OnTerminal();
     stats_.RecordRejectedFull();
     return injected;
   }
@@ -192,7 +188,7 @@ core::StatusOr<ForecastFuture> ForecastServer::Submit(ForecastRequest request) {
   PushReject cause = PushReject::kNone;
   core::Status pushed = queue_.Push(&pending, &cause);
   if (!pushed.ok()) {
-    overload_.admission().OnTerminal();
+    admission.OnTerminal();
     switch (cause) {
       case PushReject::kExpired:
         stats_.RecordRejectedDeadline();

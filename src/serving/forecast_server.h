@@ -42,7 +42,8 @@ struct ServerOptions {
   // A batch in flight longer than this means the worker is wedged: the
   // readiness probe goes false and Submit fails fast with Unavailable.
   std::chrono::milliseconds stall_budget{2000};
-  // Overload control: adaptive admission and deadline propagation.
+  // Overload control: the admission rule at Submit and the dequeue-time
+  // deadline check, on one batch-execution estimate (DESIGN §16).
   OverloadOptions overload;
 };
 
@@ -75,8 +76,10 @@ class ForecastServer {
   //   InvalidArgument    - window shape mismatch, negative first_step, or a
   //                        NaN/Inf reading on a strict channel
   //   Unavailable        - server not running, shutting down, queue full,
-  //                        or the batcher watchdog reports a wedged worker
-  //   DeadlineExceeded   - the deadline already passed
+  //                        the batcher watchdog reports a wedged worker, or
+  //                        the admission cap is reached
+  //   DeadlineExceeded   - the deadline already passed, or the batches
+  //                        ahead cannot finish before it
   // On success the future later yields an annotated ForecastResponse (or a
   // terminal error that struck while the request waited).
   core::StatusOr<ForecastFuture> Submit(ForecastRequest request);

@@ -3,67 +3,54 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <optional>
+
+#include "serving/request.h"
 
 namespace sstban::serving {
 
-struct AdmissionOptions {
-  bool enabled = true;
-  // Starting concurrency limit (requests in flight: queued + batching).
-  double initial_limit = 64.0;
-  // The limit never shrinks below this, so a burst of slow batches cannot
-  // starve the server into rejecting everything forever.
-  double min_limit = 8.0;
-  // Congestion threshold: a batch whose end-to-end latency exceeds
-  // `tolerance` x the moving-minimum latency signals queue buildup.
-  double tolerance = 2.0;
-};
+// The in-flight cap, in full batches: the queueing delay a request may be
+// admitted into, as CoDel bounds a queue by a target delay. Chosen on
+// bench_overload (DESIGN §16.1): four batches refused 2.5-3.4% at 1.0x
+// capacity and passed every gate in 3 of 3 runs; three refused over 5% at
+// 1.0x, and five broke the 5x p99 bound in 1 of 2.
+inline constexpr int64_t kAdmitBatches = 4;
 
-// Adaptive concurrency limiter in front of the request queue. The limit is
-// steered by per-batch latency (submit -> promise fulfilled, averaged over
-// the batch) against a moving minimum over windows of 128 batches: latency
-// near the minimum means the queue is empty-ish and the limit climbs by
-// 1 / limit; latency beyond tolerance x minimum means requests are queueing
-// and the limit shrinks by x0.9. The limit stays within [min_limit, 4096].
-//
-// Thread-safety: Admit/OnTerminal are lock-free on the hot path;
-// OnBatchLatency takes a short mutex (called once per batch).
+// The admission rule at Submit: a request gets in only if the queue ahead of
+// it lets it finish in time. With `ahead` requests in flight (queued plus
+// batching), the verdict is
+//   - kShed when ahead >= limit() = kAdmitBatches x max_batch;
+//   - kLate when the request has a deadline, the batch-execution p50 is warm
+//     (> 0) and now + (ahead / max_batch + 1) x p50 (the full batches ahead,
+//     then its own) is past that deadline;
+//   - kAdmitted otherwise: the request takes an in-flight slot, which the
+//     caller releases with exactly one OnTerminal.
+// Disabled, every request is admitted (the slot ledger still counts).
+// Thread-safe and lock-free.
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionOptions options);
+  enum class Verdict { kAdmitted, kShed, kLate };
 
-  // True = admitted (in-flight incremented; the caller must balance with
-  // exactly one OnTerminal). False = shed: the limit is reached.
-  bool Admit();
+  AdmissionController(bool enabled, int64_t max_batch);
+
+  Verdict Admit(Clock::time_point now,
+                const std::optional<Clock::time_point>& deadline,
+                double batch_p50_seconds);
 
   // One admitted request reached its terminal (any status).
-  void OnTerminal();
+  void OnTerminal() { in_flight_.fetch_sub(1, std::memory_order_relaxed); }
 
-  // Feed one completed batch's mean end-to-end latency (seconds).
-  void OnBatchLatency(double seconds);
-
-  struct Snapshot {
-    bool enabled = false;
-    double limit = 0.0;
-    int64_t in_flight = 0;
-    double min_latency = 0.0;  // current moving-minimum (seconds)
-    int64_t backoffs = 0;  // multiplicative-decrease events
-  };
-  Snapshot TakeSnapshot() const;
-
-  int64_t in_flight() const { return in_flight_.load(); }
-  double limit() const { return limit_.load(); }
+  int64_t in_flight() const {
+    return in_flight_.load(std::memory_order_relaxed);
+  }
+  // The in-flight cap, kAdmitBatches x max_batch.
+  int64_t limit() const { return limit_; }
 
  private:
-  const AdmissionOptions options_;
+  const bool enabled_;
+  const int64_t max_batch_;
+  const int64_t limit_;
   std::atomic<int64_t> in_flight_{0};
-  std::atomic<double> limit_;
-  std::atomic<int64_t> backoffs_{0};
-
-  mutable std::mutex mutex_;  // guards the moving-minimum window
-  double window_min_ = 0.0;
-  int64_t window_count_ = 0;
-  double current_min_ = 0.0;  // minimum carried from the last full window
 };
 
 }  // namespace sstban::serving

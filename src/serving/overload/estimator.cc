@@ -10,6 +10,7 @@ ServiceTimeEstimator::ServiceTimeEstimator(int64_t window, int64_t min_samples)
     : window_(window), min_samples_(min_samples) {
   SSTBAN_CHECK_GT(window, 0);
   ring_.reserve(static_cast<size_t>(window));
+  sorted_.reserve(static_cast<size_t>(window));
 }
 
 void ServiceTimeEstimator::Record(double seconds) {
@@ -23,11 +24,11 @@ void ServiceTimeEstimator::Record(double seconds) {
   next_ = (next_ + 1) % window_;
   const int64_t n = count_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (n < min_samples_) return;
-  // nth_element over <= `window` doubles, once per completion on the batcher
-  // thread — cheap enough to keep the estimate fresh every sample.
-  std::vector<double> sorted(ring_);
-  auto mid = sorted.begin() + sorted.size() / 2;
-  std::nth_element(sorted.begin(), mid, sorted.end());
+  // nth_element over <= `window` doubles, once per sample — cheap enough to
+  // keep the estimate fresh every time.
+  sorted_.assign(ring_.begin(), ring_.end());
+  auto mid = sorted_.begin() + sorted_.size() / 2;
+  std::nth_element(sorted_.begin(), mid, sorted_.end());
   p50_.store(*mid, std::memory_order_relaxed);
 }
 

@@ -8,12 +8,13 @@
 
 namespace sstban::serving {
 
-// Windowed p50 service-time estimate backing cooperative deadline
-// propagation: "will this request plausibly finish before its deadline?" is
-// answered against the median of the last `window` observed service times.
-// Returns 0 until `min_samples` observations have arrived, so cold servers
-// and tiny tests never reject on a garbage estimate. Record() is called from
-// the batcher thread; P50() from any submit thread (atomic read).
+// Windowed p50 service-time estimate behind the overload checks: "will this
+// request plausibly finish before its deadline?" is answered against the
+// median of the last `window` observed service times. Returns 0 until
+// `min_samples` observations have arrived, so cold servers and tiny tests
+// never reject on a garbage estimate. Record() is called from the batcher
+// thread, once per batch, and does not allocate; P50() from any thread
+// (atomic read).
 class ServiceTimeEstimator {
  public:
   ServiceTimeEstimator(int64_t window, int64_t min_samples);
@@ -30,8 +31,9 @@ class ServiceTimeEstimator {
   const int64_t min_samples_;
   std::atomic<double> p50_{0.0};
   std::atomic<int64_t> count_{0};
-  std::mutex mutex_;  // guards the ring
+  std::mutex mutex_;  // guards the ring and the scratch copy
   std::vector<double> ring_;
+  std::vector<double> sorted_;  // the ring, partially sorted for the median
   int64_t next_ = 0;
 };
 

@@ -49,14 +49,6 @@ std::optional<PendingRequest> RequestQueue::PopBlocking() {
   return req;
 }
 
-std::optional<PendingRequest> RequestQueue::TryPop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (items_.empty()) return std::nullopt;
-  PendingRequest req = std::move(items_.front());
-  items_.pop_front();
-  return req;
-}
-
 std::optional<PendingRequest> RequestQueue::PopUntil(Clock::time_point until) {
   std::unique_lock<std::mutex> lock(mutex_);
   not_empty_.wait_until(lock, until,

@@ -40,9 +40,6 @@ class RequestQueue {
   // nullopt means closed-and-empty (the consumer should exit).
   std::optional<PendingRequest> PopBlocking();
 
-  // Non-blocking pop; nullopt when currently empty.
-  std::optional<PendingRequest> TryPop();
-
   // Waits until `until` for an item; nullopt on timeout (or closed+empty).
   std::optional<PendingRequest> PopUntil(Clock::time_point until);
 

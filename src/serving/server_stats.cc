@@ -231,18 +231,16 @@ std::string ServerStats::ReportTable() const {
       m.pool_peak_resident_bytes / 1e6);
   const OverloadSummary& o = s.overload;
   out += core::StrFormat(
-      "  overload: admission=%s limit=%.1f in_flight=%lld min_batch=%.3fms "
-      "backoffs=%lld\n"
-      "            shed: admission=%lld\n"
-      "            predicted_late: submit=%lld dequeue=%lld  "
-      "p50 est: e2e=%.3fms service=%.3fms\n",
-      o.admission_enabled ? "on" : "off", o.admission_limit,
-      static_cast<long long>(o.in_flight), o.min_batch_latency_ms,
-      static_cast<long long>(o.admission_backoffs),
+      "  overload: admission=%s limit=%lld in_flight=%lld "
+      "service_p50=%.3fms\n"
+      "            shed: admission=%lld  predicted_late: submit=%lld "
+      "dequeue=%lld\n",
+      o.admission_enabled ? "on" : "off",
+      static_cast<long long>(o.admission_limit),
+      static_cast<long long>(o.in_flight), o.service_p50_ms,
       static_cast<long long>(s.shed_admission),
       static_cast<long long>(s.rejected_predicted_late),
-      static_cast<long long>(s.swept_predicted_late), o.submit_p50_ms,
-      o.service_p50_ms);
+      static_cast<long long>(s.swept_predicted_late));
   return out;
 }
 
@@ -315,18 +313,16 @@ std::string ServerStats::ReportJson() const {
       static_cast<long long>(r.var_rejected));
   const OverloadSummary& o = s.overload;
   out += core::StrFormat(
-      "  \"overload\": {\"admission_enabled\": %s, \"admission_limit\": %.3f, "
-      "\"in_flight\": %lld, \"min_batch_latency_ms\": %.6f, "
-      "\"admission_backoffs\": %lld, \"shed_admission\": %lld, "
+      "  \"overload\": {\"admission_enabled\": %s, \"admission_limit\": %lld, "
+      "\"in_flight\": %lld, \"shed_admission\": %lld, "
       "\"rejected_predicted_late\": %lld, \"swept_predicted_late\": %lld, "
-      "\"submit_p50_ms\": %.6f, \"service_p50_ms\": %.6f},\n",
-      o.admission_enabled ? "true" : "false", o.admission_limit,
-      static_cast<long long>(o.in_flight), o.min_batch_latency_ms,
-      static_cast<long long>(o.admission_backoffs),
+      "\"service_p50_ms\": %.6f},\n",
+      o.admission_enabled ? "true" : "false",
+      static_cast<long long>(o.admission_limit),
+      static_cast<long long>(o.in_flight),
       static_cast<long long>(s.shed_admission),
       static_cast<long long>(s.rejected_predicted_late),
-      static_cast<long long>(s.swept_predicted_late), o.submit_p50_ms,
-      o.service_p50_ms);
+      static_cast<long long>(s.swept_predicted_late), o.service_p50_ms);
   const MemorySummary& m = s.memory;
   out += core::StrFormat(
       "  \"memory\": {\"live_bytes\": %lld, \"peak_bytes\": %lld, "

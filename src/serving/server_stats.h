@@ -54,11 +54,11 @@ class ServerStats {
   // Push refused because the queue was closed (shutdown, not load shed —
   // kept apart from rejected_full so the two failure modes are tellable).
   void RecordRejectedShutdown() { rejected_shutdown_.fetch_add(1); }
-  // Shed by the adaptive admission controller (concurrency limit).
+  // Shed at Submit: the in-flight cap is reached.
   void RecordShedAdmission() { shed_admission_.fetch_add(1); }
-  // Deadline propagation: rejected at Submit (remaining < p50 end-to-end).
+  // Refused at Submit: the batches ahead end past the deadline.
   void RecordRejectedPredictedLate() { rejected_predicted_late_.fetch_add(1); }
-  // Deadline propagation: rejected at dequeue (remaining < p50 service).
+  // Refused at dequeue: remaining budget < one batch-execution p50.
   void RecordSweptPredictedLate() { swept_predicted_late_.fetch_add(1); }
   // One completed request, bucketed by input degradation level.
   void RecordDegradation(DegradationLevel level);
@@ -102,17 +102,14 @@ class ServerStats {
   using ResilienceProvider = std::function<ResilienceSummary()>;
   void SetResilienceProvider(ResilienceProvider provider);
 
-  // Overload-control picture (admission limit, deadline estimators), filled
-  // in at snapshot time by the provider ForecastServer
-  // registers — the controllers live in OverloadControl, not here.
+  // Overload-control picture (admission cap, in-flight count, the batch
+  // estimate), filled in at snapshot time by the provider ForecastServer
+  // registers — the controller lives in OverloadControl, not here.
   struct OverloadSummary {
     bool admission_enabled = false;
-    double admission_limit = 0.0;
+    int64_t admission_limit = 0;
     int64_t in_flight = 0;
-    double min_batch_latency_ms = 0.0;
-    int64_t admission_backoffs = 0;
-    double submit_p50_ms = 0.0;   // end-to-end estimate behind Submit's gate
-    double service_p50_ms = 0.0;  // batch-execution estimate at dequeue
+    double service_p50_ms = 0.0;  // batch-execution estimate
   };
   using OverloadProvider = std::function<OverloadSummary()>;
   void SetOverloadProvider(OverloadProvider provider);

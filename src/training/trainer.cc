@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "autograd/ops.h"
 #include "core/check.h"
@@ -78,13 +77,10 @@ TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& window
   std::vector<int64_t> order = split.train;
   int start_epoch = 0;
 
-  // The trainer takes a checkpoint from any epoch: one past max_epochs ends
-  // the run at once with its best-epoch weights.
   TrainCheckpoint ckpt;
   if (!config_.checkpoint_dir.empty() && config_.resume &&
-      ResumeTraining(config_.checkpoint_dir, split.train,
-                     std::numeric_limits<int32_t>::max(), state, &ckpt,
-                     &stats.resumed_from)) {
+      ResumeTraining(config_.checkpoint_dir, split.train, config_.max_epochs,
+                     state, &ckpt, &stats.resumed_from)) {
     early.RestoreState(ckpt.early_best, ckpt.early_stale);
     best_params = std::move(ckpt.best_params);
     best_val = ckpt.best_val;

@@ -31,10 +31,11 @@ struct TrainerConfig {
   // Train writes a TrainCheckpoint there every `checkpoint_every_epochs`
   // epochs (atomic write, CRC footer) plus at the final epoch, and — unless
   // `resume` is false — starts by restoring the newest *valid* checkpoint
-  // in the directory (corrupt ones are skipped with a warning). Resume is
-  // bitwise: the continued run produces parameters identical to an
-  // uninterrupted one. A failed checkpoint write is a warning, not a
-  // training failure.
+  // in the directory (corrupt ones are skipped with a warning) when this
+  // run wrote it, at most `max_epochs` epochs in; otherwise the run starts
+  // fresh. Resume is bitwise: the continued run produces parameters
+  // identical to an uninterrupted one. A failed checkpoint write is a
+  // warning, not a training failure.
   std::string checkpoint_dir;
   int checkpoint_every_epochs = 1;
   bool resume = true;

@@ -532,6 +532,33 @@ TEST(TrainerResumeTest, IncompatibleCheckpointStartsFresh) {
   EXPECT_EQ(stats.epochs_run, 1);
 }
 
+TEST(TrainerResumeTest, ShorterRunTrainsItsOwnEpochsBesideALongerRun) {
+  // A 3-epoch run leaves its checkpoints in the directory.
+  std::string dir = FreshDir("longer_run");
+  {
+    TrainRun longer = MakeRun();
+    training::TrainerConfig config = BaseTrainerConfig();
+    config.max_epochs = 3;
+    config.checkpoint_dir = dir;
+    training::Trainer(config).Train(longer.model.get(), *longer.windows,
+                                    longer.split, longer.normalizer);
+  }
+  // A 1-epoch run there must not take over the longer run's weights: it
+  // trains its one epoch, bitwise equal to a 1-epoch run with no directory.
+  TrainRun fresh = MakeRun();
+  training::TrainerConfig one = BaseTrainerConfig();
+  one.max_epochs = 1;
+  training::Trainer(one).Train(fresh.model.get(), *fresh.windows, fresh.split,
+                               fresh.normalizer);
+  TrainRun rerun = MakeRun();
+  one.checkpoint_dir = dir;
+  training::TrainStats stats = training::Trainer(one).Train(
+      rerun.model.get(), *rerun.windows, rerun.split, rerun.normalizer);
+  EXPECT_EQ(stats.start_epoch, 0);
+  EXPECT_EQ(stats.epochs_run, 1);
+  ExpectModelsBitwiseEqual(*fresh.model, *rerun.model);
+}
+
 // -- Early stopping (previously untested) ------------------------------------
 
 TEST(EarlyStoppingTest, PatienceCounterResetsOnImprovement) {

@@ -1,26 +1,27 @@
-// Tests for the overload-control subsystem: the adaptive admission
-// controller (AIMD limit steering + shedding at the limit), the
-// windowed service-time estimator behind cooperative deadline propagation,
-// and the integrated server behavior: eager expired-deadline rejection and
-// admission shedding with exact in-flight accounting.
+// Tests for the overload-control subsystem: the admission rule (the
+// in-flight cap and the predicted-completion check), the windowed
+// batch-execution estimator both checks read, and the integrated server
+// behavior: eager expired-deadline rejection, shedding and refusing with
+// exact in-flight accounting, and whole bursts admitted behind a batch floor.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/check.h"
+#include "core/failpoint.h"
 #include "data/normalizer.h"
 #include "data/synthetic_world.h"
 #include "serving/forecast_server.h"
 #include "serving/model_registry.h"
-#include "serving/overload/admission.h"
-#include "serving/overload/estimator.h"
 #include "serving/overload/overload.h"
 #include "serving/request_queue.h"
 #include "sstban/config.h"
@@ -42,82 +43,73 @@ constexpr int64_t kStepsPerDay = 12;
 
 // -- AdmissionController -----------------------------------------------------
 
-AdmissionOptions TinyAdmission() {
-  AdmissionOptions options;
-  options.initial_limit = 10.0;
-  options.min_limit = 2.0;
-  options.tolerance = 2.0;
-  return options;
-}
+constexpr double kBatchP50 = 0.010;  // seconds
 
-TEST(AdmissionControllerTest, LimitClimbsWhileLatencyTracksTheMinimum) {
-  AdmissionController admission(TinyAdmission());
-  const double before = admission.limit();
-  for (int i = 0; i < 5; ++i) admission.OnBatchLatency(0.010);
-  EXPECT_GT(admission.limit(), before);
-  EXPECT_EQ(admission.TakeSnapshot().backoffs, 0);
-}
-
-TEST(AdmissionControllerTest, CongestionBacksOffMultiplicatively) {
-  AdmissionController admission(TinyAdmission());
-  admission.OnBatchLatency(0.010);  // establishes the moving minimum
-  const double before = admission.limit();
-  admission.OnBatchLatency(0.050);  // 5x the minimum, tolerance is 2x
-  EXPECT_LT(admission.limit(), before);
-  EXPECT_NEAR(admission.limit(), before * 0.9, 1e-9);
-  EXPECT_EQ(admission.TakeSnapshot().backoffs, 1);
-}
-
-TEST(AdmissionControllerTest, LimitNeverDropsBelowTheFloor) {
-  AdmissionController admission(TinyAdmission());
-  admission.OnBatchLatency(0.010);
-  for (int i = 0; i < 50; ++i) admission.OnBatchLatency(0.500);
-  EXPECT_GE(admission.limit(), 2.0);
-}
-
-TEST(AdmissionControllerTest, WindowRollRebaselinesARegimeChange) {
-  constexpr int kWindow = 128;  // batches per moving-minimum window
-  AdmissionController admission(TinyAdmission());
-  admission.OnBatchLatency(0.010);
-  // A permanent shift to 50ms first reads as congestion...
-  for (int i = 0; i < 2 * kWindow - 1; ++i) admission.OnBatchLatency(0.050);
-  const auto mid = admission.TakeSnapshot();
-  EXPECT_GT(mid.backoffs, 0);
-  // ...but once a window containing only 50ms samples rolls, 50ms IS the
-  // baseline: no further backoffs and the limit resumes climbing.
-  const int64_t backoffs_before = mid.backoffs;
-  const double before = admission.limit();
-  for (int i = 0; i < kWindow; ++i) admission.OnBatchLatency(0.050);
-  EXPECT_EQ(admission.TakeSnapshot().backoffs, backoffs_before);
-  EXPECT_GT(admission.limit(), before);
-}
-
-TEST(AdmissionControllerTest, AdmitsExactlyTheLimitThenSheds) {
-  AdmissionController admission(TinyAdmission());  // limit 10
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(admission.Admit()) << i;
+TEST(AdmissionControllerTest, AdmitsExactlyTheCapThenSheds) {
+  AdmissionController admission(/*enabled=*/true, /*max_batch=*/2);
+  ASSERT_EQ(admission.limit(), kAdmitBatches * 2);
+  const Clock::time_point now = Clock::now();
+  for (int64_t i = 0; i < admission.limit(); ++i) {
+    ASSERT_EQ(admission.Admit(now, std::nullopt, kBatchP50),
+              AdmissionController::Verdict::kAdmitted)
+        << i;
   }
-  EXPECT_FALSE(admission.Admit());  // 10 >= 10
-  EXPECT_EQ(admission.TakeSnapshot().in_flight, 10);
+  EXPECT_EQ(admission.Admit(now, std::nullopt, kBatchP50),
+            AdmissionController::Verdict::kShed);
+  EXPECT_EQ(admission.in_flight(), admission.limit());
   // One terminal frees exactly one slot.
   admission.OnTerminal();
-  EXPECT_TRUE(admission.Admit());
-  EXPECT_FALSE(admission.Admit());
-  for (int i = 0; i < 10; ++i) admission.OnTerminal();
+  EXPECT_EQ(admission.Admit(now, std::nullopt, kBatchP50),
+            AdmissionController::Verdict::kAdmitted);
+  EXPECT_EQ(admission.Admit(now, std::nullopt, kBatchP50),
+            AdmissionController::Verdict::kShed);
+  for (int64_t i = 0; i < admission.limit(); ++i) admission.OnTerminal();
   EXPECT_EQ(admission.in_flight(), 0);
 }
 
-TEST(AdmissionControllerTest, DisabledAdmitsEverythingAndNeverSteers) {
-  AdmissionOptions options = TinyAdmission();
-  options.enabled = false;
-  options.initial_limit = 1.0;
-  AdmissionController admission(options);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(admission.Admit());
+TEST(AdmissionControllerTest, RefusesWhatTheBatchesAheadCannotFinishInTime) {
+  AdmissionController admission(/*enabled=*/true, /*max_batch=*/2);
+  const Clock::time_point now = Clock::now();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(admission.Admit(now, std::nullopt, kBatchP50),
+              AdmissionController::Verdict::kAdmitted);
   }
-  admission.OnBatchLatency(10.0);
-  EXPECT_EQ(admission.limit(), 1.0);
-  EXPECT_FALSE(admission.TakeSnapshot().enabled);
+  // Three ahead: one full batch, then this request's own, 2 x 10 ms.
+  EXPECT_EQ(admission.Admit(now, now + std::chrono::milliseconds(15),
+                            kBatchP50),
+            AdmissionController::Verdict::kLate);
+  EXPECT_EQ(admission.in_flight(), 3);  // a refusal holds no slot
+  EXPECT_EQ(admission.Admit(now, now + std::chrono::milliseconds(25),
+                            kBatchP50),
+            AdmissionController::Verdict::kAdmitted);
+  // Four ahead: two full batches, then its own, 3 x 10 ms.
+  EXPECT_EQ(admission.Admit(now, now + std::chrono::milliseconds(25),
+                            kBatchP50),
+            AdmissionController::Verdict::kLate);
+  EXPECT_EQ(admission.in_flight(), 4);
+}
+
+TEST(AdmissionControllerTest, ColdEstimateOrNoDeadlinePredictsNothing) {
+  AdmissionController admission(/*enabled=*/true, /*max_batch=*/1);
+  const Clock::time_point now = Clock::now();
+  // Under-sampled estimator (p50 0): a tight deadline is not judged.
+  EXPECT_EQ(admission.Admit(now, now + std::chrono::microseconds(1), 0.0),
+            AdmissionController::Verdict::kAdmitted);
+  // No deadline: only the cap applies, however slow the batches.
+  EXPECT_EQ(admission.Admit(now, std::nullopt, 10.0),
+            AdmissionController::Verdict::kAdmitted);
+  EXPECT_EQ(admission.in_flight(), 2);
+}
+
+TEST(AdmissionControllerTest, DisabledAdmitsEverything) {
+  AdmissionController admission(/*enabled=*/false, /*max_batch=*/1);
+  const Clock::time_point now = Clock::now();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(admission.Admit(now, now + std::chrono::microseconds(1), 10.0),
+              AdmissionController::Verdict::kAdmitted);
+  }
+  // The ledger still counts, so in_flight drains the same way.
+  EXPECT_EQ(admission.in_flight(), 100);
 }
 
 // -- ServiceTimeEstimator ----------------------------------------------------
@@ -291,22 +283,21 @@ TEST(ServerOverloadTest, AdmissionShedsAtTheLimitAndAccountingBalances) {
   registry.Install(std::move(gate_owner));
 
   ServerOptions options = TinyServerOptions();
-  options.max_batch = 1;
+  options.max_batch = 1;  // the cap is kAdmitBatches requests
   options.max_wait = std::chrono::microseconds(0);
-  options.overload.admission.initial_limit = 4.0;
-  options.overload.admission.min_limit = 4.0;
   ForecastServer server(options, &registry);
   ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(server.overload().admission().limit(), kAdmitBatches);
 
   std::vector<ForecastFuture> futures;
-  for (int i = 0; i < 4; ++i) {
+  for (int64_t i = 0; i < kAdmitBatches; ++i) {
     auto submitted = server.Submit(MakeRequest(*dataset, i));
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     futures.push_back(std::move(submitted).value());
   }
-  gate->WaitEntered(1);  // one in the model, three queued: all hold slots
+  gate->WaitEntered(1);  // one in the model, the rest queued: all hold slots
 
-  auto shed = server.Submit(MakeRequest(*dataset, 5));
+  auto shed = server.Submit(MakeRequest(*dataset, kAdmitBatches + 1));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), core::StatusCode::kUnavailable);
   EXPECT_NE(shed.status().message().find("admission limit"),
@@ -323,6 +314,108 @@ TEST(ServerOverloadTest, AdmissionShedsAtTheLimitAndAccountingBalances) {
   EXPECT_EQ(server.overload().admission().in_flight(), 0);
   // And freed slots admit again.
   EXPECT_EQ(server.stats().TakeSnapshot().overload.in_flight, 0);
+}
+
+// Replaces the failpoint schedule for the test's scope, then restores the
+// ambient one (SSTBAN_FAILPOINTS, which the overload-chaos CI rows set).
+class ScopedFailPoints {
+ public:
+  explicit ScopedFailPoints(const std::string& list) {
+    core::FailPoint::ClearAll();
+    SSTBAN_CHECK(core::FailPoint::SetFromList(list).ok()) << list;
+  }
+  ~ScopedFailPoints() {
+    core::FailPoint::ClearAll();
+    const char* ambient = std::getenv("SSTBAN_FAILPOINTS");
+    if (ambient != nullptr) (void)core::FailPoint::SetFromList(ambient);
+  }
+};
+
+// Ordinary queueing is not overload: bursts of three full batches behind a
+// 5 ms batch floor, each request due within 1 s. The queue ahead of every
+// request finishes in time, so all of them are admitted and answered. Forty
+// bursts, because a limiter that misreads such waits as congestion refused
+// nothing in the first eight to ten.
+TEST(ServerOverloadTest, BurstsOfThreeBatchesAreAdmittedWhole) {
+  ScopedFailPoints batch_floor("serve_batch_run=delay(5)");
+  auto dataset = TinyWorld();
+  data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
+  model_ns::SstbanConfig config = TinyConfig();
+  ModelRegistry registry(
+      [config] { return std::make_unique<model_ns::SstbanModel>(config); },
+      norm);
+  registry.Install(std::make_unique<model_ns::SstbanModel>(config));
+  ServerOptions options = TinyServerOptions();
+  options.max_batch = 8;
+  ForecastServer server(options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kBursts = 40;
+  constexpr int kBurst = 24;
+  for (int burst = 0; burst < kBursts; ++burst) {
+    std::vector<ForecastFuture> futures;
+    for (int i = 0; i < kBurst; ++i) {
+      ForecastRequest request = MakeRequest(*dataset, i);
+      request.deadline = Clock::now() + std::chrono::seconds(1);
+      auto submitted = server.Submit(std::move(request));
+      ASSERT_TRUE(submitted.ok()) << "burst " << burst << ", request " << i
+                                  << ": " << submitted.status().ToString();
+      futures.push_back(std::move(submitted).value());
+    }
+    for (ForecastFuture& future : futures) {
+      ForecastResult result = future.get();
+      ASSERT_TRUE(result.ok()) << "burst " << burst << ": "
+                               << result.status().ToString();
+    }
+  }
+  server.Shutdown();
+  ServerStats::Snapshot snap = server.stats().TakeSnapshot();
+  EXPECT_EQ(snap.accepted, kBursts * kBurst);
+  EXPECT_EQ(snap.completed, kBursts * kBurst);
+  EXPECT_EQ(snap.shed_admission, 0);
+  EXPECT_EQ(snap.rejected_predicted_late, 0);
+  EXPECT_EQ(server.overload().admission().in_flight(), 0);
+}
+
+// Once the batch estimate is warm, a deadline closer than one batch time is
+// refused at Submit with DeadlineExceeded, counted apart from queue expiry,
+// and holds no slot.
+TEST(ServerOverloadTest, DeadlineInsideOneBatchTimeIsRefusedAtSubmit) {
+  ScopedFailPoints batch_floor("serve_batch_run=delay(20)");
+  auto dataset = TinyWorld();
+  data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
+  model_ns::SstbanConfig config = TinyConfig();
+  ModelRegistry registry(
+      [config] { return std::make_unique<model_ns::SstbanModel>(config); },
+      norm);
+  registry.Install(std::make_unique<model_ns::SstbanModel>(config));
+  ServerOptions options = TinyServerOptions();
+  options.max_batch = 1;
+  ForecastServer server(options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Sixteen batches warm the estimate; each takes at least 20 ms. The
+  // batcher records a batch's time after fulfilling it and runs one batch
+  // at a time, so the 17th answer means the 16th sample is in.
+  for (int i = 0; i < 17; ++i) {
+    auto submitted = server.Submit(MakeRequest(*dataset, i));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    ASSERT_TRUE(submitted.value().get().ok());
+  }
+  ASSERT_GE(server.overload().service_estimator().P50(), 0.020);
+
+  ForecastRequest hurried = MakeRequest(*dataset, 0);
+  hurried.deadline = Clock::now() + std::chrono::milliseconds(10);
+  auto refused = server.Submit(std::move(hurried));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), core::StatusCode::kDeadlineExceeded);
+  EXPECT_NE(refused.status().message().find("cannot finish before deadline"),
+            std::string::npos);
+  server.Shutdown();
+  ServerStats::Snapshot snap = server.stats().TakeSnapshot();
+  EXPECT_EQ(snap.rejected_predicted_late, 1);
+  EXPECT_EQ(snap.rejected_deadline, 0);
+  EXPECT_EQ(server.overload().admission().in_flight(), 0);
 }
 
 TEST(ServerOverloadTest, StatsReportsCarryTheOverloadBlock) {

@@ -23,8 +23,8 @@
 // injects serving faults: serve_enqueue, serve_batch_run, serve_fallback,
 // registry_get.
 //
-// Overload control (adaptive admission, deadline propagation) runs with its
-// ServerOptions defaults; see DESIGN.md section 16.
+// Overload control (the admission rule at Submit, the deadline check at
+// dequeue) runs with its ServerOptions defaults; see DESIGN.md section 16.
 //
 // `--cache-age N` bounds last-known-good cache staleness to N slices
 // (-1 = unbounded, the pre-staleness behavior); stale hits fall through to
