@@ -6,7 +6,7 @@
 //     sanitizer scan plus two memcpys, never a heap round-trip;
 //   - windows-to-detect: how many post-shift evaluation windows the CUSUM
 //     detector needs to confirm a mild and a strong error-level shift (the
-//     hysteresis/recall trade the default thresholds buy);
+//     hysteresis/recall trade the shipped thresholds buy);
 //   - steps-to-recover: label-free fine-tuning steps until the masked-
 //     reconstruction loss halves on a fresh model (the adaptation round's
 //     convergence speed at the bench scale).
@@ -100,16 +100,16 @@ double NowSeconds() {
 // without confirmation.
 int64_t WindowsToDetect(double base, double shifted, uint64_t seed,
                         int64_t limit) {
-  streaming::DriftDetector detector((streaming::DriftDetectorOptions()));
+  streaming::DriftDetector detector;
   core::Rng rng(seed);
   // Warmup plus a stable stretch, so the baseline is the frozen one the
   // controller would actually be comparing against.
   for (int i = 0; i < 48; ++i) {
-    detector.Observe(0, base + 0.05 * base * rng.NextGaussian());
+    detector.Observe(base + 0.05 * base * rng.NextGaussian());
   }
-  if (detector.state(0) != streaming::DriftState::kStable) return -1;
+  if (detector.state() != streaming::DriftState::kStable) return -1;
   for (int64_t i = 1; i <= limit; ++i) {
-    auto state = detector.Observe(0, shifted + 0.05 * base * rng.NextGaussian());
+    auto state = detector.Observe(shifted + 0.05 * base * rng.NextGaussian());
     if (state == streaming::DriftState::kDrift) return i;
   }
   return -1;
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   const double ingest_ns = ingest_elapsed * 1e9 / kIngestIters;
   const double ingest_rate = kIngestIters / ingest_elapsed;
 
-  // 2. Windows-to-detect at the production detector defaults.
+  // 2. Windows-to-detect at the shipped detector constants.
   const int64_t detect_mild = WindowsToDetect(1.0, 1.3, 11, 512);
   const int64_t detect_strong = WindowsToDetect(1.0, 2.0, 11, 512);
 
@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
 
   streaming::OnlineAdapterOptions adapt_options;
   adapt_options.num_steps = 24;
-  adapt_options.batch_size = 8;
   streaming::OnlineAdapter adapter(adapt_options);
   start = NowSeconds();
   auto report = adapter.Adapt(&model, windows, indices, normalizer);

@@ -40,6 +40,11 @@
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<long long> g_allocs{0};
+
+// Every replaced operator delete frees through here, out of line: a free()
+// inlined into a caller sits next to that caller's operator new, which GCC
+// cannot see is malloc and reports as -Wmismatched-new-delete.
+[[gnu::noinline]] void Free(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -64,17 +69,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { Free(p); }
+void operator delete[](void* p) noexcept { Free(p); }
+void operator delete(void* p, std::size_t) noexcept { Free(p); }
+void operator delete[](void* p, std::size_t) noexcept { Free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { Free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { Free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Free(p);
 }
 
 namespace {
@@ -94,8 +99,8 @@ struct Measurement {
   long long allocs = 0;  // total across all iterations
 };
 
-// Runs `op` `iters` times with the allocation counter live and a volatile
-// sink so the loop cannot be elided.
+// Runs `op` `iters` times with the allocation counter live; each op feeds
+// the volatile sink below so the loop cannot be elided.
 template <typename Op>
 Measurement Measure(long long iters, Op&& op) {
   Measurement m;
@@ -112,6 +117,9 @@ Measurement Measure(long long iters, Op&& op) {
 
 volatile long long g_sink = 0;
 
+// Feeds `value` into the volatile sink so the measured call is not elided.
+void Sink(bool value) { g_sink = g_sink + (value ? 1 : 0); }
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -124,7 +132,7 @@ int main(int argc, char** argv) {
   // 1. Disarmed failpoint: one relaxed load + a predictable branch.
   core::FailPoint::ClearAll();
   Measurement fp_disarmed = Measure(kFailpointIters, [] {
-    g_sink += core::FailPointStatus("bench_resilience_probe").ok() ? 1 : 0;
+    Sink(core::FailPointStatus("bench_resilience_probe").ok());
   });
 
   // 1b. The five streaming sites (ingest_append, adapt_step, shadow_eval,
@@ -137,7 +145,7 @@ int main(int argc, char** argv) {
       "adapt_ckpt_write"};
   Measurement fp_streaming = Measure(kFailpointIters / 5, [] {
     for (const char* site : kStreamingSites) {
-      g_sink += core::FailPointStatus(site).ok() ? 1 : 0;
+      Sink(core::FailPointStatus(site).ok());
     }
   });
 
@@ -149,19 +157,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   Measurement fp_armed_other = Measure(kFailpointIters / 10, [] {
-    g_sink += core::FailPointStatus("bench_resilience_probe").ok() ? 1 : 0;
+    Sink(core::FailPointStatus("bench_resilience_probe").ok());
   });
   core::FailPoint::ClearAll();
 
   // 3. Closed-state circuit breaker, warm ring: Allow + RecordSuccess must
   //    be allocation-free once the fixed-capacity window has filled.
-  serving::CircuitBreaker breaker((serving::CircuitBreakerOptions()));
+  serving::CircuitBreaker breaker;
   for (int i = 0; i < 256; ++i) {  // fill the ring past its window
     breaker.Allow();
     breaker.RecordSuccess();
   }
   Measurement breaker_closed = Measure(kBreakerIters, [&breaker] {
-    g_sink += breaker.Allow() ? 1 : 0;
+    Sink(breaker.Allow());
     breaker.RecordSuccess();
   });
 
@@ -179,7 +187,7 @@ int main(int argc, char** argv) {
   }
   Measurement sanitize_clean = Measure(kSanitizerIters, [&] {
     auto r = sanitizer.Sanitize(&window);
-    g_sink += r.ok() && r.value().clean() ? 1 : 0;
+    Sink(r.ok() && r.value().clean());
   });
 
   // 5. Watchdog marks: the per-iteration cost the worker loop pays.
@@ -188,7 +196,7 @@ int main(int argc, char** argv) {
   Measurement watchdog_marks = Measure(kWatchdogIters, [&] {
     watchdog.MarkLoopTick();
     watchdog.MarkBatchStart(now);
-    g_sink += watchdog.Wedged(std::chrono::milliseconds(2000), now) ? 1 : 0;
+    Sink(watchdog.Wedged(std::chrono::milliseconds(2000), now));
     watchdog.MarkBatchEnd();
   });
 

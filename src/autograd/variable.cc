@@ -3,8 +3,8 @@
 #include <unordered_set>
 
 #include "core/check.h"
+#include "core/thread_pool.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::autograd {
@@ -30,7 +30,7 @@ void Node::AccumulateGrad(const tensor::Tensor& g) {
   float* pg = grad.data();
   const float* pn = g.data();
   const tensor::simd::BinaryFn add = tensor::simd::Kernels().add;
-  tensor::ParallelFor(0, grad.size(), [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, grad.size(), [&](int64_t lo, int64_t hi) {
     add(pg + lo, pn + lo, pg + lo, hi - lo);
   });
 }

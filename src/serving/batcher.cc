@@ -7,7 +7,6 @@
 #include "core/failpoint.h"
 #include "core/timer.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 #include "training/forecast_service.h"
 
 namespace sstban::serving {
@@ -220,12 +219,12 @@ void Batcher::RunBatch(std::vector<PendingRequest> batch,
   std::vector<tensor::Tensor> slices(static_cast<size_t>(b));
   std::vector<int64_t> cache_ages;  // filled only on the cache tier
   if (primary_ok) {
-    // Cutting the batched output back into per-request slices is one memcpy
-    // per request; fan it out and fulfil the promises in arrival order after.
-    tensor::ParallelForEachIndex(b, [&](int64_t i) {
+    // Cutting the batched output back into per-request slices is one small
+    // memcpy per request, cheaper inline than handing it to the pool.
+    for (int64_t i = 0; i < b; ++i) {
       slices[static_cast<size_t>(i)] =
           tensor::Slice(denorm, 0, i, 1).Reshape(tensor::Shape{q, n, c});
-    });
+    }
     // The cache entry's logical timestamp is the producing request's
     // first_step; staleness of later fallback serves is measured against it.
     fallback_->cache().Update(slices.back(),

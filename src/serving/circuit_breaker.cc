@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/check.h"
-
 namespace sstban::serving {
 
-CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options, NowFn now)
-    : options_(options), now_(std::move(now)) {
-  SSTBAN_CHECK_GT(options_.window, 0);
-  SSTBAN_CHECK_GT(options_.min_samples, 0);
-  SSTBAN_CHECK_LE(options_.min_samples, options_.window);
-  SSTBAN_CHECK_GT(options_.probe_successes_to_close, 0);
+CircuitBreaker::CircuitBreaker(NowFn now) : now_(std::move(now)) {
   if (now_ == nullptr) now_ = [] { return Clock::now(); };
-  // Fixed-capacity ring, so the closed-state hot path never allocates after
-  // construction.
-  ring_.resize(static_cast<size_t>(options_.window), 0);
 }
 
 bool CircuitBreaker::Allow() {
@@ -36,7 +26,7 @@ bool CircuitBreaker::Allow() {
       return true;
     }
     case State::kHalfOpen: {
-      if (half_open_in_flight_ >= options_.probe_successes_to_close) {
+      if (half_open_in_flight_ >= kProbes) {
         ++stats_.rejected;
         return false;
       }
@@ -52,7 +42,7 @@ void CircuitBreaker::RecordSuccess() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == State::kHalfOpen) {
     half_open_in_flight_ = std::max<int64_t>(half_open_in_flight_ - 1, 0);
-    if (++half_open_successes_ >= options_.probe_successes_to_close) {
+    if (++half_open_successes_ >= kProbes) {
       state_ = State::kClosed;
       ring_count_ = 0;
       ring_head_ = 0;
@@ -112,22 +102,21 @@ CircuitBreaker::Stats CircuitBreaker::stats() const {
 }
 
 void CircuitBreaker::PushOutcomeLocked(bool failed) {
-  const int64_t capacity = options_.window;
-  if (ring_count_ == capacity) {
+  if (ring_count_ == kWindow) {
     if (ring_[static_cast<size_t>(ring_head_)] != 0) --window_failures_;
   } else {
     ++ring_count_;
   }
   ring_[static_cast<size_t>(ring_head_)] = failed ? 1 : 0;
-  ring_head_ = (ring_head_ + 1) % capacity;
+  ring_head_ = (ring_head_ + 1) % kWindow;
   if (failed) ++window_failures_;
 }
 
 void CircuitBreaker::MaybeTripLocked(Clock::time_point now) {
-  if (ring_count_ < options_.min_samples) return;
+  if (ring_count_ < kMinSamples) return;
   const double error_rate =
       static_cast<double>(window_failures_) / static_cast<double>(ring_count_);
-  if (error_rate >= options_.error_rate_threshold) OpenLocked(now);
+  if (error_rate >= kTripErrorRate) OpenLocked(now);
 }
 
 void CircuitBreaker::OpenLocked(Clock::time_point now) {
@@ -135,13 +124,12 @@ void CircuitBreaker::OpenLocked(Clock::time_point now) {
   ++stats_.trips;
   ++stats_.consecutive_trips;
   // Exponential probe backoff, capped: cooldown * 2^(consecutive - 1).
-  auto cooldown = options_.cooldown;
-  for (int64_t i = 1; i < stats_.consecutive_trips &&
-                      cooldown < options_.max_cooldown;
+  std::chrono::milliseconds cooldown = kCooldown;
+  for (int64_t i = 1; i < stats_.consecutive_trips && cooldown < kMaxCooldown;
        ++i) {
     cooldown *= 2;
   }
-  cooldown = std::min(cooldown, options_.max_cooldown);
+  cooldown = std::min(cooldown, kMaxCooldown);
   open_until_ = now + cooldown;
   ring_count_ = 0;
   ring_head_ = 0;

@@ -1,31 +1,15 @@
 #ifndef SSTBAN_SERVING_CIRCUIT_BREAKER_H_
 #define SSTBAN_SERVING_CIRCUIT_BREAKER_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <vector>
 
 #include "serving/request.h"
 
 namespace sstban::serving {
-
-struct CircuitBreakerOptions {
-  // Rolling outcome window the trip condition is evaluated over.
-  int64_t window = 32;
-  // No tripping before this many outcomes are in the window (a single cold
-  // failure must not open the breaker).
-  int64_t min_samples = 8;
-  // Open when failures / window-size reaches this fraction.
-  double error_rate_threshold = 0.5;
-  // Open -> half-open probe schedule: first probe after `cooldown`, doubling
-  // on every re-trip up to `max_cooldown` (exponential backoff).
-  std::chrono::milliseconds cooldown{100};
-  std::chrono::milliseconds max_cooldown{5000};
-  // Successful probes required in half-open before closing again.
-  int64_t probe_successes_to_close = 2;
-};
 
 // Per-model-tier circuit breaker: closed passes everything and records
 // outcomes; too many failures trip it open, which sheds the tier entirely
@@ -34,20 +18,32 @@ struct CircuitBreakerOptions {
 // transitions are count- and clock-driven, and the clock is injectable so
 // tests are deterministic without sleeping.
 //
-// Thread-safe; Allow/Record are a short mutex hold each, no allocation once
-// the rolling window has filled (it is a fixed-capacity ring after warmup).
+// Thread-safe; Allow/Record are a short mutex hold each and never allocate
+// (the rolling window is a fixed array).
 class CircuitBreaker {
  public:
+  // The trip rule and probe schedule, shared by the primary and VAR tiers
+  // (DESIGN §11.2). Open once at least kMinSamples of the last kWindow
+  // outcomes are in and kTripErrorRate of them failed; the first probe comes
+  // kCooldown later, doubling on every re-trip up to kMaxCooldown; kProbes
+  // successful probes close the breaker again.
+  static constexpr int64_t kWindow = 32;
+  static constexpr int64_t kMinSamples = 8;
+  static constexpr double kTripErrorRate = 0.5;
+  static constexpr std::chrono::milliseconds kCooldown{100};
+  static constexpr std::chrono::milliseconds kMaxCooldown{5000};
+  static constexpr int64_t kProbes = 2;
+
   enum class State { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
   using NowFn = std::function<Clock::time_point()>;
 
-  explicit CircuitBreaker(CircuitBreakerOptions options, NowFn now = nullptr);
+  explicit CircuitBreaker(NowFn now = nullptr);
 
   // True when a request may use this tier right now. In the open state this
   // is where the cooldown expiry is noticed (transitioning to half-open and
-  // admitting one probe); in half-open only `probe_successes_to_close`
-  // concurrent probes are admitted.
+  // admitting one probe); in half-open only kProbes concurrent probes are
+  // admitted.
   bool Allow();
 
   // Outcome of an admitted request; failures count toward the error rate.
@@ -75,13 +71,11 @@ class CircuitBreaker {
   void MaybeTripLocked(Clock::time_point now);
   void OpenLocked(Clock::time_point now);
 
-  CircuitBreakerOptions options_;
   NowFn now_;
   mutable std::mutex mutex_;
   State state_ = State::kClosed;
-  // Fixed-capacity rolling ring of failure flags (no allocation after
-  // construction).
-  std::vector<uint8_t> ring_;
+  // Rolling ring of failure flags.
+  std::array<uint8_t, kWindow> ring_{};
   int64_t ring_count_ = 0;
   int64_t ring_head_ = 0;
   int64_t window_failures_ = 0;

@@ -75,10 +75,7 @@ int64_t LastGoodCache::cached_step() const {
   return last_step_;
 }
 
-FallbackChain::FallbackChain(FallbackOptions options)
-    : options_(options),
-      primary_breaker_(options.primary_breaker),
-      var_breaker_(options.var_breaker) {}
+FallbackChain::FallbackChain(FallbackOptions options) : options_(options) {}
 
 void FallbackChain::SetVarBaseline(std::unique_ptr<baselines::VarModel> var) {
   SSTBAN_CHECK(var == nullptr || var->fitted())

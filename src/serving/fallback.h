@@ -55,8 +55,6 @@ struct FallbackOptions {
   // (the pre-staleness behavior). Beyond the horizon requests fall to the
   // persistence floor.
   int64_t max_cache_age_steps = -1;
-  CircuitBreakerOptions primary_breaker;
-  CircuitBreakerOptions var_breaker;
 };
 
 // The degraded tiers behind the primary model: SSTBAN -> VAR baseline ->

@@ -37,7 +37,8 @@ struct ServerOptions {
   // Input-boundary policy for NaN/Inf readings (strict everywhere by
   // default; list degradable channels to enable masked inference).
   SanitizerOptions sanitizer;
-  // Degraded tiers + circuit breakers behind the primary model.
+  // The degraded tiers behind the primary model: the cache tier's staleness
+  // bound (the tiers' circuit breakers run on CircuitBreaker's constants).
   FallbackOptions fallback;
   // A batch in flight longer than this means the worker is wedged: the
   // readiness probe goes false and Submit fails fast with Unavailable.

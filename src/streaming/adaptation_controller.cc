@@ -28,20 +28,10 @@ AdaptationController::AdaptationController(
     : options_(std::move(options)),
       registry_(registry),
       ingestor_(options_.ingest),
-      detector_([&] {
-        DriftDetectorOptions drift = options_.drift;
-        drift.num_groups = 1;
-        return drift;
-      }()),
-      evaluator_(options_.shadow),
-      gate_(options_.gate, registry, options_.factory),
+      gate_(registry, options_.factory),
       last_live_error_(std::numeric_limits<double>::quiet_NaN()) {
   SSTBAN_CHECK(registry_ != nullptr);
   SSTBAN_CHECK(options_.factory != nullptr);
-  SSTBAN_CHECK_GE(options_.shadow_windows, 1);
-  SSTBAN_CHECK_GE(options_.adapt_windows, 1);
-  eval_stride_ = options_.eval_stride > 0 ? options_.eval_stride
-                                          : options_.ingest.output_len;
 }
 
 core::StatusOr<StreamEvent> AdaptationController::OnSlice(
@@ -59,14 +49,13 @@ core::StatusOr<StreamEvent> AdaptationController::OnSlice(
 
   SSTBAN_RETURN_IF_ERROR(ingestor_.Append(slice, step));
 
-  // Shadow-score the incumbent on the newest matured window every
-  // eval_stride slices; those errors are both the drift detector's input and
-  // the post-promotion regression monitor's.
+  // Shadow-score the incumbent on the newest matured window every q slices,
+  // so consecutive scores share no forecast horizon; those errors are both
+  // the drift detector's input and the post-promotion regression monitor's.
   const int64_t p = options_.ingest.input_len;
   const int64_t q = options_.ingest.output_len;
   if (ingestor_.size() < p + q) return StreamEvent::kIngested;
-  if (last_eval_step_ >= 0 &&
-      ingestor_.next_step() - last_eval_step_ < eval_stride_) {
+  if (last_eval_step_ >= 0 && ingestor_.next_step() - last_eval_step_ < q) {
     return StreamEvent::kIngested;
   }
   std::shared_ptr<const serving::ModelRegistry::Served> served =
@@ -81,8 +70,8 @@ core::StatusOr<StreamEvent> AdaptationController::OnSlice(
   data::WindowDataset windows(dataset, p, q);
   std::unique_ptr<training::TrafficModel> shadow_incumbent =
       CloneWithWeights(options_.factory, *served->model);
-  core::StatusOr<double> score = evaluator_.Score(
-      shadow_incumbent.get(), windows, {0}, served->normalizer);
+  core::StatusOr<double> score =
+      ShadowScore(shadow_incumbent.get(), windows, {0}, served->normalizer);
   ++evals_;
   // An unscorable incumbent (injected shadow_eval fault, throwing model) is
   // a serving fault, not regime evidence: the breaker/fallback chain owns
@@ -95,11 +84,11 @@ core::StatusOr<StreamEvent> AdaptationController::OnSlice(
   if (gate_.ObserveLive(last_live_error_)) {
     // Live regression rolled the previous weights back; the error regime
     // changes again, so the detector re-learns its baseline.
-    detector_.ResetGroup(0);
+    detector_.Reset();
     return StreamEvent::kRolledBack;
   }
 
-  DriftState state = detector_.Observe(0, last_live_error_);
+  DriftState state = detector_.Observe(last_live_error_);
   if (state == DriftState::kSuspect) return StreamEvent::kDriftSuspect;
   if (state != DriftState::kDrift) return StreamEvent::kIngested;
   return RunAdaptationRound();
@@ -115,15 +104,14 @@ core::StatusOr<StreamEvent> AdaptationController::RunAdaptationRound() {
 
   // Materialize the freshest history: enough windows for adaptation plus the
   // temporal holdout the shadow comparison scores on.
-  const int64_t span = options_.adapt_windows + options_.shadow_windows +
-                       p + q - 1;
+  const int64_t span = kAdaptWindows + kShadowWindows + p + q - 1;
   core::StatusOr<data::TrafficDataset> snapshot = ingestor_.Snapshot(span);
   SSTBAN_CHECK(snapshot.ok()) << snapshot.status().ToString();
   auto dataset = std::make_shared<data::TrafficDataset>(
       std::move(snapshot).value());
   data::WindowDataset windows(dataset, p, q);
   const int64_t total = windows.num_windows();
-  const int64_t shadow_n = std::min(options_.shadow_windows, total);
+  const int64_t shadow_n = std::min(kShadowWindows, total);
   std::vector<int64_t> shadow_indices, adapt_indices;
   for (int64_t i = total - shadow_n; i < total; ++i) {
     shadow_indices.push_back(i);
@@ -150,15 +138,14 @@ core::StatusOr<StreamEvent> AdaptationController::RunAdaptationRound() {
     // Reset (with cooldown) instead of hot-looping the failed round on every
     // subsequent slice; sustained drift re-confirms after the baseline
     // re-learns.
-    detector_.ResetGroup(0);
+    detector_.Reset();
     return StreamEvent::kAdaptFailed;
   }
   last_adapt_status_ = core::Status::Ok();
 
   core::StatusOr<PromotionDecision> decision = gate_.TryPromote(
-      std::move(candidate), windows, shadow_indices, served->normalizer,
-      evaluator_);
-  detector_.ResetGroup(0);
+      std::move(candidate), windows, shadow_indices, served->normalizer);
+  detector_.Reset();
   if (!decision.ok()) return decision.status();
   return decision.value().promoted ? StreamEvent::kPromoted
                                    : StreamEvent::kRefused;

@@ -16,19 +16,10 @@ namespace sstban::streaming {
 
 struct AdaptationControllerOptions {
   StreamIngestorOptions ingest;
-  DriftDetectorOptions drift;  // the controller runs a single group (0)
   OnlineAdapterOptions adapter;
-  ShadowEvaluatorOptions shadow;
-  PromotionGateOptions gate;
   // Builds architecture-compatible empty models; backs incumbent cloning for
   // shadow scoring, candidate construction, and rollback.
   serving::ModelRegistry::ModelFactory factory;
-  // Slices between incumbent shadow evaluations; 0 = output_len.
-  int64_t eval_stride = 0;
-  // Newest matured windows held out for shadow scoring; the windows before
-  // them feed adaptation.
-  int64_t shadow_windows = 6;
-  int64_t adapt_windows = 24;
 };
 
 // What one OnSlice tick amounted to, most significant first.
@@ -47,9 +38,10 @@ enum class StreamEvent {
 const char* StreamEventName(StreamEvent event);
 
 // The drive-everything state machine: feed it one [N, C] slice per step and
-// it ingests, shadow-scores the serving incumbent on matured windows, runs
-// CUSUM drift detection over those errors, and on confirmed drift executes
-//   clone incumbent -> OnlineAdapter (label-free) -> ShadowEvaluator ->
+// it ingests, shadow-scores the serving incumbent on the newest matured
+// window every output_len slices, runs CUSUM drift detection over those
+// errors, and on confirmed drift executes
+//   clone incumbent -> OnlineAdapter (label-free) -> ShadowScore ->
 //   PromotionGate -> (hot-swap | refuse) -> DriftDetector reset,
 // then keeps watching the promoted model for post-promotion regression
 // (automatic rollback). Fully synchronous and deterministic: the same slice
@@ -58,6 +50,12 @@ const char* StreamEventName(StreamEvent event);
 // so a live ForecastServer keeps serving across promotions.
 class AdaptationController {
  public:
+  // An adaptation round fine-tunes on kAdaptWindows matured windows and
+  // scores candidate and incumbent on the kShadowWindows newest ones after
+  // them (a temporal holdout).
+  static constexpr int64_t kAdaptWindows = 24;
+  static constexpr int64_t kShadowWindows = 6;
+
   AdaptationController(AdaptationControllerOptions options,
                        serving::ModelRegistry* registry);
 
@@ -71,7 +69,6 @@ class AdaptationController {
   const StreamIngestor& ingestor() const { return ingestor_; }
   const DriftDetector& detector() const { return detector_; }
   const PromotionGate& gate() const { return gate_; }
-  const ShadowEvaluator& evaluator() const { return evaluator_; }
 
   int64_t evals() const { return evals_; }
   int64_t adaptation_rounds() const { return rounds_; }
@@ -88,10 +85,8 @@ class AdaptationController {
   serving::ModelRegistry* registry_;
   StreamIngestor ingestor_;
   DriftDetector detector_;
-  ShadowEvaluator evaluator_;
   PromotionGate gate_;
 
-  int64_t eval_stride_;
   int64_t last_eval_step_ = -1;
   int64_t evals_ = 0;
   int64_t rounds_ = 0;

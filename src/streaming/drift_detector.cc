@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/check.h"
-
 namespace sstban::streaming {
 
 const char* DriftStateName(DriftState state) {
@@ -18,103 +16,72 @@ const char* DriftStateName(DriftState state) {
   return "unknown";
 }
 
-DriftDetector::DriftDetector(DriftDetectorOptions options)
-    : options_(options) {
-  SSTBAN_CHECK_GT(options_.num_groups, 0);
-  SSTBAN_CHECK_GE(options_.warmup, 2);
-  SSTBAN_CHECK_GT(options_.threshold_sigma, 0.0);
-  SSTBAN_CHECK_GE(options_.confirm, 1);
-  SSTBAN_CHECK_GT(options_.clamp_sigma, options_.slack_sigma);
-  groups_.resize(static_cast<size_t>(options_.num_groups));
-}
-
-DriftState DriftDetector::Observe(int64_t group, double error) {
-  Group& g = groups_.at(static_cast<size_t>(group));
-  if (g.state == DriftState::kDrift) return g.state;
-  if (!std::isfinite(error)) {
-    // A non-finite error is a serving fault, not evidence about the traffic
-    // regime; the breaker/fallback layer owns it. Treat as a maximal
-    // (winsorized) excess so *sustained* breakage still confirms.
-    error = g.stddev > 0.0
-                ? g.mean + options_.clamp_sigma * g.stddev
-                : 0.0;
-  }
-  if (g.cooldown_left > 0) {
-    --g.cooldown_left;
-    g.state = g.cooldown_left > 0 ? DriftState::kCooldown : DriftState::kWarmup;
+DriftState DriftDetector::Observe(double error) {
+  if (state_ == DriftState::kDrift) return state_;
+  if (cooldown_left_ > 0) {
+    --cooldown_left_;
+    state_ = cooldown_left_ > 0 ? DriftState::kCooldown : DriftState::kWarmup;
     return DriftState::kCooldown;
   }
-  if (g.seen < options_.warmup) {
+  if (seen_ < kWarmup) {
+    // A fault during warmup has no baseline to be winsorized against; folding
+    // any stand-in value into the estimate would skew the frozen mean and
+    // stddev for the rest of the regime.
+    if (!std::isfinite(error)) return state_;
     // Welford accumulation of the baseline.
-    ++g.seen;
-    const double delta = error - g.mean;
-    g.mean += delta / static_cast<double>(g.seen);
-    g.m2 += delta * (error - g.mean);
-    if (g.seen == options_.warmup) {
+    ++seen_;
+    const double delta = error - mean_;
+    mean_ += delta / static_cast<double>(seen_);
+    m2_ += delta * (error - mean_);
+    if (seen_ == kWarmup) {
       // Future residuals are measured against the *estimated* mean, so their
       // variance is sigma^2 * (1 + 1/W); bake that inflation into the frozen
       // stddev or a W-sample baseline gives the CUSUM a positive drift under
       // pure baseline noise (slack and threshold would both be undersized).
-      const double var = g.m2 / static_cast<double>(g.seen - 1);
-      const double inflate = 1.0 + 1.0 / static_cast<double>(g.seen);
-      g.stddev = std::sqrt(std::max(var * inflate, 0.0));
+      const double var = m2_ / static_cast<double>(seen_ - 1);
+      const double inflate = 1.0 + 1.0 / static_cast<double>(seen_);
+      stddev_ = std::sqrt(std::max(var * inflate, 0.0));
       // Floor: a perfectly flat warmup error (tiny deterministic worlds)
       // must not make every later fluctuation register as infinite sigmas.
-      g.stddev = std::max(g.stddev, 1e-3 * std::max(std::abs(g.mean), 1.0));
-      g.state = DriftState::kStable;
+      stddev_ = std::max(stddev_, 1e-3 * std::max(std::abs(mean_), 1.0));
+      state_ = DriftState::kStable;
     } else {
-      g.state = DriftState::kWarmup;
+      state_ = DriftState::kWarmup;
     }
-    return g.state;
+    return state_;
   }
 
-  ++g.post_warmup;
-  const double clamped =
-      std::min(error, g.mean + options_.clamp_sigma * g.stddev);
-  const double excess = clamped - g.mean - options_.slack_sigma * g.stddev;
-  g.cusum = std::max(0.0, g.cusum + excess);
+  // A fault counts as the largest excess one observation may add, so
+  // sustained breakage still confirms.
+  if (!std::isfinite(error)) error = mean_ + kClampSigma * stddev_;
+  ++post_warmup_;
+  const double clamped = std::min(error, mean_ + kClampSigma * stddev_);
+  const double excess = clamped - mean_ - kSlackSigma * stddev_;
+  cusum_ = std::max(0.0, cusum_ + excess);
 
-  if (g.cusum > options_.threshold_sigma * g.stddev) {
-    ++g.trip_streak;
-    if (g.trip_streak >= options_.confirm) {
-      g.state = DriftState::kDrift;
-      g.confirmed_after = g.post_warmup;
+  if (cusum_ > kThresholdSigma * stddev_) {
+    ++trip_streak_;
+    if (trip_streak_ >= kConfirm) {
+      state_ = DriftState::kDrift;
+      confirmed_after_ = post_warmup_;
     } else {
-      g.state = DriftState::kSuspect;
+      state_ = DriftState::kSuspect;
     }
   } else {
-    g.trip_streak = 0;
-    g.state = DriftState::kStable;
+    trip_streak_ = 0;
+    state_ = DriftState::kStable;
   }
-  return g.state;
+  return state_;
 }
 
-DriftState DriftDetector::state(int64_t group) const {
-  return groups_.at(static_cast<size_t>(group)).state;
+double DriftDetector::cusum_sigma() const {
+  return stddev_ > 0.0 ? cusum_ / stddev_ : 0.0;
 }
 
-double DriftDetector::cusum_sigma(int64_t group) const {
-  const Group& g = groups_.at(static_cast<size_t>(group));
-  return g.stddev > 0.0 ? g.cusum / g.stddev : 0.0;
-}
-
-double DriftDetector::baseline_mean(int64_t group) const {
-  return groups_.at(static_cast<size_t>(group)).mean;
-}
-
-double DriftDetector::baseline_stddev(int64_t group) const {
-  return groups_.at(static_cast<size_t>(group)).stddev;
-}
-
-int64_t DriftDetector::observations_to_confirm(int64_t group) const {
-  return groups_.at(static_cast<size_t>(group)).confirmed_after;
-}
-
-void DriftDetector::ResetGroup(int64_t group) {
-  Group& g = groups_.at(static_cast<size_t>(group));
-  g = Group();
-  g.cooldown_left = options_.cooldown;
-  g.state = g.cooldown_left > 0 ? DriftState::kCooldown : DriftState::kWarmup;
+void DriftDetector::Reset() {
+  *this = DriftDetector();
+  cooldown_left_ = kCooldown;
+  state_ = DriftState::kCooldown;
 }
 
 }  // namespace sstban::streaming

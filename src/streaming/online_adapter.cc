@@ -27,8 +27,6 @@ constexpr uint64_t kSamplingSeed = 17;
 OnlineAdapter::OnlineAdapter(OnlineAdapterOptions options)
     : options_(std::move(options)) {
   SSTBAN_CHECK_GT(options_.num_steps, 0);
-  SSTBAN_CHECK_GT(options_.batch_size, 0);
-  SSTBAN_CHECK_GT(options_.checkpoint_every_steps, 0);
 }
 
 core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
@@ -84,7 +82,7 @@ core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
   };
 
   const int64_t pool = static_cast<int64_t>(indices.size());
-  const int64_t k = std::min(options_.batch_size, pool);
+  const int64_t k = std::min(kBatchSize, pool);
   model->SetTraining(true);
   for (int64_t step = report.start_step; step < options_.num_steps; ++step) {
     SSTBAN_FAILPOINT("adapt_step");
@@ -106,7 +104,7 @@ core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
     report.step_loss.push_back(loss.item());
     ++report.steps_run;
     if (!options_.checkpoint_dir.empty() &&
-        ((step + 1) % options_.checkpoint_every_steps == 0 ||
+        ((step + 1) % kCheckpointEvery == 0 ||
          step + 1 == options_.num_steps)) {
       // Cadence in *absolute* steps, so a resumed round writes the same
       // checkpoint files an uninterrupted one would — byte-comparable.

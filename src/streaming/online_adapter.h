@@ -15,16 +15,14 @@ namespace sstban::streaming {
 struct OnlineAdapterOptions {
   // Fine-tuning steps per adaptation round.
   int64_t num_steps = 48;
-  int64_t batch_size = 8;
   // Crash-safety: when non-empty, the adapter persists a full-state
-  // training::TrainCheckpoint here every `checkpoint_every_steps` steps (and
-  // at the final step) via core::WriteFileAtomic, and continues from the
-  // newest valid checkpoint instead of starting over. The directory must be
-  // dedicated to one adaptation round: stale checkpoints from an
+  // training::TrainCheckpoint here every OnlineAdapter::kCheckpointEvery
+  // steps (and at the final step) via core::WriteFileAtomic, and continues
+  // from the newest valid checkpoint instead of starting over. The directory
+  // must be dedicated to one adaptation round: stale checkpoints from an
   // architecture- or window-compatible *previous* round would otherwise
   // resume into the wrong run.
   std::string checkpoint_dir;
-  int64_t checkpoint_every_steps = 8;
 };
 
 struct AdaptReport {
@@ -46,6 +44,10 @@ struct AdaptReport {
 // Adam step/moments, the sampling RNG, and the model's mask RNG.
 class OnlineAdapter {
  public:
+  // Windows sampled per step, and the checkpoint cadence in absolute steps.
+  static constexpr int64_t kBatchSize = 8;
+  static constexpr int64_t kCheckpointEvery = 8;
+
   explicit OnlineAdapter(OnlineAdapterOptions options);
 
   // Fine-tunes `model` in place on the windows named by `indices` (positions

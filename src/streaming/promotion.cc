@@ -8,65 +8,45 @@
 
 #include "core/check.h"
 #include "core/failpoint.h"
-#include "tensor/ops.h"
-#include "training/forecast_service.h"
-#include "training/metrics.h"
+#include "training/trainer.h"
 
 namespace sstban::streaming {
 
-namespace t = ::sstban::tensor;
+namespace {
 
-ShadowEvaluator::ShadowEvaluator(ShadowEvaluatorOptions options)
-    : options_(options) {
-  SSTBAN_CHECK_GT(options_.batch_size, 0);
-}
+// Windows per shadow forward.
+constexpr int64_t kShadowBatch = 8;
 
-core::StatusOr<double> ShadowEvaluator::Score(
-    training::TrafficModel* model, const data::WindowDataset& windows,
-    const std::vector<int64_t>& indices,
-    const data::Normalizer& normalizer) const {
+}  // namespace
+
+core::StatusOr<double> ShadowScore(training::TrafficModel* model,
+                                   const data::WindowDataset& windows,
+                                   const std::vector<int64_t>& indices,
+                                   const data::Normalizer& normalizer) {
   SSTBAN_CHECK(model != nullptr);
   SSTBAN_FAILPOINT("shadow_eval");
   if (indices.empty()) {
     return core::Status::InvalidArgument("no shadow windows to score on");
   }
-  training::MetricsAccumulator acc;
-  for (size_t begin = 0; begin < indices.size();
-       begin += static_cast<size_t>(options_.batch_size)) {
-    size_t end = std::min(begin + static_cast<size_t>(options_.batch_size),
-                          indices.size());
-    std::vector<int64_t> chunk(indices.begin() + begin, indices.begin() + end);
-    data::Batch batch = windows.MakeBatch(chunk);
-    t::Tensor denorm;
-    try {
-      denorm = training::RunBatchedInference(model, normalizer, batch);
-    } catch (const std::exception& e) {
-      return core::Status::Internal(std::string("shadow forward threw: ") +
-                                    e.what());
-    }
-    if (t::HasNonFinite(denorm)) {
-      return core::Status::Internal("shadow forward produced non-finite");
-    }
-    t::Tensor truth = batch.y;
-    if (options_.target_feature >= 0) {
-      denorm = t::Slice(denorm, -1, options_.target_feature, 1);
-      truth = t::Slice(truth, -1, options_.target_feature, 1);
-    }
-    acc.Add(denorm, truth);
+  double mae = 0.0;
+  try {
+    mae = training::Evaluate(model, windows, indices, normalizer, kShadowBatch)
+              .overall.mae;
+  } catch (const std::exception& e) {
+    return core::Status::Internal(std::string("shadow forward threw: ") +
+                                  e.what());
   }
-  return acc.Compute().mae;
+  if (!std::isfinite(mae)) {
+    return core::Status::Internal("shadow forward produced non-finite");
+  }
+  return mae;
 }
 
-PromotionGate::PromotionGate(PromotionGateOptions options,
-                             serving::ModelRegistry* registry,
+PromotionGate::PromotionGate(serving::ModelRegistry* registry,
                              serving::ModelRegistry::ModelFactory factory)
-    : options_(options),
-      registry_(registry),
-      factory_(std::move(factory)) {
+    : registry_(registry), factory_(std::move(factory)) {
   SSTBAN_CHECK(registry_ != nullptr);
   SSTBAN_CHECK(factory_ != nullptr);
-  SSTBAN_CHECK_GE(options_.min_relative_improvement, 0.0);
-  SSTBAN_CHECK_GE(options_.rollback_after, 1);
 }
 
 std::unique_ptr<training::TrafficModel> CloneWithWeights(
@@ -89,7 +69,7 @@ core::StatusOr<PromotionDecision> PromotionGate::TryPromote(
     std::unique_ptr<training::TrafficModel> candidate,
     const data::WindowDataset& shadow_windows,
     const std::vector<int64_t>& shadow_indices,
-    const data::Normalizer& normalizer, const ShadowEvaluator& evaluator) {
+    const data::Normalizer& normalizer) {
   SSTBAN_CHECK(candidate != nullptr);
   PromotionDecision decision;
   std::shared_ptr<const serving::ModelRegistry::Served> incumbent =
@@ -99,12 +79,9 @@ core::StatusOr<PromotionDecision> PromotionGate::TryPromote(
   // Candidate first: an unscorable candidate refuses immediately, regardless
   // of the incumbent's condition.
   core::StatusOr<double> cand =
-      evaluator.Score(candidate.get(), shadow_windows, shadow_indices,
-                      normalizer);
-  if (!cand.ok() || !std::isfinite(cand.value())) {
-    decision.reason = "candidate unscorable: " +
-                      (cand.ok() ? std::string("non-finite score")
-                                 : cand.status().ToString());
+      ShadowScore(candidate.get(), shadow_windows, shadow_indices, normalizer);
+  if (!cand.ok()) {
+    decision.reason = "candidate unscorable: " + cand.status().ToString();
     ++refusals_;
     last_decision_ = decision;
     return decision;
@@ -112,7 +89,7 @@ core::StatusOr<PromotionDecision> PromotionGate::TryPromote(
   decision.candidate_score = cand.value();
 
   // Incumbent scored through a weight-copied clone: the served instance may
-  // be running inference on the batcher thread right now, and Score flips
+  // be running inference on the batcher thread right now, and scoring flips
   // train/eval state. An unscorable incumbent (its forward throws — the
   // failure drift adaptation exists to recover from) counts as infinitely
   // bad, so a healthy candidate can still promote past it.
@@ -120,17 +97,13 @@ core::StatusOr<PromotionDecision> PromotionGate::TryPromote(
   if (incumbent != nullptr) {
     std::unique_ptr<training::TrafficModel> shadow_incumbent =
         CloneWithWeights(factory_, *incumbent->model);
-    core::StatusOr<double> inc =
-        evaluator.Score(shadow_incumbent.get(), shadow_windows, shadow_indices,
-                        normalizer);
-    if (inc.ok() && std::isfinite(inc.value())) incumbent_score = inc.value();
+    core::StatusOr<double> inc = ShadowScore(
+        shadow_incumbent.get(), shadow_windows, shadow_indices, normalizer);
+    if (inc.ok()) incumbent_score = inc.value();
   }
   decision.incumbent_score = incumbent_score;
 
-  const bool beats =
-      decision.candidate_score <
-      incumbent_score * (1.0 - options_.min_relative_improvement);
-  if (!beats) {
+  if (decision.candidate_score >= incumbent_score) {
     decision.reason = "candidate did not beat incumbent";
     ++refusals_;
     last_decision_ = decision;
@@ -172,14 +145,13 @@ core::StatusOr<PromotionDecision> PromotionGate::TryPromote(
 bool PromotionGate::ObserveLive(double error) {
   if (!monitoring_) return false;
   const double bound =
-      options_.rollback_factor *
-      std::max(promoted_score_, options_.rollback_floor);
+      kRollbackFactor * std::max(promoted_score_, kRollbackFloor);
   if (!std::isfinite(error) || error > bound) {
     ++regress_streak_;
   } else {
     regress_streak_ = 0;
   }
-  if (regress_streak_ < options_.rollback_after) return false;
+  if (regress_streak_ < kRollbackAfter) return false;
   Rollback();
   return true;
 }

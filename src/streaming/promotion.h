@@ -14,34 +14,18 @@
 
 namespace sstban::streaming {
 
-struct ShadowEvaluatorOptions {
-  int64_t batch_size = 8;
-  // Score only this feature channel (-1 = all), matching the serving
-  // deployment's headline metric.
-  int target_feature = -1;
-};
-
 // Scores a model on matured live windows (windows whose ground-truth horizon
-// has since been observed): denormalized forecast MAE, exactly the serving
-// metric. Used to score both the incumbent and an adapted candidate on the
-// *same* windows, which is what makes the promotion comparison fair.
-class ShadowEvaluator {
- public:
-  explicit ShadowEvaluator(ShadowEvaluatorOptions options);
-
-  // Failpoint `shadow_eval` fires first. A model that throws or produces
-  // non-finite forecasts scores Internal — the gate treats that as "do not
-  // promote" (candidate) or "incumbent unmeasurable, keep it" (incumbent).
-  core::StatusOr<double> Score(training::TrafficModel* model,
-                               const data::WindowDataset& windows,
-                               const std::vector<int64_t>& indices,
-                               const data::Normalizer& normalizer) const;
-
-  const ShadowEvaluatorOptions& options() const { return options_; }
-
- private:
-  ShadowEvaluatorOptions options_;
-};
+// has since been observed): training::Evaluate's denormalized forecast MAE
+// over every channel, exactly the serving metric. Used to score both the
+// incumbent and an adapted candidate on the *same* windows, which is what
+// makes the promotion comparison fair. Failpoint `shadow_eval` fires first.
+// Errors: InvalidArgument for empty `indices`; Internal for a model that
+// throws or scores non-finite — the gate treats that as "do not promote"
+// (candidate) or "incumbent unmeasurable, keep it" (incumbent).
+core::StatusOr<double> ShadowScore(training::TrafficModel* model,
+                                   const data::WindowDataset& windows,
+                                   const std::vector<int64_t>& indices,
+                                   const data::Normalizer& normalizer);
 
 // Builds a factory-fresh model carrying `source`'s weights (copied by
 // position; the factory contract guarantees an architecture-identical
@@ -51,18 +35,6 @@ class ShadowEvaluator {
 std::unique_ptr<training::TrafficModel> CloneWithWeights(
     const serving::ModelRegistry::ModelFactory& factory,
     const training::TrafficModel& source);
-
-struct PromotionGateOptions {
-  // Candidate must beat the incumbent by this relative margin:
-  // candidate < incumbent * (1 - min_relative_improvement).
-  double min_relative_improvement = 0.0;
-  // Post-promotion regression monitor: live error above
-  // rollback_factor * max(candidate shadow score, rollback_floor) for
-  // rollback_after consecutive observations rolls the previous weights back.
-  double rollback_factor = 1.5;
-  double rollback_floor = 1e-6;
-  int64_t rollback_after = 3;
-};
 
 struct PromotionDecision {
   bool promoted = false;
@@ -76,7 +48,7 @@ struct PromotionDecision {
 // Shadow-gated hot-swap with automatic rollback. Invariants (pinned by
 // streaming_chaos_test under every failure schedule):
 //   - the serving incumbent is never replaced by a candidate whose shadow
-//     score is not strictly better by the configured margin;
+//     score is not strictly better;
 //   - a swap fault (promote_swap failpoint) refuses the promotion and leaves
 //     the incumbent installed — rollback-by-not-committing;
 //   - a sustained post-promotion live regression reinstates the
@@ -87,10 +59,16 @@ struct PromotionDecision {
 // primary circuit breaker (CircuitBreaker::OnModelSwapped).
 class PromotionGate {
  public:
+  // Post-promotion regression monitor (DESIGN §15.4): a live error above
+  // kRollbackFactor * max(candidate shadow score, kRollbackFloor) for
+  // kRollbackAfter consecutive observations rolls the previous weights back.
+  static constexpr double kRollbackFactor = 1.5;
+  static constexpr double kRollbackFloor = 1e-6;
+  static constexpr int64_t kRollbackAfter = 3;
+
   // `factory` builds architecture-compatible empty models (the registry's
   // own factory works); it backs the rollback snapshot restore.
-  PromotionGate(PromotionGateOptions options,
-                serving::ModelRegistry* registry,
+  PromotionGate(serving::ModelRegistry* registry,
                 serving::ModelRegistry::ModelFactory factory);
 
   // Scores incumbent and candidate on the same shadow windows and promotes
@@ -102,7 +80,7 @@ class PromotionGate {
       std::unique_ptr<training::TrafficModel> candidate,
       const data::WindowDataset& shadow_windows,
       const std::vector<int64_t>& shadow_indices,
-      const data::Normalizer& normalizer, const ShadowEvaluator& evaluator);
+      const data::Normalizer& normalizer);
 
   // Feeds one live post-promotion error observation. Returns true when this
   // observation triggered a rollback. No-op (false) when no promotion is
@@ -118,7 +96,6 @@ class PromotionGate {
  private:
   void Rollback();
 
-  PromotionGateOptions options_;
   serving::ModelRegistry* registry_;
   serving::ModelRegistry::ModelFactory factory_;
 

@@ -13,33 +13,28 @@ namespace sstban::streaming {
 namespace t = ::sstban::tensor;
 
 StreamIngestor::StreamIngestor(StreamIngestorOptions options)
-    : options_(std::move(options)), sanitizer_(options_.sanitizer) {
+    : options_(std::move(options)),
+      capacity_(std::max<int64_t>(
+          8 * (options_.input_len + options_.output_len),
+          2 * options_.steps_per_day)),
+      sanitizer_(options_.sanitizer) {
   SSTBAN_CHECK_GT(options_.num_nodes, 0);
   SSTBAN_CHECK_GT(options_.num_features, 0);
   SSTBAN_CHECK_GT(options_.input_len, 0);
   SSTBAN_CHECK_GT(options_.output_len, 0);
   SSTBAN_CHECK_GT(options_.steps_per_day, 0);
-  if (options_.capacity <= 0) {
-    options_.capacity =
-        std::max<int64_t>(8 * (options_.input_len + options_.output_len),
-                          2 * options_.steps_per_day);
-  }
-  SSTBAN_CHECK_GE(options_.capacity,
-                  options_.input_len + options_.output_len);
   ring_ = t::Tensor::Zeros(
-      t::Shape{options_.capacity, options_.num_nodes, options_.num_features});
+      t::Shape{capacity_, options_.num_nodes, options_.num_features});
   staging_ =
       t::Tensor::Zeros(t::Shape{1, options_.num_nodes, options_.num_features});
-  const double halflife = std::max(options_.stats_halflife_slices, 1.0);
   // Per-reading decay: the half-life is expressed in slices, and every slice
   // contributes up to N readings per feature.
   stats_alpha_ =
       1.0 - std::exp(std::log(0.5) /
-                     (halflife * static_cast<double>(options_.num_nodes)));
+                     (kStatsHalflifeSlices *
+                      static_cast<double>(options_.num_nodes)));
   ew_mean_.assign(static_cast<size_t>(options_.num_features), 0.0);
   ew_var_.assign(static_cast<size_t>(options_.num_features), 0.0);
-  slice_sum_.assign(static_cast<size_t>(options_.num_features), 0.0);
-  slice_count_.assign(static_cast<size_t>(options_.num_features), 0);
 }
 
 core::Status StreamIngestor::Append(const t::Tensor& slice, int64_t step) {
@@ -105,13 +100,13 @@ core::Status StreamIngestor::Append(const t::Tensor& slice, int64_t step) {
   }
 
   // Commit to the ring.
-  const int64_t row = accepted_ % options_.capacity;
+  const int64_t row = accepted_ % capacity_;
   std::memcpy(ring_.data() + row * n * c, staging_.data(),
               static_cast<size_t>(n * c) * sizeof(float));
   started_ = true;
   next_step_ = step + 1;
   ++accepted_;
-  count_ = std::min(count_ + 1, options_.capacity);
+  count_ = std::min(count_ + 1, capacity_);
   return core::Status::Ok();
 }
 
@@ -150,7 +145,7 @@ core::StatusOr<t::Tensor> StreamIngestor::LatestWindow(
   t::Tensor out = t::Tensor::Empty(t::Shape{p, n, c});
   for (int64_t i = 0; i < p; ++i) {
     const int64_t logical = accepted_ - p + i;
-    const int64_t row = logical % options_.capacity;
+    const int64_t row = logical % capacity_;
     std::memcpy(out.data() + i * n * c, ring_.data() + row * n * c,
                 static_cast<size_t>(n * c) * sizeof(float));
   }
@@ -169,15 +164,14 @@ core::StatusOr<data::TrafficDataset> StreamIngestor::Snapshot(
   }
   const int64_t n = options_.num_nodes, c = options_.num_features;
   data::TrafficDataset dataset;
-  dataset.name = options_.name;
-  dataset.graph = options_.graph;
+  dataset.name = "stream";
   dataset.steps_per_day = options_.steps_per_day;
   dataset.signals = t::Tensor::Empty(t::Shape{take, n, c});
   dataset.time_of_day.resize(static_cast<size_t>(take));
   dataset.day_of_week.resize(static_cast<size_t>(take));
   for (int64_t i = 0; i < take; ++i) {
     const int64_t logical = accepted_ - take + i;
-    const int64_t row = logical % options_.capacity;
+    const int64_t row = logical % capacity_;
     std::memcpy(dataset.signals.data() + i * n * c, ring_.data() + row * n * c,
                 static_cast<size_t>(n * c) * sizeof(float));
     const int64_t step = next_step_ - take + i;

@@ -2,8 +2,6 @@
 #define SSTBAN_STREAMING_STREAM_INGESTOR_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/status.h"
@@ -20,21 +18,11 @@ struct StreamIngestorOptions {
   int64_t input_len = 12;
   int64_t output_len = 12;
   int64_t steps_per_day = 96;
-  // Ring size in slices; 0 derives a default large enough for adaptation
-  // snapshots (8 * (input_len + output_len), at least two days).
-  int64_t capacity = 0;
   // Value policy at the append boundary. Channels listed as degradable are
   // scrubbed (and excluded from the running stats); any non-finite reading in
   // a strict channel rejects the whole slice, so corrupt readings can never
   // poison the normalizer statistics.
   serving::SanitizerOptions sanitizer;
-  // Exponential half-life, in slices, of the running mean/variance the
-  // drift-aware normalizer is derived from.
-  double stats_halflife_slices = 256.0;
-  // Attached to snapshot datasets (MakeBatch never reads it; models take the
-  // graph from their own config). May be nullptr.
-  std::shared_ptr<graph::TrafficGraph> graph;
-  std::string name = "stream";
 };
 
 // Append-only ingestion boundary for live sensor readings. One slice = the
@@ -46,12 +34,16 @@ struct StreamIngestorOptions {
 //   - applies serving::InputSanitizer channel rules to the values,
 //   - maintains exponentially-weighted per-feature running moments over the
 //     readings that survived sanitization (the drift-aware normalizer), and
-//   - retains the last `capacity` slices in a preallocated ring, from which
+//   - retains the last capacity() slices in a preallocated ring, from which
 //     it assembles sliding windows for inference and adaptation snapshots.
 // The accepted-clean-slice path performs no heap allocation (gated by
 // bench_online_adaptation). Thread-compatible: callers serialize appends.
 class StreamIngestor {
  public:
+  // Exponential half-life, in slices, of the running mean/variance the
+  // drift-aware normalizer is derived from.
+  static constexpr double kStatsHalflifeSlices = 256.0;
+
   explicit StreamIngestor(StreamIngestorOptions options);
 
   // Appends the [N, C] slice observed at absolute index `step`. Failpoint
@@ -67,8 +59,11 @@ class StreamIngestor {
   // untouched in every rejection case — corrupt readings cannot poison them.
   core::Status Append(const tensor::Tensor& slice, int64_t step);
 
-  // Slices currently retained (<= capacity).
+  // Slices currently retained (<= capacity()).
   int64_t size() const { return count_; }
+  // Ring size in slices: enough for adaptation snapshots,
+  // 8 * (input_len + output_len), and at least two days.
+  int64_t capacity() const { return capacity_; }
   // The step the next Append must carry; 0 before the first append (the
   // first accepted slice pins the clock, which then advances by one per
   // accepted slice).
@@ -104,6 +99,7 @@ class StreamIngestor {
 
  private:
   StreamIngestorOptions options_;
+  int64_t capacity_;
   serving::InputSanitizer sanitizer_;
   tensor::Tensor ring_;     // [capacity, N, C]
   tensor::Tensor staging_;  // [1, N, C] scratch the sanitizer runs against
@@ -118,9 +114,6 @@ class StreamIngestor {
   double stats_alpha_ = 0.0;  // per-slice EW weight
   std::vector<double> ew_mean_;
   std::vector<double> ew_var_;
-  // Scratch for per-slice per-feature accumulation (avoids reallocating).
-  std::vector<double> slice_sum_;
-  std::vector<int64_t> slice_count_;
 };
 
 }  // namespace sstban::streaming

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "core/check.h"
+#include "core/thread_pool.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::tensor {
@@ -55,7 +55,7 @@ void ForEachItem(const AttentionDims& d,
   const int64_t madds = d.heads * d.lq * d.lk * d.dk;
   const int64_t min_chunk =
       std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
-  ParallelFor(0, d.batch, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, d.batch, [&](int64_t lo, int64_t hi) {
     for (int64_t b = lo; b < hi; ++b) fn(b);
   }, min_chunk);
 }
@@ -142,7 +142,7 @@ void RowBlockAttention(const float* q, const float* k, const float* v,
   const int64_t madds = block_rows * dk * lk;
   const int64_t min_chunk =
       std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
-  ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
     thread_local std::vector<float> scores;
     thread_local std::vector<float> slices;
     scores.resize(static_cast<size_t>(block_rows * lk));
@@ -306,7 +306,7 @@ Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
   const int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
   // Per-head probabilities, then the chain's head average.
   Tensor probs = Tensor::Empty(Shape{d.batch, d.heads, lq, lk});
-  ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
     thread_local std::vector<float> slices;
     slices.resize(static_cast<size_t>((kGemmRowBlock + lk) * dk));
     for (int64_t idx = lo; idx < hi; ++idx) {
@@ -349,7 +349,7 @@ void FusedAttentionBackward(const float* q, const float* k, const float* v,
   const bool gather = ld != dk;
   // Parallel over (batch item, head): each item's dK / dV accumulate across
   // its row blocks in a fixed sequential order.
-  ParallelFor(0, dims.batch * dims.heads, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, dims.batch * dims.heads, [&](int64_t lo, int64_t hi) {
     thread_local std::vector<float> probs;
     thread_local std::vector<float> dscores;
     thread_local std::vector<float> slices;

@@ -5,7 +5,6 @@
 
 #include "core/check.h"
 #include "core/thread_pool.h"
-#include "tensor/parallel.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::tensor {
@@ -207,7 +206,7 @@ void BatchedGemm(const float* pa, const float* pb, float* pc, int64_t batch,
   int64_t madds_per_item = std::min(m, kRowBlock) * std::max<int64_t>(k, 1) * n;
   int64_t min_chunk =
       std::max<int64_t>(1, kParallelMaddCutoff / std::max<int64_t>(madds_per_item, 1));
-  ParallelFor(
+  core::ParallelFor(
       0, items,
       [&](int64_t lo, int64_t hi) {
         for (int64_t idx = lo; idx < hi; ++idx) {

@@ -6,7 +6,7 @@
 #include <limits>
 
 #include "core/check.h"
-#include "tensor/parallel.h"
+#include "core/thread_pool.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::tensor {
@@ -22,7 +22,7 @@ Tensor SameShapeBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
     fn(pa + lo, pb + lo, po + lo, hi - lo);
   });
   return out;
@@ -46,7 +46,7 @@ Tensor RowBroadcastBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  ParallelFor(0, a.size() / n, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, a.size() / n, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) fn(pa + r * n, pb, po + r * n, n);
   }, std::max<int64_t>(1, 1024 / n));
   return out;
@@ -56,7 +56,7 @@ Tensor ScalarMap(const Tensor& a, float s, simd::ScalarMapFn fn) {
   Tensor out = Tensor::Empty(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
     fn(pa + lo, s, po + lo, hi - lo);
   });
   return out;
@@ -83,7 +83,7 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     const float* pb = b.data();
     float* po = out.data();
     int64_t n = out.size();
-    ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
+    core::ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i], pb[i]);
     });
     return out;
@@ -143,7 +143,7 @@ Tensor UnaryOp(const Tensor& a, UnaryFn fn) {
   const float* pa = a.data();
   float* po = out.data();
   int64_t n = out.size();
-  ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i]);
   });
   return out;
@@ -225,7 +225,7 @@ Tensor Relu(const Tensor& a) {
   Tensor out = Tensor::Empty(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
     fn(pa + lo, po + lo, hi - lo);
   });
   return out;
@@ -507,7 +507,7 @@ Tensor Softmax(const Tensor& a) {
   const float* in = a.data();
   float* po = out.data();
   const simd::SoftmaxRowFn fn = simd::Kernels().softmax_row;
-  ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       fn(in + r * cols, po + r * cols, cols);
     }

@@ -12,6 +12,7 @@
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
 #include "training/checkpoint.h"
+#include "training/forecast_service.h"
 
 namespace sstban::training {
 
@@ -175,8 +176,6 @@ EvalResult Evaluate(TrafficModel* model, const data::WindowDataset& windows,
                     const data::Normalizer& normalizer, int64_t batch_size,
                     bool per_horizon, int target_feature) {
   SSTBAN_CHECK(!indices.empty());
-  model->SetTraining(false);
-  autograd::NoGradGuard no_grad;
   int64_t horizon = windows.output_len();
   MetricsAccumulator overall;
   std::vector<MetricsAccumulator> horizon_acc;
@@ -191,11 +190,9 @@ EvalResult Evaluate(TrafficModel* model, const data::WindowDataset& windows,
     std::vector<int64_t> batch_indices(indices.begin() + begin,
                                        indices.begin() + end);
     data::Batch batch = windows.MakeBatch(batch_indices);
-    tensor::Tensor x_norm = normalizer.Transform(batch.x);
     core::Timer inf;
-    autograd::Variable pred = model->Predict(x_norm, batch);
+    tensor::Tensor denorm = RunBatchedInference(model, normalizer, batch);
     inference_seconds += inf.ElapsedSeconds();
-    tensor::Tensor denorm = normalizer.InverseTransform(pred.value());
     tensor::Tensor truth = batch.y;
     if (target_feature >= 0) {
       denorm = tensor::Slice(denorm, -1, target_feature, 1);

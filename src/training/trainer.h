@@ -69,6 +69,7 @@ struct EvalResult {
   // Metrics at each forecast step 1..Q (Fig. 4's horizon curves); filled
   // only when requested.
   std::vector<Metrics> per_horizon;
+  // Time in RunBatchedInference: normalize, forward, denormalize.
   double inference_seconds = 0.0;
 };
 
@@ -95,8 +96,9 @@ class Trainer {
 // gradient norm at 5 and applies Adam.
 void TrainStep(autograd::Variable loss, optim::Adam* optimizer);
 
-// Runs the model over the given windows and aggregates denormalized
-// metrics. Gradients are disabled for the duration.
+// Runs the model over the given windows, `batch_size` at a time through
+// RunBatchedInference (eval mode, gradients off), and aggregates
+// denormalized metrics.
 EvalResult Evaluate(TrafficModel* model, const data::WindowDataset& windows,
                     const std::vector<int64_t>& indices,
                     const data::Normalizer& normalizer, int64_t batch_size,

@@ -32,7 +32,6 @@
 #include "tensor/fused_attention.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 #include "tensor/simd/kernels.h"
 #include "tensor/tensor.h"
 #include "training/forecast_service.h"

@@ -222,24 +222,26 @@ struct FakeClock {
   void Advance(std::chrono::milliseconds d) { now += d; }
 };
 
-CircuitBreakerOptions SmallBreaker() {
-  CircuitBreakerOptions options;
-  options.window = 4;
-  options.min_samples = 2;
-  options.error_rate_threshold = 0.5;
-  options.cooldown = std::chrono::milliseconds(100);
-  options.max_cooldown = std::chrono::milliseconds(1000);
-  options.probe_successes_to_close = 2;
-  return options;
+// Records kMinSamples failures: the fewest outcomes that can open a closed
+// breaker.
+void Trip(CircuitBreaker& breaker) {
+  for (int64_t i = 0; i < CircuitBreaker::kMinSamples; ++i) {
+    ASSERT_TRUE(breaker.Allow());
+    breaker.RecordFailure();
+  }
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 }
 
 TEST(CircuitBreakerTest, TripsOnErrorRateAndShedsLoad) {
   FakeClock clock;
-  CircuitBreaker breaker(SmallBreaker(), clock.fn());
+  CircuitBreaker breaker(clock.fn());
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);  // min_samples
+  // Seven failures in a row are still a cold start, not an error rate.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(breaker.Allow());
+    breaker.RecordFailure();
+  }
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   ASSERT_TRUE(breaker.Allow());
   breaker.RecordFailure();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
@@ -248,22 +250,40 @@ TEST(CircuitBreakerTest, TripsOnErrorRateAndShedsLoad) {
   EXPECT_EQ(breaker.stats().rejected, 1);
 }
 
+TEST(CircuitBreakerTest, TripsWhenHalfTheWindowFails) {
+  FakeClock clock;
+  CircuitBreaker breaker(clock.fn());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(breaker.Allow());
+    breaker.RecordSuccess();
+  }
+  // Four failures take the window to 3 of 8, then 4 of 9: under half.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(breaker.Allow());
+    breaker.RecordFailure();
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed) << i;
+  }
+  // 5 of 10: half, open.
+  ASSERT_TRUE(breaker.Allow());
+  breaker.RecordFailure();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+}
+
 TEST(CircuitBreakerTest, HalfOpenProbesCloseAfterSuccesses) {
   FakeClock clock;
-  CircuitBreaker breaker(SmallBreaker(), clock.fn());
-  breaker.Allow();
-  breaker.RecordFailure();
-  breaker.Allow();
-  breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  CircuitBreaker breaker(clock.fn());
+  Trip(breaker);
 
-  clock.Advance(std::chrono::milliseconds(101));
+  clock.Advance(std::chrono::milliseconds(99));
+  EXPECT_FALSE(breaker.Allow());  // cooldown is 100 ms
+  clock.Advance(std::chrono::milliseconds(1));
   ASSERT_TRUE(breaker.Allow());  // first probe
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  ASSERT_TRUE(breaker.Allow());   // second probe (limit = successes_to_close)
+  ASSERT_TRUE(breaker.Allow());   // second probe
   EXPECT_FALSE(breaker.Allow());  // no more concurrent probes
   breaker.RecordSuccess();
-  breaker.RecordSuccess();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
+  breaker.RecordSuccess();  // two successful probes close it
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(breaker.stats().probes, 2);
   EXPECT_EQ(breaker.stats().consecutive_trips, 0);  // backoff reset
@@ -271,11 +291,8 @@ TEST(CircuitBreakerTest, HalfOpenProbesCloseAfterSuccesses) {
 
 TEST(CircuitBreakerTest, FailedProbeReopensWithExponentialBackoff) {
   FakeClock clock;
-  CircuitBreaker breaker(SmallBreaker(), clock.fn());
-  breaker.Allow();
-  breaker.RecordFailure();
-  breaker.Allow();
-  breaker.RecordFailure();  // trip 1: cooldown 100ms
+  CircuitBreaker breaker(clock.fn());
+  Trip(breaker);  // trip 1: cooldown 100ms
 
   clock.Advance(std::chrono::milliseconds(101));
   ASSERT_TRUE(breaker.Allow());
@@ -289,14 +306,24 @@ TEST(CircuitBreakerTest, FailedProbeReopensWithExponentialBackoff) {
   EXPECT_TRUE(breaker.Allow());  // 201ms total: doubled cooldown expired
 }
 
+TEST(CircuitBreakerTest, BackoffDoublesUpToAFiveSecondCap) {
+  FakeClock clock;
+  CircuitBreaker breaker(clock.fn());
+  Trip(breaker);
+  for (int64_t cooldown_ms : {100, 200, 400, 800, 1600, 3200, 5000, 5000}) {
+    clock.Advance(std::chrono::milliseconds(cooldown_ms - 1));
+    EXPECT_FALSE(breaker.Allow()) << cooldown_ms;
+    clock.Advance(std::chrono::milliseconds(1));
+    ASSERT_TRUE(breaker.Allow()) << cooldown_ms;
+    breaker.RecordFailure();  // the probe fails: re-open, doubled
+  }
+  EXPECT_EQ(breaker.stats().trips, 9);
+}
+
 TEST(CircuitBreakerTest, ModelSwapResetsToClosed) {
   FakeClock clock;
-  CircuitBreaker breaker(SmallBreaker(), clock.fn());
-  breaker.Allow();
-  breaker.RecordFailure();
-  breaker.Allow();
-  breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  CircuitBreaker breaker(clock.fn());
+  Trip(breaker);
   breaker.OnModelSwapped();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_TRUE(breaker.Allow());
@@ -566,14 +593,15 @@ TEST(ServerFallbackTest, ThrowingModelIsAbsorbedAndBreakerTrips) {
   ServerOptions options = TinyServerOptions();
   options.max_batch = 1;
   options.max_wait = std::chrono::microseconds(0);
-  options.fallback.primary_breaker.window = 4;
-  options.fallback.primary_breaker.min_samples = 2;
-  options.fallback.primary_breaker.cooldown = std::chrono::seconds(30);
   ForecastServer server(options, &registry);
   server.SetVarBaseline(FittedVar(*dataset, norm));
   ASSERT_TRUE(server.Start().ok());
 
-  for (int i = 0; i < 6; ++i) {
+  // One batch per request: the eighth failure trips the breaker, and the
+  // requests after it are shed to VAR (or, once the cooldown has passed,
+  // probe the model, fail and re-open it).
+  constexpr int kRequests = CircuitBreaker::kMinSamples + 2;
+  for (int i = 0; i < kRequests; ++i) {
     ForecastRequest request;
     request.recent = t::Slice(dataset->signals, 0, i, kSteps);
     request.first_step = i;
@@ -589,7 +617,7 @@ TEST(ServerFallbackTest, ThrowingModelIsAbsorbedAndBreakerTrips) {
   server.Shutdown();
 
   auto snap = server.stats().TakeSnapshot();
-  EXPECT_EQ(snap.served_var, 6);
+  EXPECT_EQ(snap.served_var, kRequests);
   EXPECT_EQ(snap.served_model, 0);
   EXPECT_GE(snap.resilience.primary_trips, 1);
   EXPECT_EQ(snap.resilience.primary_breaker_state, "open");
@@ -754,9 +782,7 @@ TEST(ChaosTest, EveryRequestTerminatesUnderEveryFaultSchedule) {
         [config] { return std::make_unique<model_ns::SstbanModel>(config); },
         norm);
     registry.Install(std::make_unique<model_ns::SstbanModel>(config));
-    ServerOptions options = TinyServerOptions();
-    options.fallback.primary_breaker.min_samples = 4;
-    ForecastServer server(options, &registry);
+    ForecastServer server(TinyServerOptions(), &registry);
     server.SetVarBaseline(FittedVar(*dataset, norm));
     ASSERT_TRUE(server.Start().ok());
 

@@ -53,7 +53,9 @@ TEST_F(StoragePoolTest, SizeClassRounding) {
   for (int64_t n = 1; n < 5000; n += 7) {
     int64_t cap = StoragePool::RoundUpCapacity(n);
     EXPECT_GE(cap, n);
-    if (n > 64) EXPECT_LE(cap, n + (n + 3) / 4) << n;
+    if (n > 64) {
+      EXPECT_LE(cap, n + (n + 3) / 4) << n;
+    }
     EXPECT_EQ(StoragePool::RoundUpCapacity(cap), cap) << "classes are fixed points";
   }
 }

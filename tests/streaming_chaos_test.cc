@@ -111,8 +111,7 @@ double TrueMae(float bias) { return std::abs(bias - kTruth); }
 
 TEST(StreamingChaosTest, IncumbentErrorIsMonotoneUnderEverySchedule) {
   ChaosRig rig = MakeRig(/*incumbent_bias=*/0.0f);
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGate gate(PromotionGateOptions{}, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
 
   // A deterministic mix of candidate qualities and fault schedules. The
   // per-round Clear of the two gate failpoints also clears any ambient
@@ -140,7 +139,7 @@ TEST(StreamingChaosTest, IncumbentErrorIsMonotoneUnderEverySchedule) {
     const float bias_before = ServedBias(*rig.registry);
     auto decision = gate.TryPromote(
         std::make_unique<BiasModel>(candidate_bias), *rig.windows,
-        rig.shadow_indices, rig.normalizer, evaluator);
+        rig.shadow_indices, rig.normalizer);
     core::FailPoint::Clear("shadow_eval");
     core::FailPoint::Clear("promote_swap");
     ASSERT_TRUE(decision.ok());
@@ -172,14 +171,11 @@ TEST(StreamingChaosTest, IncumbentErrorIsMonotoneUnderEverySchedule) {
 
 TEST(StreamingChaosTest, RegressionAfterPromotionAlwaysRollsBack) {
   ChaosRig rig = MakeRig(/*incumbent_bias=*/1.0f);
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGateOptions options;
-  options.rollback_after = 2;
-  PromotionGate gate(options, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
 
   auto decision =
       gate.TryPromote(std::make_unique<BiasModel>(2.5f), *rig.windows,
-                      rig.shadow_indices, rig.normalizer, evaluator);
+                      rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(decision.ok());
   if (!decision.value().promoted) {
     // Only an ambient fault schedule can refuse this strictly-better
@@ -189,7 +185,9 @@ TEST(StreamingChaosTest, RegressionAfterPromotionAlwaysRollsBack) {
   }
   // The model regressed in live traffic. The rollback path has no failpoint
   // by design, so this must succeed even under an ambient fault schedule.
-  EXPECT_FALSE(gate.ObserveLive(1e9));
+  for (int64_t i = 1; i < PromotionGate::kRollbackAfter; ++i) {
+    EXPECT_FALSE(gate.ObserveLive(1e9));
+  }
   EXPECT_TRUE(gate.ObserveLive(1e9));
   EXPECT_EQ(gate.rollbacks(), 1);
   EXPECT_FLOAT_EQ(ServedBias(*rig.registry), 1.0f);
@@ -244,10 +242,7 @@ TEST(StreamingChaosTest, EveryRequestReachesExactlyOneTerminalAcrossSwaps) {
 
   // Meanwhile: promotions, refusals, faulted swaps, and rollbacks hot-swap
   // the registry under the serving path.
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGateOptions gate_options;
-  gate_options.rollback_after = 1;
-  PromotionGate gate(gate_options, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
   core::Rng rng(7);
   for (int round = 0; round < 24; ++round) {
     const float candidate_bias =
@@ -258,11 +253,14 @@ TEST(StreamingChaosTest, EveryRequestReachesExactlyOneTerminalAcrossSwaps) {
     }
     auto decision = gate.TryPromote(
         std::make_unique<BiasModel>(candidate_bias), *rig.windows,
-        rig.shadow_indices, rig.normalizer, evaluator);
+        rig.shadow_indices, rig.normalizer);
     core::FailPoint::Clear("promote_swap");
     ASSERT_TRUE(decision.ok());
     if (decision.value().promoted && rng.NextBelow(2) == 0) {
-      gate.ObserveLive(1e9);  // immediate regression: rollback mid-traffic
+      // Immediate regression: rollback mid-traffic.
+      for (int64_t i = 0; i < PromotionGate::kRollbackAfter; ++i) {
+        gate.ObserveLive(1e9);
+      }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

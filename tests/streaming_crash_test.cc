@@ -38,7 +38,9 @@ namespace sstban {
 namespace fs = std::filesystem;
 namespace model_ns = ::sstban::sstban;
 
-constexpr int64_t kAdaptSteps = 6;
+// Checkpoints land at steps 8 and 16 (OnlineAdapter::kCheckpointEvery) and
+// at the final step 18.
+constexpr int64_t kAdaptSteps = 18;
 
 model_ns::SstbanConfig WorkerModelConfig() {
   model_ns::SstbanConfig config;
@@ -82,8 +84,6 @@ int RunCrashTestWorker() {
   model_ns::SstbanModel model(WorkerModelConfig());
   streaming::OnlineAdapterOptions options;
   options.num_steps = kAdaptSteps;
-  options.batch_size = 4;
-  options.checkpoint_every_steps = 2;
   options.checkpoint_dir = dir;
   auto report = streaming::OnlineAdapter(options).Adapt(&model, windows,
                                                         indices, normalizer);
@@ -158,20 +158,20 @@ void KillResumeCompare(const std::string& tag, const std::string& schedule,
   EXPECT_EQ(ReadAll(dir_ref + last), ReadAll(dir_cut + last));
 }
 
-// Stage 1: killed mid fine-tuning step (the 5th step, past the step-4
+// Stage 1: killed mid fine-tuning step (the 17th step, past the step-16
 // checkpoint).
 TEST(StreamingCrashTest, KillMidAdaptStepResumesBitwise) {
-  KillResumeCompare("adapt_step", "adapt_step=crash@5", /*num_threads=*/1);
+  KillResumeCompare("adapt_step", "adapt_step=crash@17", /*num_threads=*/1);
 }
 
 TEST(StreamingCrashTest, KillMidAdaptStepResumesBitwiseEightThreads) {
-  KillResumeCompare("adapt_step_mt", "adapt_step=crash@5",
+  KillResumeCompare("adapt_step_mt", "adapt_step=crash@17",
                     /*num_threads=*/8);
 }
 
 // Stage 2: killed at the checkpoint-write gate itself (the second write,
-// i.e. after step 4 ran but before its state persisted): resume falls back
-// to the step-2 checkpoint and replays.
+// i.e. after step 16 ran but before its state persisted): resume falls back
+// to the step-8 checkpoint and replays.
 TEST(StreamingCrashTest, KillAtCheckpointWriteGateResumesBitwise) {
   KillResumeCompare("ckpt_gate", "adapt_ckpt_write=crash@2",
                     /*num_threads=*/1);
@@ -182,9 +182,9 @@ TEST(StreamingCrashTest, KillAtCheckpointWriteGateResumesBitwiseEightThreads) {
                     /*num_threads=*/8);
 }
 
-// Stage 3: killed inside the checkpoint layer, mid-rename: the step-4
+// Stage 3: killed inside the checkpoint layer, mid-rename: the step-16
 // checkpoint's temp file is orphaned, its final path never appears, and
-// resume falls back to step 2 — the atomic-write contract the adapter
+// resume falls back to step 8 — the atomic-write contract the adapter
 // inherits from training::SaveTrainCheckpoint.
 TEST(StreamingCrashTest, KillMidCheckpointRenameResumesFromOlderOne) {
   KillResumeCompare("ckpt_rename", "ckpt_rename=crash@2", /*num_threads=*/1);

@@ -49,7 +49,10 @@ data::SyntheticWorldConfig WorldConfig() {
   config.num_nodes = kNodes;
   config.num_corridors = 2;
   config.steps_per_day = kStepsPerDay;
-  config.num_days = 10;
+  // Half the stream, before the drift, is 180 slices: 29 shadow scores, one
+  // every Q = 6 slices once P + Q are in, so the detector's 16-score warmup
+  // is done and its baseline has been stable for 13 before the shift.
+  config.num_days = 30;
   config.seed = 50;
   return config;
 }
@@ -112,16 +115,7 @@ Deployment MakeDeployment() {
   options.ingest.input_len = kSteps;
   options.ingest.output_len = kSteps;
   options.ingest.steps_per_day = kStepsPerDay;
-  options.drift.warmup = 10;
-  options.drift.slack_sigma = 1.0;
-  options.drift.threshold_sigma = 6.0;
-  options.drift.confirm = 2;
-  options.drift.cooldown = 4;
   options.adapter.num_steps = 6;
-  options.adapter.batch_size = 4;
-  options.eval_stride = 3;
-  options.shadow_windows = 4;
-  options.adapt_windows = 12;
   options.factory = d.factory;
   d.controller =
       std::make_unique<AdaptationController>(options, d.registry.get());

@@ -200,15 +200,16 @@ TEST_F(StreamIngestorTest, DegradableChannelScrubsAndExcludesFromStats) {
 }
 
 TEST_F(StreamIngestorTest, RunningNormalizerTracksLevelShift) {
-  StreamIngestorOptions options = TinyIngestOptions();
-  options.stats_halflife_slices = 2.0;  // fast stats for the test
-  StreamIngestor ingestor(options);
+  StreamIngestor ingestor(TinyIngestOptions());
   EXPECT_EQ(ingestor.RunningNormalizer().status().code(),
             core::StatusCode::kFailedPrecondition);
 
+  // The stats forget with a half-life of 256 slices, so each regime runs
+  // six half-lives: long enough to leave under 2% of the previous level in
+  // the estimate.
   core::Rng rng(3);
   int64_t s = 0;
-  for (; s < 40; ++s) {
+  for (; s < 6 * 256; ++s) {
     ASSERT_TRUE(
         ingestor
             .Append(t::Tensor::RandomNormal(t::Shape{kNodes, kFeatures}, rng,
@@ -217,7 +218,7 @@ TEST_F(StreamIngestorTest, RunningNormalizerTracksLevelShift) {
             .ok());
   }
   EXPECT_NEAR(ingestor.running_mean(0), 1.0, 0.15);
-  for (; s < 80; ++s) {  // the regime shifts: recalibrated sensors
+  for (; s < 12 * 256; ++s) {  // the regime shifts: recalibrated sensors
     ASSERT_TRUE(
         ingestor
             .Append(t::Tensor::RandomNormal(t::Shape{kNodes, kFeatures}, rng,
@@ -230,25 +231,25 @@ TEST_F(StreamIngestorTest, RunningNormalizerTracksLevelShift) {
 }
 
 TEST_F(StreamIngestorTest, RingWrapsAndSnapshotKeepsCalendarConsistent) {
-  StreamIngestorOptions options = TinyIngestOptions();
-  options.capacity = 2 * kSteps;  // minimum: one P+Q span
-  StreamIngestor ingestor(options);
+  StreamIngestor ingestor(TinyIngestOptions());
+  const int64_t capacity = ingestor.capacity();
+  EXPECT_EQ(capacity, 8 * (kSteps + kSteps));  // two days is less here
   const int64_t start = kStepsPerDay + 3;  // tod 3, dow 1 at stream start
-  const int64_t total = 5 * kSteps;        // wraps the ring twice
+  const int64_t total = 2 * capacity + kSteps;  // wraps the ring twice
   for (int64_t i = 0; i < total; ++i) {
     ASSERT_TRUE(
         ingestor.Append(FlatSlice(static_cast<float>(i)), start + i).ok());
   }
-  EXPECT_EQ(ingestor.size(), 2 * kSteps);
+  EXPECT_EQ(ingestor.size(), capacity);
 
   auto snapshot = ingestor.Snapshot();
   ASSERT_TRUE(snapshot.ok());
   const data::TrafficDataset& dataset = snapshot.value();
-  ASSERT_EQ(dataset.num_steps(), 2 * kSteps);
+  ASSERT_EQ(dataset.num_steps(), capacity);
   for (int64_t i = 0; i < dataset.num_steps(); ++i) {
-    const int64_t step = start + total - 2 * kSteps + i;
+    const int64_t step = start + total - capacity + i;
     EXPECT_FLOAT_EQ(dataset.signals.data()[i * kNodes * kFeatures],
-                    static_cast<float>(total - 2 * kSteps + i));
+                    static_cast<float>(total - capacity + i));
     EXPECT_EQ(dataset.time_of_day[i], step % kStepsPerDay);
     EXPECT_EQ(dataset.day_of_week[i], (step / kStepsPerDay) % 7);
   }
@@ -268,82 +269,93 @@ TEST_F(StreamIngestorTest, IngestAppendFailpointPropagatesAndLeavesNoTrace) {
 
 // -- DriftDetector -----------------------------------------------------------
 
-DriftDetectorOptions TinyDriftOptions() {
-  DriftDetectorOptions options;
-  options.warmup = 16;
-  options.confirm = 3;
-  options.threshold_sigma = 8.0;
-  options.cooldown = 4;
-  return options;
-}
-
 TEST_F(DriftDetectorTest, StableUnderBaselineNoise) {
-  DriftDetector detector(TinyDriftOptions());
+  DriftDetector detector;
   core::Rng rng(5);
   for (int i = 0; i < 100; ++i) {
-    DriftState state =
-        detector.Observe(0, 1.0 + 0.1 * rng.NextGaussian());
+    DriftState state = detector.Observe(1.0 + 0.1 * rng.NextGaussian());
     EXPECT_NE(state, DriftState::kDrift);
   }
-  EXPECT_EQ(detector.state(0), DriftState::kStable);
-  EXPECT_NEAR(detector.baseline_mean(0), 1.0, 0.1);
+  EXPECT_EQ(detector.state(), DriftState::kStable);
+  EXPECT_NEAR(detector.baseline_mean(), 1.0, 0.1);
 }
 
 TEST_F(DriftDetectorTest, SingleSpikeEvenInfiniteDoesNotConfirm) {
-  DriftDetector detector(TinyDriftOptions());
+  DriftDetector detector;
   core::Rng rng(6);
   for (int i = 0; i < 30; ++i) {
-    detector.Observe(0, 1.0 + 0.1 * rng.NextGaussian());
+    detector.Observe(1.0 + 0.1 * rng.NextGaussian());
   }
   // One absurd error — a breaker trip, one batch served by the fallback
   // chain. Winsorization caps its contribution below the trip threshold,
   // and the hysteresis streak cannot build from one observation.
-  detector.Observe(0, std::numeric_limits<double>::infinity());
-  EXPECT_NE(detector.state(0), DriftState::kDrift);
+  detector.Observe(std::numeric_limits<double>::infinity());
+  EXPECT_NE(detector.state(), DriftState::kDrift);
   for (int i = 0; i < 20; ++i) {
-    detector.Observe(0, 1.0 + 0.1 * rng.NextGaussian());
+    detector.Observe(1.0 + 0.1 * rng.NextGaussian());
   }
-  EXPECT_EQ(detector.state(0), DriftState::kStable);
+  EXPECT_EQ(detector.state(), DriftState::kStable);
 }
 
 TEST_F(DriftDetectorTest, SustainedShiftConfirmsAndLatches) {
-  DriftDetector detector(TinyDriftOptions());
+  DriftDetector detector;
   core::Rng rng(7);
   for (int i = 0; i < 30; ++i) {
-    detector.Observe(0, 1.0 + 0.1 * rng.NextGaussian());
+    detector.Observe(1.0 + 0.1 * rng.NextGaussian());
   }
   DriftState state = DriftState::kStable;
   int to_confirm = 0;
   while (state != DriftState::kDrift && to_confirm < 200) {
-    state = detector.Observe(0, 3.0 + 0.1 * rng.NextGaussian());
+    state = detector.Observe(3.0 + 0.1 * rng.NextGaussian());
     ++to_confirm;
   }
   EXPECT_EQ(state, DriftState::kDrift);
-  EXPECT_GE(detector.observations_to_confirm(0), TinyDriftOptions().confirm);
+  EXPECT_GE(detector.observations_to_confirm(), DriftDetector::kConfirm);
   // Latched: even good errors do not clear a confirmed drift.
-  EXPECT_EQ(detector.Observe(0, 1.0), DriftState::kDrift);
+  EXPECT_EQ(detector.Observe(1.0), DriftState::kDrift);
 
-  detector.ResetGroup(0);
-  EXPECT_EQ(detector.state(0), DriftState::kCooldown);
+  detector.Reset();
+  EXPECT_EQ(detector.state(), DriftState::kCooldown);
   for (int i = 0; i < 60; ++i) {
-    detector.Observe(0, 3.0 + 0.1 * rng.NextGaussian());
+    detector.Observe(3.0 + 0.1 * rng.NextGaussian());
   }
   // After cooldown the baseline re-learned at the new level: stable again.
-  EXPECT_EQ(detector.state(0), DriftState::kStable);
+  EXPECT_EQ(detector.state(), DriftState::kStable);
 }
 
-TEST_F(DriftDetectorTest, GroupsAreIndependent) {
-  DriftDetectorOptions options = TinyDriftOptions();
-  options.num_groups = 2;
-  DriftDetector detector(options);
-  core::Rng rng(8);
-  for (int i = 0; i < 30; ++i) {
-    detector.Observe(0, 1.0 + 0.05 * rng.NextGaussian());
-    detector.Observe(1, 1.0 + 0.05 * rng.NextGaussian());
+// A failed shadow score while the baseline warms is discarded: it neither
+// counts toward the warmup nor moves the frozen estimate, so a later shift is
+// detected exactly as on a clean warmup.
+TEST_F(DriftDetectorTest, NonFiniteErrorDuringWarmupLeavesBaselineAlone) {
+  core::Rng rng(9);
+  DriftDetector clean;
+  DriftDetector faulted;
+  for (int64_t i = 0; i < DriftDetector::kWarmup; ++i) {
+    if (i == 3) {
+      EXPECT_EQ(faulted.Observe(std::numeric_limits<double>::infinity()),
+                DriftState::kWarmup);
+    }
+    if (i == 9) {
+      EXPECT_EQ(faulted.Observe(std::numeric_limits<double>::quiet_NaN()),
+                DriftState::kWarmup);
+    }
+    const double error = 100.0 + 5.0 * rng.NextGaussian();
+    clean.Observe(error);
+    faulted.Observe(error);
   }
-  for (int i = 0; i < 60; ++i) detector.Observe(1, 4.0);
-  EXPECT_EQ(detector.state(0), DriftState::kStable);
-  EXPECT_EQ(detector.state(1), DriftState::kDrift);
+  ASSERT_EQ(clean.state(), DriftState::kStable);
+  EXPECT_EQ(faulted.state(), DriftState::kStable);
+  EXPECT_EQ(faulted.baseline_mean(), clean.baseline_mean());
+  EXPECT_EQ(faulted.baseline_stddev(), clean.baseline_stddev());
+
+  for (int i = 0; i < 200 && clean.state() != DriftState::kDrift; ++i) {
+    const double error = 110.0 + 5.0 * rng.NextGaussian();
+    clean.Observe(error);
+    faulted.Observe(error);
+  }
+  ASSERT_EQ(clean.state(), DriftState::kDrift);
+  EXPECT_EQ(faulted.state(), DriftState::kDrift);
+  EXPECT_EQ(faulted.observations_to_confirm(), clean.observations_to_confirm());
 }
 
 // -- OnlineAdapter -----------------------------------------------------------
@@ -413,7 +425,6 @@ TEST_F(OnlineAdapterTest, RunsLabelFreeStepsAndReportsLosses) {
 
   OnlineAdapterOptions options;
   options.num_steps = 4;
-  options.batch_size = 4;
   auto report = OnlineAdapter(options).Adapt(&model, windows,
                                              FirstIndices(10), normalizer);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -430,10 +441,11 @@ TEST_F(OnlineAdapterTest, InterruptedRoundResumesBitwiseIdentical) {
   data::WindowDataset windows(dataset, kSteps, kSteps);
   data::Normalizer normalizer = data::Normalizer::Fit(dataset->signals);
 
+  // A round of one and a half checkpoint intervals: one checkpoint to
+  // resume from, steps after it to replay.
+  constexpr int64_t kEvery = OnlineAdapter::kCheckpointEvery;
   OnlineAdapterOptions options;
-  options.num_steps = 6;
-  options.batch_size = 4;
-  options.checkpoint_every_steps = 2;
+  options.num_steps = kEvery + kEvery / 2;
 
   // Reference: one uninterrupted round.
   model_ns::SstbanModel reference(TinyModelConfig(9));
@@ -442,12 +454,13 @@ TEST_F(OnlineAdapterTest, InterruptedRoundResumesBitwiseIdentical) {
                   .Adapt(&reference, windows, FirstIndices(12), normalizer)
                   .ok());
 
-  // Interrupted: an injected fault kills the round after step 4 (the 5th
-  // hit of adapt_step), past the step-4 checkpoint.
+  // Interrupted: an injected fault kills the round in its second step after
+  // the first checkpoint.
   model_ns::SstbanModel interrupted(TinyModelConfig(9));
   options.checkpoint_dir = FreshDir("adapt_cut");
-  ASSERT_TRUE(
-      core::FailPoint::Set("adapt_step", "error(kUnavailable)@5").ok());
+  ASSERT_TRUE(core::FailPoint::Set("adapt_step", "error(kUnavailable)@" +
+                                                     std::to_string(kEvery + 2))
+                  .ok());
   auto cut = OnlineAdapter(options).Adapt(&interrupted, windows,
                                           FirstIndices(12), normalizer);
   EXPECT_EQ(cut.status().code(), core::StatusCode::kUnavailable);
@@ -459,7 +472,7 @@ TEST_F(OnlineAdapterTest, InterruptedRoundResumesBitwiseIdentical) {
   auto report = OnlineAdapter(options).Adapt(&resumed, windows,
                                              FirstIndices(12), normalizer);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().start_step, 4);
+  EXPECT_EQ(report.value().start_step, kEvery);
   EXPECT_FALSE(report.value().resumed_from.empty());
   EXPECT_TRUE(ParamsBitwiseEqual(reference, resumed))
       << "resumed weights diverged from the uninterrupted round";
@@ -475,8 +488,6 @@ TEST_F(OnlineAdapterTest, IncompatibleCheckpointStartsFresh) {
 
   OnlineAdapterOptions options;
   options.num_steps = 4;
-  options.batch_size = 4;
-  options.checkpoint_every_steps = 2;
   model_ns::SstbanModel fresh(TinyModelConfig(9));
   ASSERT_TRUE(OnlineAdapter(options)
                   .Adapt(&fresh, windows, FirstIndices(12), normalizer)
@@ -518,8 +529,6 @@ TEST_F(OnlineAdapterTest, CheckpointWriteFaultIsSurvivable) {
 
   OnlineAdapterOptions options;
   options.num_steps = 4;
-  options.batch_size = 4;
-  options.checkpoint_every_steps = 2;
   options.checkpoint_dir = FreshDir("adapt_ckpt_fault");
   // Every checkpoint write fails; the round must still complete — the
   // checkpoint layer is a safety net, not a dependency.
@@ -561,7 +570,7 @@ TEST_F(OnlineAdapterTest, ModelWithoutSelfSupervisedObjectiveIsRejected) {
   EXPECT_EQ(report.status().code(), core::StatusCode::kFailedPrecondition);
 }
 
-// -- ShadowEvaluator / PromotionGate ----------------------------------------
+// -- ShadowScore / PromotionGate --------------------------------------------
 
 // Forecasts a constant everywhere, so the shadow MAE is exactly
 // |bias - truth| and promotion arithmetic is fully controlled by the test.
@@ -624,23 +633,21 @@ float ServedBias(const serving::ModelRegistry& registry) {
   return static_cast<const BiasModel*>(served->model.get())->bias();
 }
 
-TEST_F(PromotionTest, ShadowEvaluatorScoresServingMae) {
+TEST_F(PromotionTest, ShadowScoreIsServingMae) {
   PromotionRig rig = MakePromotionRig();
   BiasModel model(2.0f);
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  auto score = evaluator.Score(&model, *rig.windows, rig.shadow_indices,
-                               rig.normalizer);
+  auto score =
+      ShadowScore(&model, *rig.windows, rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(score.ok());
   EXPECT_NEAR(score.value(), 1.0, 1e-5);  // |2 - 3|
 }
 
 TEST_F(PromotionTest, BetterCandidatePromotesWorseCandidateRefused) {
   PromotionRig rig = MakePromotionRig();
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGate gate(PromotionGateOptions{}, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
 
   auto win = gate.TryPromote(std::make_unique<BiasModel>(2.5f), *rig.windows,
-                             rig.shadow_indices, rig.normalizer, evaluator);
+                             rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(win.ok());
   EXPECT_TRUE(win.value().promoted);
   EXPECT_NEAR(win.value().candidate_score, 0.5, 1e-5);
@@ -651,7 +658,7 @@ TEST_F(PromotionTest, BetterCandidatePromotesWorseCandidateRefused) {
 
   auto lose = gate.TryPromote(std::make_unique<BiasModel>(-4.0f),
                               *rig.windows, rig.shadow_indices,
-                              rig.normalizer, evaluator);
+                              rig.normalizer);
   ASSERT_TRUE(lose.ok());
   EXPECT_FALSE(lose.value().promoted);
   EXPECT_EQ(rig.registry->current_version(), 2);  // incumbent intact
@@ -662,15 +669,14 @@ TEST_F(PromotionTest, BetterCandidatePromotesWorseCandidateRefused) {
 
 TEST_F(PromotionTest, ShadowEvalFaultRefusesPromotion) {
   PromotionRig rig = MakePromotionRig();
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGate gate(PromotionGateOptions{}, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
   // The first Score call is the candidate's: its fault must refuse, not
   // promote past an unmeasured comparison.
   ASSERT_TRUE(
       core::FailPoint::Set("shadow_eval", "error(kUnavailable)@1").ok());
   auto decision =
       gate.TryPromote(std::make_unique<BiasModel>(3.0f), *rig.windows,
-                      rig.shadow_indices, rig.normalizer, evaluator);
+                      rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(decision.ok());
   EXPECT_FALSE(decision.value().promoted);
   EXPECT_NE(decision.value().reason.find("unscorable"), std::string::npos);
@@ -679,13 +685,12 @@ TEST_F(PromotionTest, ShadowEvalFaultRefusesPromotion) {
 
 TEST_F(PromotionTest, SwapFaultLeavesIncumbentInstalled) {
   PromotionRig rig = MakePromotionRig();
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGate gate(PromotionGateOptions{}, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
   ASSERT_TRUE(
       core::FailPoint::Set("promote_swap", "error(kUnavailable)@1").ok());
   auto decision =
       gate.TryPromote(std::make_unique<BiasModel>(3.0f), *rig.windows,
-                      rig.shadow_indices, rig.normalizer, evaluator);
+                      rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(decision.ok());
   EXPECT_FALSE(decision.value().promoted);
   EXPECT_NE(decision.value().reason.find("swap fault"), std::string::npos);
@@ -696,19 +701,16 @@ TEST_F(PromotionTest, SwapFaultLeavesIncumbentInstalled) {
   core::FailPoint::ClearAll();
   auto retry =
       gate.TryPromote(std::make_unique<BiasModel>(3.0f), *rig.windows,
-                      rig.shadow_indices, rig.normalizer, evaluator);
+                      rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(retry.ok());
   EXPECT_TRUE(retry.value().promoted);
 }
 
 TEST_F(PromotionTest, SustainedLiveRegressionRollsBackPromotedWeights) {
   PromotionRig rig = MakePromotionRig();
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGateOptions gate_options;
-  gate_options.rollback_after = 3;
-  PromotionGate gate(gate_options, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
   ASSERT_TRUE(gate.TryPromote(std::make_unique<BiasModel>(2.5f), *rig.windows,
-                              rig.shadow_indices, rig.normalizer, evaluator)
+                              rig.shadow_indices, rig.normalizer)
                   .value()
                   .promoted);
   ASSERT_TRUE(gate.monitoring());
@@ -730,7 +732,7 @@ TEST_F(PromotionTest, SustainedLiveRegressionRollsBackPromotedWeights) {
 
 TEST_F(PromotionTest, ObserveLiveIsInertWithoutPromotion) {
   PromotionRig rig = MakePromotionRig();
-  PromotionGate gate(PromotionGateOptions{}, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(gate.ObserveLive(1e9));
   }
@@ -739,8 +741,7 @@ TEST_F(PromotionTest, ObserveLiveIsInertWithoutPromotion) {
 
 TEST_F(PromotionTest, UnscorableIncumbentIsRecoveredFrom) {
   PromotionRig rig = MakePromotionRig();
-  ShadowEvaluator evaluator(ShadowEvaluatorOptions{});
-  PromotionGate gate(PromotionGateOptions{}, rig.registry.get(), rig.factory);
+  PromotionGate gate(rig.registry.get(), rig.factory);
   // Candidate scores on hit 1; the incumbent's scoring on hit 2 faults —
   // an incumbent that cannot be measured is treated as infinitely bad, so a
   // healthy candidate recovers the deployment.
@@ -748,7 +749,7 @@ TEST_F(PromotionTest, UnscorableIncumbentIsRecoveredFrom) {
       core::FailPoint::Set("shadow_eval", "error(kUnavailable)@2").ok());
   auto decision =
       gate.TryPromote(std::make_unique<BiasModel>(3.0f), *rig.windows,
-                      rig.shadow_indices, rig.normalizer, evaluator);
+                      rig.shadow_indices, rig.normalizer);
   ASSERT_TRUE(decision.ok());
   EXPECT_TRUE(decision.value().promoted);
   EXPECT_TRUE(std::isinf(decision.value().incumbent_score));
