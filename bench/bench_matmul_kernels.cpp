@@ -13,29 +13,23 @@
 //      transposed) and the dW product (A transposed). Each product is also
 //      computed from all four (ta, tb) storage layouts of its operands,
 //      which must agree bit for bit.
-//   3. Sequential vs pool-parallel on STBA-representative shapes (attention
-//      scores QK^T, context AV, projection GEMMs), asserting the bitwise
-//      1-vs-N-thread guarantee on every shape measured.
 //
 // All timings are min-of-K repetitions alongside the mean (bench/common/
 // timing.h) so snapshot numbers gate on the noise floor. Emits JSON on
 // stdout (snapshot: bench/BENCH_simd_kernels.json); pass a path as argv[1]
-// to also write it there. Exits nonzero if a bitwise check fails or AVX2
-// hardware is present but misses the 2x gate.
+// to also write it there. Exits nonzero if the layouts disagree or AVX2
+// hardware is present but misses the 2x gate. Every kernel runs on the
+// calling thread, so every timing here is single-threaded.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <sstream>
-#include <string>
-#include <vector>
 
 #include "common/timing.h"
 #include "core/cpu_features.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -73,7 +67,6 @@ int main(int argc, char** argv) {
               "avx2 GF/s", "scalar ms", "avx2 ms", "speedup", "bytes/FLOP");
   json << "  \"square_gemm_single_thread\": [\n";
   bool gate_failed = false;
-  sstban::core::SetParallelismCapForTesting(1);
   for (int64_t dim : {256, 512, 1024}) {
     t::Tensor a = t::Tensor::RandomNormal(t::Shape{dim, dim}, rng);
     t::Tensor b = t::Tensor::RandomNormal(t::Shape{dim, dim}, rng);
@@ -202,74 +195,7 @@ int main(int argc, char** argv) {
                   pi + 1 == std::size(projections) ? "" : ",");
     json << row;
   }
-  json << "  ]},\n";
-  sstban::core::SetParallelismCapForTesting(0);
-
-  // --- 3. Sequential vs parallel on STBA-representative shapes. ---
-  const int64_t kDim = 64, kHeads = 8, kLen = 48;
-  const int64_t kDk = kDim / kHeads;
-  const int64_t kStreams = 512;  // B*h attention streams after head split
-  const int64_t kRows = 16320;   // B*L*N rows hitting each projection
-
-  t::Tensor qh = t::Tensor::RandomNormal(t::Shape{kStreams, kLen, kDk}, rng);
-  t::Tensor kh = t::Tensor::RandomNormal(t::Shape{kStreams, kLen, kDk}, rng);
-  t::Tensor probs = t::Tensor::RandomNormal(t::Shape{kStreams, kLen, kLen}, rng);
-  t::Tensor vh = t::Tensor::RandomNormal(t::Shape{kStreams, kLen, kDk}, rng);
-  t::Tensor act = t::Tensor::RandomNormal(t::Shape{kRows, kDim}, rng);
-  t::Tensor weight = t::Tensor::RandomNormal(t::Shape{kDim, kDim}, rng);
-
-  struct BenchCase {
-    std::string name;
-    std::string key;
-    std::function<t::Tensor()> run;
-    double madds;
-  };
-  std::vector<BenchCase> cases;
-  cases.push_back({"bmm scores  [512,48,8]x[512,48,8]^T", "bmm_scores",
-                   [&] { return t::Bmm(qh, kh, false, true); },
-                   static_cast<double>(kStreams * kLen * kDk * kLen)});
-  cases.push_back({"bmm context [512,48,48]x[512,48,8]", "bmm_context",
-                   [&] { return t::Bmm(probs, vh, false, false); },
-                   static_cast<double>(kStreams * kLen * kLen * kDk)});
-  cases.push_back({"matmul linear [16320,64]x[64,64]", "matmul_linear",
-                   [&] { return t::Matmul(act, weight); },
-                   static_cast<double>(kRows * kDim * kDim)});
-
-  std::printf("\npool threads: %d (SSTBAN_NUM_THREADS to override)\n",
-              sstban::core::EffectiveParallelism());
-  std::printf("%-40s %10s %10s %8s %9s %9s  %s\n", "case", "seq ms", "par ms",
-              "speedup", "seq GF/s", "par GF/s", "bitwise");
-  json << "  \"stba_shapes_seq_vs_par\": [\n";
-  bool all_equal = true;
-  for (size_t ci = 0; ci < cases.size(); ++ci) {
-    const BenchCase& bench = cases[ci];
-    sstban::core::SetParallelismCapForTesting(1);
-    t::Tensor seq_out = bench.run();
-    Timing seq_t = MeasureSeconds([&] { bench.run(); });
-    sstban::core::SetParallelismCapForTesting(0);
-    t::Tensor par_out = bench.run();
-    Timing par_t = MeasureSeconds([&] { bench.run(); });
-    bool equal = BitwiseEqual(seq_out, par_out);
-    all_equal = all_equal && equal;
-    double flops = 2.0 * bench.madds;
-    std::printf("%-40s %10.3f %10.3f %7.2fx %9.2f %9.2f  %s\n",
-                bench.name.c_str(), seq_t.min_s * 1e3, par_t.min_s * 1e3,
-                seq_t.min_s / par_t.min_s, flops / seq_t.min_s * 1e-9,
-                flops / par_t.min_s * 1e-9, equal ? "equal" : "DIFFER");
-    char row[512];
-    std::snprintf(row, sizeof(row),
-                  "    {\"case\": \"%s\", \"seq_ms_min\": %.3f, "
-                  "\"seq_ms_mean\": %.3f, \"par_ms_min\": %.3f, "
-                  "\"par_ms_mean\": %.3f, \"seq_gflops\": %.2f, "
-                  "\"par_gflops\": %.2f, \"bitwise\": %s}%s\n",
-                  bench.key.c_str(), seq_t.min_s * 1e3, seq_t.mean_s * 1e3,
-                  par_t.min_s * 1e3, par_t.mean_s * 1e3,
-                  flops / seq_t.min_s * 1e-9, flops / par_t.min_s * 1e-9,
-                  equal ? "true" : "false",
-                  ci + 1 == cases.size() ? "" : ",");
-    json << row;
-  }
-  json << "  ],\n  \"avx2_2x_gate\": "
+  json << "  ]},\n  \"avx2_2x_gate\": "
        << (have_avx2 ? (gate_failed ? "\"FAIL\"" : "\"PASS\"")
                      : "\"SKIPPED (no AVX2)\"")
        << "\n}\n";
@@ -282,10 +208,6 @@ int main(int argc, char** argv) {
   if (!layouts_equal) {
     std::fprintf(stderr,
                  "FATAL: a projection GEMM differs between operand layouts\n");
-    return 1;
-  }
-  if (!all_equal) {
-    std::fprintf(stderr, "FATAL: parallel result differs from sequential\n");
     return 1;
   }
   if (have_avx2 && gate_failed) {

@@ -33,7 +33,7 @@ Variable MakeOp(const char* name, t::Tensor value,
 }
 
 void Accumulate(const NodePtr& parent, const t::Tensor& grad) {
-  if (parent->requires_grad) parent->AccumulateGrad(grad);
+  if (parent->requires_grad) SendGrad(*parent, grad);
 }
 
 // Expands `grad` (result of a keepdim reduction) back to `shape` by

@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "core/check.h"
-#include "core/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd/kernels.h"
 
@@ -11,6 +10,8 @@ namespace sstban::autograd {
 
 namespace {
 thread_local bool g_grad_enabled = true;
+// The hand-back of the Backward sweep running on this thread.
+thread_local const LeafGradFn* g_hand_back = nullptr;
 }  // namespace
 
 void Node::AccumulateGrad(const tensor::Tensor& g) {
@@ -27,12 +28,16 @@ void Node::AccumulateGrad(const tensor::Tensor& g) {
     grad = tensor::Add(grad, g);
     return;
   }
-  float* pg = grad.data();
-  const float* pn = g.data();
-  const tensor::simd::BinaryFn add = tensor::simd::Kernels().add;
-  core::ParallelFor(0, grad.size(), [&](int64_t lo, int64_t hi) {
-    add(pg + lo, pn + lo, pg + lo, hi - lo);
-  });
+  tensor::simd::Kernels().add(grad.data(), g.data(), grad.data(), grad.size());
+}
+
+void SendGrad(Node& parent, const tensor::Tensor& grad) {
+  if (parent.backward_fn) {
+    parent.AccumulateGrad(grad);
+    return;
+  }
+  SSTBAN_CHECK(g_hand_back != nullptr) << "leaf gradient outside Backward";
+  (*g_hand_back)(parent, grad);
 }
 
 const tensor::Tensor& Variable::value() const {
@@ -73,6 +78,10 @@ void Variable::ZeroGrad() {
 }
 
 void Variable::Backward() {
+  Backward([](Node& leaf, const tensor::Tensor& g) { leaf.AccumulateGrad(g); });
+}
+
+void Variable::Backward(const LeafGradFn& hand_back) {
   SSTBAN_CHECK(defined());
   SSTBAN_CHECK_EQ(size(), 1) << "Backward() requires a scalar output";
   // Topological order via iterative post-order DFS over requiring parents.
@@ -95,7 +104,9 @@ void Variable::Backward() {
       stack.pop_back();
     }
   }
-  node_->AccumulateGrad(tensor::Tensor::Ones(value().shape()));
+  const LeafGradFn* outer = g_hand_back;
+  g_hand_back = &hand_back;
+  SendGrad(*node_, tensor::Tensor::Ones(value().shape()));
   // Reverse topological order: every node sees its full gradient before
   // propagating to parents, and nothing reads it afterwards.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -105,6 +116,7 @@ void Variable::Backward() {
       if (node != node_.get()) node->grad = tensor::Tensor();
     }
   }
+  g_hand_back = outer;
 }
 
 NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) { g_grad_enabled = false; }

@@ -40,6 +40,13 @@ class Node {
   void AccumulateGrad(const tensor::Tensor& g);
 };
 
+// Receives each gradient a Backward sweep sends to a leaf, in sweep order.
+using LeafGradFn = std::function<void(Node& leaf, const tensor::Tensor& grad)>;
+
+// How a backward closure passes `grad` to `parent`: an interior node
+// accumulates it; a leaf's goes to the hand-back of this thread's sweep.
+void SendGrad(Node& parent, const tensor::Tensor& grad);
+
 // Handle to a graph value: the forward tensor plus its graph node. Variables
 // are cheap to copy; copies share the tensor's storage and the node.
 // Operations on Variables (see autograd/ops.h) record the graph when
@@ -90,6 +97,11 @@ class Variable {
   // Afterwards only the leaves and this variable hold gradients; each
   // interior node's gradient is dropped once its closure has run.
   void Backward();
+
+  // The same sweep, handing the leaves' gradients to `hand_back` (Backward()
+  // hands them to Node::AccumulateGrad), so sweeps over tapes that share
+  // leaves can run concurrently into storage each owns.
+  void Backward(const LeafGradFn& hand_back);
 
   NodePtr node() const { return node_; }
 

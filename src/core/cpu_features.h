@@ -32,8 +32,7 @@ SimdLevel ActiveSimdLevel();
 
 const char* SimdLevelName(SimdLevel level);
 
-// Test/bench-only override of the active tier (mirrors
-// ThreadPool::SetParallelismCapForTesting). Requesting kAvx2 on hardware
+// Test/bench-only override of the active tier. Requesting kAvx2 on hardware
 // without AVX2+FMA is ignored; returns the level now in effect. Not
 // thread-safe against concurrent kernel execution — call it only from a
 // quiesced process, and note that mixing tiers within one logical

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/check.h"
+#include "tensor/ops.h"
 
 namespace sstban::data {
 
@@ -16,6 +17,24 @@ WindowDataset::WindowDataset(std::shared_ptr<const TrafficDataset> dataset,
   SSTBAN_CHECK_GT(num_windows(), 0)
       << "dataset too short:" << dataset_->num_steps() << "steps for P ="
       << input_len_ << ", Q =" << output_len_;
+}
+
+Batch Batch::Item(int64_t b) const {
+  SSTBAN_CHECK(b >= 0 && b < batch_size()) << "item" << b;
+  auto rows = [b](const tensor::Tensor& t) {
+    return t.defined() ? tensor::Slice(t, 0, b, 1) : tensor::Tensor();
+  };
+  auto entries = [&](const std::vector<int64_t>& v) {
+    const int64_t len = static_cast<int64_t>(v.size()) / batch_size();
+    return std::vector<int64_t>(v.begin() + b * len, v.begin() + (b + 1) * len);
+  };
+  return Batch{.x = rows(x),
+               .y = rows(y),
+               .tod_in = entries(tod_in),
+               .dow_in = entries(dow_in),
+               .tod_out = entries(tod_out),
+               .dow_out = entries(dow_out),
+               .mask = rows(mask)};
 }
 
 Batch WindowDataset::MakeBatch(const std::vector<int64_t>& window_indices) const {

@@ -41,10 +41,16 @@ struct Batch {
   std::vector<int64_t> dow_in;   // [B*P] day-of-week per input slice
   std::vector<int64_t> tod_out;  // [B*Q]
   std::vector<int64_t> dow_out;  // [B*Q]
+  // [B, P, N, C] training mask drawn ahead of the loss; empty, the loss
+  // draws its own (TrafficModel::DrawItemMask).
+  tensor::Tensor mask;
 
   int64_t batch_size() const { return x.dim(0); }
   int64_t input_len() const { return x.dim(1); }
   int64_t output_len() const { return y.dim(1); }
+
+  // Window `b` as a batch of one (copies).
+  Batch Item(int64_t b) const;
 };
 
 // Sliding-window view over a TrafficDataset, split chronologically.

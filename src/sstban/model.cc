@@ -52,9 +52,24 @@ ag::Variable SstbanModel::Forecast(const ag::Variable& h, const ag::Variable& e,
 
 ag::Variable SstbanModel::AlignmentLoss(const ag::Variable& x,
                                         const ag::Variable& e,
-                                        const ag::Variable& h) {
-  t::Tensor mask, keep_pos, keep_latent;
-  DrawStepMasks(x.dim(0), &mask, &keep_pos, &keep_latent);
+                                        const ag::Variable& h,
+                                        const data::Batch& batch) {
+  const int64_t batch_size = x.dim(0);
+  const int64_t p = config_.input_len, n = config_.num_nodes;
+  const int64_t c = config_.num_features;
+  t::Tensor mask = batch.mask.defined() ? batch.mask : DrawMasks(batch_size);
+  SSTBAN_CHECK(mask.shape() == x.shape()) << "mask" << mask.shape().ToString();
+  // Position-level keep masks: a position is observed if any of its
+  // channels survived masking.
+  t::Tensor keep_pos = t::Tensor::Empty(t::Shape{batch_size, p, n});
+  const float* pm = mask.data();
+  float* pk = keep_pos.data();
+  for (int64_t i = 0; i < keep_pos.size(); ++i) {
+    float any = 0.0f;
+    for (int64_t f = 0; f < c; ++f) any = std::max(any, pm[i * c + f]);
+    pk[i] = any;
+  }
+  t::Tensor keep_latent = keep_pos.Reshape(t::Shape{batch_size, p, n, 1});
   ag::Variable x_masked = ag::Mul(x, ag::Variable(mask));
   ag::Variable h_masked = encoder_->Forward(x_masked, e, &keep_pos);
   ag::Variable h_recon = reconstructor_->Forward(h_masked, e, keep_latent);
@@ -92,51 +107,47 @@ SstbanModel::ForwardOutput SstbanModel::ForwardTwoBranch(
   out.forecast_loss =
       ag::MaeLoss(out.prediction, ag::Variable(y_norm, /*requires_grad=*/false));
 
-  if (!config_.self_supervised || !training()) {
+  if (!Masks(training::Objective::kTraining)) {
     out.total_loss = out.forecast_loss;
     return out;
   }
-  out.alignment_loss = AlignmentLoss(x, e, h);
+  out.alignment_loss = AlignmentLoss(x, e, h, batch);
   float lambda = static_cast<float>(config_.lambda);
   out.total_loss = ag::Add(ag::MulScalar(out.forecast_loss, 1.0f - lambda),
                            ag::MulScalar(out.alignment_loss, lambda));
   return out;
 }
 
-void SstbanModel::DrawStepMasks(int64_t batch_size, t::Tensor* mask,
-                                t::Tensor* keep_pos, t::Tensor* keep_latent) {
+bool SstbanModel::Masks(training::Objective objective) const {
+  if (objective == training::Objective::kSelfSupervised) {
+    return reconstructor_ != nullptr;
+  }
+  return config_.self_supervised && training();
+}
+
+t::Tensor SstbanModel::DrawMasks(int64_t batch_size) {
   int64_t p = config_.input_len, n = config_.num_nodes, c = config_.num_features;
-  // Per-sample spacetime patch masks, concatenated to [B, P, N, C].
-  *mask = t::Tensor::Empty(t::Shape{batch_size, p, n, c});
+  t::Tensor mask = t::Tensor::Empty(t::Shape{batch_size, p, n, c});
   for (int64_t b = 0; b < batch_size; ++b) {
     t::Tensor sample =
         GenerateMask(p, n, c, config_.patch_len, config_.mask_rate,
                      config_.mask_strategy, mask_rng_);
-    std::memcpy(mask->data() + b * p * n * c, sample.data(),
+    std::memcpy(mask.data() + b * p * n * c, sample.data(),
                 static_cast<size_t>(p * n * c) * sizeof(float));
   }
-  // Position-level keep masks: a position is observed if any of its
-  // channels survived masking.
-  *keep_pos = t::Tensor::Empty(t::Shape{batch_size, p, n});
-  *keep_latent = t::Tensor::Empty(t::Shape{batch_size, p, n, 1});
-  const float* pm = mask->data();
-  float* pk = keep_pos->data();
-  float* pl = keep_latent->data();
-  int64_t positions = batch_size * p * n;
-  for (int64_t i = 0; i < positions; ++i) {
-    float any = 0.0f;
-    for (int64_t f = 0; f < c; ++f) any = std::max(any, pm[i * c + f]);
-    pk[i] = any;
-    pl[i] = any;
-  }
+  return mask;
+}
+
+t::Tensor SstbanModel::DrawItemMask(training::Objective objective) {
+  return Masks(objective) ? DrawMasks(1) : t::Tensor();
 }
 
 ag::Variable SstbanModel::SelfSupervisedLoss(const t::Tensor& x_norm,
                                              const data::Batch& batch) {
-  if (reconstructor_ == nullptr) return {};
+  if (!Masks(training::Objective::kSelfSupervised)) return {};
   ag::Variable x(x_norm), e;
   ag::Variable h = Encode(x, batch, &e);
-  return AlignmentLoss(x, e, h);
+  return AlignmentLoss(x, e, h, batch);
 }
 
 void SstbanModel::set_self_supervised(bool enabled) {

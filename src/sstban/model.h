@@ -49,6 +49,9 @@ class SstbanModel : public training::TrafficModel {
   // what makes a resumed run draw the same masks as an uninterrupted one.
   core::Rng* TrainingRng() override { return &mask_rng_; }
 
+  // One sample's patch mask when `objective`'s loss masks (Masks()).
+  tensor::Tensor DrawItemMask(training::Objective objective) override;
+
   const SstbanConfig& config() const { return config_; }
 
   // Runtime adjustments for self-supervision scheduling experiments
@@ -92,18 +95,22 @@ class SstbanModel : public training::TrafficModel {
                               const autograd::Variable& e,
                               const data::Batch& batch);
 
-  // The self-supervised half: masks `x` with masks drawn from mask_rng_,
-  // re-encodes it with the clean pass's embedding `e`, reconstructs the
-  // latent and returns its MSE against the detached clean latent `h`.
+  // The self-supervised half: masks `x` with `batch.mask`, or with masks
+  // drawn from mask_rng_ when it is empty, re-encodes it with the clean
+  // pass's embedding `e`, reconstructs the latent and returns its MSE
+  // against the detached clean latent `h`.
   autograd::Variable AlignmentLoss(const autograd::Variable& x,
                                    const autograd::Variable& e,
-                                   const autograd::Variable& h);
+                                   const autograd::Variable& h,
+                                   const data::Batch& batch);
 
-  // Draws per-sample spacetime patch masks from mask_rng_: `mask` is
-  // [B, P, N, C], `keep_pos` [B, P, N] and `keep_latent` [B, P, N, 1] mark
-  // positions where any channel survived.
-  void DrawStepMasks(int64_t batch_size, tensor::Tensor* mask,
-                     tensor::Tensor* keep_pos, tensor::Tensor* keep_latent);
+  // Whether `objective`'s loss runs the masked branch: the training loss
+  // with self-supervision on in training mode, the self-supervised loss
+  // whenever the model has a reconstructing decoder.
+  bool Masks(training::Objective objective) const;
+
+  // [B, P, N, C] spacetime patch masks from mask_rng_, sample by sample.
+  tensor::Tensor DrawMasks(int64_t batch_size);
 
   SstbanConfig config_;
   core::Rng rng_;       // construction-time weight init stream

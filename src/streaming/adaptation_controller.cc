@@ -39,7 +39,7 @@ core::StatusOr<StreamEvent> AdaptationController::OnSlice(
   // Geometry change is the growing-city scenario: new sensors attached to
   // the network. Online adaptation cannot change model geometry — that is a
   // retrain-and-redeploy event — so the stream refuses the slice before it
-  // can corrupt the ring or the running stats.
+  // can corrupt the ring.
   if (slice.defined() && slice.rank() == 2 &&
       (slice.dim(0) != options_.ingest.num_nodes ||
        slice.dim(1) != options_.ingest.num_features)) {

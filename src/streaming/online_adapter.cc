@@ -91,17 +91,16 @@ core::StatusOr<AdaptReport> OnlineAdapter::Adapt(
     for (size_t i = 0; i < picks.size(); ++i) {
       batch_indices[i] = indices[static_cast<size_t>(picks[i])];
     }
-    data::Batch batch = windows.MakeBatch(batch_indices);
-    tensor::Tensor x_norm = normalizer.Transform(batch.x);
-    autograd::Variable loss = model->SelfSupervisedLoss(x_norm, batch);
-    if (!loss.defined()) {
+    core::StatusOr<float> loss = training::TrainStep(
+        model, &optimizer, normalizer, windows.MakeBatch(batch_indices),
+        training::Objective::kSelfSupervised);
+    if (!loss.ok()) {
       model->SetTraining(false);
       return core::Status::FailedPrecondition(
           model->name() + " exposes no label-free objective; cannot adapt "
           "online without ground truth");
     }
-    training::TrainStep(loss, &optimizer);
-    report.step_loss.push_back(loss.item());
+    report.step_loss.push_back(loss.value());
     ++report.steps_run;
     if (!options_.checkpoint_dir.empty() &&
         ((step + 1) % kCheckpointEvery == 0 ||

@@ -52,8 +52,8 @@ class OnlineAdapter {
 
   // Fine-tunes `model` in place on the windows named by `indices` (positions
   // into `windows`), normalizing inputs with the *serving* normalizer — the
-  // statistics the weights were trained under; the ingestor's running stats
-  // are drift telemetry, not a drop-in replacement. Errors:
+  // statistics the weights were trained under. Each step is one
+  // training::TrainStep of the self-supervised objective. Errors:
   //   FailedPrecondition — the model exposes no label-free objective
   //                        (SelfSupervisedLoss undefined) or is not trainable;
   //   InvalidArgument    — empty `indices`;

@@ -1,7 +1,6 @@
 #include "streaming/stream_ingestor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -27,14 +26,6 @@ StreamIngestor::StreamIngestor(StreamIngestorOptions options)
       t::Shape{capacity_, options_.num_nodes, options_.num_features});
   staging_ =
       t::Tensor::Zeros(t::Shape{1, options_.num_nodes, options_.num_features});
-  // Per-reading decay: the half-life is expressed in slices, and every slice
-  // contributes up to N readings per feature.
-  stats_alpha_ =
-      1.0 - std::exp(std::log(0.5) /
-                     (kStatsHalflifeSlices *
-                      static_cast<double>(options_.num_nodes)));
-  ew_mean_.assign(static_cast<size_t>(options_.num_features), 0.0);
-  ew_var_.assign(static_cast<size_t>(options_.num_features), 0.0);
 }
 
 core::Status StreamIngestor::Append(const t::Tensor& slice, int64_t step) {
@@ -70,34 +61,14 @@ core::Status StreamIngestor::Append(const t::Tensor& slice, int64_t step) {
     ++rejected_values_;
     // The reading is bad but the timestamp is legitimate: consume it so the
     // feed keeps flowing, and punch a hole in window continuity — retained
-    // history must stay temporally contiguous, so the ring restarts. The
-    // running stats are untouched (zero-poison guarantee).
+    // history must stay temporally contiguous, so the ring restarts.
     if (started_) {
       next_step_ = step + 1;
       count_ = 0;
     }
     return sanitized.status();
   }
-  const serving::SanitizeResult& verdict = sanitized.value();
-  scrubbed_positions_ += verdict.masked_positions;
-
-  // Exponentially-weighted running moments over surviving readings only:
-  // scrubbed positions are exactly the readings that must not poison the
-  // normalizer statistics.
-  const float* pv = staging_.data();
-  const float* keep =
-      verdict.keep_pos.defined() ? verdict.keep_pos.data() : nullptr;
-  const double a = stats_alpha_;
-  for (int64_t node = 0; node < n; ++node) {
-    if (keep != nullptr && keep[node] == 0.0f) continue;
-    for (int64_t f = 0; f < c; ++f) {
-      const double v = pv[node * c + f];
-      const size_t fi = static_cast<size_t>(f);
-      const double delta = v - ew_mean_[fi];
-      ew_mean_[fi] += a * delta;
-      ew_var_[fi] = (1.0 - a) * (ew_var_[fi] + a * delta * delta);
-    }
-  }
+  scrubbed_positions_ += sanitized.value().masked_positions;
 
   // Commit to the ring.
   const int64_t row = accepted_ % capacity_;
@@ -108,29 +79,6 @@ core::Status StreamIngestor::Append(const t::Tensor& slice, int64_t step) {
   ++accepted_;
   count_ = std::min(count_ + 1, capacity_);
   return core::Status::Ok();
-}
-
-core::StatusOr<data::Normalizer> StreamIngestor::RunningNormalizer() const {
-  if (accepted_ < options_.input_len) {
-    return core::Status::FailedPrecondition(
-        "running stats need at least input_len accepted slices (" +
-        std::to_string(accepted_) + "/" + std::to_string(options_.input_len) +
-        ")");
-  }
-  std::vector<float> mean(ew_mean_.begin(), ew_mean_.end());
-  std::vector<float> stddev(ew_var_.size());
-  for (size_t f = 0; f < ew_var_.size(); ++f) {
-    stddev[f] = static_cast<float>(std::sqrt(std::max(ew_var_[f], 0.0)));
-  }
-  return data::Normalizer::FromMoments(std::move(mean), std::move(stddev));
-}
-
-double StreamIngestor::running_mean(int64_t feature) const {
-  return ew_mean_.at(static_cast<size_t>(feature));
-}
-
-double StreamIngestor::running_stddev(int64_t feature) const {
-  return std::sqrt(std::max(ew_var_.at(static_cast<size_t>(feature)), 0.0));
 }
 
 core::StatusOr<t::Tensor> StreamIngestor::LatestWindow(

@@ -2,11 +2,9 @@
 #define SSTBAN_STREAMING_STREAM_INGESTOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/status.h"
 #include "data/dataset.h"
-#include "data/normalizer.h"
 #include "serving/sanitizer.h"
 #include "tensor/tensor.h"
 
@@ -19,9 +17,8 @@ struct StreamIngestorOptions {
   int64_t output_len = 12;
   int64_t steps_per_day = 96;
   // Value policy at the append boundary. Channels listed as degradable are
-  // scrubbed (and excluded from the running stats); any non-finite reading in
-  // a strict channel rejects the whole slice, so corrupt readings can never
-  // poison the normalizer statistics.
+  // scrubbed; any non-finite reading in a strict channel rejects the whole
+  // slice, so corrupt readings never reach the ring.
   serving::SanitizerOptions sanitizer;
 };
 
@@ -31,19 +28,13 @@ struct StreamIngestorOptions {
 //   - validates geometry and timestamps (appends must advance the logical
 //     clock by exactly one; regressions, gaps, and negative steps are
 //     rejected as out-of-range timestamps),
-//   - applies serving::InputSanitizer channel rules to the values,
-//   - maintains exponentially-weighted per-feature running moments over the
-//     readings that survived sanitization (the drift-aware normalizer), and
+//   - applies serving::InputSanitizer channel rules to the values, and
 //   - retains the last capacity() slices in a preallocated ring, from which
 //     it assembles sliding windows for inference and adaptation snapshots.
 // The accepted-clean-slice path performs no heap allocation (gated by
 // bench_online_adaptation). Thread-compatible: callers serialize appends.
 class StreamIngestor {
  public:
-  // Exponential half-life, in slices, of the running mean/variance the
-  // drift-aware normalizer is derived from.
-  static constexpr double kStatsHalflifeSlices = 256.0;
-
   explicit StreamIngestor(StreamIngestorOptions options);
 
   // Appends the [N, C] slice observed at absolute index `step`. Failpoint
@@ -55,8 +46,7 @@ class StreamIngestor {
   // Geometry and timestamp rejections leave everything untouched. A value
   // rejection consumes its (legitimate) timestamp so the feed keeps flowing,
   // but punches a hole in window continuity: the ring restarts, because
-  // retained history must stay temporally contiguous. The running stats are
-  // untouched in every rejection case — corrupt readings cannot poison them.
+  // retained history must stay temporally contiguous.
   core::Status Append(const tensor::Tensor& slice, int64_t step);
 
   // Slices currently retained (<= capacity()).
@@ -74,15 +64,9 @@ class StreamIngestor {
   int64_t rejected_values() const { return rejected_values_; }
   int64_t rejected_timestamps() const { return rejected_timestamps_; }
   int64_t rejected_geometry() const { return rejected_geometry_; }
-  // Degradable readings scrubbed-and-masked so far (they are excluded from
-  // the running stats but the slice itself is kept).
+  // Degradable readings scrubbed-and-masked so far (the slice itself is
+  // kept).
   int64_t scrubbed_positions() const { return scrubbed_positions_; }
-
-  // Drift-aware normalizer from the running moments. FailedPrecondition
-  // until at least input_len slices were accepted.
-  core::StatusOr<data::Normalizer> RunningNormalizer() const;
-  double running_mean(int64_t feature) const;
-  double running_stddev(int64_t feature) const;
 
   // The newest fully-observed [P, N, C] window (a fresh copy), for serving.
   // `first_step` (if non-null) receives the window's first slice index.
@@ -111,9 +95,6 @@ class StreamIngestor {
   int64_t rejected_timestamps_ = 0;
   int64_t rejected_geometry_ = 0;
   int64_t scrubbed_positions_ = 0;
-  double stats_alpha_ = 0.0;  // per-slice EW weight
-  std::vector<double> ew_mean_;
-  std::vector<double> ew_var_;
 };
 
 }  // namespace sstban::streaming

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <vector>
 
 #include "core/check.h"
-#include "core/thread_pool.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/simd/kernels.h"
@@ -45,19 +43,6 @@ Form ChooseForm(const simd::SimdKernels& ks, const AttentionDims& d) {
     return {ks.attention_broadcast, ks.attention_broadcast_backward};
   }
   return {};
-}
-
-// fn(b) for every batch item b, one item per work item and each item
-// sequential on its thread. Work per item drives the inline-vs-pooled
-// decision; which thread runs an item never changes its result.
-void ForEachItem(const AttentionDims& d,
-                 const std::function<void(int64_t)>& fn) {
-  const int64_t madds = d.heads * d.lq * d.lk * d.dk;
-  const int64_t min_chunk =
-      std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
-  core::ParallelFor(0, d.batch, [&](int64_t lo, int64_t hi) {
-    for (int64_t b = lo; b < hi; ++b) fn(b);
-  }, min_chunk);
 }
 
 // The operands of batch item b, `out` left null.
@@ -125,53 +110,47 @@ void RowBlockProbs(const float* qblk, const float* kb, const float* mrow,
   }
 }
 
-// Every shape without a form: one work item per (batch item, head, 64-row
+// Every shape without a form: one pass per (batch item, head, 64-row
 // block), the head's slices gathered into contiguous scratch when there is
 // more than one head. The context GEMM, like the score GEMM, runs at the
-// full problem shape.
+// full problem shape. The scratch is thread_local, so concurrent callers
+// (one per batch item of the serving and training splits) never share it.
 void RowBlockAttention(const float* q, const float* k, const float* v,
                        const float* key_mask, float* out,
                        const AttentionDims& d, float scale,
                        const simd::SimdKernels& ks) {
   const int64_t ld = d.heads * d.dk, dk = d.dk, lq = d.lq, lk = d.lk;
   const int64_t q_stride = d.shared_q ? 0 : lq * ld;
-  const int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
   const int64_t block_rows = std::min(lq, kGemmRowBlock);
-  // Work per item drives the same inline-vs-pooled decision BatchedGemm
-  // makes; the grid itself is independent of thread count.
-  const int64_t madds = block_rows * dk * lk;
-  const int64_t min_chunk =
-      std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(madds, 1));
-  core::ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
-    thread_local std::vector<float> scores;
-    thread_local std::vector<float> slices;
-    scores.resize(static_cast<size_t>(block_rows * lk));
-    slices.resize(static_cast<size_t>(2 * (block_rows + lk) * dk));
-    float* q_slice = slices.data();
-    float* o_slice = q_slice + block_rows * dk;
-    float* k_slice = o_slice + block_rows * dk;
-    float* v_slice = k_slice + lk * dk;
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int64_t b = idx / (d.heads * row_blocks);
-      const int64_t j = idx / row_blocks % d.heads;
-      const int64_t i0 = idx % row_blocks * kGemmRowBlock;
-      const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
-      const int64_t rows = i1 - i0;
-      const float* qblk =
-          HeadRows(q + b * q_stride + i0 * ld + j * dk, ld, rows, dk, q_slice);
+  thread_local std::vector<float> scores;
+  thread_local std::vector<float> slices;
+  scores.resize(static_cast<size_t>(block_rows * lk));
+  slices.resize(static_cast<size_t>(2 * (block_rows + lk) * dk));
+  float* q_slice = slices.data();
+  float* o_slice = q_slice + block_rows * dk;
+  float* k_slice = o_slice + block_rows * dk;
+  float* v_slice = k_slice + lk * dk;
+  for (int64_t b = 0; b < d.batch; ++b) {
+    const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
+    for (int64_t j = 0; j < d.heads; ++j) {
       const float* kb = HeadRows(k + b * lk * ld + j * dk, ld, lk, dk, k_slice);
       const float* vb = HeadRows(v + b * lk * ld + j * dk, ld, lk, dk, v_slice);
-      float* odst = out + (b * lq + i0) * ld + j * dk;
-      float* oblk = ld == dk ? odst : o_slice;
-      const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
-      RowBlockProbs(qblk, kb, mrow, scores.data(), lq, lk, dk, scale, i0, i1,
-                    ks);
-      std::memset(oblk, 0, static_cast<size_t>(rows * dk) * sizeof(float));
-      GemmRowRangeAccumulate(scores.data(), vb, oblk, lq, lk, dk,
-                             /*ta=*/false, /*tb=*/false, i0, i1);
-      if (oblk != odst) ScatterHeadRows(oblk, rows, dk, odst, ld);
+      for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
+        const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+        const int64_t rows = i1 - i0;
+        const float* qblk = HeadRows(q + b * q_stride + i0 * ld + j * dk, ld,
+                                     rows, dk, q_slice);
+        float* odst = out + (b * lq + i0) * ld + j * dk;
+        float* oblk = ld == dk ? odst : o_slice;
+        RowBlockProbs(qblk, kb, mrow, scores.data(), lq, lk, dk, scale, i0,
+                      i1, ks);
+        std::memset(oblk, 0, static_cast<size_t>(rows * dk) * sizeof(float));
+        GemmRowRangeAccumulate(scores.data(), vb, oblk, lq, lk, dk,
+                               /*ta=*/false, /*tb=*/false, i0, i1);
+        if (oblk != odst) ScatterHeadRows(oblk, rows, dk, odst, ld);
+      }
     }
-  }, min_chunk);
+  }
 }
 
 // Row-block backward of one contiguous head, for shapes without a form:
@@ -239,12 +218,12 @@ void FusedAttentionInto(const float* q, const float* k, const float* v,
     return;
   }
   const int64_t ld = dims.heads * dims.dk;
-  ForEachItem(dims, [&](int64_t b) {
+  for (int64_t b = 0; b < dims.batch; ++b) {
     simd::AttentionItem item =
         ItemOperands(q, k, v, key_mask, dims, scale, b);
     item.out = out + b * dims.lq * ld;
     form(item);
-  });
+  }
 }
 
 AttentionDims FusedAttentionDims(const Tensor& q, const Tensor& k,
@@ -303,27 +282,26 @@ Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
   const simd::SimdKernels& ks = simd::Kernels();
   const int64_t ld = d.heads * d.dk, dk = d.dk, lq = d.lq, lk = d.lk;
   const int64_t q_stride = d.shared_q ? 0 : lq * ld;
-  const int64_t row_blocks = (lq + kGemmRowBlock - 1) / kGemmRowBlock;
   // Per-head probabilities, then the chain's head average.
   Tensor probs = Tensor::Empty(Shape{d.batch, d.heads, lq, lk});
-  core::ParallelFor(0, d.batch * d.heads * row_blocks, [&](int64_t lo, int64_t hi) {
-    thread_local std::vector<float> slices;
-    slices.resize(static_cast<size_t>((kGemmRowBlock + lk) * dk));
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int64_t item = idx / row_blocks;  // b * heads + j
-      const int64_t b = item / d.heads, j = item % d.heads;
-      const int64_t i0 = idx % row_blocks * kGemmRowBlock;
-      const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
-      const float* qblk = HeadRows(q.data() + b * q_stride + i0 * ld + j * dk,
-                                   ld, i1 - i0, dk, slices.data());
+  thread_local std::vector<float> slices;
+  slices.resize(static_cast<size_t>((kGemmRowBlock + lk) * dk));
+  for (int64_t b = 0; b < d.batch; ++b) {
+    const float* mrow =
+        key_mask != nullptr ? key_mask->data() + b * lk : nullptr;
+    for (int64_t j = 0; j < d.heads; ++j) {
       const float* kb = HeadRows(k.data() + b * lk * ld + j * dk, ld, lk, dk,
                                  slices.data() + kGemmRowBlock * dk);
-      RowBlockProbs(qblk, kb,
-                    key_mask != nullptr ? key_mask->data() + b * lk : nullptr,
-                    probs.data() + (item * lq + i0) * lk, lq, lk, dk, scale,
-                    i0, i1, ks);
+      for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
+        const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+        const float* qblk = HeadRows(q.data() + b * q_stride + i0 * ld + j * dk,
+                                     ld, i1 - i0, dk, slices.data());
+        RowBlockProbs(qblk, kb, mrow,
+                      probs.data() + ((b * d.heads + j) * lq + i0) * lk, lq,
+                      lk, dk, scale, i0, i1, ks);
+      }
     }
-  }, /*min_chunk=*/1);
+  }
   return Mean(probs, 1);
 }
 
@@ -335,55 +313,53 @@ void FusedAttentionBackward(const float* q, const float* k, const float* v,
   const int64_t ld = dims.heads * dims.dk, dk = dims.dk;
   const simd::AttentionBackwardFn form = ChooseForm(ks, dims).backward;
   if (form != nullptr) {
-    ForEachItem(dims, [&](int64_t b) {
+    for (int64_t b = 0; b < dims.batch; ++b) {
       const int64_t q_off = b * dims.lq * ld, kv_off = b * dims.lk * ld;
       form(simd::AttentionGradItem{
           ItemOperands(q, k, v, key_mask, dims, scale, b), dout + q_off,
           dq + q_off, dkk + kv_off, dv + kv_off});
-    });
+    }
     return;
   }
   const int64_t lq = dims.lq, lk = dims.lk;
   const int64_t q_stride = dims.shared_q ? 0 : lq * ld;
   const int64_t block_rows = std::min(lq, kGemmRowBlock);
   const bool gather = ld != dk;
-  // Parallel over (batch item, head): each item's dK / dV accumulate across
+  // One (batch item, head) at a time: each item's dK / dV accumulate across
   // its row blocks in a fixed sequential order.
-  core::ParallelFor(0, dims.batch * dims.heads, [&](int64_t lo, int64_t hi) {
-    thread_local std::vector<float> probs;
-    thread_local std::vector<float> dscores;
-    thread_local std::vector<float> slices;
-    probs.resize(static_cast<size_t>(block_rows * lk));
-    dscores.resize(static_cast<size_t>(block_rows * lk));
-    if (gather) slices.resize(static_cast<size_t>((3 * lq + 4 * lk) * dk));
-    float* q_slice = slices.data();
-    float* do_slice = q_slice + lq * dk;
-    float* dq_slice = do_slice + lq * dk;
-    float* k_slice = dq_slice + lq * dk;
-    float* v_slice = k_slice + lk * dk;
-    float* dk_slice = v_slice + lk * dk;
-    float* dv_slice = dk_slice + lk * dk;
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int64_t b = idx / dims.heads, j = idx % dims.heads;
-      const int64_t q_off = (b * lq) * ld + j * dk;
-      const int64_t kv_off = (b * lk) * ld + j * dk;
-      const float* qb = HeadRows(q + b * q_stride + j * dk, ld, lq, dk, q_slice);
-      const float* dob = HeadRows(dout + q_off, ld, lq, dk, do_slice);
-      const float* kb = HeadRows(k + kv_off, ld, lk, dk, k_slice);
-      const float* vb = HeadRows(v + kv_off, ld, lk, dk, v_slice);
-      float* dqb = gather ? dq_slice : dq + q_off;
-      float* dkb = gather ? dk_slice : dkk + kv_off;
-      float* dvb = gather ? dv_slice : dv + kv_off;
-      const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
-      BackwardHead(qb, kb, vb, mrow, dob, dqb, dkb, dvb, lq, lk, dk, scale,
-                   probs.data(), dscores.data(), ks);
-      if (gather) {
-        ScatterHeadRows(dqb, lq, dk, dq + q_off, ld);
-        ScatterHeadRows(dkb, lk, dk, dkk + kv_off, ld);
-        ScatterHeadRows(dvb, lk, dk, dv + kv_off, ld);
-      }
+  thread_local std::vector<float> probs;
+  thread_local std::vector<float> dscores;
+  thread_local std::vector<float> slices;
+  probs.resize(static_cast<size_t>(block_rows * lk));
+  dscores.resize(static_cast<size_t>(block_rows * lk));
+  if (gather) slices.resize(static_cast<size_t>((3 * lq + 4 * lk) * dk));
+  float* q_slice = slices.data();
+  float* do_slice = q_slice + lq * dk;
+  float* dq_slice = do_slice + lq * dk;
+  float* k_slice = dq_slice + lq * dk;
+  float* v_slice = k_slice + lk * dk;
+  float* dk_slice = v_slice + lk * dk;
+  float* dv_slice = dk_slice + lk * dk;
+  for (int64_t idx = 0; idx < dims.batch * dims.heads; ++idx) {
+    const int64_t b = idx / dims.heads, j = idx % dims.heads;
+    const int64_t q_off = (b * lq) * ld + j * dk;
+    const int64_t kv_off = (b * lk) * ld + j * dk;
+    const float* qb = HeadRows(q + b * q_stride + j * dk, ld, lq, dk, q_slice);
+    const float* dob = HeadRows(dout + q_off, ld, lq, dk, do_slice);
+    const float* kb = HeadRows(k + kv_off, ld, lk, dk, k_slice);
+    const float* vb = HeadRows(v + kv_off, ld, lk, dk, v_slice);
+    float* dqb = gather ? dq_slice : dq + q_off;
+    float* dkb = gather ? dk_slice : dkk + kv_off;
+    float* dvb = gather ? dv_slice : dv + kv_off;
+    const float* mrow = key_mask != nullptr ? key_mask + b * lk : nullptr;
+    BackwardHead(qb, kb, vb, mrow, dob, dqb, dkb, dvb, lq, lk, dk, scale,
+                 probs.data(), dscores.data(), ks);
+    if (gather) {
+      ScatterHeadRows(dqb, lq, dk, dq + q_off, ld);
+      ScatterHeadRows(dkb, lk, dk, dkk + kv_off, ld);
+      ScatterHeadRows(dvb, lk, dk, dv + kv_off, ld);
     }
-  }, /*min_chunk=*/1);
+  }
 }
 
 }  // namespace sstban::tensor

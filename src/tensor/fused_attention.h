@@ -20,9 +20,8 @@ namespace sstban::tensor {
 // attention forms run (few queries: absorb; short key rows: broadcast;
 // fused_attention.cc holds the thresholds); every other shape streams 64-row
 // blocks through the same kernel entry points as the chain, with the same
-// row-block boundaries (tensor/matmul.h kGemmRowBlock). Work items are
-// independent and every reduction is sequential within one item, so results
-// are bitwise equal at any thread count.
+// row-block boundaries (tensor/matmul.h kGemmRowBlock). Every reduction is
+// sequential within one batch item, so results are bitwise deterministic.
 //
 // `key_mask` is optional: when non-null it holds [batch, lk] keep rows
 // (> 0.5f keeps a key), shared by the heads of a batch item, and the kernel
@@ -70,9 +69,9 @@ Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
 // attention form, its backward form takes one batch item with all heads and
 // rebuilds P with the forward form's own code; every other shape runs per
 // (batch item, head), the head's slices gathered into contiguous scratch, P
-// rebuilt per row block and the gradients scattered back. Either way items
-// are independent and each accumulates in a fixed order, so the gradients
-// are bitwise deterministic at any thread count. An item whose keys are all
+// rebuilt per row block and the gradients scattered back. Either way each
+// item accumulates in a fixed order, so the gradients are bitwise
+// deterministic. An item whose keys are all
 // excluded gets dQ = dK = 0. dq is [batch, lq, heads*dk] even when
 // dims.shared_q (the caller sums it over the batch); dq/dkk/dv are fully
 // overwritten.

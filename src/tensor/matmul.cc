@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/check.h"
-#include "core/thread_pool.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::tensor {
@@ -14,15 +13,14 @@ namespace {
 // ---------------------------------------------------------------------------
 // Shape thresholds and tile sizes.
 //
-// Every dispatch decision below depends only on the GEMM's shape, never on
-// the thread count or the partition, so a given problem always takes the
-// same arithmetic path. Combined with row-block partitioning (a C row is
-// computed start-to-finish by exactly one task, in ascending-k order), this
-// makes results bitwise identical run-to-run and across any number of
-// threads, including the inline sequential path.
+// Every dispatch decision below depends only on the GEMM's shape, so a
+// given problem always takes the same arithmetic path. Combined with
+// row-block partitioning (a C row is computed start-to-finish within one
+// block, in ascending-k order), this makes results bitwise identical
+// run-to-run and on whichever thread calls the kernel.
 // ---------------------------------------------------------------------------
 
-// Rows of C per parallel task, so block boundaries are a pure function of M.
+// Rows of C per block, so block boundaries are a pure function of M.
 constexpr int64_t kRowBlock = kGemmRowBlock;
 // Cache-blocking extents: one kKC x kNC block of B (at most 256 KiB) stays
 // resident in L2 while the micro-kernel streams a row block's A and C.
@@ -31,8 +29,6 @@ constexpr int64_t kNC = 256;
 // Below this many multiply-adds per GEMM the tiled path loses to the plain
 // loops (its per-tile set-up dominates).
 constexpr int64_t kTiledMaddCutoff = 1 << 13;
-// Target multiply-adds per scheduled chunk; smaller problems run inline.
-constexpr int64_t kParallelMaddCutoff = 1 << 15;
 
 // ---------------------------------------------------------------------------
 // Small-shape kernels. The !ta variants (attention scores QK^T and context
@@ -150,7 +146,7 @@ void TiledRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch and parallel driver.
+// Dispatch and the batch x row-block driver.
 // ---------------------------------------------------------------------------
 
 bool UseTiledPath(int64_t m, int64_t k, int64_t n, bool ta, bool tb) {
@@ -193,33 +189,23 @@ void GemmRows(const float* a, const float* b, float* c, int64_t m, int64_t k,
   }
 }
 
-// Shared driver for Matmul (batch == 1) and Bmm: partitions the batch x
-// row-block grid across the pool. Chunk granularity is derived from the
-// shape alone, so the inline-vs-pooled decision is deterministic too.
+// Shared driver for Matmul (batch == 1) and Bmm: walks the batch x
+// row-block grid in order.
 void BatchedGemm(const float* pa, const float* pb, float* pc, int64_t batch,
                  int64_t m, int64_t k, int64_t n, bool ta, bool tb,
                  int64_t a_stride, int64_t b_stride) {
   if (batch == 0 || m == 0 || n == 0) return;
   int64_t row_blocks = RowBlocksFor(m, k, n, ta, tb);
-  int64_t items = batch * row_blocks;
   int64_t o_stride = m * n;
-  int64_t madds_per_item = std::min(m, kRowBlock) * std::max<int64_t>(k, 1) * n;
-  int64_t min_chunk =
-      std::max<int64_t>(1, kParallelMaddCutoff / std::max<int64_t>(madds_per_item, 1));
-  core::ParallelFor(
-      0, items,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t idx = lo; idx < hi; ++idx) {
-          int64_t bi = idx / row_blocks;
-          int64_t blk = idx % row_blocks;
-          int64_t i0 = blk * kRowBlock;
-          int64_t i1 = row_blocks == 1 ? m : std::min(m, i0 + kRowBlock);
-          const float* a_base = pa + bi * a_stride + (ta ? 0 : i0 * k);
-          GemmRows(a_base, pb + bi * b_stride, pc + bi * o_stride + i0 * n,
-                   m, k, n, ta, tb, i0, i1);
-        }
-      },
-      min_chunk);
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    for (int64_t blk = 0; blk < row_blocks; ++blk) {
+      int64_t i0 = blk * kRowBlock;
+      int64_t i1 = row_blocks == 1 ? m : std::min(m, i0 + kRowBlock);
+      const float* a_base = pa + bi * a_stride + (ta ? 0 : i0 * k);
+      GemmRows(a_base, pb + bi * b_stride, pc + bi * o_stride + i0 * n, m, k,
+               n, ta, tb, i0, i1);
+    }
+  }
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ Tensor Bmm(const Tensor& a, const Tensor& b, bool transpose_a = false,
 // [batch, n, k] when tb) into it. `a_stride` / `b_stride` are per-batch
 // element strides (pass 0 to reuse one operand across the batch). Kernel
 // routing and partitioning depend only on (m, k, n, ta, tb), so results are
-// bitwise-identical to Matmul/Bmm on the same operands at any thread count.
+// bitwise-identical to Matmul/Bmm on the same operands.
 void GemmBatchedInto(const float* a, const float* b, float* c, int64_t batch,
                      int64_t m, int64_t k, int64_t n, bool ta, bool tb,
                      int64_t a_stride, int64_t b_stride);

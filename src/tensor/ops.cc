@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "core/check.h"
-#include "core/thread_pool.h"
 #include "tensor/simd/kernels.h"
 
 namespace sstban::tensor {
@@ -19,12 +18,7 @@ namespace {
 // keep Debug/sanitizer builds fast and the kernel layer in one place.
 Tensor SameShapeBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
   Tensor out = Tensor::Empty(a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  core::ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
-    fn(pa + lo, pb + lo, po + lo, hi - lo);
-  });
+  fn(a.data(), b.data(), out.data(), out.size());
   return out;
 }
 
@@ -46,19 +40,14 @@ Tensor RowBroadcastBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  core::ParallelFor(0, a.size() / n, [&](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) fn(pa + r * n, pb, po + r * n, n);
-  }, std::max<int64_t>(1, 1024 / n));
+  const int64_t rows = a.size() / n;
+  for (int64_t r = 0; r < rows; ++r) fn(pa + r * n, pb, po + r * n, n);
   return out;
 }
 
 Tensor ScalarMap(const Tensor& a, float s, simd::ScalarMapFn fn) {
   Tensor out = Tensor::Empty(a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  core::ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
-    fn(pa + lo, s, po + lo, hi - lo);
-  });
+  fn(a.data(), s, out.data(), out.size());
   return out;
 }
 
@@ -83,9 +72,7 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     const float* pb = b.data();
     float* po = out.data();
     int64_t n = out.size();
-    core::ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i], pb[i]);
-    });
+    for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
     return out;
   }
   // Fast path: b is a scalar. Only valid when the broadcast result shape
@@ -143,9 +130,7 @@ Tensor UnaryOp(const Tensor& a, UnaryFn fn) {
   const float* pa = a.data();
   float* po = out.data();
   int64_t n = out.size();
-  core::ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i]);
-  });
+  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
   return out;
 }
 
@@ -221,13 +206,8 @@ Tensor Square(const Tensor& a) {
   return UnaryOp(a, [](float x) { return x * x; });
 }
 Tensor Relu(const Tensor& a) {
-  const simd::UnaryFn fn = simd::Kernels().relu;
   Tensor out = Tensor::Empty(a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  core::ParallelFor(0, out.size(), [&](int64_t lo, int64_t hi) {
-    fn(pa + lo, po + lo, hi - lo);
-  });
+  simd::Kernels().relu(a.data(), out.data(), out.size());
   return out;
 }
 Tensor Sigmoid(const Tensor& a) {
@@ -507,11 +487,7 @@ Tensor Softmax(const Tensor& a) {
   const float* in = a.data();
   float* po = out.data();
   const simd::SoftmaxRowFn fn = simd::Kernels().softmax_row;
-  core::ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      fn(in + r * cols, po + r * cols, cols);
-    }
-  }, /*min_chunk=*/64);
+  for (int64_t r = 0; r < rows; ++r) fn(in + r * cols, po + r * cols, cols);
   return out;
 }
 

@@ -13,10 +13,11 @@ namespace sstban::tensor::simd {
 // fused attention) indirects through it. Two invariants make this safe under
 // the repo's bitwise determinism contracts:
 //   1. The table choice is a process-wide constant — kernel routing never
-//      depends on thread count, partition, or call site.
+//      depends on the calling thread or call site.
 //   2. Every kernel processes its elements in a fixed order that depends
-//      only on the problem shape, so results are identical no matter how
-//      the surrounding ParallelFor partitioned the work.
+//      only on the problem shape, and runs on the thread that calls it,
+//      keeping any scratch thread_local, so concurrent callers (one per
+//      batch item) get the bits a lone call gets.
 // Results *across* tables differ (FMA contraction, vectorized exp); a given
 // process never mixes tables, so each mode is self-consistent.
 

@@ -16,7 +16,7 @@ constexpr int64_t kScalarMR = 4;
 // C[r][j] += sum_p A(r, p) * B[p][j] for an MR x nc tile, reading A at
 // a[r*rsa + p*csa] and B's row p at b + p*ldb in place. Accumulates directly
 // into C in ascending-p order so results never depend on how rows were
-// assigned to threads or on panel boundaries.
+// blocked or on panel boundaries.
 template <int MR>
 void MicroKernel(const float* a, int64_t rsa, int64_t csa, const float* b,
                  int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t nc) {

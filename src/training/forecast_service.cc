@@ -1,8 +1,13 @@
 #include "training/forecast_service.h"
 
+#include <utility>
+#include <vector>
+
 #include "autograd/variable.h"
 #include "core/check.h"
+#include "core/storage_pool.h"
 #include "core/string_util.h"
+#include "core/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace sstban::training {
@@ -41,40 +46,71 @@ void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
   }
 }
 
+void RunItems(int64_t items, const std::function<void(int64_t b)>& item) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(static_cast<size_t>(items));
+  for (int64_t b = 0; b < items; ++b) {
+    tasks.push_back([&item, b] {
+      core::StoragePool::ItemScope scope(b);
+      item(b);
+    });
+  }
+  core::ThreadPool::Global().RunAndWait(std::move(tasks));
+}
+
+namespace {
+
+// The item split both entry points share: window b is a single-threaded
+// grads-off forward of its one-item slice (through PredictMasked with its
+// row of `keep_pos` when that is set), written into row b of the output.
+// No result can depend on the pool width or on the batch's other windows.
+tensor::Tensor PredictByItem(TrafficModel* model,
+                             const data::Normalizer& normalizer,
+                             const data::Batch& batch,
+                             const tensor::Tensor* keep_pos) {
+  SSTBAN_CHECK(model != nullptr);
+  model->SetTraining(false);
+  std::vector<tensor::Tensor> rows(static_cast<size_t>(batch.batch_size()));
+  RunItems(batch.batch_size(), [&](int64_t b) {
+    autograd::NoGradGuard no_grad;  // grad mode is thread-local
+    data::Batch item = batch.Item(b);
+    tensor::Tensor x_norm = normalizer.Transform(item.x);
+    autograd::Variable pred =
+        keep_pos == nullptr
+            ? model->Predict(x_norm, item)
+            : model->PredictMasked(x_norm, tensor::Slice(*keep_pos, 0, b, 1),
+                                   item);
+    rows[static_cast<size_t>(b)] = normalizer.InverseTransform(pred.value());
+  });
+  return rows.size() == 1 ? rows[0] : tensor::Concat(rows, 0);
+}
+
+}  // namespace
+
 tensor::Tensor RunBatchedInference(TrafficModel* model,
                                    const data::Normalizer& normalizer,
                                    const data::Batch& batch) {
-  SSTBAN_CHECK(model != nullptr);
-  model->SetTraining(false);
-  autograd::NoGradGuard no_grad;
-  tensor::Tensor x_norm = normalizer.Transform(batch.x);
-  autograd::Variable pred = model->Predict(x_norm, batch);
-  return normalizer.InverseTransform(pred.value());
+  return PredictByItem(model, normalizer, batch, /*keep_pos=*/nullptr);
 }
 
 core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
     TrafficModel* model, const data::Normalizer& normalizer,
     const data::Batch& batch, const tensor::Tensor& keep_pos) {
-  SSTBAN_CHECK(model != nullptr);
   if (batch.x.rank() != 4) {
     return core::Status::InvalidArgument(core::StrFormat(
         "batch.x must be [B, P, N, C], got %s",
         batch.x.shape().ToString().c_str()));
   }
-  // Validate the keep mask against the batch geometry *before* handing it to
-  // the model: a mask built for a different (P, N) would otherwise be
-  // read out of range (or crash) deep inside PredictMasked.
+  // Validate the keep mask against the batch geometry *before* any item
+  // runs: a mask built for a different (P, N) would otherwise be read out
+  // of range (or crash) deep inside PredictMasked.
   tensor::Shape want{batch.x.dim(0), batch.x.dim(1), batch.x.dim(2)};
   if (!(keep_pos.shape() == want)) {
     return core::Status::InvalidArgument(core::StrFormat(
         "keep mask shape %s does not match the batch's [B, P, N] = %s",
         keep_pos.shape().ToString().c_str(), want.ToString().c_str()));
   }
-  model->SetTraining(false);
-  autograd::NoGradGuard no_grad;
-  tensor::Tensor x_norm = normalizer.Transform(batch.x);
-  autograd::Variable pred = model->PredictMasked(x_norm, keep_pos, batch);
-  return normalizer.InverseTransform(pred.value());
+  return PredictByItem(model, normalizer, batch, &keep_pos);
 }
 
 ForecastService::ForecastService(TrafficModel* model, data::Normalizer normalizer,

@@ -2,6 +2,7 @@
 #define SSTBAN_TRAINING_FORECAST_SERVICE_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "core/status.h"
 #include "data/dataset.h"
@@ -34,10 +35,17 @@ void AppendCalendarFeatures(int64_t first_step, int64_t input_len,
                             int64_t output_len, int64_t steps_per_day,
                             data::Batch* batch);
 
+// The item split of RunBatchedInference[Masked] and TrainStep: runs item(b)
+// for each b in [0, items) as one task on core::ThreadPool::Global(), in
+// core::StoragePool::ItemScope(b), and waits for all of them.
+void RunItems(int64_t items, const std::function<void(int64_t b)>& item);
+
 // Runs one inference pass over a fully assembled batch (batch.x is
 // [B, P, N, C] raw signals with calendar features filled in): switches the
-// model to eval, disables autograd, normalizes, predicts, denormalizes.
-// Returns the raw-scale [B, Q, N, C] forecast.
+// model to eval, then normalizes, predicts and denormalizes each window as
+// its own single-threaded task (RunItems) with autograd off, so a window's
+// forecast is bit for bit its batch-of-one forecast, whatever the pool width
+// and its batch-mates. Returns the raw-scale [B, Q, N, C] forecast.
 tensor::Tensor RunBatchedInference(TrafficModel* model,
                                    const data::Normalizer& normalizer,
                                    const data::Batch& batch);
@@ -46,8 +54,9 @@ tensor::Tensor RunBatchedInference(TrafficModel* model,
 // observed; masked positions are routed through the model's degraded-mode
 // pathway (TrafficModel::PredictMasked). batch.x may hold arbitrary finite
 // values at masked positions — they are structurally excluded, never read.
-// Returns InvalidArgument when keep_pos's shape disagrees with the batch
-// geometry instead of reading out of range inside the model.
+// Runs by window like RunBatchedInference. Returns InvalidArgument, before
+// any window runs, when keep_pos's shape disagrees with the batch geometry
+// instead of reading out of range inside the model.
 core::StatusOr<tensor::Tensor> RunBatchedInferenceMasked(
     TrafficModel* model, const data::Normalizer& normalizer,
     const data::Batch& batch, const tensor::Tensor& keep_pos);

@@ -35,6 +35,11 @@ autograd::Variable TrafficModel::SelfSupervisedLoss(
   return {};
 }
 
+tensor::Tensor TrafficModel::DrawItemMask(Objective objective) {
+  (void)objective;
+  return {};
+}
+
 void TrafficModel::Fit(const data::WindowDataset& windows,
                        const std::vector<int64_t>& train_indices,
                        const data::Normalizer& normalizer) {

@@ -9,6 +9,12 @@
 
 namespace sstban::training {
 
+// The two losses a training step can minimise.
+enum class Objective {
+  kTraining,        // TrafficModel::TrainingLoss, on inputs and targets
+  kSelfSupervised,  // TrafficModel::SelfSupervisedLoss, on inputs alone
+};
+
 // Common interface all forecasting models implement (SSTBAN and every
 // baseline in Tables IV/V). Models consume z-score-normalized signals and
 // emit normalized predictions; the evaluator denormalizes before computing
@@ -62,6 +68,11 @@ class TrafficModel : public nn::Module {
   // a resumed run replays the identical draw sequence; nullptr (the
   // default) when the training loss is deterministic.
   virtual core::Rng* TrainingRng() { return nullptr; }
+
+  // Draws from TrainingRng() the [1, P, N, C] mask `objective`'s loss would
+  // draw for one item (data::Batch::mask); empty when it draws none (the
+  // default). TrainStep draws every item's, in order, before items run.
+  virtual tensor::Tensor DrawItemMask(Objective objective);
 
   // Short display name for result tables.
   virtual std::string name() const = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 
 #include "autograd/ops.h"
 #include "core/check.h"
@@ -40,11 +41,60 @@ void RestoreParams(std::vector<autograd::Variable>& params,
 
 }  // namespace
 
-void TrainStep(autograd::Variable loss, optim::Adam* optimizer) {
-  optimizer->ZeroGrad();
-  loss.Backward();
+core::StatusOr<float> TrainStep(TrafficModel* model, optim::Adam* optimizer,
+                                const data::Normalizer& normalizer,
+                                const data::Batch& batch, Objective objective) {
+  SSTBAN_CHECK(model != nullptr && optimizer != nullptr);
+  const auto items = static_cast<size_t>(batch.batch_size());
+  // Every item's masks, in item order, before any item runs.
+  std::vector<data::Batch> item_batches;
+  for (size_t b = 0; b < items; ++b) {
+    item_batches.push_back(batch.Item(static_cast<int64_t>(b)));
+    item_batches.back().mask = model->DrawItemMask(objective);
+  }
+  // Item b's loss, and its leaves' gradients in nodes it owns.
+  std::vector<autograd::Variable> losses(items);
+  std::vector<std::unordered_map<const autograd::Node*, autograd::Node>> grads(
+      items);
+  RunItems(batch.batch_size(), [&](int64_t i) {
+    const auto b = static_cast<size_t>(i);
+    const data::Batch& item = item_batches[b];
+    const tensor::Tensor x_norm = normalizer.Transform(item.x);
+    autograd::Variable loss =
+        objective == Objective::kTraining
+            ? model->TrainingLoss(x_norm, normalizer.Transform(item.y), item)
+            : model->SelfSupervisedLoss(x_norm, item);
+    if (!loss.defined()) return;
+    loss.Backward([&own = grads[b]](autograd::Node& leaf,
+                                    const tensor::Tensor& g) {
+      own.try_emplace(&leaf, leaf.shape, /*requires_grad=*/true, "leaf")
+          .first->second.AccumulateGrad(g);
+    });
+    losses[b] = loss.Detach();
+  });
+  double loss_sum = 0.0;
+  for (const autograd::Variable& loss : losses) {
+    if (!loss.defined()) {
+      return core::Status::FailedPrecondition(
+          model->name() + " has no loss for this objective");
+    }
+    loss_sum += loss.item();
+  }
+  // Each parameter's gradient: the items', added in item order, times 1/B.
+  for (const autograd::Variable& p : optimizer->params()) {
+    autograd::Node sum(p.shape(), /*requires_grad=*/true, "leaf");
+    for (const auto& own : grads) {
+      auto it = own.find(p.node().get());
+      if (it != own.end()) sum.AccumulateGrad(it->second.grad);
+    }
+    p.node()->grad =
+        sum.grad.defined()
+            ? tensor::MulScalar(sum.grad, 1.0f / static_cast<float>(items))
+            : tensor::Tensor();
+  }
   optim::ClipGradNorm(optimizer->params(), kGradClipNorm);
   optimizer->Step();
+  return static_cast<float>(loss_sum / static_cast<double>(items));
 }
 
 TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& windows,
@@ -111,12 +161,11 @@ TrainStats Trainer::Train(TrafficModel* model, const data::WindowDataset& window
     for (size_t begin = 0; begin < order.size(); begin += config_.batch_size) {
       size_t end = std::min(begin + config_.batch_size, order.size());
       std::vector<int64_t> indices(order.begin() + begin, order.begin() + end);
-      data::Batch batch = windows.MakeBatch(indices);
-      tensor::Tensor x_norm = normalizer.Transform(batch.x);
-      tensor::Tensor y_norm = normalizer.Transform(batch.y);
-      autograd::Variable loss = model->TrainingLoss(x_norm, y_norm, batch);
-      TrainStep(loss, &optimizer);
-      epoch_loss += loss.item();
+      core::StatusOr<float> loss =
+          TrainStep(model, &optimizer, normalizer, windows.MakeBatch(indices),
+                    Objective::kTraining);
+      SSTBAN_CHECK(loss.ok()) << loss.status().ToString();
+      epoch_loss += loss.value();
       ++num_batches;
     }
     epoch_loss /= static_cast<double>(num_batches);

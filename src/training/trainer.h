@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "core/status.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
 #include "optim/optimizer.h"
@@ -91,10 +92,17 @@ class Trainer {
   TrainerConfig config_;
 };
 
-// One optimizer step on `loss`, shared by every training loop: clears the
-// optimizer's parameters' gradients, backpropagates, clips the global
-// gradient norm at 5 and applies Adam.
-void TrainStep(autograd::Variable loss, optim::Adam* optimizer);
+// One optimizer step of `objective` on `batch` (raw signals), shared by
+// every training loop and split by item: the calling thread draws every
+// item's masks in item order (TrafficModel::DrawItemMask); each item's loss
+// and backward run as one task (RunItems), handing its gradients to storage
+// it owns; the calling thread adds them in item order, scales by 1/B, clips
+// the global norm at 5 and applies Adam. A step is thus bitwise the same at
+// any pool width. Returns the mean item loss, or FailedPrecondition, with no
+// parameter moved, when the model has no loss for `objective`.
+core::StatusOr<float> TrainStep(TrafficModel* model, optim::Adam* optimizer,
+                                const data::Normalizer& normalizer,
+                                const data::Batch& batch, Objective objective);
 
 // Runs the model over the given windows, `batch_size` at a time through
 // RunBatchedInference (eval mode, gradients off), and aggregates

@@ -1,6 +1,9 @@
 // The headline robustness gate: kill training at failpoint-chosen epochs in
 // a subprocess, resume in a fresh process, and assert the final weights are
 // bitwise identical to an uninterrupted run — at SSTBAN_NUM_THREADS=1 and 8.
+// Uninterrupted runs at 1, 2, 4 and 8 threads must also write the same
+// bytes: the pool width is fixed per process, so only a fresh process can
+// change it.
 //
 // This binary has its own main(): when SSTBAN_CRASH_TEST_WORKER is set in
 // the environment it runs one training job and exits instead of running
@@ -156,6 +159,27 @@ TEST(CheckpointCrashTest, KillAfterEpochTwoThenResumeIsBitwiseIdentical) {
 TEST(CheckpointCrashTest, KillAndResumeIsBitwiseIdenticalWithEightThreads) {
   KillResumeCompare("crash_epoch_mt", "train_epoch_end=crash@2",
                     /*num_threads=*/8);
+}
+
+// Trainer steps split each batch by item and add the items' gradients in
+// item order on the calling thread, so the pool width cannot move a bit of
+// the weights, the Adam moments or the mask stream.
+TEST(CheckpointCrashTest, FinalCheckpointIsByteIdenticalAtAnyThreadCount) {
+  const std::string last = "/" + training::TrainCheckpointFileName(kEpochs);
+  std::string want_weights, want_checkpoint;
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("SSTBAN_NUM_THREADS=" + std::to_string(threads));
+    std::string dir = FreshDir("threads_" + std::to_string(threads));
+    std::string out = dir + "/final_weights.bin";
+    ASSERT_TRUE(ExitedCleanly(LaunchWorker(dir, out, "", threads)));
+    if (threads == 1) {
+      want_weights = ReadAll(out);
+      want_checkpoint = ReadAll(dir + last);
+      continue;
+    }
+    EXPECT_EQ(ReadAll(out), want_weights);
+    EXPECT_EQ(ReadAll(dir + last), want_checkpoint);
+  }
 }
 
 TEST(CheckpointCrashTest, CrashDuringCheckpointRenameResumesFromOlderOne) {

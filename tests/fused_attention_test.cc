@@ -9,8 +9,7 @@
 // Tolerance policy (DESIGN.md §14): the forward must match the unfused chain
 // BIT FOR BIT at every shape, lk > 512 included. The recompute backward
 // contracts the same sums in a different order, so its gradients are held to
-// 1e-5 absolute / 1e-4 relative against the chain's; forward and backward
-// are each bitwise deterministic across thread counts.
+// 1e-5 absolute / 1e-4 relative against the chain's.
 
 #include <algorithm>
 #include <cmath>
@@ -24,7 +23,6 @@
 #include "autograd/variable.h"
 #include "core/cpu_features.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "data/dataset.h"
 #include "simd_tiers.h"
 #include "sstban/config.h"
@@ -227,66 +225,6 @@ TEST(FusedAttentionTest, HeadLayoutMatchesUnfusedChainBitwise) {
   }
 }
 
-// Forms and row blocks in the head layout, up to 600 keys, forward and
-// backward, at 1 and 8 threads.
-TEST(FusedAttentionTest, HeadLayoutIsBitwiseDeterministicOneVsEightThreads) {
-  struct Shape { int64_t heads, lq, lk, dk; };
-  const std::vector<Shape> shapes = {
-      {8, 3, 307, 4}, {8, 307, 3, 2}, {8, 12, 12, 2}, {4, 70, 65, 4},
-      {2, 9, 600, 4}, {3, 8, 512, 8}, {3, 307, 16, 1},
-  };
-  for (core::SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel scoped(level);
-    core::Rng rng(23);
-    for (const Shape& c : shapes) {
-      SCOPED_TRACE(TierName() + " h=" + std::to_string(c.heads) +
-                   " lq=" + std::to_string(c.lq) +
-                   " lk=" + std::to_string(c.lk));
-      HeadProblem p = MakeHeadProblem(16, c.heads, c.lq, c.lk, c.dk,
-                                      /*shared_q=*/c.lq <= 8, rng);
-      t::AttentionDims dims =
-          t::FusedAttentionDims(p.q, p.k, p.v, &p.keep, c.heads);
-      t::Tensor dout = t::Tensor::RandomNormal(
-          t::Shape{dims.batch, c.lq, c.heads * c.dk}, rng);
-      auto run = [&](int cap) {
-        core::SetParallelismCapForTesting(cap);
-        std::vector<t::Tensor> r = {
-            FusedHeads(p.q, p.k, p.v, &p.keep, c.heads, 0.5f),
-            t::Tensor::Empty(dout.shape()), t::Tensor::Empty(p.k.shape()),
-            t::Tensor::Empty(p.v.shape())};
-        t::FusedAttentionBackward(p.q.data(), p.k.data(), p.v.data(),
-                                  p.keep.data(), dout.data(), r[1].data(),
-                                  r[2].data(), r[3].data(), dims, 0.5f);
-        core::SetParallelismCapForTesting(0);
-        return r;
-      };
-      std::vector<t::Tensor> seq = run(1);
-      std::vector<t::Tensor> par = run(8);
-      for (size_t i = 0; i < seq.size(); ++i) {
-        ExpectBitwise(seq[i], par[i], "result " + std::to_string(i));
-      }
-    }
-  }
-}
-
-TEST(FusedAttentionTest, ForwardIsBitwiseDeterministicOneVsEightThreads) {
-  core::Rng rng(21);
-  for (int64_t lk : {48, 512, 700}) {
-    SCOPED_TRACE("lk=" + std::to_string(lk));
-    const int64_t batch = 4, lq = 70, dk = 8;
-    t::Tensor q = t::Tensor::RandomNormal(t::Shape{batch, lq, dk}, rng);
-    t::Tensor k = t::Tensor::RandomNormal(t::Shape{batch, lk, dk}, rng);
-    t::Tensor v = t::Tensor::RandomNormal(t::Shape{batch, lk, dk}, rng);
-    t::Tensor keep = MakeKeep(batch / 2, lk, 5);
-    core::SetParallelismCapForTesting(1);
-    t::Tensor seq = t::FusedAttention(q, k, v, &keep, 2, 0.25f);
-    core::SetParallelismCapForTesting(8);
-    t::Tensor par = t::FusedAttention(q, k, v, &keep, 2, 0.25f);
-    core::SetParallelismCapForTesting(0);
-    ExpectBitwise(seq, par, "1 vs 8 threads");
-  }
-}
-
 // -- Autograd: the recompute backward vs the unfused tape gradients ----------
 
 TEST(FusedAttentionTest, BackwardMatchesUnfusedChainGradients) {
@@ -473,32 +411,6 @@ TEST(FusedAttentionTest, FullyMaskedItemPassesNoGradientToQueryOrKey) {
   }
 }
 
-TEST(FusedAttentionTest, BackwardIsBitwiseDeterministicOneVsEightThreads) {
-  core::Rng rng(41);
-  const int64_t batch = 4, lq = 70, lk = 65, dk = 4;
-  t::Tensor q = t::Tensor::RandomNormal(t::Shape{batch, lq, dk}, rng);
-  t::Tensor k = t::Tensor::RandomNormal(t::Shape{batch, lk, dk}, rng);
-  t::Tensor v = t::Tensor::RandomNormal(t::Shape{batch, lk, dk}, rng);
-  t::Tensor dout = t::Tensor::RandomNormal(t::Shape{batch, lq, dk}, rng);
-  auto run = [&](int cap) {
-    core::SetParallelismCapForTesting(cap);
-    t::Tensor dq = t::Tensor::Empty(t::Shape{batch, lq, dk});
-    t::Tensor dk_ = t::Tensor::Empty(t::Shape{batch, lk, dk});
-    t::Tensor dv = t::Tensor::Empty(t::Shape{batch, lk, dk});
-    t::AttentionDims dims = t::FusedAttentionDims(q, k, v, nullptr, 1);
-    t::FusedAttentionBackward(q.data(), k.data(), v.data(), nullptr,
-                              dout.data(), dq.data(), dk_.data(), dv.data(),
-                              dims, 0.5f);
-    core::SetParallelismCapForTesting(0);
-    return std::vector<t::Tensor>{dq, dk_, dv};
-  };
-  std::vector<t::Tensor> seq = run(1);
-  std::vector<t::Tensor> par = run(8);
-  for (size_t i = 0; i < seq.size(); ++i) {
-    ExpectBitwise(seq[i], par[i], "grad " + std::to_string(i));
-  }
-}
-
 // -- Model level: grads off vs grads on -------------------------------------
 
 model_ns::SstbanConfig ModelConfig(int64_t nodes, bool use_bottleneck) {
@@ -537,7 +449,7 @@ data::Batch ModelBatch(int64_t b, const model_ns::SstbanConfig& c,
 
 // Recording a tape must not change forward bits: Predict and PredictMasked
 // with grads on must equal the same calls under NoGradGuard bit for bit,
-// masked and clean, at 1 and 8 threads. N = 100 puts the spatial query rows
+// masked and clean. N = 100 puts the spatial query rows
 // across a 64-row block boundary; the full-attention variant makes
 // lq = lk = N.
 TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
@@ -566,29 +478,24 @@ TEST(FusedAttentionModelTest, GradOffForwardMatchesGradOnForwardBitwise) {
     t::Tensor keep = t::Tensor::Ones(t::Shape{2, config.input_len, c.nodes});
     for (int64_t i = 0; i < keep.size(); i += 3) keep.data()[i] = 0.0f;
     keep.data()[0] = 1.0f;
-    for (int cap : {1, 8}) {
-      core::SetParallelismCapForTesting(cap);
-      for (bool masked : {false, true}) {
-        SCOPED_TRACE("N=" + std::to_string(c.nodes) +
-                     (c.table_iii ? " pems04-24" : "") +
-                     (c.use_bottleneck ? " stba" : " full") +
-                     (masked ? " masked" : " clean") +
-                     " cap=" + std::to_string(cap));
-        auto forward = [&] {
-          return masked ? model.PredictMasked(batch.x, keep, batch).value()
-                        : model.Predict(batch.x, batch).value();
-        };
-        t::Tensor grads_on = forward();
-        t::Tensor grads_off;
-        {
-          ag::NoGradGuard no_grad;
-          grads_off = forward();
-        }
-        ExpectBitwise(grads_off, grads_on, "grads off vs grads on");
+    for (bool masked : {false, true}) {
+      SCOPED_TRACE("N=" + std::to_string(c.nodes) +
+                   (c.table_iii ? " pems04-24" : "") +
+                   (c.use_bottleneck ? " stba" : " full") +
+                   (masked ? " masked" : " clean"));
+      auto forward = [&] {
+        return masked ? model.PredictMasked(batch.x, keep, batch).value()
+                      : model.Predict(batch.x, batch).value();
+      };
+      t::Tensor grads_on = forward();
+      t::Tensor grads_off;
+      {
+        ag::NoGradGuard no_grad;
+        grads_off = forward();
       }
+      ExpectBitwise(grads_off, grads_on, "grads off vs grads on");
     }
   }
-  core::SetParallelismCapForTesting(0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "simd_tiers.h"
+#include "tensor/fused_attention.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -26,15 +27,6 @@ Tensor NaiveMatmul(const Tensor& a, const Tensor& b) {
       c.at({i, j}) = static_cast<float>(acc);
     }
   return c;
-}
-
-// Runs `fn` with ParallelFor capped to `cap` chunks (1 = fully sequential on
-// the calling thread), restoring the uncapped default after.
-Tensor WithParallelismCap(int cap, const std::function<Tensor()>& fn) {
-  core::SetParallelismCapForTesting(cap);
-  Tensor result = fn();
-  core::SetParallelismCapForTesting(0);
-  return result;
 }
 
 // Exact float equality, element by element (bitwise for all non-NaN data).
@@ -105,35 +97,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
                        ::testing::Values(1, 2, 3, 4, 6, 8, 11)));
 
-// -- Parallel-vs-sequential equivalence ------------------------------------
-//
-// The parallel kernels partition work over row blocks and batch entries
-// only; each output element's arithmetic is identical whichever thread
-// computes it, so parallel results must equal the sequential path bit for
-// bit — checked with exact float equality, across odd/prime extents that
-// stress tile and micro-kernel remainders on both sides of the tiled-path
-// cutoff.
-
-TEST(MatmulTest, ParallelMatchesSequentialExactlyOnOddShapes) {
-  core::Rng rng(11);
-  const std::vector<int64_t> ms = {1, 2, 3, 5, 7, 13, 31, 64, 65, 97, 131};
-  const std::vector<int64_t> ks = {1, 2, 3, 7, 8, 17, 33, 64};
-  const std::vector<int64_t> ns = {1, 3, 5, 8, 17, 31, 65};
-  for (int64_t m : ms) {
-    for (int64_t k : ks) {
-      for (int64_t n : ns) {
-        Tensor a = Tensor::RandomNormal(Shape{m, k}, rng);
-        Tensor b = Tensor::RandomNormal(Shape{k, n}, rng);
-        Tensor seq = WithParallelismCap(1, [&] { return Matmul(a, b); });
-        Tensor par = WithParallelismCap(0, [&] { return Matmul(a, b); });
-        ExpectIdentical(par, seq,
-                        "matmul " + std::to_string(m) + "x" +
-                            std::to_string(k) + "x" + std::to_string(n));
-      }
-    }
-  }
-}
-
 TEST(MatmulTest, TiledPathMatchesNaiveOnLargeOddShapes) {
   core::Rng rng(12);
   for (auto [m, k, n] : std::vector<std::tuple<int, int, int>>{
@@ -147,34 +110,6 @@ TEST(MatmulTest, TiledPathMatchesNaiveOnLargeOddShapes) {
 
 class BmmEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
-
-TEST_P(BmmEquivalenceTest, ParallelMatchesSequentialExactly) {
-  auto [ta, tb] = GetParam();
-  core::Rng rng(13 + 2 * ta + tb);
-  const std::vector<int64_t> batches = {1, 3};
-  const std::vector<int64_t> ms = {1, 3, 13, 64, 65};
-  const std::vector<int64_t> ks = {1, 5, 8, 37};
-  const std::vector<int64_t> ns = {1, 7, 31, 65};
-  for (int64_t batch : batches) {
-    for (int64_t m : ms) {
-      for (int64_t k : ks) {
-        for (int64_t n : ns) {
-          Shape a_shape = ta ? Shape{batch, k, m} : Shape{batch, m, k};
-          Shape b_shape = tb ? Shape{batch, n, k} : Shape{batch, k, n};
-          Tensor a = Tensor::RandomNormal(a_shape, rng);
-          Tensor b = Tensor::RandomNormal(b_shape, rng);
-          Tensor seq = WithParallelismCap(1, [&] { return Bmm(a, b, ta, tb); });
-          Tensor par = WithParallelismCap(0, [&] { return Bmm(a, b, ta, tb); });
-          ExpectIdentical(par, seq,
-                          "bmm b=" + std::to_string(batch) + " " +
-                              std::to_string(m) + "x" + std::to_string(k) +
-                              "x" + std::to_string(n) + " ta=" +
-                              std::to_string(ta) + " tb=" + std::to_string(tb));
-        }
-      }
-    }
-  }
-}
 
 TEST_P(BmmEquivalenceTest, LargeShapesMatchNaivePerBatch) {
   auto [ta, tb] = GetParam();
@@ -336,27 +271,54 @@ TEST(BmmTest, EmptyAndDegenerateShapes) {
   for (float v : c1.ToVector()) EXPECT_FLOAT_EQ(v, 10.0f);
 }
 
-// -- Threaded callers -------------------------------------------------------
+// -- Concurrent callers ------------------------------------------------------
 
-// Kernels are invoked from inside pool tasks throughout the codebase (the
-// serving batcher's forward pass, nested autograd ops). A kernel that fans
-// out to the pool from within a pool task must help drain the queue rather
-// than deadlock waiting on itself.
-TEST(MatmulTest, KernelsInvokedFromInsidePoolTasksDoNotDeadlock) {
+// The serving and training splits run one batch item per pool task, so the
+// kernels run on several threads at once, each with its own thread_local
+// scratch: the tiled GEMM's transposed-B panel and the fused attention's
+// row-block buffers, forward and backward. Every concurrent call must give
+// the bits a lone call gives.
+TEST(MatmulTest, KernelsCalledFromConcurrentPoolTasksMatchOneCallBits) {
   core::Rng rng(23);
+  // Tiled, and tiled with B transposed: the panel copy runs.
   Tensor a = Tensor::RandomNormal(Shape{131, 65}, rng);
   Tensor b = Tensor::RandomNormal(Shape{65, 67}, rng);
-  Tensor expected = Matmul(a, b);
-  constexpr int64_t kCallers = 8;
-  std::vector<Tensor> results(kCallers);
-  // Outer ParallelFor occupies pool threads; each body runs a full parallel
-  // matmul (which fans out again) from inside a pool task.
-  core::ParallelFor(0, kCallers, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) results[i] = Matmul(a, b);
-  }, /*min_chunk=*/1);
-  for (int64_t i = 0; i < kCallers; ++i) {
-    ExpectIdentical(results[i], expected,
-                    "threaded caller " + std::to_string(i));
+  Tensor bt = Tensor::RandomNormal(Shape{1, 67, 65}, rng);
+  // Three heads of dk = 9 over 70 queries and 65 keys: no attention form
+  // takes it, so the row-block path gathers heads into its scratch.
+  const int64_t batch = 2, heads = 3, lq = 70, lk = 65, hd = 3 * 9;
+  Tensor q = Tensor::RandomNormal(Shape{batch, lq, hd}, rng);
+  Tensor k = Tensor::RandomNormal(Shape{batch, lk, hd}, rng);
+  Tensor v = Tensor::RandomNormal(Shape{batch, lk, hd}, rng);
+  Tensor dout = Tensor::RandomNormal(Shape{batch, lq, hd}, rng);
+  const AttentionDims dims = FusedAttentionDims(q, k, v, nullptr, heads);
+  auto run = [&] {
+    std::vector<Tensor> out = {
+        Matmul(a, b),
+        Bmm(a.Reshape(Shape{1, 131, 65}), bt, false, true),
+        Tensor::Empty(q.shape()), Tensor::Empty(q.shape()),
+        Tensor::Empty(k.shape()), Tensor::Empty(v.shape())};
+    FusedAttentionInto(q.data(), k.data(), v.data(), nullptr, out[2].data(),
+                       dims, 0.5f);
+    FusedAttentionBackward(q.data(), k.data(), v.data(), nullptr, dout.data(),
+                           out[3].data(), out[4].data(), out[5].data(), dims,
+                           0.5f);
+    return out;
+  };
+  const std::vector<Tensor> expected = run();
+  constexpr int kCallers = 8;
+  std::vector<std::vector<Tensor>> results(kCallers);
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < kCallers; ++i) {
+    tasks.push_back([&, i] { results[i] = run(); });
+  }
+  core::ThreadPool(4).RunAndWait(std::move(tasks));
+  for (int i = 0; i < kCallers; ++i) {
+    for (size_t r = 0; r < expected.size(); ++r) {
+      ExpectIdentical(results[i][r], expected[r],
+                      "caller " + std::to_string(i) + " result " +
+                          std::to_string(r));
+    }
   }
 }
 

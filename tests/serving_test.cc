@@ -317,6 +317,9 @@ TEST(ForecastServerTest, DeadlineExpiresWhileQueuedIsRejectedWithoutCompute) {
 
 // -- Numerical equivalence ---------------------------------------------------
 
+// The batcher's forward splits its batch by window, so each window runs as
+// the one-window forward ForecastService makes: the answers agree bit for
+// bit.
 TEST(ForecastServerTest, BatchedMatchesSequentialForecastService) {
   auto dataset = TinyWorld();
   data::Normalizer norm = data::Normalizer::Fit(dataset->signals);
@@ -349,8 +352,11 @@ TEST(ForecastServerTest, BatchedMatchesSequentialForecastService) {
     auto sequential = service.Forecast(
         t::Slice(dataset->signals, 0, starts[i], kSteps), starts[i]);
     ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-    EXPECT_TRUE(t::AllClose(batched.value().forecast, sequential.value(), 1e-5f,
-                            1e-5f))
+    const t::Tensor& forecast = batched.value().forecast;
+    ASSERT_EQ(forecast.shape(), sequential.value().shape());
+    EXPECT_EQ(std::memcmp(forecast.data(), sequential.value().data(),
+                          static_cast<size_t>(forecast.size()) * sizeof(float)),
+              0)
         << "request " << i << " diverged between batched and sequential paths";
     EXPECT_FALSE(batched.value().degraded());
     EXPECT_EQ(batched.value().served_by, ServedBy::kModel);

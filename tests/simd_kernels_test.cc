@@ -2,7 +2,6 @@
 // and the tiled GEMM's edge-tile handling:
 //   - odd M/N/K shapes (full-tile + remainder split in the micro-kernel)
 //     against a naive triple-loop reference, on every available tier;
-//   - bitwise 1-vs-8-thread determinism per tier;
 //   - the elementwise kernels are exactly rounded, so the scalar and AVX2
 //     tables agree bit for bit (only GEMM/softmax may differ across tiers);
 //   - dispatch + the SSTBAN_SIMD kill-switch override machinery.
@@ -16,7 +15,6 @@
 
 #include "core/cpu_features.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "simd_tiers.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
@@ -99,27 +97,6 @@ TEST(SimdGemmTest, OddShapesMatchNaiveReferenceOnEveryTier) {
           ExpectClose(got, NaiveMatmul(a, b, ta, tb), "bmm");
         }
       }
-    }
-  }
-}
-
-TEST(SimdGemmTest, OddShapesAreBitwiseDeterministicOneVsEightThreads) {
-  core::Rng rng(29);
-  for (SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel scoped(level);
-    for (int64_t m : {1, 7, 63, 100, 130}) {
-      SCOPED_TRACE(std::string(core::SimdLevelName(level)) + " m=" +
-                   std::to_string(m));
-      t::Tensor a = t::Tensor::RandomNormal(t::Shape{m, 65}, rng);
-      t::Tensor b = t::Tensor::RandomNormal(t::Shape{65, 33}, rng);
-      core::SetParallelismCapForTesting(1);
-      t::Tensor seq = t::Matmul(a, b);
-      core::SetParallelismCapForTesting(8);
-      t::Tensor par = t::Matmul(a, b);
-      core::SetParallelismCapForTesting(0);
-      ASSERT_EQ(std::memcmp(seq.data(), par.data(),
-                            static_cast<size_t>(seq.size()) * sizeof(float)),
-                0);
     }
   }
 }

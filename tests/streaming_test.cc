@@ -1,5 +1,5 @@
 // Unit coverage for src/streaming: the ingest boundary (value/timestamp/
-// geometry policy, zero-poison running stats, ring continuity), CUSUM drift
+// geometry policy, ring continuity), CUSUM drift
 // detection with hysteresis, the label-free online adapter's checkpointed
 // resume, and shadow-gated promotion with rollback.
 
@@ -136,7 +136,7 @@ TEST_F(StreamIngestorTest, LargestStepIsOutOfRangeAndCommitsNothing) {
   EXPECT_EQ(ingestor.size(), 1);
 }
 
-TEST_F(StreamIngestorTest, StrictChannelNaNCannotPoisonRunningStats) {
+TEST_F(StreamIngestorTest, StrictChannelNaNRejectsTheSliceAndRestartsTheRing) {
   StreamIngestor ingestor(TinyIngestOptions());  // strict everywhere
   core::Rng rng(11);
   for (int64_t s = 0; s < 2 * kSteps; ++s) {
@@ -147,16 +147,11 @@ TEST_F(StreamIngestorTest, StrictChannelNaNCannotPoisonRunningStats) {
                     s)
             .ok());
   }
-  const double mean_before = ingestor.running_mean(0);
-  const double std_before = ingestor.running_stddev(0);
-
   t::Tensor poisoned = FlatSlice(10.0f);
   poisoned.data()[2] = std::numeric_limits<float>::quiet_NaN();
   core::Status status = ingestor.Append(poisoned, 2 * kSteps);
   EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
   EXPECT_EQ(ingestor.rejected_values(), 1);
-  EXPECT_EQ(ingestor.running_mean(0), mean_before);
-  EXPECT_EQ(ingestor.running_stddev(0), std_before);
 
   // The bad reading consumed its timestamp (the feed keeps flowing) but
   // punched a hole: retained history restarted, so no window until P fresh
@@ -171,63 +166,19 @@ TEST_F(StreamIngestorTest, StrictChannelNaNCannotPoisonRunningStats) {
   EXPECT_TRUE(ingestor.LatestWindow(nullptr).ok());
 }
 
-TEST_F(StreamIngestorTest, DegradableChannelScrubsAndExcludesFromStats) {
+TEST_F(StreamIngestorTest, DegradableChannelScrubsAndKeepsTheSlice) {
   StreamIngestorOptions options = TinyIngestOptions();
   options.sanitizer.degradable_channels = {0};
-  // Twin ingestor fed the post-scrub values (zeros) as if they were real
-  // readings: the only difference from the test ingestor is stat exclusion.
   StreamIngestor ingestor(options);
-  StreamIngestor twin(options);
   for (int64_t s = 0; s < kSteps; ++s) {
     ASSERT_TRUE(ingestor.Append(FlatSlice(4.0f), s).ok());
-    ASSERT_TRUE(twin.Append(FlatSlice(4.0f), s).ok());
   }
 
   t::Tensor partial = FlatSlice(4.0f);
   partial.data()[1] = std::numeric_limits<float>::infinity();
-  t::Tensor scrubbed_equivalent = FlatSlice(4.0f);
-  scrubbed_equivalent.data()[1] = 0.0f;
   ASSERT_TRUE(ingestor.Append(partial, kSteps).ok());
-  ASSERT_TRUE(twin.Append(scrubbed_equivalent, kSteps).ok());
   EXPECT_EQ(ingestor.scrubbed_positions(), 1);
   EXPECT_EQ(ingestor.size(), kSteps + 1);  // slice kept, continuity intact
-  // The scrubbed zero was excluded from the running stats (the twin, which
-  // ingested it as a value, was dragged toward zero), and everything that
-  // did flow into the stats stayed finite.
-  EXPECT_GT(ingestor.running_mean(0), twin.running_mean(0));
-  EXPECT_TRUE(std::isfinite(ingestor.running_mean(0)));
-  EXPECT_TRUE(std::isfinite(ingestor.running_stddev(0)));
-}
-
-TEST_F(StreamIngestorTest, RunningNormalizerTracksLevelShift) {
-  StreamIngestor ingestor(TinyIngestOptions());
-  EXPECT_EQ(ingestor.RunningNormalizer().status().code(),
-            core::StatusCode::kFailedPrecondition);
-
-  // The stats forget with a half-life of 256 slices, so each regime runs
-  // six half-lives: long enough to leave under 2% of the previous level in
-  // the estimate.
-  core::Rng rng(3);
-  int64_t s = 0;
-  for (; s < 6 * 256; ++s) {
-    ASSERT_TRUE(
-        ingestor
-            .Append(t::Tensor::RandomNormal(t::Shape{kNodes, kFeatures}, rng,
-                                            1.0f, 0.1f),
-                    s)
-            .ok());
-  }
-  EXPECT_NEAR(ingestor.running_mean(0), 1.0, 0.15);
-  for (; s < 12 * 256; ++s) {  // the regime shifts: recalibrated sensors
-    ASSERT_TRUE(
-        ingestor
-            .Append(t::Tensor::RandomNormal(t::Shape{kNodes, kFeatures}, rng,
-                                            5.0f, 0.1f),
-                    s)
-            .ok());
-  }
-  EXPECT_NEAR(ingestor.running_mean(0), 5.0, 0.15);
-  ASSERT_TRUE(ingestor.RunningNormalizer().ok());
 }
 
 TEST_F(StreamIngestorTest, RingWrapsAndSnapshotKeepsCalendarConsistent) {

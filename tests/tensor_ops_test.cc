@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -56,8 +55,8 @@ TEST(ElementwiseTest, Broadcast4D) {
 }
 
 // Add's row-broadcast path (b's shape a trailing suffix of a's, e.g. a
-// Linear bias [n] onto [M, n]) runs the tier's add per row across the pool;
-// it must equal the plain elementwise loop bit for bit at any thread count.
+// Linear bias [n] onto [M, n]) runs the tier's add per row; it must equal
+// the plain elementwise loop bit for bit.
 TEST(ElementwiseTest, TrailingSuffixAddMatchesNaiveLoop) {
   core::Rng rng(12);
   struct Case { Shape a, b; };
@@ -76,16 +75,11 @@ TEST(ElementwiseTest, TrailingSuffixAddMatchesNaiveLoop) {
     for (int64_t i = 0; i < a.size(); ++i) {
       want.data()[i] = a.data()[i] + b.data()[i % n];
     }
-    for (int cap : {1, 8}) {
-      core::SetParallelismCapForTesting(cap);
-      Tensor got = Add(a, b);
-      core::SetParallelismCapForTesting(0);
-      ASSERT_EQ(got.shape(), c.a);
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            static_cast<size_t>(want.size()) * sizeof(float)),
-                0)
-          << "cap=" << cap;
-    }
+    Tensor got = Add(a, b);
+    ASSERT_EQ(got.shape(), c.a);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(want.size()) * sizeof(float)),
+              0);
   }
 }
 

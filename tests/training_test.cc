@@ -1,15 +1,22 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "baselines/historical_average.h"
+#include "core/cpu_features.h"
 #include "core/rng.h"
 #include "data/synthetic_world.h"
 #include "nn/linear.h"
+#include "optim/optimizer.h"
+#include "simd_tiers.h"
 #include "sstban/config.h"
 #include "sstban/model.h"
+#include "tensor/ops.h"
 #include "training/forecast_service.h"
 #include "training/metrics.h"
 #include "training/trainer.h"
@@ -219,6 +226,144 @@ TEST(MaskedInferenceValidationTest, MismatchedKeepDimsAreRejected) {
   auto ok_result = RunBatchedInferenceMasked(
       &model, norm, batch, t::Tensor::Ones(t::Shape{2, 4, 3}));
   EXPECT_TRUE(ok_result.ok()) << ok_result.status().ToString();
+}
+
+// -- The item split -----------------------------------------------------------
+
+void ExpectBitwise(const t::Tensor& a, const t::Tensor& b,
+                   const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.size()) * sizeof(float)),
+            0)
+      << what;
+}
+
+// A window's forecast must not depend on its batch-mates: each window of a
+// B = 8 RunBatchedInference[Masked] call, and of the model's own B = 8
+// forward, is the bits that window's B = 1 call gives, on every tier.
+// P = 5 and N = 13 leave lane tails in the 8-wide kernels.
+TEST(SplitInferenceTest, EachWindowMatchesItsOwnBatchOfOneOnEveryTier) {
+  constexpr int64_t kP = 5, kN = 13, kB = 8;
+  model_ns::SstbanModel model(SmallSstbanConfig(kP, kN));
+  data::Batch batch = MakeBatch(kB, kP, kN, /*seed=*/29);
+  data::Normalizer norm = data::Normalizer::Fit(batch.x);
+  core::Rng rng(31);
+  t::Tensor keep = t::Tensor::Ones(t::Shape{kB, kP, kN});
+  for (int64_t i = 1; i < keep.size(); ++i) {
+    if (rng.NextDouble() < 0.3) keep.data()[i] = 0.0f;
+  }
+  for (core::SimdLevel level : ::sstban::testing::AvailableLevels()) {
+    ::sstban::testing::ScopedSimdLevel scoped(level);
+    t::Tensor split = RunBatchedInference(&model, norm, batch);
+    t::Tensor split_masked =
+        RunBatchedInferenceMasked(&model, norm, batch, keep).value();
+    t::Tensor whole, whole_masked;
+    {
+      ag::NoGradGuard no_grad;
+      t::Tensor x_norm = norm.Transform(batch.x);
+      whole = norm.InverseTransform(model.Predict(x_norm, batch).value());
+      whole_masked = norm.InverseTransform(
+          model.PredictMasked(x_norm, keep, batch).value());
+    }
+    for (int64_t b = 0; b < kB; ++b) {
+      SCOPED_TRACE(std::string(core::SimdLevelName(level)) + " window " +
+                   std::to_string(b));
+      data::Batch item = batch.Item(b);
+      t::Tensor alone = RunBatchedInference(&model, norm, item);
+      t::Tensor alone_masked =
+          RunBatchedInferenceMasked(&model, norm, item,
+                                    t::Slice(keep, 0, b, 1))
+              .value();
+      ExpectBitwise(t::Slice(split, 0, b, 1), alone, "split, clean");
+      ExpectBitwise(t::Slice(whole, 0, b, 1), alone, "B = 8 forward, clean");
+      ExpectBitwise(t::Slice(split_masked, 0, b, 1), alone_masked,
+                    "split, masked");
+      ExpectBitwise(t::Slice(whole_masked, 0, b, 1), alone_masked,
+                    "B = 8 forward, masked");
+    }
+  }
+}
+
+model_ns::SstbanConfig SelfSupervisedConfig() {
+  model_ns::SstbanConfig config = SmallSstbanConfig(4, 5);
+  config.self_supervised = true;
+  config.mask_rate = 0.3;
+  config.lambda = 0.2;
+  return config;
+}
+
+// A split step draws every item's masks on the calling thread, in item
+// order, so after K steps the mask stream stands where K whole-batch losses
+// leave it, for both objectives.
+TEST(TrainStepTest, MaskStreamAdvancesAsWholeBatchLossesAdvanceIt) {
+  for (Objective objective :
+       {Objective::kTraining, Objective::kSelfSupervised}) {
+    model_ns::SstbanModel split(SelfSupervisedConfig());
+    model_ns::SstbanModel whole(SelfSupervisedConfig());
+    split.SetTraining(true);
+    whole.SetTraining(true);
+    optim::Adam adam(split.Parameters(), 1e-3f);
+    for (int step = 0; step < 3; ++step) {
+      data::Batch batch = MakeBatch(3, 4, 5, /*seed=*/40 + step);
+      data::Normalizer norm = data::Normalizer::Fit(batch.x);
+      ASSERT_TRUE(TrainStep(&split, &adam, norm, batch, objective).ok());
+      t::Tensor x_norm = norm.Transform(batch.x);
+      if (objective == Objective::kTraining) {
+        whole.TrainingLoss(x_norm, norm.Transform(batch.y), batch);
+      } else {
+        whole.SelfSupervisedLoss(x_norm, batch);
+      }
+    }
+    core::Rng::State got = split.TrainingRng()->SaveState();
+    core::Rng::State want = whole.TrainingRng()->SaveState();
+    EXPECT_EQ(got.state, want.state);
+    EXPECT_EQ(got.inc, want.inc);
+    EXPECT_EQ(got.has_spare, want.has_spare);
+  }
+}
+
+// The step's gradient is the whole batch's, up to the order of the sums:
+// the items' gradients added in item order and scaled by 1/B, against one
+// backward of the B-item loss under the same masks, both clipped at 5.
+TEST(TrainStepTest, GradientIsTheWholeBatchGradient) {
+  model_ns::SstbanModel split(SelfSupervisedConfig());
+  model_ns::SstbanModel whole(SelfSupervisedConfig());
+  split.SetTraining(true);
+  whole.SetTraining(true);
+  data::Batch batch = MakeBatch(4, 4, 5, /*seed=*/53);
+  data::Normalizer norm = data::Normalizer::Fit(batch.x);
+  optim::Adam adam(split.Parameters(), 1e-3f);
+  core::StatusOr<float> loss =
+      TrainStep(&split, &adam, norm, batch, Objective::kTraining);
+  ASSERT_TRUE(loss.ok()) << loss.status().ToString();
+
+  std::vector<ag::Variable> params = whole.Parameters();
+  ag::Variable want = whole.TrainingLoss(norm.Transform(batch.x),
+                                         norm.Transform(batch.y), batch);
+  want.Backward();
+  optim::ClipGradNorm(params, 5.0f);
+  EXPECT_NEAR(loss.value(), want.item(), 1e-5f);
+  const std::vector<ag::Variable>& got = adam.params();
+  ASSERT_EQ(got.size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    ASSERT_TRUE(got[i].has_grad()) << "parameter " << i;
+    EXPECT_TRUE(t::AllClose(got[i].grad(), params[i].grad(), 1e-6f, 1e-4f))
+        << "parameter " << i;
+  }
+}
+
+// A model without the objective's loss fails the step before any parameter
+// moves.
+TEST(TrainStepTest, MissingObjectiveMovesNoParameter) {
+  ConstantModel model(4, 4, 1);
+  data::Batch batch = MakeBatch(2, 6, 4, /*seed=*/3);
+  data::Normalizer norm = data::Normalizer::Fit(batch.x);
+  optim::Adam adam(model.Parameters(), 0.1f);
+  core::StatusOr<float> loss =
+      TrainStep(&model, &adam, norm, batch, Objective::kSelfSupervised);
+  EXPECT_EQ(loss.status().code(), core::StatusCode::kFailedPrecondition);
+  for (float v : model.Parameters()[0].value().ToVector()) EXPECT_EQ(v, 0.0f);
 }
 
 }  // namespace
