@@ -258,9 +258,12 @@ float ReduceMaxAvx2(const float* a, int64_t n) {
 
 // Cephes-style vector expf: exp(x) = 2^k * exp(r) with r in [-ln2/2, ln2/2]
 // and a degree-5 polynomial for exp(r). Max error ~2 ulp over the clamped
-// domain. Inputs are clamped to [-87.33, 88.37]; softmax feeds x - max <= 0,
-// so the low clamp only engages for hard-masked keys (score -1e9), where the
-// result underflows to a ~1e-38 weight that vanishes after normalization.
+// domain [-87.34, 88.38]. Below it the result is exactly +0: the 2^k factor
+// is zeroed before the last multiply, so no lane there forms a subnormal
+// product. Softmax feeds x - max <= 0, and a hard-masked key (score -1e9)
+// lands below the clamp, so an excluded key weighs exactly 0, as std::exp
+// gives it. NaN in gives NaN out: max and min return their second operand
+// when either is NaN, so the clamp passes it through.
 inline __m256 Exp256(__m256 x) {
   const __m256 kHi = _mm256_set1_ps(88.3762626647950f);
   const __m256 kLo = _mm256_set1_ps(-87.3365478515625f);
@@ -270,7 +273,9 @@ inline __m256 Exp256(__m256 x) {
   const __m256 kLn2Lo = _mm256_set1_ps(-2.12194440e-4f);
   const __m256 kOne = _mm256_set1_ps(1.0f);
 
-  x = _mm256_min_ps(_mm256_max_ps(x, kLo), kHi);
+  // All ones where x >= kLo; false for NaN, whose y stays NaN below.
+  const __m256 in_range = _mm256_cmp_ps(x, kLo, _CMP_GE_OQ);
+  x = _mm256_min_ps(kHi, _mm256_max_ps(kLo, x));
 
   // k = floor(x * log2(e) + 0.5)
   __m256 fx = _mm256_fmadd_ps(x, kLog2e, kHalf);
@@ -292,7 +297,7 @@ inline __m256 Exp256(__m256 x) {
   __m256i k = _mm256_cvttps_epi32(fx);
   k = _mm256_add_epi32(k, _mm256_set1_epi32(127));
   __m256 pow2k = _mm256_castsi256_ps(_mm256_slli_epi32(k, 23));
-  return _mm256_mul_ps(y, pow2k);
+  return _mm256_mul_ps(y, _mm256_and_ps(pow2k, in_range));
 }
 
 double ExpSumAvx2(const float* a, float m, float* o, int64_t n) {

@@ -3,8 +3,9 @@
 // Bmm -> MulScalar -> Add(mask) -> Softmax -> Bmm chain, on contiguous
 // single-head operands and on the projections' [B, L, h*dk] layout (every
 // attention form and the row-block path, on every SIMD tier the host has),
-// the autograd op's recompute backward vs the unfused tape gradients, and a
-// whole model's forecast with grads on vs off.
+// the autograd op's recompute backward vs the unfused tape gradients, an
+// excluded key's exactly-zero weight and a NaN key's reach, and a whole
+// model's forecast with grads on vs off.
 //
 // Tolerance policy (DESIGN.md §14): the forward must match the unfused chain
 // BIT FOR BIT at every shape, lk > 512 included. The recompute backward
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -407,6 +409,147 @@ TEST(FusedAttentionTest, FullyMaskedItemPassesNoGradientToQueryOrKey) {
           EXPECT_NEAR(dv.at({1, j, col}), sum / lk, 1e-5);
         }
       }
+    }
+  }
+}
+
+// -- Excluded keys and NaN keys -----------------------------------------------
+
+bool IsSubnormal(float x) { return std::fpclassify(x) == FP_SUBNORMAL; }
+
+int64_t CountSubnormals(const t::Tensor& x) {
+  return std::count_if(x.data(), x.data() + x.size(), IsSubnormal);
+}
+
+// [batch, lk] keep rows that exclude a seeded tenth of each item's keys (at
+// least one) at scattered positions.
+t::Tensor ExcludeTenthOfKeys(int64_t batch, int64_t lk, uint64_t seed) {
+  core::Rng rng(seed);
+  t::Tensor keep = t::Tensor::Ones(t::Shape{batch, lk});
+  const int64_t excluded = std::max<int64_t>(1, (lk + 5) / 10);
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t x : rng.SampleWithoutReplacement(lk, excluded)) {
+      keep.data()[b * lk + x] = 0.0f;
+    }
+  }
+  return keep;
+}
+
+// On every tier, forward and backward: an excluded key weighs exactly 0, so
+// no output or gradient is subnormal and the excluded keys' dK and dV rows
+// are exactly 0 in an item that keeps a key; the last item, which excludes
+// every key, keeps its uniform rows (dQ = dK = 0, dV = the uniform P's
+// P^T dOut). The shapes are a train_pems step's SBA and TBA absorb (B = 4,
+// N = 307, P = 12: 8 heads of width 4 over 3 shared reference points), a
+// broadcast-form shape and a row-block shape.
+TEST(FusedAttentionTest, ExcludedKeysWeighExactlyZero) {
+  struct Case {
+    const char* name;
+    int64_t batch, heads, lq, lk, dk;
+    bool shared_q;
+  };
+  const std::vector<Case> cases = {
+      {"sba_absorb", 4 * 12, 8, 3, 307, 4, true},
+      {"tba_absorb", 4 * 307, 8, 3, 12, 4, true},
+      {"broadcast", 6, 8, 70, 12, 2, false},
+      {"row_block", 4, 2, 70, 40, 4, false},
+  };
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(36);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(TierName() + " " + c.name);
+      const int64_t hd = c.heads * c.dk, last = c.batch - 1;
+      t::Tensor q = t::Tensor::RandomNormal(
+          t::Shape{c.shared_q ? 1 : c.batch, c.lq, hd}, rng);
+      t::Tensor k = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, hd}, rng);
+      t::Tensor v = t::Tensor::RandomNormal(t::Shape{c.batch, c.lk, hd}, rng);
+      t::Tensor keep = ExcludeTenthOfKeys(c.batch, c.lk, 37 + c.lk);
+      std::fill(keep.data() + last * c.lk, keep.data() + c.batch * c.lk, 0.0f);
+      t::Tensor dout =
+          t::Tensor::RandomNormal(t::Shape{c.batch, c.lq, hd}, rng);
+      const float scale = 1.0f / std::sqrt(static_cast<float>(c.dk));
+      t::AttentionDims dims = t::FusedAttentionDims(q, k, v, &keep, c.heads);
+      t::Tensor out = t::Tensor::Empty(dout.shape());
+      t::Tensor dq = t::Tensor::Empty(dout.shape());
+      t::Tensor dkk = t::Tensor::Empty(k.shape());
+      t::Tensor dv = t::Tensor::Empty(v.shape());
+      t::FusedAttentionInto(q.data(), k.data(), v.data(), keep.data(),
+                            out.data(), dims, scale);
+      t::FusedAttentionBackward(q.data(), k.data(), v.data(), keep.data(),
+                                dout.data(), dq.data(), dkk.data(), dv.data(),
+                                dims, scale);
+      EXPECT_EQ(CountSubnormals(out), 0) << "out";
+      EXPECT_EQ(CountSubnormals(dq), 0) << "dQ";
+      EXPECT_EQ(CountSubnormals(dkk), 0) << "dK";
+      EXPECT_EQ(CountSubnormals(dv), 0) << "dV";
+      auto row_is_zero = [&](const t::Tensor& g, int64_t row) {
+        const float* pg = g.data() + row * hd;
+        return std::all_of(pg, pg + hd, [](float x) { return x == 0.0f; });
+      };
+      // Rows of the items that keep a key: exactly 0 iff the key is excluded.
+      int64_t wrong_dk_rows = 0, wrong_dv_rows = 0;
+      for (int64_t row = 0; row < last * c.lk; ++row) {
+        const bool excluded = keep.data()[row] < 0.5f;
+        wrong_dk_rows += row_is_zero(dkk, row) != excluded;
+        wrong_dv_rows += row_is_zero(dv, row) != excluded;
+      }
+      EXPECT_EQ(wrong_dk_rows, 0);
+      EXPECT_EQ(wrong_dv_rows, 0);
+      // The item that excludes every key.
+      for (int64_t i = 0; i < c.lq; ++i) {
+        EXPECT_TRUE(row_is_zero(dq, last * c.lq + i)) << "dQ row " << i;
+      }
+      for (int64_t x = 0; x < c.lk; ++x) {
+        EXPECT_TRUE(row_is_zero(dkk, last * c.lk + x)) << "dK key " << x;
+      }
+      for (int64_t col = 0; col < hd; ++col) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < c.lq; ++i) sum += dout.at({last, i, col});
+        for (int64_t x = 0; x < c.lk; ++x) {
+          EXPECT_NEAR(dv.at({last, x, col}), sum / c.lk,
+                      1e-5 + 1e-4 * std::fabs(sum / c.lk));
+        }
+      }
+    }
+  }
+}
+
+// A NaN in one item's K makes that item's output NaN on every tier, through
+// the absorb form, the broadcast form and the row-block path, and leaves
+// every other output bit as it is without the NaN: the NaN sits in head 0's
+// columns of one key, so head 0's rows of that item are NaN throughout and
+// its other heads and the other items are untouched.
+TEST(FusedAttentionTest, NaNKeyMakesItsItemNaN) {
+  struct Shape { int64_t lq, lk; };
+  const int64_t batch = 3, heads = 2, dk = 4, hd = heads * dk;
+  for (core::SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel scoped(level);
+    core::Rng rng(38);
+    for (const Shape& c : {Shape{3, 40}, Shape{70, 12}, Shape{70, 40}}) {
+      SCOPED_TRACE(TierName() + " lq=" + std::to_string(c.lq) +
+                   " lk=" + std::to_string(c.lk));
+      t::Tensor q = t::Tensor::RandomNormal(t::Shape{batch, c.lq, hd}, rng);
+      t::Tensor k = t::Tensor::RandomNormal(t::Shape{batch, c.lk, hd}, rng);
+      t::Tensor v = t::Tensor::RandomNormal(t::Shape{batch, c.lk, hd}, rng);
+      const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+      t::Tensor clean = FusedHeads(q, k, v, nullptr, heads, scale);
+      t::Tensor poisoned_k = k.Clone();
+      poisoned_k.data()[(1 * c.lk + c.lk / 2) * hd + 1] =
+          std::numeric_limits<float>::quiet_NaN();
+      t::Tensor poisoned = FusedHeads(q, poisoned_k, v, nullptr, heads, scale);
+      int64_t finite_in_head = 0, changed_elsewhere = 0;
+      for (int64_t i = 0; i < poisoned.size(); ++i) {
+        const int64_t b = i / (c.lq * hd), col = i % hd;
+        const float got = poisoned.data()[i], want = clean.data()[i];
+        if (b == 1 && col < dk) {
+          finite_in_head += !std::isnan(got);
+        } else {
+          changed_elsewhere += std::memcmp(&got, &want, sizeof(float)) != 0;
+        }
+      }
+      EXPECT_EQ(finite_in_head, 0);
+      EXPECT_EQ(changed_elsewhere, 0);
     }
   }
 }

@@ -4,10 +4,13 @@
 //     against a naive triple-loop reference, on every available tier;
 //   - the elementwise kernels are exactly rounded, so the scalar and AVX2
 //     tables agree bit for bit (only GEMM/softmax may differ across tiers);
+//   - an excluded key's softmax weight is exactly 0 and never subnormal, and
+//     a NaN score makes its row NaN, on every tier;
 //   - dispatch + the SSTBAN_SIMD kill-switch override machinery.
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -192,6 +195,90 @@ TEST(SimdKernelsTest, ExpSumMatchesSoftmaxPieces) {
         ASSERT_NEAR(e.data()[i], std::exp(a.data()[i] - m),
                     1e-6 + 1e-5 * std::exp(a.data()[i] - m));
       }
+    }
+  }
+}
+
+// -- Excluded keys and NaN scores ---------------------------------------------
+
+bool IsSubnormal(float x) { return std::fpclassify(x) == FP_SUBNORMAL; }
+
+// A hard-masked key (score - 1e9, the attention's additive mask) weighs
+// exactly 0 on every tier, and no weight is subnormal. Lengths cover the
+// AVX2 tier's tail-only, whole-vector and vector-plus-tail rows.
+TEST(SimdKernelsTest, SoftmaxRowGivesExcludedKeysExactlyZero) {
+  core::Rng rng(19);
+  for (SimdLevel level : AvailableLevels()) {
+    const t::simd::SimdKernels& ks = t::simd::KernelsFor(level);
+    for (int64_t n : {5, 8, 12, 17, 307}) {
+      SCOPED_TRACE(std::string(core::SimdLevelName(level)) + " n=" +
+                   std::to_string(n));
+      t::Tensor a = t::Tensor::RandomNormal(t::Shape{n}, rng);
+      for (int64_t i = 1; i < n; i += 3) a.data()[i] += -1e9f;
+      t::Tensor out = t::Tensor::Empty(t::Shape{n});
+      ks.softmax_row(a.data(), out.data(), n);
+      for (int64_t i = 0; i < n; ++i) {
+        EXPECT_FALSE(IsSubnormal(out.data()[i])) << "i=" << i;
+        if (i % 3 == 1) {
+          EXPECT_EQ(out.data()[i], 0.0f) << "i=" << i;
+        } else {
+          EXPECT_GT(out.data()[i], 0.0f) << "i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// Below its clamp (-87.34) the AVX2 exp is exactly +0 and adds nothing to
+// the row's sum. std::exp is subnormal down to -103.97, so only the AVX2
+// tier is held to that band.
+TEST(SimdKernelsTest, Avx2ExpIsExactlyZeroBelowItsClamp) {
+  const t::simd::SimdKernels* avx2 = t::simd::internal::Avx2Kernels();
+  if (avx2 == nullptr || !core::DetectCpuFeatures().avx2 ||
+      !core::DetectCpuFeatures().fma) {
+    GTEST_SKIP() << "AVX2 table not available on this machine";
+  }
+  // One whole vector and a tail, each holding -88, -100 and -1e9.
+  const std::vector<float> a = {0.0f,  -88.0f, -100.0f, -1e9f, -1.0f,
+                                -88.0f, -100.0f, -1e9f, -2.0f, -88.0f,
+                                -100.0f, -1e9f};
+  const int64_t n = static_cast<int64_t>(a.size());
+  std::vector<float> e(a.size(), 7.0f);
+  const double sum = avx2->exp_sum(a.data(), 0.0f, e.data(), n);
+  for (int64_t i = 0; i < n; ++i) {
+    SCOPED_TRACE("a=" + std::to_string(a[i]));
+    if (a[i] < -87.34f) {
+      EXPECT_EQ(e[i], 0.0f);
+      EXPECT_FALSE(std::signbit(e[i]));
+    } else {
+      EXPECT_GT(e[i], 0.5f * std::exp(a[i]));
+    }
+  }
+  EXPECT_EQ(sum, (static_cast<double>(e[0]) + e[4]) + e[8]);
+}
+
+// A NaN score makes the whole row NaN on every tier, wherever it sits (the
+// row's first element, a vector lane, the tail), so a NaN activation reaches
+// the non-finite checks downstream on AVX2 as it does on the scalar tier.
+TEST(SimdKernelsTest, SoftmaxRowPropagatesNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::vector<float>> rows = {{0.5f, nan, -0.25f, 1.0f, 0.0f}};
+  for (int64_t at : {0, 2, 9}) {
+    std::vector<float> row(13);
+    for (int64_t i = 0; i < 13; ++i) row[i] = 0.25f * static_cast<float>(i % 5);
+    row[at] = nan;
+    rows.push_back(row);
+  }
+  for (SimdLevel level : AvailableLevels()) {
+    const t::simd::SimdKernels& ks = t::simd::KernelsFor(level);
+    for (const std::vector<float>& row : rows) {
+      const int64_t n = static_cast<int64_t>(row.size());
+      SCOPED_TRACE(std::string(core::SimdLevelName(level)) + " n=" +
+                   std::to_string(n));
+      std::vector<float> out(row.size());
+      ks.softmax_row(row.data(), out.data(), n);
+      for (int64_t i = 0; i < n; ++i) EXPECT_TRUE(std::isnan(out[i])) << i;
+      EXPECT_TRUE(std::isnan(ks.exp_sum(row.data(), 1.0f, out.data(), n)));
     }
   }
 }
