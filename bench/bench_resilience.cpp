@@ -7,7 +7,7 @@
 //   - a failpoint probe while an UNRELATED failpoint is armed (slow guard)
 //   - CircuitBreaker Allow + RecordSuccess in the closed state, warm ring
 //   - InputSanitizer on a clean window  (the single read-only scan)
-//   - BatcherWatchdog tick/start/end/Wedged marks
+//   - BatcherWatchdog start/end/Wedged marks
 //   - a warm admission verdict (deadline judged against the batch p50) and
 //     its OnTerminal, plus one batch-estimate Record
 //
@@ -190,11 +190,10 @@ int main(int argc, char** argv) {
     Sink(r.ok() && r.value().clean());
   });
 
-  // 5. Watchdog marks: the per-iteration cost the worker loop pays.
+  // 5. Watchdog marks: the per-batch cost the worker loop pays.
   serving::BatcherWatchdog watchdog;
   auto now = serving::Clock::now();
   Measurement watchdog_marks = Measure(kWatchdogIters, [&] {
-    watchdog.MarkLoopTick();
     watchdog.MarkBatchStart(now);
     Sink(watchdog.Wedged(std::chrono::milliseconds(2000), now));
     watchdog.MarkBatchEnd();

@@ -4,7 +4,6 @@
 
 #include "core/check.h"
 #include "tensor/ops.h"
-#include "tensor/simd/kernels.h"
 
 namespace sstban::autograd {
 
@@ -28,7 +27,10 @@ void Node::AccumulateGrad(const tensor::Tensor& g) {
     grad = tensor::Add(grad, g);
     return;
   }
-  tensor::simd::Kernels().add(grad.data(), g.data(), grad.data(), grad.size());
+  float* dst = grad.data();
+  const float* src = g.data();
+  const int64_t n = grad.size();
+  for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
 void SendGrad(Node& parent, const tensor::Tensor& grad) {

@@ -37,7 +37,6 @@ CpuFeatures Detect() {
   if (max_leaf >= 7) {
     __cpuid_count(7, 0, eax, ebx, ecx, edx);
     f.avx2 = f.avx && (ebx & bit_AVX2) != 0;
-    f.avx512f = f.avx && (ebx & bit_AVX512F) != 0;
   }
 #endif
   return f;

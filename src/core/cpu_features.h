@@ -9,7 +9,6 @@ struct CpuFeatures {
   bool avx = false;
   bool avx2 = false;
   bool fma = false;
-  bool avx512f = false;
 };
 
 // Raw hardware capabilities (ignores the kill switch below).

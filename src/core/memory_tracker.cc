@@ -17,7 +17,6 @@ void MemoryTracker::UpdateMax(std::atomic<int64_t>& peak, int64_t candidate) {
 
 void MemoryTracker::OnAlloc(int64_t bytes) {
   int64_t now = live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  total_.fetch_add(bytes, std::memory_order_relaxed);
   UpdateMax(peak_, now);
 }
 
@@ -38,7 +37,6 @@ void MemoryTracker::OnPoolRetain(int64_t bytes) {
 
 void MemoryTracker::ResetPeak() {
   peak_.store(live_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  total_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sstban::core

@@ -23,18 +23,14 @@ class MemoryTracker {
 
   int64_t live_bytes() const { return live_.load(std::memory_order_relaxed); }
   int64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
-  int64_t total_allocated_bytes() const {
-    return total_.load(std::memory_order_relaxed);
-  }
 
   // -- Pool statistics (reported by core::StoragePool) -----------------------
   // A request served from a free list (thread-local or global).
   void OnPoolHit(int64_t bytes);
   // A request that fell through to the heap.
   void OnPoolMiss() { pool_misses_.fetch_add(1, std::memory_order_relaxed); }
-  // Actual heap traffic (operator new[] / delete[] calls).
+  // Actual heap traffic (operator new[] calls).
   void OnHeapAlloc() { heap_allocs_.fetch_add(1, std::memory_order_relaxed); }
-  void OnHeapFree() { heap_frees_.fetch_add(1, std::memory_order_relaxed); }
   // A buffer entered / left the pool's free lists.
   void OnPoolRetain(int64_t bytes);
   void OnPoolDrop(int64_t bytes) {
@@ -68,12 +64,9 @@ class MemoryTracker {
   int64_t heap_allocs() const {
     return heap_allocs_.load(std::memory_order_relaxed);
   }
-  int64_t heap_frees() const {
-    return heap_frees_.load(std::memory_order_relaxed);
-  }
 
   // Resets the peak to the current live size (call at the start of the
-  // region being measured). Total-allocated is reset to zero.
+  // region being measured).
   void ResetPeak();
 
  private:
@@ -83,7 +76,6 @@ class MemoryTracker {
 
   std::atomic<int64_t> live_{0};
   std::atomic<int64_t> peak_{0};
-  std::atomic<int64_t> total_{0};
 
   std::atomic<int64_t> pool_hits_{0};
   std::atomic<int64_t> pool_misses_{0};
@@ -92,7 +84,6 @@ class MemoryTracker {
   std::atomic<int64_t> pool_peak_resident_{0};
   std::atomic<int64_t> pool_trimmed_{0};
   std::atomic<int64_t> heap_allocs_{0};
-  std::atomic<int64_t> heap_frees_{0};
 };
 
 }  // namespace sstban::core

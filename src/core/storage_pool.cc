@@ -113,7 +113,6 @@ void StoragePool::Release(float* data, int64_t capacity) {
   if (data == nullptr) return;
   auto& tracker = MemoryTracker::Global();
   if (!enabled()) {
-    tracker.OnHeapFree();
     delete[] data;
     return;
   }
@@ -172,7 +171,6 @@ void StoragePool::FreeEvicted(const std::vector<CachedBuffer>& evicted) {
     int64_t bytes = CapacityBytes(buf.capacity);
     tracker.OnPoolDrop(bytes);
     tracker.OnPoolTrim(bytes);
-    tracker.OnHeapFree();
     delete[] buf.data;
   }
 }
@@ -223,7 +221,6 @@ void StoragePool::Flush() {
     const int64_t bytes = CapacityBytes(buf.capacity);
     parked_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     tracker.OnPoolDrop(bytes);
-    tracker.OnHeapFree();
     delete[] buf.data;
   }
 }

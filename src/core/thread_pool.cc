@@ -60,7 +60,15 @@ bool ThreadPool::RunOneTask(Call* own, std::unique_lock<std::mutex>& lock) {
 void ThreadPool::RunAndWait(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
   if (workers_.empty()) {
-    for (auto& task : tasks) task();
+    std::exception_ptr error;
+    for (auto& task : tasks) {
+      try {
+        task();
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
   // Lives on this stack frame: RunAndWait returns only once remaining hits

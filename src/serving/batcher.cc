@@ -6,6 +6,7 @@
 #include "core/check.h"
 #include "core/failpoint.h"
 #include "core/timer.h"
+#include "serving/forecast_server.h"
 #include "tensor/ops.h"
 #include "training/forecast_service.h"
 
@@ -41,7 +42,7 @@ bool Batcher::Batchable(PendingRequest* req, Clock::time_point now) {
   return true;
 }
 
-Batcher::Batcher(BatcherOptions options, RequestQueue* queue,
+Batcher::Batcher(const ServerOptions& options, RequestQueue* queue,
                  ModelRegistry* registry, ServerStats* stats,
                  FallbackChain* fallback, BatcherWatchdog* watchdog,
                  OverloadControl* overload)
@@ -80,7 +81,6 @@ void Batcher::Join() {
 
 void Batcher::WorkerLoop() {
   for (;;) {
-    watchdog_->MarkLoopTick();
     // Expired requests never coalesce: anything whose deadline passed while
     // a previous (possibly slow) batch held the worker is terminated with
     // DeadlineExceeded before batch assembly even starts.

@@ -1,7 +1,6 @@
 #ifndef SSTBAN_SERVING_BATCHER_H_
 #define SSTBAN_SERVING_BATCHER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -16,24 +15,15 @@
 
 namespace sstban::serving {
 
-struct BatcherOptions {
-  // Upper bound on requests coalesced into one model pass.
-  int64_t max_batch = 8;
-  // How long the batcher holds an underfull batch open waiting for more
-  // requests before flushing what it has.
-  std::chrono::microseconds max_wait{2000};
-  // Window geometry shared by every request (calendar-feature derivation).
-  int64_t input_len = 24;
-  int64_t output_len = 24;
-  int64_t steps_per_day = 96;
-};
+// Defined in serving/forecast_server.h, which includes this header.
+struct ServerOptions;
 
-// The micro-batching worker: drains the request queue, coalesces up to
-// `max_batch` requests (or flushes after `max_wait`), stacks them into a
-// single [B, P, N, C] tensor, runs ONE batched TrafficModel::Predict pass on
-// the currently served model, and fulfills each request's promise with its
-// annotated [Q, N, C] slice. Submit admits only the server's one [P, N, C]
-// shape, so any queued requests batch together.
+// The micro-batching worker: drains the request queue, coalesces up to the
+// server's `max_batch` requests (or flushes after `max_wait`), stacks them
+// into a single [B, P, N, C] tensor, runs ONE batched TrafficModel::Predict
+// pass on the currently served model, and fulfills each request's promise
+// with its annotated [Q, N, C] slice. Submit admits only the server's one
+// [P, N, C] shape, so any queued requests batch together.
 //
 // Resilience behavior layered on top of the happy path:
 //   - Every loop iteration sweeps expired requests out of the queue with
@@ -49,8 +39,8 @@ struct BatcherOptions {
 //   - Requests carrying a sanitizer keep-mask run through the model's
 //     degraded-mode pathway (RunBatchedInferenceMasked) batched together
 //     with clean requests.
-//   - The watchdog is ticked every iteration and brackets each model pass so
-//     health probes can detect a wedged worker.
+//   - The watchdog brackets each model pass so health probes can detect a
+//     wedged worker.
 //
 // The loop runs on a dedicated thread rather than a core::ThreadPool slot:
 // each batched forward runs its windows as pool tasks
@@ -61,8 +51,10 @@ struct BatcherOptions {
 // registry snapshot for the duration of each batch.
 class Batcher {
  public:
-  Batcher(BatcherOptions options, RequestQueue* queue, ModelRegistry* registry,
-          ServerStats* stats, FallbackChain* fallback,
+  // `options` is the server's own, read for the batching knobs and the
+  // window geometry; it must outlive the batcher.
+  Batcher(const ServerOptions& options, RequestQueue* queue,
+          ModelRegistry* registry, ServerStats* stats, FallbackChain* fallback,
           BatcherWatchdog* watchdog, OverloadControl* overload);
   ~Batcher();
 
@@ -97,7 +89,7 @@ class Batcher {
                   const data::Batch& model_batch,
                   const tensor::Tensor& keep_pos, tensor::Tensor* denorm);
 
-  BatcherOptions options_;
+  const ServerOptions& options_;
   RequestQueue* queue_;
   ModelRegistry* registry_;
   ServerStats* stats_;

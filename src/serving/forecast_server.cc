@@ -14,16 +14,6 @@ namespace {
 // annotated kHeavy instead of kPartial.
 constexpr double kHeavyMaskedFraction = 0.3;
 
-BatcherOptions MakeBatcherOptions(const ServerOptions& options) {
-  BatcherOptions batcher;
-  batcher.max_batch = options.max_batch;
-  batcher.max_wait = options.max_wait;
-  batcher.input_len = options.input_len;
-  batcher.output_len = options.output_len;
-  batcher.steps_per_day = options.steps_per_day;
-  return batcher;
-}
-
 }  // namespace
 
 ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
@@ -33,8 +23,8 @@ ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
       fallback_(options.fallback),
       overload_(options.overload, options.max_batch),
       queue_(options.queue_capacity),
-      batcher_(MakeBatcherOptions(options), &queue_, registry, &stats_,
-               &fallback_, &watchdog_, &overload_) {
+      batcher_(options_, &queue_, registry, &stats_, &fallback_, &watchdog_,
+               &overload_) {
   // Breaker and cache counters live in the fallback chain; hand the stats
   // sink a closure so /stats snapshots can fold them in.
   stats_.SetResilienceProvider([this] {

@@ -29,7 +29,9 @@ struct ServerOptions {
   int64_t steps_per_day = 0;
   int64_t num_nodes = 0;
   int64_t num_features = 0;
-  // Micro-batching knobs (see BatcherOptions).
+  // Micro-batching: the most requests coalesced into one model pass, and
+  // how long the batcher holds an underfull batch open for more before
+  // flushing what it has.
   int64_t max_batch = 8;
   std::chrono::microseconds max_wait{2000};
   // Backpressure bound: Submit sheds load with Unavailable beyond this.

@@ -11,34 +11,24 @@
 namespace sstban::serving {
 
 // Liveness signal the batcher thread feeds and the health probe reads: the
-// worker ticks on every loop iteration and brackets each model pass. A batch
-// that has been in flight longer than the stall budget while requests keep
-// queueing means the worker is wedged (a hung model, a deadlocked pool) —
-// the readiness probe goes false and Submit fails fast with Unavailable
-// instead of letting requests pile up behind a thread that will never drain
-// them. Lock-free: all fields are relaxed atomics on the worker hot path.
+// worker brackets each model pass. A batch that has been in flight longer
+// than the stall budget while requests keep queueing means the worker is
+// wedged (a hung model, a deadlocked pool) — the readiness probe goes false
+// and Submit fails fast with Unavailable instead of letting requests pile up
+// behind a thread that will never drain them. Lock-free: the worker stores
+// one atomic per bracket.
 class BatcherWatchdog {
  public:
   // Worker-side signals.
-  void MarkLoopTick() { loop_ticks_.fetch_add(1, std::memory_order_relaxed); }
   void MarkBatchStart(Clock::time_point now) {
     batch_started_ns_.store(ToNs(now), std::memory_order_release);
   }
-  void MarkBatchEnd() {
-    batch_started_ns_.store(0, std::memory_order_release);
-    batches_finished_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void MarkBatchEnd() { batch_started_ns_.store(0, std::memory_order_release); }
 
   // True when a model pass has been running longer than `stall_budget`.
   bool Wedged(std::chrono::milliseconds stall_budget,
               Clock::time_point now = Clock::now()) const;
 
-  int64_t loop_ticks() const {
-    return loop_ticks_.load(std::memory_order_relaxed);
-  }
-  int64_t batches_finished() const {
-    return batches_finished_.load(std::memory_order_relaxed);
-  }
   // Seconds the current batch has been in flight; 0 when idle.
   double InFlightSeconds(Clock::time_point now = Clock::now()) const;
 
@@ -49,8 +39,6 @@ class BatcherWatchdog {
         .count();
   }
 
-  std::atomic<int64_t> loop_ticks_{0};
-  std::atomic<int64_t> batches_finished_{0};
   // Start of the in-flight model pass (ns since clock epoch); 0 = idle.
   std::atomic<int64_t> batch_started_ns_{0};
 };

@@ -93,8 +93,8 @@ inline void AddMaskRow(float* srow, const float* mrow, int64_t lk) {
 // ([i1 - i0, lk]): `qblk` holds those rows ([i1 - i0, dk]), `kb` the head's
 // [lk, dk] keys. The unfused chain's probabilities bit for bit: the score
 // GEMM goes through GemmRowRangeAccumulate with the full problem shape (Bmm's
-// kernel routing and 64-row partition boundaries), and scale, mask and
-// softmax use the kernel entry points the tensor ops use.
+// kernel routing and 64-row partition boundaries), the scale is MulScalar's
+// one multiply per element, and the softmax is the tier's softmax_row.
 void RowBlockProbs(const float* qblk, const float* kb, const float* mrow,
                    float* p, int64_t lq, int64_t lk, int64_t dk, float scale,
                    int64_t i0, int64_t i1, const simd::SimdKernels& ks) {
@@ -102,7 +102,8 @@ void RowBlockProbs(const float* qblk, const float* kb, const float* mrow,
   std::memset(p, 0, static_cast<size_t>(rows * lk) * sizeof(float));
   GemmRowRangeAccumulate(qblk, kb, p, lq, dk, lk,
                          /*ta=*/false, /*tb=*/true, i0, i1);
-  ks.mul_scalar(p, scale, p, rows * lk);
+  const int64_t n = rows * lk;
+  for (int64_t i = 0; i < n; ++i) p[i] *= scale;
   for (int64_t r = 0; r < rows; ++r) {
     float* prow = p + r * lk;
     if (mrow != nullptr) AddMaskRow(prow, mrow, lk);

@@ -19,7 +19,7 @@ namespace sstban::tensor {
 // head-split operands, at every shape. At dk <= 8 and lk <= 512 the tier's
 // attention forms run (few queries: absorb; short key rows: broadcast;
 // fused_attention.cc holds the thresholds); every other shape streams 64-row
-// blocks through the same kernel entry points as the chain, with the same
+// blocks through the same GEMM and softmax kernels as the chain, with the same
 // row-block boundaries (tensor/matmul.h kGemmRowBlock). Every reduction is
 // sequential within one batch item, so results are bitwise deterministic.
 //

@@ -12,19 +12,8 @@ namespace sstban::tensor {
 
 namespace {
 
-// Same-shape elementwise ops route through the SIMD dispatch table. The
-// vector kernels are exactly rounded per element, so the result is bitwise
-// identical to the scalar loops in every tier; the indirection exists to
-// keep Debug/sanitizer builds fast and the kernel layer in one place.
-Tensor SameShapeBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
-  Tensor out = Tensor::Empty(a.shape());
-  fn(a.data(), b.data(), out.data(), out.size());
-  return out;
-}
-
 // `b`'s dims equal the trailing dims of `a`'s (e.g. a Linear bias [n] onto
-// [M, n]): every row of a meets all of b. The tier's kernel per row gives
-// the same per-element result as the odometer loop.
+// [M, n]): every row of a meets all of b.
 bool IsTrailingSuffix(const Shape& b, const Shape& a) {
   if (b.rank() > a.rank()) return false;
   int offset = a.rank() - b.rank();
@@ -32,23 +21,6 @@ bool IsTrailingSuffix(const Shape& b, const Shape& a) {
     if (b.dims()[i] != a.dims()[offset + i]) return false;
   }
   return true;
-}
-
-Tensor RowBroadcastBinary(const Tensor& a, const Tensor& b, simd::BinaryFn fn) {
-  Tensor out = Tensor::Empty(a.shape());
-  const int64_t n = b.size();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t rows = a.size() / n;
-  for (int64_t r = 0; r < rows; ++r) fn(pa + r * n, pb, po + r * n, n);
-  return out;
-}
-
-Tensor ScalarMap(const Tensor& a, float s, simd::ScalarMapFn fn) {
-  Tensor out = Tensor::Empty(a.shape());
-  fn(a.data(), s, out.data(), out.size());
-  return out;
 }
 
 // Strides for iterating `shape` as if broadcast to `out_shape`: broadcast
@@ -63,6 +35,10 @@ std::vector<int64_t> BroadcastStrides(const Shape& shape, const Shape& out_shape
   return strides;
 }
 
+// Every binary op runs here, `fn` inlined into one plain loop per path that
+// the compiler vectorizes for the build's ISA. Each element is rounded once
+// (one add, multiply or divide), so every path and every SIMD tier gives
+// the same bits as the naive loop.
 template <typename BinaryFn>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
   // Fast path: identical shapes.
@@ -93,6 +69,22 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     float* po = out.data();
     int64_t n = out.size();
     for (int64_t i = 0; i < n; ++i) po[i] = fn(s, pb[i]);
+    return out;
+  }
+  // Fast path: b is a trailing suffix of a, row by row. b.size() > 0 keeps
+  // the row count's division defined.
+  if (b.size() > 0 && IsTrailingSuffix(b.shape(), a.shape())) {
+    Tensor out = Tensor::Empty(a.shape());
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    const int64_t cols = b.size();
+    const int64_t rows = a.size() / cols;
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* ra = pa + r * cols;
+      float* ro = po + r * cols;
+      for (int64_t j = 0; j < cols; ++j) ro[j] = fn(ra[j], pb[j]);
+    }
     return out;
   }
   // General broadcast path with odometer iteration.
@@ -160,17 +152,12 @@ Shape ReducedShape(const Shape& shape, int axis, bool keepdim) {
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  if (a.shape() == b.shape()) return SameShapeBinary(a, b, simd::Kernels().add);
-  if (b.size() > 1 && IsTrailingSuffix(b.shape(), a.shape())) {
-    return RowBroadcastBinary(a, b, simd::Kernels().add);
-  }
   return BinaryOp(a, b, [](float x, float y) { return x + y; });
 }
 Tensor Sub(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x - y; });
 }
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  if (a.shape() == b.shape()) return SameShapeBinary(a, b, simd::Kernels().mul);
   return BinaryOp(a, b, [](float x, float y) { return x * y; });
 }
 Tensor Div(const Tensor& a, const Tensor& b) {
@@ -178,10 +165,10 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  return ScalarMap(a, s, simd::Kernels().add_scalar);
+  return UnaryOp(a, [s](float x) { return x + s; });
 }
 Tensor MulScalar(const Tensor& a, float s) {
-  return ScalarMap(a, s, simd::Kernels().mul_scalar);
+  return UnaryOp(a, [s](float x) { return x * s; });
 }
 
 Tensor Neg(const Tensor& a) {
@@ -206,9 +193,7 @@ Tensor Square(const Tensor& a) {
   return UnaryOp(a, [](float x) { return x * x; });
 }
 Tensor Relu(const Tensor& a) {
-  Tensor out = Tensor::Empty(a.shape());
-  simd::Kernels().relu(a.data(), out.data(), out.size());
-  return out;
+  return UnaryOp(a, [](float x) { return x > 0 ? x : 0.0f; });
 }
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });

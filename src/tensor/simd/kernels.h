@@ -8,10 +8,11 @@
 namespace sstban::tensor::simd {
 
 // Runtime-dispatched kernel table (DESIGN.md §14). One table is selected for
-// the whole process from core::ActiveSimdLevel(); every hot loop in the
-// tensor layer (tiled GEMM micro-kernel, softmax rows, elementwise ops,
-// fused attention) indirects through it. Two invariants make this safe under
-// the repo's bitwise determinism contracts:
+// the whole process from core::ActiveSimdLevel(); it holds the kernels whose
+// arithmetic or speed depends on the tier (the GEMMs, the softmax pieces and
+// the attention forms). Elementwise ops round once per element, so they are
+// plain loops in tensor/ops.cc that give the same bits on every tier. Two
+// invariants make this safe under the repo's bitwise determinism contracts:
 //   1. The table choice is a process-wide constant — kernel routing never
 //      depends on the calling thread or call site.
 //   2. Every kernel processes its elements in a fixed order that depends
@@ -43,9 +44,6 @@ using GemmTailFn = void (*)(const float* a, int64_t rsa, int64_t csa,
 using GemmSmallFn = void (*)(const float* a, const float* b, float* c,
                              int64_t m, int64_t k, int64_t n);
 
-using BinaryFn = void (*)(const float* a, const float* b, float* o, int64_t n);
-using ScalarMapFn = void (*)(const float* a, float s, float* o, int64_t n);
-using UnaryFn = void (*)(const float* a, float* o, int64_t n);
 // Max over n elements (n >= 1).
 using ReduceMaxFn = float (*)(const float* a, int64_t n);
 // o[i] = exp(a[i] - m); returns sum of the written values in double, summed
@@ -98,11 +96,6 @@ struct SimdKernels {
   GemmTailFn gemm_tail;
   GemmSmallFn gemm_nt_small;
   GemmSmallFn gemm_nn_small;
-  BinaryFn add;
-  BinaryFn mul;
-  ScalarMapFn add_scalar;
-  ScalarMapFn mul_scalar;
-  UnaryFn relu;
   ReduceMaxFn reduce_max;
   ExpSumFn exp_sum;
   SoftmaxRowFn softmax_row;

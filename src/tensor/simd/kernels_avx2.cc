@@ -176,57 +176,6 @@ void GemmNTSmallAvx2(const float* a, const float* b, float* c, int64_t m,
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise maps. Exactly-rounded per element, so these agree bitwise with
-// the scalar tier; they exist to keep Debug/sanitizer builds (no -O3
-// autovectorization) from crawling and to make the dispatch table complete.
-// ---------------------------------------------------------------------------
-
-void AddAvx2(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                          _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = a[i] + b[i];
-}
-
-void MulAvx2(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                          _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = a[i] * b[i];
-}
-
-void AddConstAvx2(const float* a, float s, float* o, int64_t n) {
-  __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_add_ps(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < n; ++i) o[i] = a[i] + s;
-}
-
-void MulConstAvx2(const float* a, float s, float* o, int64_t n) {
-  __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < n; ++i) o[i] = a[i] * s;
-}
-
-void ReluAvx2(const float* a, float* o, int64_t n) {
-  __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
-  }
-  for (; i < n; ++i) o[i] = a[i] > 0 ? a[i] : 0.0f;
-}
-
-// ---------------------------------------------------------------------------
 // Softmax row primitives.
 // ---------------------------------------------------------------------------
 
@@ -336,7 +285,7 @@ void SoftmaxRowAvx2(const float* in, float* out, int64_t n) {
   float m = ReduceMaxAvx2(in, n);
   double denom = ExpSumAvx2(in, m, out, n);
   float inv = static_cast<float>(1.0 / denom);
-  MulConstAvx2(out, inv, out, n);
+  for (int64_t i = 0; i < n; ++i) out[i] *= inv;
 }
 
 // ---------------------------------------------------------------------------
@@ -886,11 +835,6 @@ const SimdKernels* Avx2Kernels() {
       /*gemm_tail=*/GemmTailAvx2,
       /*gemm_nt_small=*/GemmNTSmallAvx2,
       /*gemm_nn_small=*/GemmNNSmallAvx2,
-      /*add=*/AddAvx2,
-      /*mul=*/MulAvx2,
-      /*add_scalar=*/AddConstAvx2,
-      /*mul_scalar=*/MulConstAvx2,
-      /*relu=*/ReluAvx2,
       /*reduce_max=*/ReduceMaxAvx2,
       /*exp_sum=*/ExpSumAvx2,
       /*softmax_row=*/SoftmaxRowAvx2,

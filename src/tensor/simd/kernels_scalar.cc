@@ -3,9 +3,10 @@
 
 #include "tensor/simd/kernels.h"
 
-// Portable fallback tier. These are the original hand loops from matmul.cc /
-// ops.cc, kept bit-for-bit: the scalar tier must reproduce the pre-SIMD
-// numerics exactly so SSTBAN_SIMD=off doubles as the compatibility mode.
+// Portable fallback tier. These are the original hand loops from matmul.cc
+// and the softmax of ops.cc, kept bit-for-bit: the scalar tier must
+// reproduce the pre-SIMD numerics exactly so SSTBAN_SIMD=off doubles as the
+// compatibility mode.
 
 namespace sstban::tensor::simd {
 
@@ -139,26 +140,6 @@ void GemmNNSmall(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
-void AddScalarTier(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
-}
-
-void MulScalarTier(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * b[i];
-}
-
-void AddConst(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
-}
-
-void MulConst(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * s;
-}
-
-void Relu(const float* a, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > 0 ? a[i] : 0.0f;
-}
-
 float ReduceMax(const float* a, int64_t n) {
   float m = a[0];
   for (int64_t i = 1; i < n; ++i) m = std::max(m, a[i]);
@@ -193,11 +174,6 @@ const SimdKernels& ScalarKernels() {
       /*gemm_tail=*/GemmTailScalar,
       /*gemm_nt_small=*/GemmNTSmall,
       /*gemm_nn_small=*/GemmNNSmall,
-      /*add=*/AddScalarTier,
-      /*mul=*/MulScalarTier,
-      /*add_scalar=*/AddConst,
-      /*mul_scalar=*/MulConst,
-      /*relu=*/Relu,
       /*reduce_max=*/ReduceMax,
       /*exp_sum=*/ExpSum,
       /*softmax_row=*/SoftmaxRow,

@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -347,18 +348,22 @@ TEST(ThreadPoolTest, ConcurrentCallsTakeTurnsForAFreeWorker) {
 }
 
 TEST(ThreadPoolTest, RunAndWaitPropagatesTaskExceptions) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 6; ++i) {
-    tasks.push_back([i, &completed] {
-      if (i == 3) throw std::runtime_error("task 3 failed");
-      completed.fetch_add(1);
-    });
+  // Width 1 has no workers and runs the tasks inline.
+  for (int width : {1, 2, 4}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    ThreadPool pool(width);
+    std::atomic<int> completed{0};
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 6; ++i) {
+      tasks.push_back([i, &completed] {
+        if (i == 3) throw std::runtime_error("task 3 failed");
+        completed.fetch_add(1);
+      });
+    }
+    EXPECT_THROW(pool.RunAndWait(std::move(tasks)), std::runtime_error);
+    // All non-throwing tasks still ran to completion before the rethrow.
+    EXPECT_EQ(completed.load(), 5);
   }
-  EXPECT_THROW(pool.RunAndWait(std::move(tasks)), std::runtime_error);
-  // All non-throwing tasks still ran to completion before the rethrow.
-  EXPECT_EQ(completed.load(), 5);
 }
 
 TEST(HistogramTest, CountSumMinMax) {

@@ -1,10 +1,15 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cpu_features.h"
 #include "core/rng.h"
+#include "simd_tiers.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -54,32 +59,110 @@ TEST(ElementwiseTest, Broadcast4D) {
   for (float v : c.ToVector()) EXPECT_EQ(v, 3.0f);
 }
 
-// Add's row-broadcast path (b's shape a trailing suffix of a's, e.g. a
-// Linear bias [n] onto [M, n]) runs the tier's add per row; it must equal
-// the plain elementwise loop bit for bit.
-TEST(ElementwiseTest, TrailingSuffixAddMatchesNaiveLoop) {
-  core::Rng rng(12);
+// NaN, signed zeros, infinities and a subnormal, written over the start of
+// `t` so every length below meets some of them.
+void PlantSpecials(Tensor& t) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min() * 3};
+  for (int64_t i = 0; i < t.size() && i < 6; ++i) t.data()[i] = specials[i];
+}
+
+bool SameBits(const Tensor& got, const Tensor& want) {
+  return got.shape() == want.shape() &&
+         std::memcmp(got.data(), want.data(),
+                     static_cast<size_t>(want.size()) * sizeof(float)) == 0;
+}
+
+// Every fast path of the binary ops (same shape, scalar b, scalar a, b a
+// trailing suffix of a) and the odometer give the naive loop's bits on every
+// SIMD tier: element i meets a[i % a.size()] and b[i % b.size()].
+TEST(ElementwiseTest, BinaryOpsMatchNaiveLoopOnEveryTier) {
   struct Case { Shape a, b; };
   const std::vector<Case> cases = {
-      {Shape{2000, 13}, Shape{13}},        // n not a multiple of 8
+      {Shape{1027}, Shape{1027}},          // same shape, n % 8 != 0
+      {Shape{3, 5, 7}, Shape{3, 5, 7}},
+      {Shape{9, 7}, Shape{1}},             // scalar b
+      {Shape{1027}, Shape{}},
+      {Shape{1}, Shape{6, 9}},             // scalar a
+      {Shape{2000, 13}, Shape{13}},        // trailing suffix, n % 8 != 0
       {Shape{300, 37}, Shape{37}},
       {Shape{6, 50, 3, 5}, Shape{3, 5}},   // multi-axis suffix
       {Shape{4, 29472 / 4, 16}, Shape{16}},
+      {Shape{14736, 32}, Shape{32}},
+      {Shape{2000, 13}, Shape{1, 13}},     // odometer
+      {Shape{37}, Shape{300, 37}},
   };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.a.ToString() + " + " + c.b.ToString());
-    Tensor a = Tensor::RandomNormal(c.a, rng);
-    Tensor b = Tensor::RandomNormal(c.b, rng);
-    Tensor want = Tensor::Empty(c.a);
-    const int64_t n = b.size();
-    for (int64_t i = 0; i < a.size(); ++i) {
-      want.data()[i] = a.data()[i] + b.data()[i % n];
+  struct Op {
+    const char* name;
+    Tensor (*run)(const Tensor&, const Tensor&);
+    float (*naive)(float, float);
+  };
+  const Op ops[] = {
+      {"Add", Add, [](float x, float y) { return x + y; }},
+      {"Sub", Sub, [](float x, float y) { return x - y; }},
+      {"Mul", Mul, [](float x, float y) { return x * y; }},
+      {"Div", Div, [](float x, float y) { return x / y; }},
+  };
+  for (core::SimdLevel level : sstban::testing::AvailableLevels()) {
+    sstban::testing::ScopedSimdLevel scoped(level);
+    core::Rng rng(12);
+    for (const Case& c : cases) {
+      Tensor a = Tensor::RandomNormal(c.a, rng);
+      Tensor b = Tensor::RandomNormal(c.b, rng);
+      PlantSpecials(a.size() >= b.size() ? a : b);
+      const int64_t n = std::max(a.size(), b.size());
+      for (const Op& op : ops) {
+        SCOPED_TRACE(std::string(core::SimdLevelName(level)) + " " + op.name +
+                     " " + c.a.ToString() + " " + c.b.ToString());
+        Tensor want = Tensor::Empty(a.size() >= b.size() ? c.a : c.b);
+        for (int64_t i = 0; i < n; ++i) {
+          want.data()[i] = op.naive(a.data()[i % a.size()],
+                                    b.data()[i % b.size()]);
+        }
+        EXPECT_TRUE(SameBits(op.run(a, b), want));
+      }
     }
-    Tensor got = Add(a, b);
-    ASSERT_EQ(got.shape(), c.a);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          static_cast<size_t>(want.size()) * sizeof(float)),
-              0);
+  }
+}
+
+// AddScalar, MulScalar and Relu give the naive loop's bits on every tier,
+// at lengths around the 8-lane vector width and on special values; Relu
+// maps NaN and -0 to +0.
+TEST(ElementwiseTest, ScalarMapsAndReluMatchNaiveLoopOnEveryTier) {
+  for (core::SimdLevel level : sstban::testing::AvailableLevels()) {
+    sstban::testing::ScopedSimdLevel scoped(level);
+    core::Rng rng(13);
+    for (int64_t n : {1, 7, 8, 9, 1027}) {
+      SCOPED_TRACE(std::string(core::SimdLevelName(level)) +
+                   " n=" + std::to_string(n));
+      Tensor a = Tensor::RandomNormal(Shape{n}, rng);
+      PlantSpecials(a);
+      for (float s : {0.37f, -1.91f, 0.0f}) {
+        Tensor add = Tensor::Empty(Shape{n});
+        Tensor mul = Tensor::Empty(Shape{n});
+        for (int64_t i = 0; i < n; ++i) {
+          add.data()[i] = a.data()[i] + s;
+          mul.data()[i] = a.data()[i] * s;
+        }
+        EXPECT_TRUE(SameBits(AddScalar(a, s), add)) << "AddScalar " << s;
+        EXPECT_TRUE(SameBits(MulScalar(a, s), mul)) << "MulScalar " << s;
+      }
+      Tensor relu = Tensor::Empty(Shape{n});
+      for (int64_t i = 0; i < n; ++i) {
+        relu.data()[i] = a.data()[i] > 0 ? a.data()[i] : 0.0f;
+      }
+      Tensor got = Relu(a);
+      EXPECT_TRUE(SameBits(got, relu)) << "Relu";
+      for (int64_t i = 0; i < n && i < 3; ++i) {
+        // a[0] is NaN, a[1] is +0 and a[2] is -0: all give +0.
+        EXPECT_EQ(got.data()[i], 0.0f);
+        EXPECT_FALSE(std::signbit(got.data()[i]));
+      }
+    }
   }
 }
 
