@@ -26,6 +26,11 @@ constexpr int64_t kAbsorbMaxQueries = 8;
 constexpr int64_t kBroadcastMaxKeys = 16;
 // Neither form takes longer key rows.
 constexpr int64_t kFormMaxKeys = 512;
+// Query rows per block of the row-block path: caps its score scratch at
+// kQueryBlock x lk floats. The forward's score and context GEMMs run at the
+// full problem shape (GemmRowRangeAccumulate), so its bits do not depend on
+// the block height.
+constexpr int64_t kQueryBlock = 64;
 
 // An attention form in both directions.
 struct Form {
@@ -93,8 +98,8 @@ inline void AddMaskRow(float* srow, const float* mrow, int64_t lk) {
 // ([i1 - i0, lk]): `qblk` holds those rows ([i1 - i0, dk]), `kb` the head's
 // [lk, dk] keys. The unfused chain's probabilities bit for bit: the score
 // GEMM goes through GemmRowRangeAccumulate with the full problem shape (Bmm's
-// kernel routing and 64-row partition boundaries), the scale is MulScalar's
-// one multiply per element, and the softmax is the tier's softmax_row.
+// kernel routing), the scale is MulScalar's one multiply per element, and
+// the softmax is the tier's softmax_row.
 void RowBlockProbs(const float* qblk, const float* kb, const float* mrow,
                    float* p, int64_t lq, int64_t lk, int64_t dk, float scale,
                    int64_t i0, int64_t i1, const simd::SimdKernels& ks) {
@@ -122,7 +127,7 @@ void RowBlockAttention(const float* q, const float* k, const float* v,
                        const simd::SimdKernels& ks) {
   const int64_t ld = d.heads * d.dk, dk = d.dk, lq = d.lq, lk = d.lk;
   const int64_t q_stride = d.shared_q ? 0 : lq * ld;
-  const int64_t block_rows = std::min(lq, kGemmRowBlock);
+  const int64_t block_rows = std::min(lq, kQueryBlock);
   thread_local std::vector<float> scores;
   thread_local std::vector<float> slices;
   scores.resize(static_cast<size_t>(block_rows * lk));
@@ -136,8 +141,8 @@ void RowBlockAttention(const float* q, const float* k, const float* v,
     for (int64_t j = 0; j < d.heads; ++j) {
       const float* kb = HeadRows(k + b * lk * ld + j * dk, ld, lk, dk, k_slice);
       const float* vb = HeadRows(v + b * lk * ld + j * dk, ld, lk, dk, v_slice);
-      for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
-        const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+      for (int64_t i0 = 0; i0 < lq; i0 += kQueryBlock) {
+        const int64_t i1 = std::min(lq, i0 + kQueryBlock);
         const int64_t rows = i1 - i0;
         const float* qblk = HeadRows(q + b * q_stride + i0 * ld + j * dk, ld,
                                      rows, dk, q_slice);
@@ -167,8 +172,8 @@ void BackwardHead(const float* qb, const float* kb, const float* vb,
   const bool fully_masked =
       mrow != nullptr &&
       std::none_of(mrow, mrow + lk, [](float m) { return m > 0.5f; });
-  for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
-    int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+  for (int64_t i0 = 0; i0 < lq; i0 += kQueryBlock) {
+    int64_t i1 = std::min(lq, i0 + kQueryBlock);
     int64_t rows = i1 - i0;
     // Recompute P for this block: the forward's probabilities.
     RowBlockProbs(qb + i0 * dk, kb, mrow, p, lq, lk, dk, scale, i0, i1, ks);
@@ -176,8 +181,9 @@ void BackwardHead(const float* qb, const float* kb, const float* vb,
     GemmRowRangeAccumulate(p, dob + i0 * dk, dvb, lk, rows, dk,
                            /*ta=*/true, /*tb=*/false, 0, lk);
     // dP = dOut_block V^T.
-    GemmBatchedInto(dob + i0 * dk, vb, ds, /*batch=*/1, rows, dk, lk,
-                    /*ta=*/false, /*tb=*/true, 0, 0);
+    std::memset(ds, 0, static_cast<size_t>(rows * lk) * sizeof(float));
+    GemmRowRangeAccumulate(dob + i0 * dk, vb, ds, rows, dk, lk,
+                           /*ta=*/false, /*tb=*/true, 0, rows);
     // dS = P o (dP - rowsum(dP o P)) * scale, written over dP.
     for (int64_t r = 0; r < rows; ++r) {
       const float* prow = p + r * lk;
@@ -194,8 +200,10 @@ void BackwardHead(const float* qb, const float* kb, const float* vb,
       }
     }
     // dQ_block = dS K.
-    GemmBatchedInto(ds, kb, dqb + i0 * dk, /*batch=*/1, rows, lk, dk,
-                    /*ta=*/false, /*tb=*/false, 0, 0);
+    std::memset(dqb + i0 * dk, 0,
+                static_cast<size_t>(rows * dk) * sizeof(float));
+    GemmRowRangeAccumulate(ds, kb, dqb + i0 * dk, rows, lk, dk,
+                           /*ta=*/false, /*tb=*/false, 0, rows);
     // dK += dS^T Q_block.
     GemmRowRangeAccumulate(ds, qb + i0 * dk, dkb, lk, rows, dk,
                            /*ta=*/true, /*tb=*/false, 0, lk);
@@ -286,15 +294,15 @@ Tensor AttentionProbs(const Tensor& q, const Tensor& k, const Tensor* key_mask,
   // Per-head probabilities, then the chain's head average.
   Tensor probs = Tensor::Empty(Shape{d.batch, d.heads, lq, lk});
   thread_local std::vector<float> slices;
-  slices.resize(static_cast<size_t>((kGemmRowBlock + lk) * dk));
+  slices.resize(static_cast<size_t>((kQueryBlock + lk) * dk));
   for (int64_t b = 0; b < d.batch; ++b) {
     const float* mrow =
         key_mask != nullptr ? key_mask->data() + b * lk : nullptr;
     for (int64_t j = 0; j < d.heads; ++j) {
       const float* kb = HeadRows(k.data() + b * lk * ld + j * dk, ld, lk, dk,
-                                 slices.data() + kGemmRowBlock * dk);
-      for (int64_t i0 = 0; i0 < lq; i0 += kGemmRowBlock) {
-        const int64_t i1 = std::min(lq, i0 + kGemmRowBlock);
+                                 slices.data() + kQueryBlock * dk);
+      for (int64_t i0 = 0; i0 < lq; i0 += kQueryBlock) {
+        const int64_t i1 = std::min(lq, i0 + kQueryBlock);
         const float* qblk = HeadRows(q.data() + b * q_stride + i0 * ld + j * dk,
                                      ld, i1 - i0, dk, slices.data());
         RowBlockProbs(qblk, kb, mrow,
@@ -324,7 +332,7 @@ void FusedAttentionBackward(const float* q, const float* k, const float* v,
   }
   const int64_t lq = dims.lq, lk = dims.lk;
   const int64_t q_stride = dims.shared_q ? 0 : lq * ld;
-  const int64_t block_rows = std::min(lq, kGemmRowBlock);
+  const int64_t block_rows = std::min(lq, kQueryBlock);
   const bool gather = ld != dk;
   // One (batch item, head) at a time: each item's dK / dV accumulate across
   // its row blocks in a fixed sequential order.

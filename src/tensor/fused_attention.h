@@ -18,10 +18,11 @@ namespace sstban::tensor {
 // Add(mask) -> Softmax -> Bmm chain of the active SIMD tier on the
 // head-split operands, at every shape. At dk <= 8 and lk <= 512 the tier's
 // attention forms run (few queries: absorb; short key rows: broadcast;
-// fused_attention.cc holds the thresholds); every other shape streams 64-row
-// blocks through the same GEMM and softmax kernels as the chain, with the same
-// row-block boundaries (tensor/matmul.h kGemmRowBlock). Every reduction is
-// sequential within one batch item, so results are bitwise deterministic.
+// fused_attention.cc holds the thresholds); every other shape streams blocks
+// of 64 query rows through the same GEMM and softmax kernels as the chain,
+// each GEMM routed by the whole problem's shape (tensor/matmul.h
+// GemmRowRangeAccumulate). Every reduction is sequential within one batch
+// item, so results are bitwise deterministic.
 //
 // `key_mask` is optional: when non-null it holds [batch, lk] keep rows
 // (> 0.5f keeps a key), shared by the heads of a batch item, and the kernel

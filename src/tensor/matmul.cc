@@ -14,68 +14,19 @@ namespace {
 // Shape thresholds and tile sizes.
 //
 // Every dispatch decision below depends only on the GEMM's shape, so a
-// given problem always takes the same arithmetic path. Combined with
-// row-block partitioning (a C row is computed start-to-finish within one
-// block, in ascending-k order), this makes results bitwise identical
+// given problem always takes the same arithmetic path, and every C element
+// adds its k products in ascending order onto the value already in C,
+// whichever rows a call covers. This makes results bitwise identical
 // run-to-run and on whichever thread calls the kernel.
 // ---------------------------------------------------------------------------
 
-// Rows of C per block, so block boundaries are a pure function of M.
-constexpr int64_t kRowBlock = kGemmRowBlock;
 // Cache-blocking extents: one kKC x kNC block of B (at most 256 KiB) stays
-// resident in L2 while the micro-kernel streams a row block's A and C.
+// resident in L2 while the micro-kernel streams A and C past it.
 constexpr int64_t kKC = 256;
 constexpr int64_t kNC = 256;
-// Below this many multiply-adds per GEMM the tiled path loses to the plain
-// loops (its per-tile set-up dominates).
+// Below this many multiply-adds a row-major-A GEMM runs the tier's
+// small-shape kernels (the tiled path's per-tile set-up dominates).
 constexpr int64_t kTiledMaddCutoff = 1 << 13;
-
-// ---------------------------------------------------------------------------
-// Small-shape kernels. The !ta variants (attention scores QK^T and context
-// P*V, plus any problem under the tiled cutoff) live in the dispatched
-// kernel table (simd/kernels.h) so the AVX2 tier can vectorize them; the
-// transposed-A variants below only appear on backward paths and stay scalar.
-// ---------------------------------------------------------------------------
-
-// C[M,N] += A[K,M]^T * B[K,N].
-void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n) {
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (int64_t i = 0; i < m; ++i) {
-      float aval = arow[i];
-      float* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-    }
-  }
-}
-
-// C[M,N] += A[K,M]^T * B[N,K]^T == (B*A)^T; computed directly.
-void GemmTT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += a[p * m + i] * brow[p];
-      c[i * n + j] += acc;
-    }
-  }
-}
-
-void GemmDispatch(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n, bool ta, bool tb) {
-  if (!ta && !tb) {
-    simd::Kernels().gemm_nn_small(a, b, c, m, k, n);
-  } else if (!ta && tb) {
-    simd::Kernels().gemm_nt_small(a, b, c, m, k, n);
-  } else if (ta && !tb) {
-    GemmTN(a, b, c, m, k, n);
-  } else {
-    GemmTT(a, b, c, m, k, n);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Tiled path. The micro-kernel reads A and B where they lie; only a
@@ -96,27 +47,20 @@ void TransposeBPanel(const float* b, int64_t ldb, int64_t p0, int64_t j0,
 // Per-thread transposed-B panel, reused across GEMM calls.
 thread_local std::vector<float> tl_bpanel;
 
-// Computes C rows [i0, i1) of the full GEMM. The loop nest is j-panel >
-// k-panel > row-strip, so each C element accumulates its k contributions
-// strictly in ascending order. The micro-kernel comes from the process-wide
-// SIMD dispatch table (tensor/simd/kernels.h); its tile height is a
-// constant of the active tier, so strip boundaries stay a pure function of
-// the shape. The steady-state loop only ever issues full-height tiles —
-// the sub-tile remainder (at most one per row range) runs once after it,
+// Accumulates `rows` rows of C += A x op(B), reading A(r, p) at
+// a[r * rsa + p * csa] ((k, 1) for a row-major A, (1, m) for a transposed
+// one) and writing C row r at c + r * n. The loop nest is j-panel > k-panel
+// > row-strip, so each C element accumulates its k contributions strictly
+// in ascending order. The micro-kernel comes from the process-wide SIMD
+// dispatch table (tensor/simd/kernels.h); its tile height is a constant of
+// the active tier. The steady-state loop only ever issues full-height tiles
+// — the sub-tile remainder (at most one per call) runs once after it,
 // keeping the per-iteration height branch out of the hot loop.
-//
-// Pointer convention (see GemmRowRangeAccumulate): for !ta, `a` points at
-// logical row i0 of A; for ta it is the full stored [K, M] matrix. `c`
-// points at row i0 of C.
-void TiledRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
-               bool ta, bool tb, int64_t lda, int64_t ldb, int64_t i0,
-               int64_t i1) {
+void TiledRows(const float* a, int64_t rsa, int64_t csa, const float* b,
+               bool tb, float* c, int64_t rows, int64_t k, int64_t n) {
   const simd::SimdKernels& ks = simd::Kernels();
-  const int64_t mr_full = ks.gemm_mr;
-  // Logical A(i0 + r, p) sits at a_i0[r * rsa + p * csa].
-  const float* a_i0 = ta ? a + i0 : a;
-  const int64_t rsa = ta ? 1 : lda;
-  const int64_t csa = ta ? lda : 1;
+  const int64_t mr = ks.gemm_mr;
+  const int64_t ldb = tb ? k : n;
   if (tb && tl_bpanel.size() < static_cast<size_t>(kKC * kNC)) {
     tl_bpanel.resize(kKC * kNC);
   }
@@ -131,99 +75,48 @@ void TiledRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
         bp = tl_bpanel.data();
         ldbp = nc;
       }
-      const float* ap = a_i0 + p0 * csa;
-      int64_t i = i0;
-      for (; i + mr_full <= i1; i += mr_full) {
-        ks.gemm_tile(ap + (i - i0) * rsa, rsa, csa, bp, ldbp,
-                     c + (i - i0) * n + j0, n, kc, nc);
+      const float* ap = a + p0 * csa;
+      float* cp = c + j0;
+      int64_t r = 0;
+      for (; r + mr <= rows; r += mr) {
+        ks.gemm_tile(ap + r * rsa, rsa, csa, bp, ldbp, cp + r * n, n, kc, nc);
       }
-      if (i < i1) {
-        ks.gemm_tail(ap + (i - i0) * rsa, rsa, csa, bp, ldbp,
-                     c + (i - i0) * n + j0, n, kc, nc, i1 - i);
+      if (r < rows) {
+        ks.gemm_tail(ap + r * rsa, rsa, csa, bp, ldbp, cp + r * n, n, kc, nc,
+                     rows - r);
       }
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch and the batch x row-block driver.
-// ---------------------------------------------------------------------------
-
-bool UseTiledPath(int64_t m, int64_t k, int64_t n, bool ta, bool tb) {
-  if (m * k * n < kTiledMaddCutoff) return false;
-  // The register-blocked fixed-size kernels still win on the degenerate
-  // inner dimensions attention produces; keep them for those shapes.
-  if (!ta && !tb && n <= 8) return false;
-  if (!ta && tb && k <= 8) return false;
-  return true;
-}
-
-// Number of row blocks a single GEMM of this shape is split into. The legacy
-// transposed-A kernels stride A by the full M, so they only run whole.
-int64_t RowBlocksFor(int64_t m, int64_t k, int64_t n, bool ta, bool tb) {
-  if (m == 0) return 1;
-  if (!UseTiledPath(m, k, n, ta, tb) && ta) return 1;
-  return (m + kRowBlock - 1) / kRowBlock;
-}
-
-// Computes C rows [i0, i1) for one GEMM, routing to the tiled or small-shape
-// kernel. The route depends only on the full (m, k, n, ta, tb) problem, not
-// on the row range, so every row takes the same code path regardless of how
-// the work was partitioned. Block-pointer convention: for !ta, `a` points at
-// logical row i0 of A; for ta it is the full stored matrix. `c` points at
-// row i0 of C.
-void GemmRows(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n, bool ta, bool tb, int64_t i0, int64_t i1) {
-  if (i0 >= i1 || n == 0) return;
-  int64_t lda = ta ? m : k;
-  int64_t ldb = tb ? k : n;
-  if (UseTiledPath(m, k, n, ta, tb)) {
-    TiledRows(a, b, c, k, n, ta, tb, lda, ldb, i0, i1);
-    return;
-  }
-  if (!ta) {
-    GemmDispatch(a, b, c, i1 - i0, k, n, ta, tb);
-  } else {
-    SSTBAN_CHECK(i0 == 0 && i1 == m);
-    GemmDispatch(a, b, c, m, k, n, ta, tb);
-  }
-}
-
-// Shared driver for Matmul (batch == 1) and Bmm: walks the batch x
-// row-block grid in order.
-void BatchedGemm(const float* pa, const float* pb, float* pc, int64_t batch,
-                 int64_t m, int64_t k, int64_t n, bool ta, bool tb,
-                 int64_t a_stride, int64_t b_stride) {
-  if (batch == 0 || m == 0 || n == 0) return;
-  int64_t row_blocks = RowBlocksFor(m, k, n, ta, tb);
-  int64_t o_stride = m * n;
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t blk = 0; blk < row_blocks; ++blk) {
-      int64_t i0 = blk * kRowBlock;
-      int64_t i1 = row_blocks == 1 ? m : std::min(m, i0 + kRowBlock);
-      const float* a_base = pa + bi * a_stride + (ta ? 0 : i0 * k);
-      GemmRows(a_base, pb + bi * b_stride, pc + bi * o_stride + i0 * n, m, k,
-               n, ta, tb, i0, i1);
-    }
-  }
+// Whether a row-major-A GEMM takes the tiled path. The register-blocked
+// small-shape kernels still win below the cutoff and on the degenerate inner
+// dimensions attention produces (n <= 8, or k <= 8 with B transposed).
+bool UseTiledPath(int64_t m, int64_t k, int64_t n, bool tb) {
+  return m * k * n >= kTiledMaddCutoff && (tb ? k : n) > 8;
 }
 
 }  // namespace
 
+// The one GEMM driver: Matmul and Bmm run each product whole through it. A
+// transposed A always takes the micro-kernel, which reads any row range of
+// it in place; a row-major A takes the micro-kernel when UseTiledPath says
+// so and the tier's small-shape kernels otherwise. The route depends only on
+// the full (m, k, n, ta, tb) problem, not on the row range.
 void GemmRowRangeAccumulate(const float* a_block, const float* b,
                             float* c_block, int64_t m, int64_t k, int64_t n,
                             bool ta, bool tb, int64_t i0, int64_t i1) {
-  SSTBAN_CHECK(!ta || i0 == 0);
-  GemmRows(a_block, b, c_block, m, k, n, ta, tb, i0, i1);
-}
-
-void GemmBatchedInto(const float* a, const float* b, float* c, int64_t batch,
-                     int64_t m, int64_t k, int64_t n, bool ta, bool tb,
-                     int64_t a_stride, int64_t b_stride) {
-  // Zero-fill first: the kernels accumulate into C, matching the
-  // Tensor::Zeros allocations in Matmul/Bmm bit for bit.
-  std::fill_n(c, batch * m * n, 0.0f);
-  BatchedGemm(a, b, c, batch, m, k, n, ta, tb, a_stride, b_stride);
+  const int64_t rows = i1 - i0;
+  if (rows <= 0 || n == 0) return;
+  if (ta) {
+    TiledRows(a_block, /*rsa=*/1, /*csa=*/m, b, tb, c_block, rows, k, n);
+  } else if (UseTiledPath(m, k, n, tb)) {
+    TiledRows(a_block, /*rsa=*/k, /*csa=*/1, b, tb, c_block, rows, k, n);
+  } else if (tb) {
+    simd::Kernels().gemm_nt_small(a_block, b, c_block, rows, k, n);
+  } else {
+    simd::Kernels().gemm_nn_small(a_block, b, c_block, rows, k, n);
+  }
 }
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
@@ -236,8 +129,8 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   // Zeroed on purpose (pool-side AllocateZeroed): every kernel below
   // accumulates into C, so Tensor::Empty would read garbage.
   Tensor out = Tensor::Zeros(Shape{m, n});
-  BatchedGemm(a.data(), b.data(), out.data(), /*batch=*/1, m, k, n,
-              /*ta=*/false, /*tb=*/false, 0, 0);
+  GemmRowRangeAccumulate(a.data(), b.data(), out.data(), m, k, n,
+                         /*ta=*/false, /*tb=*/false, 0, m);
   return out;
 }
 
@@ -255,8 +148,11 @@ Tensor Bmm(const Tensor& a, const Tensor& b, bool transpose_a,
                          << b.shape().ToString();
   // Zeroed on purpose: the GEMM kernels accumulate into C.
   Tensor out = Tensor::Zeros(Shape{batch, m, n});
-  BatchedGemm(a.data(), b.data(), out.data(), batch, m, k, n, transpose_a,
-              transpose_b, a.dim(1) * a.dim(2), b.dim(1) * b.dim(2));
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    GemmRowRangeAccumulate(a.data() + bi * m * k, b.data() + bi * k * n,
+                           out.data() + bi * m * n, m, k, n, transpose_a,
+                           transpose_b, 0, m);
+  }
   return out;
 }
 

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -141,10 +143,10 @@ INSTANTIATE_TEST_SUITE_P(AllTransposeCombos, BmmEquivalenceTest,
 // storage layouts of one logical product must feed every C element the same
 // products in the same order, and a row range computed alone must equal
 // those rows of the whole product. The shapes take the tiled path (k, n > 8)
-// and leave row tails of both tiers' tile heights (4, 6) and of the 64-row
-// block, 16- and 8-wide column tails, several k panels and several column
-// panels; the last two are the model's projections at perfbench's geometry
-// (R = B * P * N = 4 * 12 * 307 rows of width 2d = 32).
+// and leave row tails of both tiers' tile heights (4, 6), 16- and 8-wide
+// column tails, several k panels and several column panels; the last two are
+// the model's projections at perfbench's geometry (R = B * P * N =
+// 4 * 12 * 307 rows of width 2d = 32).
 
 struct GemmShape {
   int64_t m, k, n;
@@ -155,6 +157,14 @@ constexpr GemmShape kTiledLayoutShapes[] = {
     {77, 517, 269},
     {4 * 12 * 307, 32, 32},
     {4 * 12 * 307, 32, 16},
+};
+
+// Below the tiled cutoff: a row-major A runs the small-shape kernels and a
+// transposed one the micro-kernel, so their layouts need not agree bitwise,
+// but a row range must still equal those rows of the whole product.
+constexpr GemmShape kSmallShapes[] = {
+    {5, 7, 11},
+    {37, 9, 13},
 };
 
 std::string ShapeName(const GemmShape& s, bool ta, bool tb) {
@@ -198,28 +208,30 @@ TEST(MatmulLayoutTest, AllFourLayoutsGiveBitwiseEqualProductsOnEveryTier) {
 
 TEST(MatmulLayoutTest, RowRangesEqualThoseRowsOfTheWholeProductOnEveryTier) {
   core::Rng rng(37);
+  std::vector<GemmShape> shapes(std::begin(kTiledLayoutShapes),
+                                std::end(kTiledLayoutShapes));
+  shapes.insert(shapes.end(), std::begin(kSmallShapes), std::end(kSmallShapes));
   for (core::SimdLevel level : sstban::testing::AvailableLevels()) {
     sstban::testing::ScopedSimdLevel scoped(level);
-    for (const GemmShape& s : kTiledLayoutShapes) {
+    for (const GemmShape& s : shapes) {
       StoredOperands ops = MakeStoredOperands(s, rng);
       for (bool ta : {false, true}) {
         for (bool tb : {false, true}) {
           const Tensor& a = ops.a[ta];
           const Tensor& b = ops.b[tb];
           Tensor whole = Bmm(a, b, ta, tb);
-          // A transposed A is only ever split from row 0.
-          std::vector<std::pair<int64_t, int64_t>> ranges = {
-              {0, s.m}, {0, 5}, {0, 67}};
-          if (!ta) {
-            ranges.insert(ranges.end(),
-                          {{1, 8}, {5, 70}, {s.m / 3, s.m / 3 + 40},
-                           {s.m - 7, s.m}});
-          }
-          for (auto [i0, i1] : ranges) {
+          // Ranges from row 0, inside, across and at the end of the rows,
+          // clamped to each shape's M; a transposed A is split at all of
+          // them, as a row-major one is.
+          for (auto [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+                   {0, s.m}, {0, 5}, {0, 67}, {1, 8}, {5, 70},
+                   {s.m / 3, s.m / 3 + 40}, {s.m - 7, s.m}}) {
+            const int64_t i0 = std::clamp<int64_t>(lo, 0, s.m - 1);
+            const int64_t i1 = std::clamp<int64_t>(hi, i0 + 1, s.m);
             std::vector<float> rows(static_cast<size_t>((i1 - i0) * s.n), 0.0f);
-            GemmRowRangeAccumulate(ta ? a.data() : a.data() + i0 * s.k,
-                                   b.data(), rows.data(), s.m, s.k, s.n, ta,
-                                   tb, i0, i1);
+            // A(i0, 0): row i0 of a row-major A, column i0 of a transposed one.
+            GemmRowRangeAccumulate(a.data() + (ta ? i0 : i0 * s.k), b.data(),
+                                   rows.data(), s.m, s.k, s.n, ta, tb, i0, i1);
             EXPECT_EQ(std::memcmp(rows.data(), whole.data() + i0 * s.n,
                                   rows.size() * sizeof(float)),
                       0)

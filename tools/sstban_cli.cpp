@@ -9,6 +9,11 @@
 //   sstban_cli forecast --preset pems08 --steps 24 --ckpt model.bin
 //                       [--at <window start index>]
 //
+// Ranges: --steps at least 1 and under half the world's slices; --days
+// 1-366; --nodes 1-1024; --epochs at least 0; --lr above 0;
+// --checkpoint_every at least 1; --resume 0 or 1; --at within the world. A
+// bad flag exits 2 with a one-line message before any work (tools/flags.h).
+//
 // The preset names the synthetic world (seattle / pems04 / pems08); train
 // and forecast regenerate the identical world from its seed, so a saved
 // checkpoint is self-consistent with the data it was trained on.
@@ -21,12 +26,7 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <algorithm>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "data/csv_io.h"
@@ -39,6 +39,7 @@
 #include "sstban/model.h"
 #include "training/forecast_service.h"
 #include "training/trainer.h"
+#include "flags.h"
 
 namespace {
 
@@ -51,82 +52,11 @@ namespace nn = ::sstban::nn;
 namespace training = ::sstban::training;
 namespace model_ns = ::sstban::sstban;
 
-// Minimal --key value parser; unknown keys are an error.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
-        std::exit(2);
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-  }
-
-  std::string GetString(const std::string& key, const std::string& fallback) {
-    used_.insert(key);
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t fallback) {
-    std::string v = GetString(key, std::to_string(fallback));
-    return std::atoll(v.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) {
-    std::string v = GetString(key, std::to_string(fallback));
-    return std::atof(v.c_str());
-  }
-  // Call after all Get*: rejects flags nobody consumed (typos).
-  bool RejectUnknown() const {
-    bool ok = true;
-    for (const auto& [key, value] : values_) {
-      if (!used_.count(key)) {
-        std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
-        ok = false;
-      }
-    }
-    return ok;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  mutable std::set<std::string> used_;
-};
-
-data::SyntheticWorldConfig WorldFor(const std::string& preset, Flags& flags) {
-  data::SyntheticWorldConfig world;
-  if (preset == "seattle") {
-    world = data::SeattleLikeConfig();
-  } else if (preset == "pems04") {
-    world = data::Pems04LikeConfig();
-  } else if (preset == "pems08") {
-    world = data::Pems08LikeConfig();
-  } else {
-    std::fprintf(stderr, "unknown preset '%s' (use seattle|pems04|pems08)\n",
-                 preset.c_str());
-    std::exit(2);
-  }
-  world.num_days = flags.GetInt("days", 8);
-  world.num_nodes = flags.GetInt("nodes", 16);
-  return world;
-}
-
-model_ns::SstbanConfig ModelFor(const std::string& preset, int64_t steps,
-                                const data::TrafficDataset& dataset) {
-  model_ns::SstbanConfig config;
-  if (steps == 24 || steps == 36 || steps == 48) {
-    // One of the paper's nine scenarios: use its Table III row.
-    config = model_ns::TableIiiConfig(preset + "-" + std::to_string(steps));
-  } else {
-    config.input_len = config.output_len = steps;
-    config.patch_len = std::max<int64_t>(steps / 8, 1);
-  }
-  config.num_nodes = dataset.num_nodes();
-  config.num_features = dataset.num_features();
-  config.steps_per_day = dataset.steps_per_day;
-  return config;
-}
+using ::sstban::tools::CheckStepsFit;
+using ::sstban::tools::Flags;
+using ::sstban::tools::kIntFlagMax;
+using ::sstban::tools::ModelFor;
+using ::sstban::tools::WorldFor;
 
 int RunGenerate(Flags& flags) {
   std::string preset = flags.GetString("preset", "pems08");
@@ -148,16 +78,18 @@ int RunGenerate(Flags& flags) {
 
 int RunTrain(Flags& flags) {
   std::string preset = flags.GetString("preset", "pems08");
-  int64_t steps = flags.GetInt("steps", 24);
+  int64_t steps = flags.GetInt("steps", 24, 1);
   std::string ckpt = flags.GetString("ckpt", "sstban.bin");
-  int epochs = static_cast<int>(flags.GetInt("epochs", 6));
-  float lr = static_cast<float>(flags.GetDouble("lr", 5e-3));
+  int epochs = static_cast<int>(flags.GetInt("epochs", 6, 0, kIntFlagMax));
+  float lr = flags.GetPositiveFloat("lr", 5e-3f);
   std::string checkpoint_dir = flags.GetString("checkpoint_dir", "");
-  int checkpoint_every = static_cast<int>(flags.GetInt("checkpoint_every", 1));
-  bool resume = flags.GetInt("resume", 1) != 0;
+  int checkpoint_every =
+      static_cast<int>(flags.GetInt("checkpoint_every", 1, 1, kIntFlagMax));
+  bool resume = flags.GetInt("resume", 1, 0, 1) != 0;
   auto dataset = std::make_shared<data::TrafficDataset>(
       data::GenerateSyntheticWorld(WorldFor(preset, flags)));
   if (!flags.RejectUnknown()) return 2;
+  CheckStepsFit(steps, *dataset);
 
   data::WindowDataset windows(dataset, steps, steps);
   data::SplitIndices split = data::ChronologicalSplit(windows);
@@ -210,17 +142,15 @@ int RunTrain(Flags& flags) {
 
 int RunForecast(Flags& flags) {
   std::string preset = flags.GetString("preset", "pems08");
-  int64_t steps = flags.GetInt("steps", 24);
+  int64_t steps = flags.GetInt("steps", 24, 1);
   std::string ckpt = flags.GetString("ckpt", "sstban.bin");
   auto dataset = std::make_shared<data::TrafficDataset>(
       data::GenerateSyntheticWorld(WorldFor(preset, flags)));
-  int64_t at = flags.GetInt("at", dataset->num_steps() - 2 * steps);
+  CheckStepsFit(steps, *dataset);
+  // The window's history and horizon must both lie inside the world.
+  const int64_t last_at = dataset->num_steps() - 2 * steps;
+  int64_t at = flags.GetInt("at", last_at, 0, last_at);
   if (!flags.RejectUnknown()) return 2;
-  if (at < 0 || at + 2 * steps > dataset->num_steps()) {
-    std::fprintf(stderr, "--at out of range (need %lld history + horizon)\n",
-                 static_cast<long long>(2 * steps));
-    return 2;
-  }
 
   data::Normalizer normalizer = data::Normalizer::Fit(dataset->signals);
   model_ns::SstbanModel model(ModelFor(preset, steps, *dataset));

@@ -15,6 +15,15 @@
 // for the hot-swap), then serves it. `--requests` is per client; a deadline
 // of 0 means none. `--json 1` appends the machine-readable stats dump.
 //
+// Ranges: --steps at least 1 and under half the world's slices; --days
+// 1-366; --nodes, --clients and --max-batch 1-1024; --queue-cap and
+// --adapt-steps at least 1; --requests 0-1000000000; --epochs and --ingest
+// at least 0; --deadline-ms 0-3600000; --max-wait-us 0-3600000000;
+// --stall-ms 1-3600000; --degrade-pct 0-100; --var-lag at least 0 and
+// under the world's slices; --cache-age at least -1; --swap and --json 0
+// or 1. A bad flag exits 2 with a one-line message before any training
+// (tools/flags.h).
+//
 // Resilience knobs: `--degrade-pct N` corrupts channel 0 of N% of requests
 // with NaN readings, exercising mask-aware degraded inference; `--var-lag 0`
 // skips fitting the VAR tier (the cache tier still answers model faults);
@@ -41,14 +50,10 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +71,7 @@
 #include "streaming/adaptation_controller.h"
 #include "tensor/ops.h"
 #include "training/trainer.h"
+#include "flags.h"
 
 namespace {
 
@@ -76,79 +82,22 @@ namespace tensor = ::sstban::tensor;
 namespace training = ::sstban::training;
 namespace model_ns = ::sstban::sstban;
 
-// Minimal --key value parser; unknown keys are an error (mirrors sstban_cli).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
-        std::exit(2);
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-  }
+using ::sstban::tools::BadFlag;
+using ::sstban::tools::CheckStepsFit;
+using ::sstban::tools::Flags;
+using ::sstban::tools::kIntFlagMax;
+using ::sstban::tools::ModelFor;
+using ::sstban::tools::WorldFor;
 
-  std::string GetString(const std::string& key, const std::string& fallback) {
-    used_.insert(key);
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t fallback) {
-    std::string v = GetString(key, std::to_string(fallback));
-    return std::atoll(v.c_str());
-  }
-  bool RejectUnknown() const {
-    bool ok = true;
-    for (const auto& [key, value] : values_) {
-      if (!used_.count(key)) {
-        std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
-        ok = false;
-      }
-    }
-    return ok;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  mutable std::set<std::string> used_;
-};
+// Caps that keep the clock, admission-limit and request-count arithmetic
+// far from overflow, and one thread per load-generator client within reason.
+constexpr int64_t kMaxMillis = 3'600'000;  // one hour
+constexpr int64_t kMaxClients = 1024;
+constexpr int64_t kMaxBatch = 1024;
+constexpr int64_t kMaxRequests = 1'000'000'000;  // per client
 
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
-}
-
-data::SyntheticWorldConfig WorldFor(const std::string& preset, Flags& flags) {
-  data::SyntheticWorldConfig world;
-  if (preset == "seattle") {
-    world = data::SeattleLikeConfig();
-  } else if (preset == "pems04") {
-    world = data::Pems04LikeConfig();
-  } else if (preset == "pems08") {
-    world = data::Pems08LikeConfig();
-  } else {
-    std::fprintf(stderr, "unknown preset '%s' (use seattle|pems04|pems08)\n",
-                 preset.c_str());
-    std::exit(2);
-  }
-  world.num_days = flags.GetInt("days", 8);
-  world.num_nodes = flags.GetInt("nodes", 16);
-  return world;
-}
-
-model_ns::SstbanConfig ModelFor(const std::string& preset, int64_t steps,
-                                const data::TrafficDataset& dataset) {
-  model_ns::SstbanConfig config;
-  if (steps == 24 || steps == 36 || steps == 48) {
-    config = model_ns::TableIiiConfig(preset + "-" + std::to_string(steps));
-  } else {
-    config.input_len = config.output_len = steps;
-    config.patch_len = std::max<int64_t>(steps / 8, 1);
-  }
-  config.num_nodes = dataset.num_nodes();
-  config.num_features = dataset.num_features();
-  config.steps_per_day = dataset.steps_per_day;
-  return config;
 }
 
 // Trains `epochs`, saves v1, trains one more epoch, saves v2 — two genuinely
@@ -198,29 +147,41 @@ struct LoadGenTotals {
 int main(int argc, char** argv) {
   Flags flags(argc, argv, 1);
   std::string preset = flags.GetString("preset", "pems08");
-  int64_t steps = flags.GetInt("steps", 24);
+  int64_t steps = flags.GetInt("steps", 24, 1);
   std::string ckpt = flags.GetString("ckpt", "serve.sstb");
   std::string ckpt_v2 = ckpt + ".v2";
-  int epochs = static_cast<int>(flags.GetInt("epochs", 2));
-  int64_t clients = flags.GetInt("clients", 4);
-  int64_t requests_per_client = flags.GetInt("requests", 32);
-  int64_t deadline_ms = flags.GetInt("deadline-ms", 0);
-  int64_t max_batch = flags.GetInt("max-batch", 8);
-  int64_t max_wait_us = flags.GetInt("max-wait-us", 2000);
-  int64_t queue_cap = flags.GetInt("queue-cap", 256);
-  bool do_swap = flags.GetInt("swap", 1) != 0;
-  bool emit_json = flags.GetInt("json", 0) != 0;
-  int64_t degrade_pct = flags.GetInt("degrade-pct", 0);
-  int64_t var_lag = flags.GetInt("var-lag", 3);
-  int64_t stall_ms = flags.GetInt("stall-ms", 2000);
-  int64_t cache_age = flags.GetInt("cache-age", -1);
-  int64_t ingest_slices = flags.GetInt("ingest", 0);
+  int epochs = static_cast<int>(flags.GetInt("epochs", 2, 0, kIntFlagMax));
+  int64_t clients = flags.GetInt("clients", 4, 1, kMaxClients);
+  int64_t requests_per_client = flags.GetInt("requests", 32, 0, kMaxRequests);
+  int64_t deadline_ms = flags.GetInt("deadline-ms", 0, 0, kMaxMillis);
+  int64_t max_batch = flags.GetInt("max-batch", 8, 1, kMaxBatch);
+  int64_t max_wait_us =
+      flags.GetInt("max-wait-us", 2000, 0, kMaxMillis * 1000);
+  int64_t queue_cap = flags.GetInt("queue-cap", 256, 1);
+  bool do_swap = flags.GetInt("swap", 1, 0, 1) != 0;
+  bool emit_json = flags.GetInt("json", 0, 0, 1) != 0;
+  int64_t degrade_pct = flags.GetInt("degrade-pct", 0, 0, 100);
+  int64_t var_lag = flags.GetInt("var-lag", 3, 0, kIntFlagMax);
+  int64_t stall_ms = flags.GetInt("stall-ms", 2000, 1, kMaxMillis);
+  int64_t cache_age = flags.GetInt("cache-age", -1, -1);
+  int64_t ingest_slices = flags.GetInt("ingest", 0, 0);
   std::string drift = flags.GetString("drift", "recalibrate");
-  int64_t adapt_steps = flags.GetInt("adapt-steps", 24);
+  if (drift != "recalibrate" && drift != "seasonal" && drift != "grow" &&
+      drift != "none") {
+    BadFlag("unknown --drift '" + drift +
+            "' (use recalibrate|seasonal|grow|none)");
+  }
+  int64_t adapt_steps = flags.GetInt("adapt-steps", 24, 1);
 
   auto dataset = std::make_shared<data::TrafficDataset>(
       data::GenerateSyntheticWorld(WorldFor(preset, flags)));
   if (!flags.RejectUnknown()) return 2;
+  CheckStepsFit(steps, *dataset);
+  if (var_lag >= dataset->num_steps()) {
+    BadFlag("--var-lag " + std::to_string(var_lag) +
+            " needs a world of more slices; this one has " +
+            std::to_string(dataset->num_steps()) + " (raise --days)");
+  }
 
   data::WindowDataset windows(dataset, steps, steps);
   data::SplitIndices split = data::ChronologicalSplit(windows);
@@ -262,13 +223,8 @@ int main(int argc, char** argv) {
                                          dataset->steps_per_day);
     } else if (drift == "grow") {
       drifted = data::AttachNewSensors(*dataset, /*extra=*/2, /*seed=*/77);
-    } else if (drift == "none") {
+    } else {  // "none"
       drifted = *dataset;
-    } else {
-      std::fprintf(stderr,
-                   "unknown --drift '%s' (use recalibrate|seasonal|grow|none)\n",
-                   drift.c_str());
-      return 2;
     }
 
     streaming::AdaptationControllerOptions ctl;
