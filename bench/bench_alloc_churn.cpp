@@ -13,7 +13,6 @@
 // step, or a warm pooled serving forward allocates from the heap at all.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cmath>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "common/timing.h"
 #include "core/memory_tracker.h"
 #include "core/rng.h"
 #include "core/storage_pool.h"
@@ -37,16 +37,11 @@ namespace {
 
 namespace ag = ::sstban::autograd;
 namespace t = ::sstban::tensor;
+using sstban::bench::BenchNowSeconds;
 using sstban::core::MemoryTracker;
 using sstban::core::StoragePool;
 using sstban::sstban::SstbanConfig;
 using sstban::sstban::SstbanModel;
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // A small-but-representative SSTBAN: big enough that a step runs hundreds
 // of ops through every layer type, small enough for CI.
@@ -123,9 +118,9 @@ ModeResult RunMode(bool pool_enabled, int warmup_steps, int measure_steps) {
   int64_t hits0 = tracker.pool_hits();
   int64_t misses0 = tracker.pool_misses();
   int64_t recycled0 = tracker.pool_recycled_bytes();
-  double start = NowSeconds();
+  double start = BenchNowSeconds();
   for (int i = 0; i < measure_steps; ++i) train_step();
-  result.train_step_ms = (NowSeconds() - start) * 1e3 / measure_steps;
+  result.train_step_ms = (BenchNowSeconds() - start) * 1e3 / measure_steps;
   result.heap_allocs_per_train_step =
       static_cast<double>(tracker.heap_allocs() - heap0) / measure_steps;
   int64_t hits = tracker.pool_hits() - hits0;
@@ -144,9 +139,9 @@ ModeResult RunMode(bool pool_enabled, int warmup_steps, int measure_steps) {
   };
   for (int i = 0; i < warmup_steps; ++i) forward();
   heap0 = tracker.heap_allocs();
-  start = NowSeconds();
+  start = BenchNowSeconds();
   for (int i = 0; i < measure_steps; ++i) forward();
-  result.forward_ms = (NowSeconds() - start) * 1e3 / measure_steps;
+  result.forward_ms = (BenchNowSeconds() - start) * 1e3 / measure_steps;
   result.heap_allocs_per_forward =
       static_cast<double>(tracker.heap_allocs() - heap0) / measure_steps;
   result.pool_peak_resident_bytes = tracker.pool_peak_resident_bytes();

@@ -14,7 +14,6 @@
 // 50 ns/op — generous enough for a noisy shared box, tight enough to catch
 // an accidental mutex or map lookup on the fast path.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <filesystem>
@@ -22,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timing.h"
 #include "core/failpoint.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -36,12 +36,7 @@ namespace core = ::sstban::core;
 namespace nn = ::sstban::nn;
 namespace t = ::sstban::tensor;
 namespace training = ::sstban::training;
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using ::sstban::bench::BenchNowSeconds;
 
 // noinline so the failpoint check cannot be hoisted out of the timing loop.
 __attribute__((noinline)) core::Status HitBenchPoint() {
@@ -51,9 +46,9 @@ __attribute__((noinline)) core::Status HitBenchPoint() {
 
 double MeasureHitNs(int64_t iters) {
   int64_t ok = 0;
-  double start = NowSeconds();
+  double start = BenchNowSeconds();
   for (int64_t i = 0; i < iters; ++i) ok += HitBenchPoint().ok() ? 1 : 0;
-  double elapsed = NowSeconds() - start;
+  double elapsed = BenchNowSeconds() - start;
   if (ok != iters) std::abort();  // defeat dead-code elimination
   return elapsed / static_cast<double>(iters) * 1e9;
 }
@@ -101,33 +96,33 @@ int main(int argc, char** argv) {
   core::Rng rng(99);
   nn::Mlp model({256, 256, 256}, rng);
   std::string weights = dir + "/weights.bin";
-  double start = NowSeconds();
+  double start = BenchNowSeconds();
   for (int i = 0; i < kIoIters; ++i) {
     if (!nn::SaveParameters(model, weights).ok()) return 2;
   }
-  double save_ms = (NowSeconds() - start) / kIoIters * 1e3;
-  start = NowSeconds();
+  double save_ms = (BenchNowSeconds() - start) / kIoIters * 1e3;
+  start = BenchNowSeconds();
   for (int i = 0; i < kIoIters; ++i) {
     if (!nn::LoadParameters(&model, weights).ok()) return 2;
   }
-  double load_ms = (NowSeconds() - start) / kIoIters * 1e3;
+  double load_ms = (BenchNowSeconds() - start) / kIoIters * 1e3;
   int64_t weights_bytes =
       static_cast<int64_t>(std::filesystem::file_size(weights));
 
   // -- TrainCheckpoint record ----------------------------------------------
   training::TrainCheckpoint state = MakeTrainState(rng, 128);
   std::string train_path = dir + "/" + training::TrainCheckpointFileName(3);
-  start = NowSeconds();
+  start = BenchNowSeconds();
   for (int i = 0; i < kIoIters; ++i) {
     if (!training::SaveTrainCheckpoint(train_path, state).ok()) return 2;
   }
-  double train_save_ms = (NowSeconds() - start) / kIoIters * 1e3;
+  double train_save_ms = (BenchNowSeconds() - start) / kIoIters * 1e3;
   training::TrainCheckpoint loaded;
-  start = NowSeconds();
+  start = BenchNowSeconds();
   for (int i = 0; i < kIoIters; ++i) {
     if (!training::LoadTrainCheckpoint(train_path, &loaded).ok()) return 2;
   }
-  double train_load_ms = (NowSeconds() - start) / kIoIters * 1e3;
+  double train_load_ms = (BenchNowSeconds() - start) / kIoIters * 1e3;
   int64_t train_bytes =
       static_cast<int64_t>(std::filesystem::file_size(train_path));
   std::filesystem::remove_all(dir);

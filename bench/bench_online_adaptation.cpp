@@ -16,15 +16,13 @@
 // allocations and detection counts are deterministic. Emits one JSON object
 // on stdout; pass a path as argv[1] to also write it there.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "common/alloc_counter.h"
+#include "common/timing.h"
 #include "core/rng.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
@@ -36,64 +34,14 @@
 #include "streaming/stream_ingestor.h"
 #include "tensor/tensor.h"
 
-// -- Counting allocator ------------------------------------------------------
-// Counts every heap allocation made while g_counting is set (same idiom as
-// bench_resilience: the tensor-layer MemoryTracker cannot see std::string /
-// std::vector allocations, a raw global operator new can).
-
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace {
 
+namespace bench = ::sstban::bench;
 namespace core = ::sstban::core;
 namespace data = ::sstban::data;
 namespace streaming = ::sstban::streaming;
 namespace t = ::sstban::tensor;
 namespace model_ns = ::sstban::sstban;
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Post-shift evaluation windows until the detector confirms drift against a
 // baseline it learned at error level `base`; -1 if `limit` windows pass
@@ -137,19 +85,17 @@ int main(int argc, char** argv) {
     }
   }
   constexpr long long kIngestIters = 200'000;
-  g_allocs.store(0);
-  g_counting.store(true);
-  double start = NowSeconds();
+  bench::StartCountingAllocs();
+  double start = bench::BenchNowSeconds();
   for (long long i = 0; i < kIngestIters; ++i) {
     if (!ingestor.Append(slice, step++).ok()) {
-      g_counting.store(false);
+      bench::StopCountingAllocs();
       std::fprintf(stderr, "FAIL: steady-state append rejected\n");
       return 1;
     }
   }
-  double ingest_elapsed = NowSeconds() - start;
-  g_counting.store(false);
-  const long long ingest_allocs = g_allocs.load();
+  double ingest_elapsed = bench::BenchNowSeconds() - start;
+  const long long ingest_allocs = bench::StopCountingAllocs();
   const double ingest_ns = ingest_elapsed * 1e9 / kIngestIters;
   const double ingest_rate = kIngestIters / ingest_elapsed;
 
@@ -189,9 +135,9 @@ int main(int argc, char** argv) {
   streaming::OnlineAdapterOptions adapt_options;
   adapt_options.num_steps = 24;
   streaming::OnlineAdapter adapter(adapt_options);
-  start = NowSeconds();
+  start = bench::BenchNowSeconds();
   auto report = adapter.Adapt(&model, windows, indices, normalizer);
-  const double adapt_elapsed = NowSeconds() - start;
+  const double adapt_elapsed = bench::BenchNowSeconds() - start;
   if (!report.ok()) {
     std::fprintf(stderr, "FAIL: adaptation round: %s\n",
                  report.status().ToString().c_str());

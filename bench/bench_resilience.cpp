@@ -17,14 +17,13 @@
 // which are deterministic. Emits one JSON object on stdout; pass a path as
 // argv[1] to also write it there.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 
+#include "common/alloc_counter.h"
+#include "common/timing.h"
 #include "core/failpoint.h"
 #include "serving/circuit_breaker.h"
 #include "serving/health.h"
@@ -32,67 +31,12 @@
 #include "serving/sanitizer.h"
 #include "tensor/tensor.h"
 
-// -- Counting allocator ------------------------------------------------------
-// Counts every heap allocation made while g_counting is set. Kept trivially
-// simple (malloc/free pass-through) so the override itself cannot distort
-// the measurement.
-
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<long long> g_allocs{0};
-
-// Every replaced operator delete frees through here, out of line: a free()
-// inlined into a caller sits next to that caller's operator new, which GCC
-// cannot see is malloc and reports as -Wmismatched-new-delete.
-[[gnu::noinline]] void Free(void* p) noexcept { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { Free(p); }
-void operator delete[](void* p) noexcept { Free(p); }
-void operator delete(void* p, std::size_t) noexcept { Free(p); }
-void operator delete[](void* p, std::size_t) noexcept { Free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { Free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { Free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  Free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  Free(p);
-}
-
 namespace {
 
+namespace bench = ::sstban::bench;
 namespace core = ::sstban::core;
 namespace serving = ::sstban::serving;
 namespace t = ::sstban::tensor;
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Measurement {
   double ns_per_op = 0.0;
@@ -104,14 +48,12 @@ struct Measurement {
 template <typename Op>
 Measurement Measure(long long iters, Op&& op) {
   Measurement m;
-  g_allocs.store(0);
-  g_counting.store(true);
-  double start = NowSeconds();
+  bench::StartCountingAllocs();
+  double start = bench::BenchNowSeconds();
   for (long long i = 0; i < iters; ++i) op();
-  double elapsed = NowSeconds() - start;
-  g_counting.store(false);
+  double elapsed = bench::BenchNowSeconds() - start;
+  m.allocs = bench::StopCountingAllocs();
   m.ns_per_op = elapsed * 1e9 / static_cast<double>(iters);
-  m.allocs = g_allocs.load();
   return m;
 }
 

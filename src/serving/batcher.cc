@@ -59,7 +59,6 @@ Batcher::Batcher(const ServerOptions& options, RequestQueue* queue,
   SSTBAN_CHECK(fallback != nullptr);
   SSTBAN_CHECK(watchdog != nullptr);
   SSTBAN_CHECK(overload != nullptr);
-  SSTBAN_CHECK_GT(options.max_batch, 0);
 }
 
 Batcher::~Batcher() {

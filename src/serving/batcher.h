@@ -52,7 +52,8 @@ struct ServerOptions;
 class Batcher {
  public:
   // `options` is the server's own, read for the batching knobs and the
-  // window geometry; it must outlive the batcher.
+  // window geometry; it must outlive the batcher. ForecastServer::Start
+  // checks it before the worker starts.
   Batcher(const ServerOptions& options, RequestQueue* queue,
           ModelRegistry* registry, ServerStats* stats, FallbackChain* fallback,
           BatcherWatchdog* watchdog, OverloadControl* overload);

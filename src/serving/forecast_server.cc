@@ -1,5 +1,6 @@
 #include "serving/forecast_server.h"
 
+#include <limits>
 #include <utility>
 
 #include "core/failpoint.h"
@@ -14,15 +15,55 @@ namespace {
 // annotated kHeavy instead of kPartial.
 constexpr double kHeavyMaskedFraction = 0.3;
 
+// Ok when the server can run with `options`; otherwise InvalidArgument
+// naming the first field at fault.
+core::Status CheckOptions(const ServerOptions& options) {
+  if (options.input_len <= 0 || options.output_len <= 0 ||
+      options.steps_per_day <= 0 || options.num_nodes <= 0 ||
+      options.num_features <= 0) {
+    return core::Status::InvalidArgument(
+        "cannot start: input_len, output_len, steps_per_day, num_nodes and "
+        "num_features must all be set (> 0)");
+  }
+  // The admission limit is kAdmitBatches x max_batch.
+  const int64_t max_batch_limit =
+      std::numeric_limits<int64_t>::max() / kAdmitBatches;
+  if (options.max_batch <= 0 || options.max_batch > max_batch_limit) {
+    return core::Status::InvalidArgument(core::StrFormat(
+        "cannot start: max_batch must be in [1, %lld], got %lld",
+        static_cast<long long>(max_batch_limit),
+        static_cast<long long>(options.max_batch)));
+  }
+  if (options.queue_capacity <= 0) {
+    return core::Status::InvalidArgument(core::StrFormat(
+        "cannot start: queue_capacity must be > 0, got %lld",
+        static_cast<long long>(options.queue_capacity)));
+  }
+  for (int64_t channel : options.sanitizer.degradable_channels) {
+    if (channel < 0) {
+      return core::Status::InvalidArgument(core::StrFormat(
+          "cannot start: sanitizer.degradable_channels must be >= 0, got "
+          "%lld",
+          static_cast<long long>(channel)));
+    }
+  }
+  return core::Status::Ok();
+}
+
 }  // namespace
 
 ForecastServer::ForecastServer(ServerOptions options, ModelRegistry* registry)
     : options_(options),
+      options_status_(CheckOptions(options)),
       registry_(registry),
-      sanitizer_(options.sanitizer),
+      // A server that Start will refuse builds its parts for one request and
+      // strict channels: their constructors abort on the refused values.
+      sanitizer_(options_status_.ok() ? options.sanitizer
+                                      : SanitizerOptions()),
       fallback_(options.fallback),
-      overload_(options.overload, options.max_batch),
-      queue_(options.queue_capacity),
+      overload_(options.overload,
+                options_status_.ok() ? options.max_batch : 1),
+      queue_(options_status_.ok() ? options.queue_capacity : 1),
       batcher_(options_, &queue_, registry, &stats_, &fallback_, &watchdog_,
                &overload_) {
   // Breaker and cache counters live in the fallback chain; hand the stats
@@ -61,13 +102,7 @@ core::Status ForecastServer::Start() {
   if (started_) {
     return core::Status::FailedPrecondition("server already started");
   }
-  if (options_.input_len <= 0 || options_.output_len <= 0 ||
-      options_.steps_per_day <= 0 || options_.num_nodes <= 0 ||
-      options_.num_features <= 0) {
-    return core::Status::InvalidArgument(
-        "cannot start: input_len, output_len, steps_per_day, num_nodes and "
-        "num_features must all be set (> 0)");
-  }
+  if (!options_status_.ok()) return options_status_;
   if (registry_->current() == nullptr) {
     return core::Status::FailedPrecondition(
         "cannot start: the model registry has no version installed");

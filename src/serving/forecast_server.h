@@ -67,7 +67,9 @@ class ForecastServer {
   ForecastServer(const ForecastServer&) = delete;
   ForecastServer& operator=(const ForecastServer&) = delete;
 
-  // InvalidArgument when the options leave any geometry field unset;
+  // InvalidArgument, naming the field, when an option is out of range: a
+  // geometry field unset, max_batch outside [1, INT64_MAX / kAdmitBatches],
+  // queue_capacity below 1 or a negative degradable channel.
   // FailedPrecondition when the registry has no model installed yet.
   core::Status Start();
 
@@ -105,6 +107,7 @@ class ForecastServer {
 
  private:
   ServerOptions options_;
+  core::Status options_status_;  // what Start returns for `options_`
   ModelRegistry* registry_;
   ServerStats stats_;
   InputSanitizer sanitizer_;

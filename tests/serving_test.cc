@@ -223,6 +223,43 @@ TEST(ForecastServerTest, StartRefusesUnsetGeometry) {
   }
 }
 
+TEST(ForecastServerTest, StartRefusesOutOfRangeOptions) {
+  GateModel* gate = nullptr;
+  std::unique_ptr<ModelRegistry> registry = GateRegistry(&gate);
+  gate->Release();
+  struct Case {
+    const char* field;
+    void (*set)(ServerOptions* options);
+  };
+  const Case cases[] = {
+      {"max_batch", [](ServerOptions* o) { o->max_batch = 0; }},
+      // kAdmitBatches x max_batch would overflow.
+      {"max_batch",
+       [](ServerOptions* o) {
+         o->max_batch = std::numeric_limits<int64_t>::max();
+       }},
+      {"queue_capacity", [](ServerOptions* o) { o->queue_capacity = 0; }},
+      {"sanitizer.degradable_channels",
+       [](ServerOptions* o) { o->sanitizer.degradable_channels = {-1}; }},
+  };
+  for (const Case& c : cases) {
+    ServerOptions options = TinyServerOptions();
+    c.set(&options);
+    // Constructing the server must not abort: only Start judges options.
+    ForecastServer server(options, registry.get());
+    core::Status status = server.Start();
+    EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument)
+        << c.field << ": " << status.ToString();
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(server.running());
+    ForecastRequest request;
+    request.recent = t::Tensor::Zeros(t::Shape{kSteps, kNodes, kFeatures});
+    EXPECT_EQ(server.Submit(std::move(request)).status().code(),
+              core::StatusCode::kUnavailable);
+  }
+}
+
 TEST(ForecastServerTest, RejectsAlreadyExpiredDeadline) {
   GateModel* gate = nullptr;
   std::unique_ptr<ModelRegistry> registry = GateRegistry(&gate);

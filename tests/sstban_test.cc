@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "core/memory_tracker.h"
 #include "core/rng.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
@@ -189,6 +190,34 @@ TEST(BottleneckAttentionTest, ComplexityIsLinearInSequenceLength) {
   ag::Variable x(Rand({1, 2048, 4}, 8));
   ag::Variable y = attn.Forward(x);
   EXPECT_EQ(y.dim(1), 2048);
+}
+
+// Peak live tensor bytes of one forward with the tape recording, above
+// what was live before it (the module's weights and its input).
+template <typename Attention>
+int64_t ForwardPeakBytes(const Attention& attn, int64_t len) {
+  ag::Variable x(Rand({1, len, 16}, 8));
+  core::MemoryTracker& tracker = core::MemoryTracker::Global();
+  tracker.ResetPeak();
+  const int64_t base = tracker.live_bytes();
+  ag::Variable y = attn.Forward(x);
+  return tracker.peak_bytes() - base;
+}
+
+TEST(AttentionMemoryTest, PeakGrowsLinearlyInSequenceLength) {
+  // Neither attention keeps an [L, L] tensor, so a forward peaks at
+  // a + b * L bytes with a >= 0, and quadrupling L at most quadruples the
+  // peak. A materialized [L, L] score tensor would read about 16x.
+  core::Rng rng(7);
+  BottleneckAttention bottleneck(/*in_dim=*/16, /*out_dim=*/16,
+                                 /*num_refs=*/3, /*num_heads=*/4, rng);
+  FullSelfAttention full(/*in_dim=*/16, /*out_dim=*/16, /*num_heads=*/4, rng);
+  const int64_t bottleneck_512 = ForwardPeakBytes(bottleneck, 512);
+  const int64_t full_512 = ForwardPeakBytes(full, 512);
+  EXPECT_GT(bottleneck_512, 0);
+  EXPECT_GT(full_512, 0);
+  EXPECT_LE(ForwardPeakBytes(bottleneck, 2048), 4 * bottleneck_512);
+  EXPECT_LE(ForwardPeakBytes(full, 2048), 4 * full_512);
 }
 
 TEST(FullSelfAttentionTest, MatchesInterface) {
